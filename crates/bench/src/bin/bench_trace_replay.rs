@@ -10,7 +10,7 @@
 //! So a trace captured at one configuration must *predict the fork count of
 //! any other configuration exactly* — `lopram_sim::TraceReplay` recounts
 //! each recorded pass under the new `(p, grain)` with the same
-//! `policy::grain_size` the pool itself uses.  Steal and speedup
+//! `policy::pass_chunks` / `policy::grain_size` the pool itself calls.  Steal and speedup
 //! predictions come from replaying the capture through the step-accurate
 //! §3.1 simulator (`migrations` is the model's steal counter); at `p = 1`
 //! the prediction is structurally steal-free.
@@ -104,8 +104,10 @@ fn capture(graph: &CsrGraph, p: usize, expected: &[usize]) -> DagTrace {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
+    // Both sizes have BFS levels on either side of the default policy's
+    // wake floor, so adaptive captures hold forking and one-block passes.
     let (n, m) = if smoke {
-        (2048, 8192)
+        (1 << 13, 1 << 16)
     } else {
         (1 << 14, 1 << 16)
     };

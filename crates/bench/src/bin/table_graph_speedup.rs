@@ -22,7 +22,7 @@
 //!   pack primitives via [`assert_metrics_consistent`];
 //! * exact BFS and CC fork counts under the adaptive grain policy, on a
 //!   path graph where the per-level counts are closed-form — both on the
-//!   default adaptive pool (cost floor ⇒ zero forks) and with the grain
+//!   default adaptive pool (wake floor ⇒ zero forks) and with the grain
 //!   pinned to 1 via [`PalPoolBuilder::grain`] (legacy 4p blocking ⇒
 //!   `2·(n − 2)` forks), proving the policy stays a pure function of
 //!   `(len, p, configuration)` and never of the schedule.
@@ -117,7 +117,11 @@ const KERNELS: [Kernel; 5] = [
 fn shapes(smoke: bool) -> Vec<(&'static str, CsrGraph)> {
     if smoke {
         vec![
-            ("gnm", gnm(4096, 16384, 42)),
+            // Wide enough that BFS's middle levels and the per-vertex
+            // passes clear the default policy's wake floor: the sweep's
+            // source of real forks and steals.  The other three shapes sit
+            // below it and run every pass as one block.
+            ("gnm", gnm(1 << 15, 1 << 17, 42)),
             ("grid", grid(48, 48)),
             ("star", star(4096)),
             ("tree", binary_tree(4095)),
@@ -230,17 +234,18 @@ fn main() {
         // Exact fork accounting for the primitives the kernels are built
         // on: block trees fork chunk_count - 1 times per parallel pass,
         // independent of the schedule.
-        let input: Vec<u64> = (0..10_000).collect();
+        let input: Vec<u64> = (0..100_000).collect();
         for p in [1usize, 2, 4] {
             let pool = PalPool::new(p).expect("p >= 1");
             let per_pass = pool.chunk_count(input.len()) as u64 - 1;
+            assert!(per_pass > 0, "100 000 elements clear the wake floor");
             let scan = pool.scan(&input, 0u64, |a, b| a + b);
-            assert_eq!(scan.total, 9_999 * 10_000 / 2);
+            assert_eq!(scan.total, 99_999 * 100_000 / 2);
             assert_metrics_consistent(pool.metrics(), 2 * per_pass);
 
             let pool = PalPool::new(p).expect("p >= 1");
             let kept = pool.pack(&input, |_, x| x % 2 == 0);
-            assert_eq!(kept.len(), 5_000);
+            assert_eq!(kept.len(), 50_000);
             assert_metrics_consistent(pool.metrics(), 2 * per_pass);
         }
 
@@ -253,9 +258,9 @@ fn main() {
         let path_graph = path(n);
         let expected_dist = bfs_seq(&path_graph, 0);
         for p in [1usize, 2, 4] {
-            // Default adaptive pool: every per-level input sits below the
-            // cost-model floor — one block per pass, zero forks, end to
-            // end, at every p.
+            // Default adaptive pool: every level sits below the wake
+            // floor — a plain loop on the calling thread, zero forks, end
+            // to end, at every p.
             let pool = PalPool::new(p).expect("p >= 1");
             assert_eq!(bfs_par(&path_graph, &pool, 0), expected_dist);
             assert_metrics_consistent(pool.metrics(), 0);

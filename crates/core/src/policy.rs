@@ -17,14 +17,16 @@
 //! leaves headroom over the exact `log_a p` so mildly unbalanced trees
 //! still expose enough pending pal-threads for migration.
 
-/// Default cost-model floor for [`grain_size`]: minimum number of elements
-/// a block must carry before the blocked primitives split it off.
+/// Per-block cost floor for [`grain_size`]: minimum number of elements a
+/// block must carry once a pass splits at all.
 ///
-/// Calibrated against `BENCH_join_overhead.json`: a scheduled un-stolen
-/// fork costs ~71 ns (and an elided one ~13 ns) while one element of a
-/// scan/pack block pass costs ~1–2 ns, so a 256-element block keeps even a
-/// worst-case all-scheduled fork tree under ~30 % overhead and the typical
-/// (mostly-elided) tree under ~5 %.
+/// It prices the *fork*, not the wake: a scheduled un-stolen fork costs
+/// ~71 ns (an elided one ~13 ns) while one element of a scan/pack block
+/// pass costs ~1–2 ns, so a 256-element block keeps a worst-case
+/// all-scheduled fork tree under ~30 % overhead.  Whether a pass may split
+/// in the first place is [`WAKE_GRAIN`]'s decision; on the default policy
+/// ([`pass_chunks`]) this floor therefore only binds on
+/// [`PalPoolBuilder::grain`](crate::PalPoolBuilder::grain)-pinned pools.
 pub const DEFAULT_GRAIN: usize = 256;
 
 /// Default steal-amortization grain for [`grain_size`]: the number of
@@ -33,8 +35,52 @@ pub const DEFAULT_GRAIN: usize = 256;
 /// ~microseconds — three orders of magnitude above a fork).
 pub const DEFAULT_STEAL_GRAIN: usize = 4096;
 
-/// Adaptive block count for a blocked data-parallel pass over `len`
-/// elements on `p` processors.
+/// Wake floor of the default pass policy ([`pass_chunks`]): a blocked pass
+/// over fewer elements than this runs as **one block on the calling
+/// thread** — zero forks, zero wakeups.
+///
+/// A pass called from outside the pool's workers that forks at all pays one
+/// inject → wake a parked worker → park the caller → wake the caller round
+/// trip: `runtime.install_roundtrip_us` ≈ 47 µs on the 2-CPU container the
+/// benchmark runs on (45–55 µs; the cross-CPU park/unpark alone is 35 µs),
+/// against `core.scan_ns_per_elem` ≈ 1.2 ns — the wake buys nothing until
+/// the pass carries ≈ 40 k elements, and at `p = 2` a split saves at most
+/// half the work.  `1 << 15` is that break-even rounded to a power of two.
+/// Measured on the benchmark's `batch-fine-pN` (p = 2, digests checked):
+/// a 1024-element scan from a non-worker thread,
+/// `core.scan_small_us_per_call`, 114 µs → 0.5 µs; with the thin BFS level
+/// and the mergesort cutoff that apply the same rule one layer up,
+/// `time_vs_seq` 9.33 → 1.27 over ten 15 s pairs.
+pub const WAKE_GRAIN: usize = 1 << 15;
+
+/// *The* default chunking policy: how many blocks a blocked data-parallel
+/// pass over `len` elements is split into on `p` processors.
+///
+/// `1` when `len <` [`WAKE_GRAIN`] — work smaller than the wake it would
+/// trigger stays on the calling thread — and otherwise
+/// [`grain_size`]`(len, p, `[`DEFAULT_GRAIN`]`, `[`DEFAULT_STEAL_GRAIN`]`)`.
+/// The rule is uniform over every `p` (including 1, where forks are elided
+/// anyway) and over every pass primitive, because a recorded
+/// `Pass {len, chunks}` trace event does not say which primitive made it.
+///
+/// Default [`PalPool`](crate::PalPool)s ([`PalPool::chunk_count`](crate::PalPool::chunk_count))
+/// and the `lopram-sim` replayer's adaptive grain both call this one
+/// function, so changing the floor is a one-line edit here.  A pure
+/// function of `(len, p)` — never of a clock, a counter or the schedule —
+/// so every fork closed form built on it stays exact.
+pub fn pass_chunks(len: usize, p: usize) -> usize {
+    if len < WAKE_GRAIN {
+        1
+    } else {
+        grain_size(len, p, DEFAULT_GRAIN, DEFAULT_STEAL_GRAIN)
+    }
+}
+
+/// Block count for a blocked data-parallel pass over `len` elements on `p`
+/// processors, given explicit grains — the building block under
+/// [`pass_chunks`] (which adds the [`WAKE_GRAIN`] floor in front of it) and
+/// the whole policy of a [`PalPoolBuilder::grain`](crate::PalPoolBuilder::grain)-pinned
+/// pool (which deliberately keeps forking on tiny inputs).
 ///
 /// Replaces the fixed `4p` blocking with two cost-model rules:
 ///
@@ -283,7 +329,37 @@ mod tests {
         assert_eq!(grain_size(1 << 20, p, 256, 0), 4 * p);
     }
 
+    #[test]
+    fn pass_chunks_boundary_values() {
+        // One element short of the floor is one block at any p; at the
+        // floor the pass splits exactly as grain_size always did, so
+        // every fork count on inputs >= WAKE_GRAIN is unchanged.
+        for p in 1..16 {
+            assert_eq!(pass_chunks(WAKE_GRAIN - 1, p), 1, "p = {p}");
+            assert_eq!(
+                pass_chunks(WAKE_GRAIN, p),
+                grain_size(WAKE_GRAIN, p, DEFAULT_GRAIN, DEFAULT_STEAL_GRAIN),
+                "p = {p}"
+            );
+        }
+        assert_eq!(pass_chunks(WAKE_GRAIN, 2), 8);
+        assert_eq!(pass_chunks(0, 4), 1);
+    }
+
     proptest! {
+        #[test]
+        fn pass_chunks_is_one_below_the_wake_floor_and_grain_size_above(
+            below in 0usize..WAKE_GRAIN,
+            above in WAKE_GRAIN..4_000_000,
+            p in 1usize..16,
+        ) {
+            prop_assert_eq!(pass_chunks(below, p), 1);
+            prop_assert_eq!(
+                pass_chunks(above, p),
+                grain_size(above, p, DEFAULT_GRAIN, DEFAULT_STEAL_GRAIN)
+            );
+        }
+
         #[test]
         fn grain_size_is_bounded_and_deterministic(
             len in 1usize..2_000_000,

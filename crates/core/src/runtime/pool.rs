@@ -59,9 +59,7 @@ use super::trace::{self, DagTrace, TraceConfig, TraceEvent, TraceState};
 use super::workspace::Workspace;
 use crate::error::{Error, Result};
 use crate::metrics::{MetricsSnapshot, RunMetrics};
-use crate::policy::{
-    cutoff_levels, grain_size, ProcessorPolicy, DEFAULT_GRAIN, DEFAULT_STEAL_GRAIN,
-};
+use crate::policy::{cutoff_levels, grain_size, pass_chunks, ProcessorPolicy};
 
 /// Default headroom factor `α` for the sequential cutoff `⌈α·log₂ p⌉`.
 pub const DEFAULT_CUTOFF_ALPHA: f64 = 2.0;
@@ -75,20 +73,20 @@ const CUTOFF_DISABLED: usize = usize::MAX;
 /// [`PalPool::chunk_count`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Grain {
-    /// The full [`grain_size`] policy: cost-model floor of `min` elements
-    /// per block, steal-informed `4p`→`8p` oversubscription on large
-    /// inputs.
-    Adaptive { min: usize },
+    /// The default policy, [`pass_chunks`]: one block below the wake
+    /// floor, then the cost-model floor per block and the steal-informed
+    /// `4p`→`8p` oversubscription on large inputs.
+    Adaptive,
     /// Pinned policy: at most `4p` blocks of at least `min` elements, no
-    /// oversubscription adaptivity.  `min = 1` is exactly the legacy
-    /// fixed-`4p` blocking.
+    /// wake floor and no oversubscription adaptivity.  `min = 1` is
+    /// exactly the legacy fixed-`4p` blocking.
     Fixed { min: usize },
 }
 
 impl Grain {
     fn chunks(self, len: usize, p: usize) -> usize {
         match self {
-            Grain::Adaptive { min } => grain_size(len, p, min, DEFAULT_STEAL_GRAIN),
+            Grain::Adaptive => pass_chunks(len, p),
             Grain::Fixed { min } => grain_size(len, p, min, 0),
         }
     }
@@ -319,7 +317,7 @@ impl PalPool {
         PalPool::with_cutoff(
             p,
             Some(DEFAULT_CUTOFF_ALPHA),
-            Grain::Adaptive { min: DEFAULT_GRAIN },
+            Grain::Adaptive,
             None,
             rayon::ChaosConfig::default(),
             rayon::SelfHeal::default(),
@@ -851,17 +849,20 @@ impl PalPool {
         acc
     }
 
-    /// Target block count for the blocked data-parallel primitives on a
-    /// length-`len` input, from the adaptive grain policy
-    /// ([`policy::grain_size`](crate::policy::grain_size)).
+    /// Block count for the blocked data-parallel primitives on a
+    /// length-`len` input — by default
+    /// [`policy::pass_chunks`](crate::policy::pass_chunks)`(len, p)`.
     ///
-    /// By default this is at most `4·p` blocks (up to `8·p` on inputs
-    /// large enough that the finer pieces still amortize a steal), floored
-    /// so no block carries fewer than
-    /// [`DEFAULT_GRAIN`](crate::policy::DEFAULT_GRAIN) elements — small
-    /// inputs stop forking entirely instead of paying `4p − 1` forks for
-    /// nanoseconds of work.  [`PalPoolBuilder::grain`] pins the floor and
-    /// disables the oversubscription rule;
+    /// Below [`WAKE_GRAIN`](crate::policy::WAKE_GRAIN) elements that is
+    /// **one block**: the pass runs on the calling thread with zero forks
+    /// and zero wakeups, because the work is smaller than the wake/park
+    /// round trip a fork from a non-worker thread would trigger.  From the
+    /// floor up it is at most `4·p` blocks (up to `8·p` on inputs large
+    /// enough that the finer pieces still amortize a steal), no block
+    /// under [`DEFAULT_GRAIN`](crate::policy::DEFAULT_GRAIN) elements.
+    /// [`PalPoolBuilder::grain`] pins the per-block floor and disables
+    /// both the wake floor and the oversubscription rule (a pinned pool
+    /// forks on tiny inputs — that is what tests pin closed forms with);
     /// [`PalPoolBuilder::no_adaptive_grain`] restores the legacy fixed
     /// `4·p` blocking exactly.
     ///
@@ -869,7 +870,7 @@ impl PalPool {
     /// of the observed schedule — so a primitive's fork count (`blocks −
     /// 1` per parallel pass over `chunk_count(len)` blocks with balanced
     /// boundaries `c·len/chunks`) stays exact and schedule-independent,
-    /// and tests can predict it by calling this method.
+    /// and calling this method is all a test needs to predict it.
     /// [`for_each_index`](PalPool::for_each_index) and
     /// [`map_reduce`](PalPool::map_reduce) do **not** use this policy:
     /// their per-index cost is an opaque closure (a dynamic-programming
@@ -1044,7 +1045,7 @@ impl Default for PalPoolBuilder {
             policy: None,
             max_processors: None,
             alpha: Some(DEFAULT_CUTOFF_ALPHA),
-            grain: Grain::Adaptive { min: DEFAULT_GRAIN },
+            grain: Grain::Adaptive,
             trace: None,
             chaos: rayon::ChaosConfig::default(),
             self_heal: rayon::SelfHeal::default(),
@@ -1088,9 +1089,10 @@ impl PalPoolBuilder {
     }
 
     /// Pin the blocked primitives' grain: at most `4·p` blocks of at
-    /// least `min_grain` elements each, with the steal-informed `8·p`
-    /// oversubscription rule disabled.  `min_grain = 1` is exactly the
-    /// legacy fixed-`4p` blocking (see
+    /// least `min_grain` elements each, with the default policy's wake
+    /// floor ([`WAKE_GRAIN`](crate::policy::WAKE_GRAIN)) and steal-informed
+    /// `8·p` oversubscription rule both disabled.  `min_grain = 1` is
+    /// exactly the legacy fixed-`4p` blocking (see
     /// [`no_adaptive_grain`](PalPoolBuilder::no_adaptive_grain)).
     ///
     /// Pinning makes [`chunk_count`](PalPool::chunk_count) — and hence
@@ -1104,8 +1106,8 @@ impl PalPoolBuilder {
         self
     }
 
-    /// Restore the legacy fixed-`4p` blocking: no cost-model floor for
-    /// small inputs, no steal-informed oversubscription.  Equivalent to
+    /// Restore the legacy fixed-`4p` blocking: no wake or cost-model floor
+    /// for small inputs, no steal-informed oversubscription.  Equivalent to
     /// [`grain(1)`](PalPoolBuilder::grain); kept as a named escape hatch
     /// for ablations and before/after benchmarks.
     pub fn no_adaptive_grain(self) -> Self {
@@ -1422,10 +1424,12 @@ mod tests {
 
     #[test]
     fn builder_grain_controls_blocking() {
-        // Default adaptive policy: cost floor on small inputs, 4p cap in
-        // the mid range, steal-informed 8p on large inputs.
+        // Default policy: one block below the wake floor, 4p cap in the
+        // mid range, steal-informed 8p on large inputs.
         let pool = PalPool::new(4).unwrap();
         assert_eq!(pool.chunk_count(100), 1);
+        assert_eq!(pool.chunk_count(crate::policy::WAKE_GRAIN - 1), 1);
+        assert_eq!(pool.chunk_count(crate::policy::WAKE_GRAIN), 16);
         assert_eq!(pool.chunk_count(100_000), 16);
         assert_eq!(pool.chunk_count(1 << 20), 32);
         // The index helpers keep the legacy bound regardless.
@@ -1612,6 +1616,38 @@ mod tests {
             "tracing must not change fork counts"
         );
         assert_eq!(mp.elided, mt.elided);
+    }
+
+    #[test]
+    fn sub_floor_passes_fork_nothing_and_wake_no_one() {
+        // "Zero forks and zero wakeups" as counts: from a non-worker
+        // thread, passes below WAKE_GRAIN leave both the pool's fork
+        // counters and the runtime's own job counters untouched — nothing
+        // was injected, so no worker was woken and the caller never parked.
+        let pool = PalPool::new(2).unwrap();
+        let input: Vec<u64> = (0..4096).collect();
+        let sizes: Vec<usize> = (0..4096).map(|i| i % 3).collect();
+        let (mut scanned, mut packed, mut expanded, mut mapped) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let before = pool.pool.stats();
+        let total = pool.scan_copy_in(&input, 0u64, |a, b| a + b, &mut scanned);
+        pool.pack_in(&input, |_, x| x % 2 == 0, &mut packed);
+        pool.expand_in(&sizes, 0usize, |i, region| region.fill(i), &mut expanded);
+        pool.map_collect_in(0..4096, |i| i as u64, &mut mapped);
+        assert_eq!(total, 4095 * 4096 / 2);
+        assert_eq!(packed.len(), 2048);
+        assert_eq!(expanded.len(), sizes.iter().sum::<usize>());
+        assert_eq!(mapped, input);
+        assert_eq!(pool.metrics().forks(), 0);
+        assert_eq!(pool.pool.stats(), before, "no job reached the runtime");
+
+        // The same scan on a pinned-grain pool does fork and does reach
+        // the runtime: the floor, not the input, kept it idle above.
+        let pinned = PalPool::builder().processors(2).grain(256).build().unwrap();
+        pinned.scan_copy_in(&input, 0u64, |a, b| a + b, &mut scanned);
+        assert_eq!(pinned.metrics().forks(), 2 * 7);
+        let ran = pinned.pool.stats();
+        assert!(ran.stolen + ran.inlined > 0);
     }
 
     #[test]

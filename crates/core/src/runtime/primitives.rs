@@ -52,21 +52,30 @@
 //! and the [`RunMetrics`](crate::RunMetrics) accounting — each primitive
 //! call contributes a deterministic number of forks, all of them visible as
 //! `spawned + inlined + elided` in [`PalPool::metrics`].  The block count
-//! `C` = [`PalPool::chunk_count`]`(len)` comes from the **adaptive grain
-//! policy** ([`policy::grain_size`](crate::policy::grain_size)): a pure
-//! function of `(len, p, builder configuration)` — small inputs collapse
-//! to one block (zero forks) under the cost-model floor, large inputs
-//! split up to `8p` ways under the steal-amortization rule, and the count
-//! never depends on the observed schedule, so the table below is exact on
-//! any host.  With `C` blocks on a non-empty input:
+//! `C` = [`PalPool::chunk_count`]`(len)` comes from the **default pass
+//! policy** ([`policy::pass_chunks`](crate::policy::pass_chunks)): a pure
+//! function of `(len, p, builder configuration)`.  Below
+//! [`WAKE_GRAIN`](crate::policy::WAKE_GRAIN) elements `C = 1`: a pass that
+//! cannot repay the wake/park round trip a fork would trigger runs on the
+//! calling thread — zero forks, zero injected jobs, zero wakeups.  From the
+//! floor up inputs split `4p` ways, `8p` under the steal-amortization
+//! rule.  The count never depends on the observed schedule, so the table
+//! below is exact on any host.  (A [`grain`](super::PalPoolBuilder::grain)-pinned
+//! pool has no wake floor: there `C` is `policy::grain_size(len, p, min, 0)`
+//! and tiny inputs fork.)  With `C` blocks on a non-empty input:
 //!
-//! | primitive | forks |
-//! |-----------|-------|
-//! | [`map_collect`](PalPool::map_collect) / [`map_collect_in`](PalPool::map_collect_in) | `C − 1` |
-//! | [`reduce_by_index`](PalPool::reduce_by_index) | `C − 1` |
-//! | [`scan`](PalPool::scan) / [`scan_in`](PalPool::scan_in) / [`scan_copy`](PalPool::scan_copy) | `2·(C − 1)` |
-//! | [`pack`](PalPool::pack) / [`pack_in`](PalPool::pack_in) | `2·(C − 1)` (`C − 1` when nothing survives) |
-//! | [`expand`](PalPool::expand) / [`expand_in`](PalPool::expand_in) | `2·(C − 1)` (block sums + write pass) |
+//! | primitive | forks | below `WAKE_GRAIN` (default pool) |
+//! |-----------|-------|------|
+//! | [`map_collect`](PalPool::map_collect) / [`map_collect_in`](PalPool::map_collect_in) | `C − 1` | 0 |
+//! | [`reduce_by_index`](PalPool::reduce_by_index) | `C − 1` | 0 |
+//! | [`scan`](PalPool::scan) / [`scan_in`](PalPool::scan_in) / [`scan_copy`](PalPool::scan_copy) | `2·(C − 1)` | 0 |
+//! | [`pack`](PalPool::pack) / [`pack_in`](PalPool::pack_in) | `2·(C − 1)` (`C − 1` when nothing survives) | 0 |
+//! | [`expand`](PalPool::expand) / [`expand_in`](PalPool::expand_in) | `2·(C − 1)` (block sums + write pass) | 0 |
+//!
+//! `len` is what each primitive blocks over: the input slice for
+//! scan/pack, the index range for map_collect/reduce_by_index, and
+//! `sizes.len()` — the number of *regions*, not of output slots — for
+//! expand (see the limit noted on [`expand_in`](PalPool::expand_in)).
 //!
 //! The slices handed to worker blocks are produced by recursive
 //! `split_at_mut`, so the module needs no `unsafe` and no interior
@@ -279,7 +288,10 @@ impl PalPool {
     /// disjoint region of the output — no per-element flag vector, no
     /// offset vector, no intermediate compaction buffer.  `keep` is called
     /// **twice** per element (once to count, once to write) and must
-    /// therefore be pure.
+    /// therefore be pure.  A one-block pack (`C = 1` — every input below
+    /// [`WAKE_GRAIN`](crate::policy::WAKE_GRAIN) on a default pool) has
+    /// no boundaries to compute and filters in a single sweep, calling
+    /// `keep` once per element.
     ///
     /// Allocates only the returned vector ([`pack_in`](PalPool::pack_in)
     /// doesn't even do that).  Costs `2·(C − 1)` forks for `C` blocks,
@@ -311,6 +323,26 @@ impl PalPool {
             return;
         }
         let chunks = self.chunk_count(n);
+        if chunks == 1 {
+            // One block has no boundaries to agree on: push survivors
+            // straight into `out` in one sweep.  Same output and the same
+            // `Pass` events as the count+scatter pipeline below (two, or
+            // one when nothing survives), so a replay recounts it alike.
+            self.trace_pass(n, 1);
+            super::cancel::checkpoint();
+            out.clear();
+            out.extend(
+                input
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, x)| keep(*i, x))
+                    .map(|(_, x)| x.clone()),
+            );
+            if !out.is_empty() {
+                self.trace_pass(n, 1);
+            }
+            return;
+        }
 
         // Pass 1: count survivors per block, into the boundary buffer.
         let mut bounds = self.workspace().checkout::<usize>();
@@ -384,6 +416,13 @@ impl PalPool {
     /// [`expand`](PalPool::expand) into a caller-provided buffer (cleared
     /// and refilled; capacity reused).  Fork cost is identical to
     /// [`expand`](PalPool::expand).
+    ///
+    /// **Known limit.**  The blocking is keyed on `sizes.len()`, not on the
+    /// number of output slots, so on a default pool fewer than
+    /// [`WAKE_GRAIN`](crate::policy::WAKE_GRAIN) regions expand on one
+    /// thread however many slots they cover — a 4 k-vertex BFS frontier
+    /// with 64 k arcs is one block.  A slot-weighted blocking belongs with
+    /// direction-switching BFS (ROADMAP item 2(c)).
     pub fn expand_in<T, F>(&self, sizes: &[usize], fill: T, write: F, out: &mut Vec<T>)
     where
         T: Clone + Send + Sync + 'static,
@@ -653,6 +692,17 @@ impl PalPool {
 mod tests {
     use super::*;
     use crate::metrics::assert_metrics_consistent;
+    use crate::policy::WAKE_GRAIN;
+
+    /// A default pool (one block below `WAKE_GRAIN`: the single-sweep
+    /// paths) and a pinned-grain pool (forks on small inputs: the blocked
+    /// paths), so a small-input correctness test covers both.
+    fn pools(p: usize) -> [PalPool; 2] {
+        [
+            PalPool::new(p).unwrap(),
+            PalPool::builder().processors(p).grain(64).build().unwrap(),
+        ]
+    }
 
     fn seq_exclusive_scan(input: &[i64]) -> (Vec<i64>, i64) {
         let mut acc = 0;
@@ -672,10 +722,11 @@ mod tests {
         let input: Vec<i64> = (0..1000).map(|i| (i * 37) % 101 - 50).collect();
         let (expected, expected_total) = seq_exclusive_scan(&input);
         for p in [1, 2, 4] {
-            let pool = PalPool::new(p).unwrap();
-            let scan = pool.scan(&input, 0i64, |a, b| a + b);
-            assert_eq!(scan.exclusive, expected, "p = {p}");
-            assert_eq!(scan.total, expected_total, "p = {p}");
+            for pool in pools(p) {
+                let scan = pool.scan(&input, 0i64, |a, b| a + b);
+                assert_eq!(scan.exclusive, expected, "p = {p}");
+                assert_eq!(scan.total, expected_total, "p = {p}");
+            }
         }
     }
 
@@ -683,10 +734,11 @@ mod tests {
     fn scan_copy_matches_general_scan() {
         let input: Vec<i64> = (0..2000).map(|i| (i * 31) % 257 - 128).collect();
         for p in [1, 2, 4] {
-            let pool = PalPool::new(p).unwrap();
-            let general = pool.scan(&input, 0i64, |a, b| a + b);
-            let copy = pool.scan_copy(&input, 0i64, |a, b| a + b);
-            assert_eq!(copy, general, "p = {p}");
+            for pool in pools(p) {
+                let general = pool.scan(&input, 0i64, |a, b| a + b);
+                let copy = pool.scan_copy(&input, 0i64, |a, b| a + b);
+                assert_eq!(copy, general, "p = {p}");
+            }
         }
     }
 
@@ -740,10 +792,11 @@ mod tests {
 
     #[test]
     fn scan_forks_are_fully_accounted() {
-        let input: Vec<u64> = (0..4096).collect();
+        let input: Vec<u64> = (0..WAKE_GRAIN as u64).collect();
         for p in [1usize, 2, 4] {
             let pool = PalPool::new(p).unwrap();
             let chunks = pool.chunk_count(input.len()) as u64;
+            assert!(chunks >= 4 * p as u64, "at the wake floor a pass splits");
             pool.scan(&input, 0u64, |a, b| a + b);
             assert_metrics_consistent(pool.metrics(), 2 * (chunks - 1));
         }
@@ -754,57 +807,88 @@ mod tests {
         let input: Vec<i64> = (0..777).map(|i| (i * 31) % 97).collect();
         let expected: Vec<i64> = input.iter().copied().filter(|x| x % 3 == 0).collect();
         for p in [1, 2, 4] {
-            let pool = PalPool::new(p).unwrap();
-            assert_eq!(pool.pack(&input, |_, x| x % 3 == 0), expected, "p = {p}");
+            for pool in pools(p) {
+                assert_eq!(pool.pack(&input, |_, x| x % 3 == 0), expected, "p = {p}");
+            }
         }
     }
 
     #[test]
     fn pack_predicate_sees_original_indices() {
         let input = vec![10u64; 100];
-        let pool = PalPool::new(4).unwrap();
-        let kept = pool.pack(&input, |i, _| i % 7 == 0);
-        assert_eq!(kept.len(), 15);
+        for pool in pools(4) {
+            let kept = pool.pack(&input, |i, _| i % 7 == 0);
+            assert_eq!(kept.len(), 15);
+        }
     }
 
     #[test]
     fn pack_keep_all_and_keep_none() {
         let input: Vec<u32> = (0..257).collect();
-        let pool = PalPool::new(4).unwrap();
-        assert_eq!(pool.pack(&input, |_, _| true), input);
-        assert!(pool.pack(&input, |_, _| false).is_empty());
-        assert!(pool.pack(&[] as &[u32], |_, _| true).is_empty());
+        for pool in pools(4) {
+            assert_eq!(pool.pack(&input, |_, _| true), input);
+            assert!(pool.pack(&input, |_, _| false).is_empty());
+            assert!(pool.pack(&[] as &[u32], |_, _| true).is_empty());
+        }
     }
 
     #[test]
     fn pack_in_clears_and_reuses_the_buffer() {
-        let pool = PalPool::new(4).unwrap();
-        let input: Vec<u32> = (0..2048).collect();
-        let mut out = vec![7u32; 5000];
-        pool.pack_in(&input, |_, x| x % 2 == 0, &mut out);
-        let expected: Vec<u32> = (0..2048).filter(|x| x % 2 == 0).collect();
-        assert_eq!(out, expected);
+        for pool in pools(4) {
+            let input: Vec<u32> = (0..2048).collect();
+            let mut out = vec![7u32; 5000];
+            pool.pack_in(&input, |_, x| x % 2 == 0, &mut out);
+            let expected: Vec<u32> = (0..2048).filter(|x| x % 2 == 0).collect();
+            assert_eq!(out, expected);
 
-        // Steady state: no arena growth, no buffer growth.
-        let grown = pool.workspace().stats().grown_bytes;
-        let cap = out.capacity();
-        pool.pack_in(&input, |_, x| x % 2 == 1, &mut out);
-        assert_eq!(out, (0..2048).filter(|x| x % 2 == 1).collect::<Vec<_>>());
-        assert_eq!(out.capacity(), cap);
-        assert_eq!(pool.workspace().stats().grown_bytes, grown);
+            // Steady state: no arena growth, no buffer growth.
+            let grown = pool.workspace().stats().grown_bytes;
+            let cap = out.capacity();
+            pool.pack_in(&input, |_, x| x % 2 == 1, &mut out);
+            assert_eq!(out, (0..2048).filter(|x| x % 2 == 1).collect::<Vec<_>>());
+            assert_eq!(out.capacity(), cap);
+            assert_eq!(pool.workspace().stats().grown_bytes, grown);
 
-        // A keep-none pack leaves the buffer empty, not stale.
-        pool.pack_in(&input, |_, _| false, &mut out);
-        assert!(out.is_empty());
+            // A keep-none pack leaves the buffer empty, not stale.
+            pool.pack_in(&input, |_, _| false, &mut out);
+            assert!(out.is_empty());
+        }
     }
 
     #[test]
     fn pack_forks_are_fully_accounted() {
-        let input: Vec<u32> = (0..513).collect();
+        let input: Vec<u32> = (0..WAKE_GRAIN as u32 + 1).collect();
         let pool = PalPool::new(2).unwrap();
         let chunks = pool.chunk_count(input.len()) as u64;
+        assert_eq!(chunks, 8);
         pool.pack(&input, |_, x| x % 2 == 0);
         assert_metrics_consistent(pool.metrics(), 2 * (chunks - 1));
+        // Nothing survives: the write pass is skipped.
+        let before = pool.metrics().forks();
+        assert!(pool.pack(&input, |_, _| false).is_empty());
+        assert_eq!(pool.metrics().forks() - before, chunks - 1);
+    }
+
+    #[test]
+    fn one_block_pack_filters_in_a_single_sweep() {
+        // C = 1 (every sub-floor pack on a default pool): `keep` runs once
+        // per element, not twice, and the output equals the blocked
+        // pipeline's.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let input: Vec<u32> = (0..1000).collect();
+        let [default, pinned] = pools(2);
+        assert_eq!(default.chunk_count(input.len()), 1);
+        let calls = AtomicUsize::new(0);
+        let keep = |_: usize, x: &u32| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            x % 3 == 1
+        };
+        let swept = default.pack(&input, keep);
+        assert_eq!(calls.swap(0, Ordering::Relaxed), input.len());
+        assert_eq!(default.metrics().forks(), 0);
+        let blocked = pinned.pack(&input, keep);
+        assert_eq!(calls.load(Ordering::Relaxed), 2 * input.len());
+        assert_eq!(swept, blocked);
     }
 
     #[test]
@@ -832,10 +916,11 @@ mod tests {
     fn expand_forks_are_fully_accounted() {
         // The fused expand costs block-sums + write = 2·(C − 1), down from
         // the old three-pass 3·(C − 1).
-        let sizes: Vec<usize> = (0..3000).map(|i| i % 4).collect();
+        let sizes: Vec<usize> = (0..WAKE_GRAIN + 7).map(|i| i % 4).collect();
         for p in [1usize, 2, 4] {
             let pool = PalPool::new(p).unwrap();
             let chunks = pool.chunk_count(sizes.len()) as u64;
+            assert!(chunks >= 4 * p as u64);
             let out = pool.expand(&sizes, 0usize, |i, region| region.fill(i));
             assert_eq!(out.len(), sizes.iter().sum::<usize>());
             assert_metrics_consistent(pool.metrics(), 2 * (chunks - 1));
@@ -845,10 +930,11 @@ mod tests {
     #[test]
     fn map_collect_matches_direct_map() {
         for p in [1, 2, 4] {
-            let pool = PalPool::new(p).unwrap();
-            let out = pool.map_collect(10..500, |i| i * i);
-            let expected: Vec<usize> = (10..500).map(|i| i * i).collect();
-            assert_eq!(out, expected, "p = {p}");
+            for pool in pools(p) {
+                let out = pool.map_collect(10..500, |i| i * i);
+                let expected: Vec<usize> = (10..500).map(|i| i * i).collect();
+                assert_eq!(out, expected, "p = {p}");
+            }
         }
         let pool = PalPool::new(2).unwrap();
         assert!(pool.map_collect(5..5, |i| i).is_empty());
@@ -873,9 +959,10 @@ mod tests {
     fn reduce_by_index_builds_histograms() {
         // Histogram of i % 5 over 0..1000: 200 in each bucket.
         for p in [1, 2, 4] {
-            let pool = PalPool::new(p).unwrap();
-            let hist = pool.reduce_by_index(0..1000, 5, 0u64, |i| (i % 5, 1), |a, b| a + b);
-            assert_eq!(hist, vec![200; 5], "p = {p}");
+            for pool in pools(p) {
+                let hist = pool.reduce_by_index(0..1000, 5, 0u64, |i| (i % 5, 1), |a, b| a + b);
+                assert_eq!(hist, vec![200; 5], "p = {p}");
+            }
         }
     }
 
@@ -884,12 +971,13 @@ mod tests {
         // buckets >> block length forces the sparse (pair) layout; the
         // dense layout is forced by pinning one block per element count.
         for p in [1, 2, 4] {
-            let pool = PalPool::new(p).unwrap();
-            let sparse =
-                pool.reduce_by_index(0..64, 100_000, 0u64, |i| (i * 1000, 1), |a, b| a + b);
-            assert_eq!(sparse.iter().sum::<u64>(), 64, "p = {p}");
-            for i in 0..64 {
-                assert_eq!(sparse[i * 1000], 1, "p = {p}");
+            for pool in pools(p) {
+                let sparse =
+                    pool.reduce_by_index(0..64, 100_000, 0u64, |i| (i * 1000, 1), |a, b| a + b);
+                assert_eq!(sparse.iter().sum::<u64>(), 64, "p = {p}");
+                for i in 0..64 {
+                    assert_eq!(sparse[i * 1000], 1, "p = {p}");
+                }
             }
         }
     }
@@ -926,9 +1014,10 @@ mod tests {
         // On p = 1 the cutoff depth is 0: every fork of every primitive is
         // elided — no scheduler job at all — yet results stay exact.
         let pool = PalPool::new(1).unwrap();
-        let input: Vec<u64> = (0..2000).collect();
+        let n = WAKE_GRAIN as u64;
+        let input: Vec<u64> = (0..n).collect();
         let scan = pool.scan(&input, 0, |a, b| a + b);
-        assert_eq!(scan.total, 1999 * 2000 / 2);
+        assert_eq!(scan.total, (n - 1) * n / 2);
         let m = pool.metrics();
         assert_eq!(m.spawned(), 0);
         assert_eq!(m.inlined(), 0);
@@ -941,7 +1030,7 @@ mod tests {
         // repeated primitives perform zero arena growth and every
         // checkout is a hit.
         let pool = PalPool::new(4).unwrap();
-        let input: Vec<u64> = (0..4096).collect();
+        let input: Vec<u64> = (0..WAKE_GRAIN as u64).collect();
         let mut scanned = Vec::new();
         let mut packed = Vec::new();
         pool.scan_copy_in(&input, 0u64, |a, b| a + b, &mut scanned);

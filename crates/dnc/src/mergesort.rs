@@ -8,13 +8,32 @@
 //! merge itself by splitting around the median of the larger half, which is
 //! the ingredient the paper's Eq. 5 needs in general (for mergesort it only
 //! improves constants, since case 2 is already work-optimal).
+//!
+//! The default `merge_sort` stops creating pal-threads where a sub-array is
+//! cheaper to sort than a processor is to wake ([`SEQ_CUTOFF`]); the
+//! explicit-grain entry points fork all the way down to the grain they are
+//! given.
 
 use lopram_core::Executor;
 
-/// Size below which recursion switches to a simple insertion sort.  The
-/// paper's model charges unit cost per element; on real hardware a small
-/// sequential grain avoids drowning in pal-thread bookkeeping.
+/// Size at or below which [`merge_sort_parallel_merge`] stops creating
+/// pal-threads and sorts (or merges) sequentially.  The paper's model
+/// charges unit cost per element; on real hardware a small sequential
+/// grain avoids drowning in pal-thread bookkeeping.
 pub const DEFAULT_GRAIN: usize = 64;
+
+/// Sub-arrays shorter than this are sorted by the sequential mergesort on
+/// the thread that reached them — [`merge_sort`] creates no pal-thread
+/// below it.
+///
+/// A fork from a non-worker thread costs one wake/park round trip
+/// (≈ 47 µs on the 2-CPU benchmark container, see
+/// `lopram_core::policy::WAKE_GRAIN`); sorting 8192 `i64`s sequentially
+/// takes ≈ 0.35 ms ≈ 7 wakes, the smallest piece for which handing half
+/// of it to another processor still wins.  Measured on the benchmark's
+/// `batch-fine-pN` (p = 2): each sort of 2048 paid ≈ 50 µs of wake on
+/// ≈ 90 µs of sorting, `dnc.mergesort_vs_seq` 1.69 → 1.00 with the cutoff.
+pub const SEQ_CUTOFF: usize = 8192;
 
 /// Sequential mergesort (the `T_1` baseline).
 pub fn merge_sort_seq<T: Ord + Copy>(data: &mut [T]) {
@@ -38,15 +57,24 @@ fn msort_seq<T: Ord + Copy>(data: &mut [T], temp: &mut [T]) {
 }
 
 /// Pal-thread mergesort with a sequential merge (the paper's listing).
+///
+/// The two recursive calls are pal-threads down to [`SEQ_CUTOFF`]
+/// elements; a shorter sub-array (or input) is handed to the sequential
+/// mergesort on the spot — no fork, no wake — so an input under the
+/// cutoff costs exactly what [`merge_sort_seq`] does.  The output is the
+/// sorted input either way.  Use [`merge_sort_with_grain`] to fork down
+/// to an explicit grain instead.
 pub fn merge_sort<T, E>(exec: &E, data: &mut [T])
 where
     T: Ord + Copy + Send + Sync,
     E: Executor,
 {
-    merge_sort_with_grain(exec, data, DEFAULT_GRAIN);
+    let mut temp = data.to_vec();
+    msort_par(exec, data, &mut temp, SEQ_CUTOFF - 1, false);
 }
 
-/// Pal-thread mergesort with an explicit sequential-cutoff grain.
+/// Pal-thread mergesort with an explicit sequential-cutoff grain: forks
+/// down to `grain` elements regardless of [`SEQ_CUTOFF`].
 pub fn merge_sort_with_grain<T, E>(exec: &E, data: &mut [T], grain: usize)
 where
     T: Ord + Copy + Send + Sync,
@@ -72,7 +100,7 @@ where
     E: Executor,
 {
     if data.len() <= grain {
-        insertion_sort(data);
+        msort_seq(data, temp);
         return;
     }
     let n = data.len();
@@ -194,6 +222,32 @@ mod tests {
             expected.sort();
             merge_sort(&pool, &mut v);
             assert_eq!(v, expected, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn sorts_on_both_sides_of_the_sequential_cutoff() {
+        // One short of the cutoff is a purely sequential sort (no fork);
+        // at the cutoff the top call forks once into two sequential halves;
+        // 4·SEQ_CUTOFF + 3 forks two levels deep with odd splits.
+        for p in [1usize, 2, 4] {
+            let pool = PalPool::new(p).unwrap();
+            let mut forks = Vec::new();
+            for n in [
+                SEQ_CUTOFF - 1,
+                SEQ_CUTOFF,
+                SEQ_CUTOFF + 1,
+                4 * SEQ_CUTOFF + 3,
+            ] {
+                let mut v = random_vec(n, n as u64);
+                let mut expected = v.clone();
+                expected.sort();
+                let before = pool.metrics().forks();
+                merge_sort(&pool, &mut v);
+                assert_eq!(v, expected, "n = {n}, p = {p}");
+                forks.push(pool.metrics().forks() - before);
+            }
+            assert_eq!(forks, [0, 1, 1, 7], "p = {p}");
         }
     }
 

@@ -11,6 +11,16 @@
 //! through `PalPool::join`, so the kernel inherits the `⌈α·log₂ p⌉`
 //! sequential cutoff and full `RunMetrics` fork accounting.
 //!
+//! A **thin** level — one whose frontier and whose arcs are both a single
+//! block under the pool's chunking policy, i.e. below
+//! [`WAKE_GRAIN`](lopram_core::policy::WAKE_GRAIN) on a default pool — is
+//! not worth three passes, let alone a wake: it runs as the sequential
+//! twin's loop on the calling thread (Dhulipala–Blelloch–Shun run small
+//! frontiers through a sequential sparse path for the same reason).  A
+//! 384×384 grid never leaves that regime; a G(n, m) search enters the
+//! scan/pack pipeline after its first few levels and drops back out for
+//! its last.
+//!
 //! Every per-level buffer — frontier, degrees, candidates, and the
 //! distance array itself — is checked out of the pool's
 //! [`Workspace`](lopram_core::Workspace) arena and reused across levels
@@ -58,14 +68,29 @@ pub fn bfs_seq(graph: &CsrGraph, src: usize) -> Vec<usize> {
 /// Level-synchronous parallel BFS distances from `src`; identical output to
 /// [`bfs_seq`] for every processor count.
 ///
-/// Per level: one [`map_collect_in`](PalPool::map_collect_in) (frontier
-/// degrees), one [`expand_in`](PalPool::expand_in) (block-sum the degrees,
-/// then gather-and-claim neighbour candidates — duplicates are resolved by
-/// a compare-and-swap on the distance array, so each vertex enters exactly
-/// one frontier), one [`pack_in`](PalPool::pack_in) (compact the claimed
-/// candidates).  The set of vertices per level is deterministic —
-/// distances are the level number — even though which parent claims a
-/// shared candidate is not.
+/// Per **fat** level: one [`map_collect_in`](PalPool::map_collect_in)
+/// (frontier degrees), one [`expand_in`](PalPool::expand_in) (block-sum the
+/// degrees, then gather-and-claim neighbour candidates — duplicates are
+/// resolved by a compare-and-swap on the distance array, so each vertex
+/// enters exactly one frontier), one [`pack_in`](PalPool::pack_in) (compact
+/// the claimed candidates).  The set of vertices per level is
+/// deterministic — distances are the level number — even though which
+/// parent claims a shared candidate is not.
+///
+/// A **thin** level is a loop, not three passes: when
+/// [`chunk_count`](PalPool::chunk_count) is 1 for the frontier length *and*
+/// for the frontier's total degree (on a default pool: both below
+/// [`WAKE_GRAIN`](lopram_core::policy::WAKE_GRAIN)), every one of those
+/// passes would be a single block on the calling thread anyway, so the
+/// level runs as [`bfs_seq`]'s inner loop — for each frontier vertex, for
+/// each neighbour, claim if unreached and push — with no degree buffer, no
+/// candidate buffer, no compare-and-swap and no pack.  The level sits
+/// between two barriers on one thread, so relaxed loads and stores are
+/// sound, and the next frontier comes out in exactly the order the pack
+/// would have produced.  Fork count of such a level is 0 either way, so
+/// the closed form `Σ_levels passes·(C − 1)` is unchanged.  A *traced*
+/// pool ([`PalPool::is_tracing`]) never takes the loop: its levels keep
+/// recording the `Pass` events the replayer recounts under other grains.
 ///
 /// All level buffers come from [`PalPool::workspace`] and are reused
 /// across levels and calls: after the first level warms the arena, a
@@ -96,30 +121,56 @@ pub fn bfs_par(graph: &CsrGraph, pool: &PalPool, src: usize) -> Vec<usize> {
         level += 1;
         let frontier_ref: &[usize] = &frontier;
         let dist_ref: &[AtomicUsize] = &dist;
-        pool.map_collect_in(
-            0..frontier_ref.len(),
-            |i| graph.degree(frontier_ref[i]),
-            &mut degrees,
-        );
-        pool.expand_in(
-            &degrees,
-            UNREACHED,
-            |i, region| {
-                for (slot, &v) in region.iter_mut().zip(graph.neighbors(frontier_ref[i])) {
-                    let claimed = dist_ref[v]
-                        .compare_exchange(UNREACHED, level, Ordering::AcqRel, Ordering::Relaxed)
-                        .is_ok();
-                    *slot = if claimed { v } else { UNREACHED };
+        if is_thin_level(graph, pool, frontier_ref) {
+            next.clear();
+            for &u in frontier_ref {
+                for &v in graph.neighbors(u) {
+                    if dist_ref[v].load(Ordering::Relaxed) == UNREACHED {
+                        dist_ref[v].store(level, Ordering::Relaxed);
+                        next.push(v);
+                    }
                 }
-            },
-            &mut candidates,
-        );
-        pool.pack_in(&candidates, |_, &v| v != UNREACHED, &mut next);
+            }
+        } else {
+            pool.map_collect_in(
+                0..frontier_ref.len(),
+                |i| graph.degree(frontier_ref[i]),
+                &mut degrees,
+            );
+            pool.expand_in(
+                &degrees,
+                UNREACHED,
+                |i, region| {
+                    for (slot, &v) in region.iter_mut().zip(graph.neighbors(frontier_ref[i])) {
+                        let claimed = dist_ref[v]
+                            .compare_exchange(UNREACHED, level, Ordering::AcqRel, Ordering::Relaxed)
+                            .is_ok();
+                        *slot = if claimed { v } else { UNREACHED };
+                    }
+                },
+                &mut candidates,
+            );
+            pool.pack_in(&candidates, |_, &v| v != UNREACHED, &mut next);
+        }
         // Swap the guards themselves (not their contents) so each buffer
         // stays attributed to its own checkout in the arena accounting.
         std::mem::swap(&mut frontier, &mut next);
     }
     dist.iter().map(|d| d.load(Ordering::Relaxed)).collect()
+}
+
+/// `true` when a BFS level over `frontier` is a single block end to end:
+/// the pool's chunking policy gives one block for the frontier (the degree
+/// and expand passes) and one block for its arcs (the pack pass), so the
+/// three passes would fork nothing and the level can run as a plain loop.
+/// A pure function of the level's sizes and the pool's configuration.
+fn is_thin_level(graph: &CsrGraph, pool: &PalPool, frontier: &[usize]) -> bool {
+    if pool.is_tracing() || pool.chunk_count(frontier.len()) != 1 {
+        return false;
+    }
+    let arcs: usize = frontier.iter().map(|&u| graph.degree(u)).sum();
+    // `chunk_count` wants a non-empty pass; a level without arcs is thin.
+    arcs == 0 || pool.chunk_count(arcs) == 1
 }
 
 /// Cancellable entry point for [`bfs_par`]: runs the search under
@@ -131,7 +182,8 @@ pub fn bfs_par(graph: &CsrGraph, pool: &PalPool, src: usize) -> Vec<usize> {
 /// deadline.  Cancellation is cooperative and prompt: the kernel
 /// checkpoints at every level boundary and (through the primitives) at
 /// every fork and chunk boundary, so a fired token unwinds in O(grain)
-/// work.  The unwind releases every arena buffer the search had checked
+/// work — at most one thin level, under `WAKE_GRAIN` arcs, between two
+/// checkpoints.  The unwind releases every arena buffer the search had checked
 /// out — the pool stays warm and fully reusable, which is what the
 /// `lopram-serve` job service relies on when a client abandons a graph
 /// job mid-flight.

@@ -7,9 +7,15 @@
 use lopram_core::{PalPool, TraceConfig};
 use lopram_graph::prelude::*;
 
+/// These graphs sit far below the default policy's wake floor, where every
+/// pass is one block and nothing forks; the suite is about fork structure,
+/// so its pools pin a grain small enough that BFS levels really split.
+fn pinned_pool(p: usize) -> lopram_core::PalPoolBuilder {
+    PalPool::builder().processors(p).grain(16)
+}
+
 fn traced_pool(p: usize) -> PalPool {
-    PalPool::builder()
-        .processors(p)
+    pinned_pool(p)
         .trace(TraceConfig::default())
         .build()
         .unwrap()
@@ -43,6 +49,7 @@ fn traced_bfs_reproduces_metrics_on_every_shape() {
             // that makes its replay predictions exact at any (p, grain).
             assert_eq!(s.forks, s.pass_forks, "{name}, p = {p}: all pass forks");
             assert!(s.passes > 0, "{name}, p = {p}: levels record passes");
+            assert!(s.pass_forks > 0, "{name}, p = {p}: some level is fat");
             if p == 1 {
                 assert_eq!(s.steals, 0, "{name}: one processor cannot steal");
                 assert_eq!(s.elided, s.forks, "{name}: p = 1 elides everything");
@@ -55,7 +62,7 @@ fn traced_bfs_reproduces_metrics_on_every_shape() {
 fn tracing_is_an_observer_for_graph_kernels() {
     let graph = gnm(2048, 8192, 42);
     for p in [1usize, 2, 4] {
-        let plain = PalPool::new(p).unwrap();
+        let plain = pinned_pool(p).build().unwrap();
         let traced = traced_pool(p);
         assert_eq!(
             bfs_par(&graph, &plain, 0),
@@ -63,14 +70,24 @@ fn tracing_is_an_observer_for_graph_kernels() {
             "p = {p}: tracing changed BFS output"
         );
         assert_eq!(
-            components_hook(&graph, &plain),
-            components_hook(&graph, &traced),
+            components_union_find(&graph, &plain),
+            components_union_find(&graph, &traced),
             "p = {p}: tracing changed CC output"
         );
+        // Fork totals are compared only over kernels whose fork counts are
+        // exact closed forms of the input (BFS, union-find) …
         let mp = plain.metrics().snapshot();
         let mt = traced.metrics().snapshot();
+        assert!(mp.forks() > 0, "p = {p}: the kernels forked");
         assert_eq!(mp.forks(), mt.forks(), "p = {p}: tracing changed forks");
         assert_eq!(mp.elided, mt.elided, "p = {p}: tracing changed elisions");
+        // … tree hooking's round count depends on the schedule at p > 1,
+        // so for it tracing is held to the output alone.
+        assert_eq!(
+            components_hook(&graph, &plain),
+            components_hook(&graph, &traced),
+            "p = {p}: tracing changed hook-CC output"
+        );
     }
 }
 

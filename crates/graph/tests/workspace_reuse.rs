@@ -10,6 +10,21 @@ use lopram_core::PalPool;
 use lopram_graph::prelude::*;
 use proptest::prelude::*;
 
+/// A default pool and a pinned-grain pool at `p`.  These graphs sit below
+/// the default policy's wake floor — every pass one block on the calling
+/// thread, BFS levels a plain loop — so the pinned pool is what drives the
+/// blocked, forking paths (and `reduce_by_index`'s sparse layout) to their
+/// steady state.
+fn pools(p: usize) -> [(&'static str, PalPool); 2] {
+    [
+        ("default", PalPool::new(p).unwrap()),
+        (
+            "grain64",
+            PalPool::builder().processors(p).grain(64).build().unwrap(),
+        ),
+    ]
+}
+
 /// Warm the pool's arena to its fixpoint, asserting output correctness
 /// on every round, then require a full round with zero growth and zero
 /// missed checkouts.  At `p > 1` concurrent checkouts shuffle same-typed
@@ -48,13 +63,14 @@ fn bfs_levels_reuse_the_arena() {
     for (name, g) in [("gnm", gnm(600, 1800, 3)), ("star", star(500))] {
         let expected = bfs_seq(&g, 0);
         for p in [1, 2, 4] {
-            let pool = PalPool::new(p).unwrap();
-            assert_steady_state(
-                &pool,
-                &format!("bfs/{name}/p{p}"),
-                || bfs_par(&g, &pool, 0),
-                &expected,
-            );
+            for (grain, pool) in pools(p) {
+                assert_steady_state(
+                    &pool,
+                    &format!("bfs/{name}/p{p}/{grain}"),
+                    || bfs_par(&g, &pool, 0),
+                    &expected,
+                );
+            }
         }
     }
 }
@@ -64,19 +80,20 @@ fn cc_label_buffers_reuse_the_arena() {
     let g = gnm(400, 700, 9);
     let expected = components_seq(&g);
     for p in [1, 2, 4] {
-        let pool = PalPool::new(p).unwrap();
-        assert_steady_state(
-            &pool,
-            &format!("cc-labelprop/p{p}"),
-            || components_label_prop(&g, &pool),
-            &expected,
-        );
-        assert_steady_state(
-            &pool,
-            &format!("cc-hook/p{p}"),
-            || components_hook(&g, &pool),
-            &expected,
-        );
+        for (grain, pool) in pools(p) {
+            assert_steady_state(
+                &pool,
+                &format!("cc-labelprop/p{p}/{grain}"),
+                || components_label_prop(&g, &pool),
+                &expected,
+            );
+            assert_steady_state(
+                &pool,
+                &format!("cc-hook/p{p}/{grain}"),
+                || components_hook(&g, &pool),
+                &expected,
+            );
+        }
     }
 }
 
@@ -88,13 +105,14 @@ fn histogram_scratch_reuses_the_arena() {
     for (name, g) in [("star", star(2000)), ("grid", grid(40, 50))] {
         let expected = degree_histogram_seq(&g);
         for p in [1, 2, 4] {
-            let pool = PalPool::new(p).unwrap();
-            assert_steady_state(
-                &pool,
-                &format!("histogram/{name}/p{p}"),
-                || degree_histogram(&g, &pool),
-                &expected,
-            );
+            for (grain, pool) in pools(p) {
+                assert_steady_state(
+                    &pool,
+                    &format!("histogram/{name}/p{p}/{grain}"),
+                    || degree_histogram(&g, &pool),
+                    &expected,
+                );
+            }
         }
     }
 }
@@ -111,8 +129,8 @@ proptest! {
         modulus in 1u64..8,
     ) {
         let twin: Vec<u64> = input.iter().copied().filter(|x| x % modulus == 0).collect();
-        for p in [1usize, 2, 4] {
-            let pool = PalPool::new(p).unwrap();
+        for (_, pool) in [1usize, 2, 4].into_iter().flat_map(pools) {
+            let p = pool.processors();
             prop_assert_eq!(
                 &pool.pack(&input, |_, x| x % modulus == 0),
                 &twin,
@@ -144,8 +162,8 @@ proptest! {
                 before
             })
             .collect();
-        for p in [1usize, 2, 4] {
-            let pool = PalPool::new(p).unwrap();
+        for (_, pool) in [1usize, 2, 4].into_iter().flat_map(pools) {
+            let p = pool.processors();
             let mut general = Vec::new();
             let total = pool.scan_in(&input, 0u64, |a, b| a + b, &mut general);
             prop_assert_eq!(&general, &twin, "scan_in, p = {}", p);

@@ -43,13 +43,14 @@
 //! });
 //! let ticket = service
 //!     .submit(JobSpec::new(0, |cx| {
-//!         let data: Vec<u64> = (0..10_000).collect();
+//!         let data: Vec<u64> = (0..100_000).collect();
 //!         cx.pool().scan(&data, 0, |a, b| a + b).total
 //!     }))
 //!     .expect("queue has room");
 //! let report = ticket.wait();
-//! assert_eq!(report.outcome, Ok(10_000 * 9_999 / 2));
-//! assert!(report.metrics.forks() > 0 || report.metrics.work > 0);
+//! assert_eq!(report.outcome, Ok(100_000 * 99_999 / 2));
+//! // 100 000 elements clear the pool's wake floor, so the scan forked.
+//! assert!(report.metrics.forks() > 0);
 //! service.shutdown();
 //! ```
 

@@ -11,10 +11,11 @@
 //!     `shutdown()` still drains the queue on the survivors.
 
 use std::error::Error;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use lopram_core::policy::WAKE_GRAIN;
 use lopram_core::{ChaosConfig, SelfHeal};
 use lopram_serve::{
     Fault, FaultPlan, JobContext, JobError, JobService, JobSpec, RetryPolicy, ServeConfig,
@@ -33,9 +34,10 @@ fn repeat() -> u64 {
 const STEPS: u64 = 24; // > the largest at_step used below: every fault fires
 
 /// Deterministic job body: a cooperative-stepping prologue (so injected
-/// faults land at their planned step) followed by a pool scan.  The
-/// digest depends only on `i`, so a retried run must reproduce it
-/// bit-identically.
+/// faults land at their planned step) followed by a pool scan whose
+/// length straddles the pool's wake floor (`i % 5 < 2` stays one block on
+/// the executor thread, the rest fork on the pool).  The digest depends
+/// only on `i`, so a retried run must reproduce it bit-identically.
 fn job_body(i: u64) -> impl FnMut(&JobContext<'_>) -> u64 + Send + 'static {
     move |cx| {
         let mut acc = i.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(1);
@@ -43,7 +45,7 @@ fn job_body(i: u64) -> impl FnMut(&JobContext<'_>) -> u64 + Send + 'static {
             cx.step();
             acc = acc.rotate_left(7) ^ s;
         }
-        let len = 256 + (i % 5) * 256;
+        let len = WAKE_GRAIN as u64 - 512 + (i % 5) * 256;
         let data: Vec<u64> = (0..len).map(|j| j.wrapping_add(i)).collect();
         acc ^ cx.pool().scan(&data, 0u64, |a, b| a.wrapping_add(*b)).total
     }
@@ -291,9 +293,13 @@ fn wait_degraded(service: &JobService, alive: usize) {
 
 #[test]
 fn degraded_pool_sheds_submissions_while_admitted_work_drains() {
-    // Worker 1 dies after its first stolen task; no respawn.  The
-    // trigger job's scan feeds it that task, so everything submitted
-    // before the trigger completes is admitted against a healthy pool.
+    // Worker 1 dies after its first task; no respawn.  The trigger job
+    // (first in the one executor's FIFO) holds until everything behind it
+    // is admitted against a healthy pool, then makes one fork that is
+    // certain to migrate: the first child keeps its processor until the
+    // second has started, and the second — pending in that processor's
+    // deque — can only be started by the *other* worker stealing it.
+    // Whichever worker ran the join, worker 1 executed a task and dies.
     let service = JobService::start(ServeConfig {
         processors: 2,
         executors: 1,
@@ -303,6 +309,25 @@ fn degraded_pool_sheds_submissions_while_admitted_work_drains() {
         min_alive_processors: 2,
         ..ServeConfig::default()
     });
+    let release = Arc::new(AtomicBool::new(false));
+    let gate = Arc::clone(&release);
+    let trigger = service
+        .submit(JobSpec::new(0, move |cx| {
+            while !gate.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            let started = AtomicBool::new(false);
+            cx.pool().join(
+                || {
+                    while !started.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                },
+                || started.store(true, Ordering::Release),
+            );
+            0
+        }))
+        .expect("healthy pool admits");
     let tickets: Vec<_> = (0..6)
         .map(|i| {
             service
@@ -310,8 +335,10 @@ fn degraded_pool_sheds_submissions_while_admitted_work_drains() {
                 .expect("healthy pool admits")
         })
         .collect();
-    // Admitted work drains to completion on the survivors even though
-    // the kill fires mid-traffic.
+    release.store(true, Ordering::Release);
+    assert_eq!(trigger.wait().outcome, Ok(0));
+    // Admitted work — scans on both sides of the wake floor — drains to
+    // completion on the survivor after the kill fired.
     for t in tickets {
         assert!(t.wait().outcome.is_ok());
     }
@@ -325,7 +352,7 @@ fn degraded_pool_sheds_submissions_while_admitted_work_drains() {
     }
     let stats = service.shutdown();
     assert_eq!(stats.shed_degraded, 1);
-    assert_eq!(stats.completed, 6);
+    assert_eq!(stats.completed, 7);
 }
 
 #[test]

@@ -12,8 +12,9 @@
 //!
 //! * **fork counts** are recounted *exactly*: non-pass creation points are
 //!   invariant, and each recorded pass contributes `chunks(len, p′, grain′)
-//!   − 1` forks under the new configuration, using the same
-//!   [`grain_size`] policy the pool itself uses;
+//!   − 1` forks under the new configuration, calling the very functions the
+//!   pool itself calls ([`pass_chunks`] for a default pool, [`grain_size`]
+//!   for a pinned one);
 //! * the **elided/scheduled split** is recomputed from the recorded call-site
 //!   depths against the new cutoff
 //!   [`cutoff_levels(α′, p′)`](lopram_core::policy::cutoff_levels);
@@ -32,7 +33,7 @@
 
 use std::collections::BTreeMap;
 
-use lopram_core::policy::{cutoff_levels, grain_size, DEFAULT_GRAIN, DEFAULT_STEAL_GRAIN};
+use lopram_core::policy::{cutoff_levels, grain_size, pass_chunks};
 use lopram_core::runtime::trace::ROOT_NODE;
 use lopram_core::{DagTrace, TraceEvent, TraceSummary};
 
@@ -43,8 +44,7 @@ use crate::tree::{TaskTree, TreeNode};
 /// [`PalPoolBuilder`](lopram_core::PalPoolBuilder) can be in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplayGrain {
-    /// The pool's default adaptive policy:
-    /// `grain_size(len, p, DEFAULT_GRAIN, DEFAULT_STEAL_GRAIN)`.
+    /// The pool's default policy, [`pass_chunks`]`(len, p)`.
     Adaptive,
     /// The `PalPoolBuilder::grain(min)` policy: at least `min` elements per
     /// block, steal-informed oversubscription disabled —
@@ -54,14 +54,14 @@ pub enum ReplayGrain {
 
 impl ReplayGrain {
     /// Number of blocks a blocked pass over `len` elements is split into on
-    /// `p` processors under this policy — the replayer's copy of the pool's
-    /// `chunk_count`.
+    /// `p` processors under this policy — what the pool's `chunk_count`
+    /// returns, from the same `lopram_core::policy` functions.
     pub fn chunks(self, len: usize, p: usize) -> usize {
         if len == 0 {
             return 1;
         }
         match self {
-            ReplayGrain::Adaptive => grain_size(len, p, DEFAULT_GRAIN, DEFAULT_STEAL_GRAIN),
+            ReplayGrain::Adaptive => pass_chunks(len, p),
             ReplayGrain::Fixed(min) => grain_size(len, p, min.max(1), 0),
         }
     }
@@ -489,6 +489,9 @@ mod tests {
 
     #[test]
     fn pass_forks_are_recounted_under_a_new_grain() {
+        // Above the default policy's wake floor, so the adaptive capture
+        // really forks and a coarser grain is a different configuration.
+        const LEN: usize = 1 << 16;
         let trace = DagTrace {
             version: TRACE_FORMAT_VERSION,
             processors: 2,
@@ -497,22 +500,23 @@ mod tests {
             events: vec![TraceEvent::Pass {
                 ts: 1,
                 worker: EXTERNAL_WORKER,
-                len: 4096,
-                chunks: ReplayGrain::Adaptive.chunks(4096, 2) as u32,
+                len: LEN as u64,
+                chunks: ReplayGrain::Adaptive.chunks(LEN, 2) as u32,
             }],
             dropped: 0,
         };
         let replay = TraceReplay::from_trace(trace);
         let rec = replay.recorded();
         assert_eq!(rec.passes, 1);
+        assert!(rec.pass_forks > 0);
         let same = replay.predict(2, 2.0, ReplayGrain::Adaptive);
         assert!(same.at_capture_config);
         assert_eq!(same.forks, rec.pass_forks);
-        let coarse = replay.predict(2, 2.0, ReplayGrain::Fixed(4096));
-        assert_eq!(coarse.forks, 0, "one 4096-element block forks nothing");
+        let coarse = replay.predict(2, 2.0, ReplayGrain::Fixed(LEN));
+        assert_eq!(coarse.forks, 0, "one LEN-element block forks nothing");
         assert!(!coarse.at_capture_config);
         let four = replay.predict(4, 2.0, ReplayGrain::Fixed(1));
-        assert_eq!(four.forks, ReplayGrain::Fixed(1).chunks(4096, 4) as u64 - 1);
+        assert_eq!(four.forks, ReplayGrain::Fixed(1).chunks(LEN, 4) as u64 - 1);
     }
 
     #[test]

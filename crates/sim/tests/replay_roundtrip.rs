@@ -27,6 +27,7 @@
 //!   `p`), while cross-`p` prediction is deliberately out of contract
 //!   for spawn-based workloads and excluded here.
 
+use lopram_core::policy::WAKE_GRAIN;
 use lopram_core::{DagTrace, PalPool, TraceConfig};
 use lopram_dp::prelude::{solve_sequential, solve_wavefront, PrefixChain};
 use lopram_sim::replay::{ReplayGrain, TraceReplay};
@@ -34,6 +35,12 @@ use proptest::prelude::*;
 
 /// Processor counts every property is checked under.
 const P_SWEEP: [usize; 3] = [1, 2, 4];
+
+/// Scan lengths are drawn from both sides of the default policy's wake
+/// floor: below it an adaptive capture records one-block passes (zero
+/// forks, recounted to real forks under a pinned grain), above it the
+/// capture itself forks.
+const MAX_LEN: usize = 2 * WAKE_GRAIN;
 
 fn join_tree(pool: &PalPool, depth: u32) -> u64 {
     if depth == 0 {
@@ -108,7 +115,7 @@ proptest! {
     #[test]
     fn capture_reproduces_run_metrics_and_roundtrips(
         depth in 0u32..7,
-        len in 0usize..5000,
+        len in 0usize..MAX_LEN,
     ) {
         for p in P_SWEEP {
             let (trace, m) = capture(p, depth, len);
@@ -130,7 +137,7 @@ proptest! {
     #[test]
     fn replay_at_capture_config_is_the_identity(
         depth in 0u32..7,
-        len in 0usize..5000,
+        len in 0usize..MAX_LEN,
     ) {
         for p in P_SWEEP {
             let (trace, _) = capture(p, depth, len);
@@ -150,7 +157,7 @@ proptest! {
     #[test]
     fn replay_at_p1_is_steal_free(
         depth in 0u32..7,
-        len in 0usize..5000,
+        len in 0usize..MAX_LEN,
     ) {
         for p in P_SWEEP {
             let (trace, _) = capture(p, depth, len);
@@ -174,7 +181,7 @@ proptest! {
     #[test]
     fn cross_config_fork_prediction_matches_fresh_pools(
         depth in 0u32..6,
-        len in 0usize..4000,
+        len in 0usize..MAX_LEN,
         capture_p_idx in 0usize..3,
     ) {
         let capture_p = P_SWEEP[capture_p_idx];

@@ -2008,22 +2008,32 @@ mod tests {
 
     #[test]
     fn forced_steal_retries_are_counted() {
+        const ROUNDS: u32 = 2;
         let pool = ThreadPoolBuilder::new()
             .num_threads(2)
-            .chaos(ChaosConfig::none().force_steal_retries(2))
+            .chaos(ChaosConfig::none().force_steal_retries(ROUNDS))
             .build()
             .unwrap();
-        fn fanout(pool: &ThreadPool, depth: usize) {
-            if depth == 0 {
-                return;
-            }
-            pool.join(|| fanout(pool, depth - 1), || fanout(pool, depth - 1));
-        }
-        pool.install(|| fanout(&pool, 8));
+        // Force the steal instead of hoping the second worker gets there
+        // in time: the forking worker holds its first child until the
+        // pending second child has been taken, which only the other worker
+        // can do, and only through a steal attempt.
+        pool.install(|| {
+            pool.join(
+                || {
+                    while pool.stats().stolen == 0 {
+                        thread::yield_now();
+                    }
+                },
+                || (),
+            )
+        });
         let stats = pool.stats();
-        assert_eq!(stats.stolen + stats.inlined, 255);
-        // Every steal attempt (idle workers make plenty) paid the retries.
-        assert!(stats.forced_steal_retries > 0);
+        assert_eq!((stats.stolen, stats.inlined), (1, 0));
+        // Every steal attempt — the successful one included — paid exactly
+        // ROUNDS retries.
+        assert!(stats.forced_steal_retries >= u64::from(ROUNDS));
+        assert_eq!(stats.forced_steal_retries % u64::from(ROUNDS), 0);
     }
 
     #[test]
