@@ -11,7 +11,7 @@ use lopram_sim::{CostSpec, TaskTree, TreeSimulator};
 fn main() {
     // `--smoke` runs a reduced grid; CI uses it to keep the paper-table
     // harness exercised without paying for the full sweep.
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = lopram_bench::smoke_flag();
     println!("Eq. 3 validation: simulated pal-thread makespan vs analytic prediction");
     println!("(workload: T(n) = 2T(n/2) + n, unit leaves, merge cost n)\n");
     println!(

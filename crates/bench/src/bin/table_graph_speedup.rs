@@ -183,7 +183,7 @@ fn sweep(shapes: &[(&'static str, CsrGraph)], runs: usize) -> (Vec<Row>, Vec<(us
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = lopram_bench::smoke_flag();
     let runs = if smoke { 1 } else { 3 };
     let shapes = shapes(smoke);
 

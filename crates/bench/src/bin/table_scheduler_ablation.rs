@@ -74,7 +74,7 @@ fn print_rows(rows: &[SchedulerRow]) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = lopram_bench::smoke_flag();
     let runs = if smoke { 1 } else { 3 };
     let n = if smoke { 1usize << 15 } else { 1usize << 21 };
     let depth = if smoke { 10 } else { 14 };

@@ -1,10 +1,10 @@
 //! # lopram-bench
 //!
-//! Experiment harness for the LoPRAM reproduction.  Every figure and
-//! analytical claim of the paper has a binary in `src/bin/` that regenerates
-//! it (see DESIGN.md §3 for the experiment index, and EXPERIMENTS.md for the
-//! recorded paper-vs-measured comparison), plus Criterion benchmarks in
-//! `benches/` for the wall-clock measurements:
+//! Experiment harness for the LoPRAM reproduction: every figure and
+//! analytical claim of the paper has a binary in `src/bin/` that
+//! regenerates it.  Timing the stack against its sequential twins is not
+//! this crate's job — that is the standalone `benchmark/` workspace
+//! (`BENCHMARK.json`) — and every exactness property is a `cargo test`.
 //!
 //! | binary | experiment |
 //! |--------|------------|
@@ -13,27 +13,18 @@
 //! | `table_master_case1`   | Theorem 1 case 1 (Karatsuba, Strassen, 4-way polymul) |
 //! | `table_master_case2`   | Theorem 1 case 2 (mergesort, max subarray, closest pair) |
 //! | `table_master_case3`   | Theorem 1 case 3 + Eq. 5 (dominant merge, seq vs parallel) |
-//! | `table_eq3_validation` | Eq. 3 vs the step-accurate simulator |
+//! | `table_eq3_validation` | Eq. 3 vs the step-accurate simulator (`--smoke`: tiny grid) |
 //! | `table_dp_speedup`     | §4.4 Algorithm 1 / wavefront speedups on classic DPs |
 //! | `table_dag_width`      | §4.3/§4.6 antichain widths and speedup bounds |
 //! | `table_memoization`    | §4.5 parallel memoization vs bottom-up |
 //! | `table_varying_p`      | §3.2 correctness and time as a function of p |
 //! | `table_scheduler_ablation` | E12: work-stealing `PalPool` (cutoff on/off) vs eager `ThrottledPool` (steal/spawn/inline/elided counters, `--smoke` asserts divergence) |
 //! | `table_sim_speedup`    | simulator speedup sweep |
-//! | `bench_join_overhead`  | E13: ns/fork baseline — legacy mutex path vs lock-free deque vs α·log p cutoff, steal throughput, end-to-end matrix; emits `BENCH_join_overhead.json` (`--smoke` asserts the ≥5× gate) |
 //! | `table_graph_speedup`  | E14: irregular graph kernels (scan/pack BFS, connected components, histogram, triangles) × shapes × p ∈ {1, 2, 4}; `--smoke` asserts parallel ≡ sequential, nonzero steals at p ≥ 2, exact fork accounting |
-//! | `bench_primitive_overhead` | E15: steady-state primitive cost — ns/element and allocs/call for scan/pack/BFS-level, unfused allocation-per-call twins vs the fused arena-backed production path; emits `BENCH_primitive_overhead.json` (`--smoke` asserts the ≥2× per-level allocation gate) |
-//! | `bench_trace_replay`   | E16: trace capture + deterministic replay — BFS traces captured at p ∈ {1, 2, 4} replayed across every (p, grain) via `lopram_sim::TraceReplay`; emits `BENCH_trace_replay.json` (`--smoke` asserts replay-predicted fork counts equal measured fork counts on every cell and p = 1 predictions are steal-free) |
-//! | `bench_partition_fuse` | E17: partition-and-fuse engine ablation — flat vs partitioned BFS/CC on a streamed-build `G(n, m)` and a grid, p ∈ {1, 2, 4} × parts ∈ {1, 2, 4}; emits `BENCH_partition_fuse.json` (`--smoke` asserts twin equality, exact per-phase fork closed forms, zero warmed arena growth, and ≤ 0.5 allocs/level for p = 1 partitioned BFS) |
-//! | `bench_serve`          | E18: multi-tenant job service under seeded traffic ([`traffic::TrafficPlan`]) — differential fault injection (faulted vs fault-free run, digest equality on every non-faulted job), saturation burst against the bounded queue, and an exclusive throughput phase with per-job fork conservation; emits `BENCH_serve.json` (`--smoke` gates zero differential mismatches, nonzero rejections with bounded depth, bounded tenant fairness ratio, and exact fork accounting) |
 //!
 //! This crate is an internal tool (`publish = false`); its library half holds
 //! the shared measurement and pretty-printing helpers.
 
-pub mod traffic;
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use lopram_core::{PalPool, ProcessorPolicy};
@@ -42,45 +33,31 @@ use rand::prelude::*;
 /// Default processor counts swept by the experiment binaries.
 pub const PROCESSOR_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
-/// Allocation events (alloc + realloc, across all threads) observed by
-/// [`CountingAlloc`] since process start.
-static ALLOCATION_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-/// A delegating global allocator that counts allocation events, used by
-/// `bench_primitive_overhead` to measure allocs/call of the primitives.
-///
-/// Install it in a binary with
-/// `#[global_allocator] static A: CountingAlloc = CountingAlloc;` and read
-/// the counter with [`CountingAlloc::events`]; the difference across a
-/// call window divided by the call count is the allocs-per-call figure in
-/// `BENCH_primitive_overhead.json`.  `realloc` counts as an event too —
-/// buffer growth is exactly the traffic the workspace arena exists to
-/// eliminate — while `dealloc` is free.
-pub struct CountingAlloc;
-
-impl CountingAlloc {
-    /// Total allocation events (alloc + realloc) so far.
-    pub fn events() -> u64 {
-        ALLOCATION_EVENTS.load(Ordering::Relaxed)
+/// The one flag the smoke-capable binaries take: `true` for `--smoke`,
+/// `false` for no argument at all.  Anything else is a mistake (a typo'd
+/// flag must not silently run the full grid): it is named on stderr and
+/// the process exits with status 2.
+pub fn smoke_flag() -> bool {
+    match parse_smoke(std::env::args().skip(1)) {
+        Ok(smoke) => smoke,
+        Err(message) => {
+            eprintln!("{message}");
+            std::process::exit(2);
+        }
     }
 }
 
-// SAFETY: delegates verbatim to `System`; the counter is a side effect
-// with no influence on the returned memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATION_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
+fn parse_smoke(args: impl Iterator<Item = String>) -> Result<bool, String> {
+    let mut smoke = false;
+    for arg in args {
+        if arg != "--smoke" {
+            return Err(format!(
+                "unrecognised argument `{arg}` (the only flag is --smoke)"
+            ));
+        }
+        smoke = true;
     }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATION_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
+    Ok(smoke)
 }
 
 /// Measure the median wall-clock time of `f` over `runs` executions
@@ -199,6 +176,18 @@ pub fn random_edges(n: usize, edges: usize, seed: u64) -> Vec<(usize, usize, u64
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn smoke_flag_rejects_everything_but_smoke() {
+        let parse = |args: &[&str]| parse_smoke(args.iter().map(|a| a.to_string()));
+        assert_eq!(parse(&[]), Ok(false));
+        assert_eq!(parse(&["--smoke"]), Ok(true));
+        for typo in ["--smok", "smoke", "--smoke=1", "-s"] {
+            let message = parse(&[typo]).unwrap_err();
+            assert!(message.contains(typo), "{message}");
+        }
+        assert!(parse(&["--smoke", "--full"]).is_err());
+    }
 
     #[test]
     fn measure_returns_positive_duration() {

@@ -26,19 +26,19 @@
 //! [`Workspace`](lopram_core::Workspace) arena and reused across levels
 //! (and across BFS calls on the same pool), so a steady-state BFS level
 //! performs **zero allocations**: the GBBS recipe of reusing scratch
-//! rather than re-materializing it, which is where the ≥2× per-level
-//! allocation reduction recorded in `BENCH_primitive_overhead.json` comes
-//! from.
+//! rather than re-materializing it (`tests/alloc_counts.rs` holds a warm
+//! search to at most one heap allocation per level — the returned vector,
+//! amortized).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lopram_core::runtime::cancel;
-use lopram_core::{run_cancellable, CancelReason, CancelToken, PalPool};
+use lopram_core::PalPool;
 
 use crate::csr::CsrGraph;
 use crate::fuse::{fuse, FusionNode};
-use crate::partition::{PartitionPhases, PartitionPlan};
+use crate::partition::PartitionPlan;
 
 /// Distance label of a vertex no BFS level reached.
 pub const UNREACHED: usize = usize::MAX;
@@ -96,6 +96,14 @@ pub fn bfs_seq(graph: &CsrGraph, src: usize) -> Vec<usize> {
 /// across levels and calls: after the first level warms the arena, a
 /// level allocates nothing (see the module docs).
 ///
+/// Cancellation is cooperative: under
+/// [`run_cancellable`](lopram_core::run_cancellable) the search
+/// checkpoints at every level boundary and (through the primitives) at
+/// every fork and chunk boundary, so a fired token unwinds in O(grain)
+/// work — at most one thin level between two checkpoints — and the unwind
+/// returns every arena buffer, leaving the pool warm (what `lopram-serve`
+/// relies on when a client abandons a graph job mid-flight).
+///
 /// # Panics
 ///
 /// Panics if `src` is not a vertex of `graph`.
@@ -114,9 +122,9 @@ pub fn bfs_par(graph: &CsrGraph, pool: &PalPool, src: usize) -> Vec<usize> {
     let mut level = 0usize;
     while !frontier.is_empty() {
         // Level boundary: the natural sequential point of the kernel.
-        // Inside a cancellable region ([`bfs_cancellable`]) a fired token
-        // stops the search here at the latest — the primitives below
-        // checkpoint at their own fork and chunk boundaries too.
+        // Inside `run_cancellable` a fired token stops the search here at
+        // the latest — the primitives below checkpoint at their own fork
+        // and chunk boundaries too.
         cancel::checkpoint();
         level += 1;
         let frontier_ref: &[usize] = &frontier;
@@ -171,33 +179,6 @@ fn is_thin_level(graph: &CsrGraph, pool: &PalPool, frontier: &[usize]) -> bool {
     let arcs: usize = frontier.iter().map(|&u| graph.degree(u)).sum();
     // `chunk_count` wants a non-empty pass; a level without arcs is thin.
     arcs == 0 || pool.chunk_count(arcs) == 1
-}
-
-/// Cancellable entry point for [`bfs_par`]: runs the search under
-/// `token` and reports how it ended.
-///
-/// `Ok(distances)` when the search completes; `Err(reason)` when the
-/// token fires first — [`CancelReason::Cancelled`] on an explicit
-/// [`CancelToken::cancel`], [`CancelReason::DeadlineExceeded`] on a blown
-/// deadline.  Cancellation is cooperative and prompt: the kernel
-/// checkpoints at every level boundary and (through the primitives) at
-/// every fork and chunk boundary, so a fired token unwinds in O(grain)
-/// work — at most one thin level, under `WAKE_GRAIN` arcs, between two
-/// checkpoints.  The unwind releases every arena buffer the search had checked
-/// out — the pool stays warm and fully reusable, which is what the
-/// `lopram-serve` job service relies on when a client abandons a graph
-/// job mid-flight.
-///
-/// # Panics
-///
-/// Panics if `src` is not a vertex of `graph`.
-pub fn bfs_cancellable(
-    graph: &CsrGraph,
-    pool: &PalPool,
-    src: usize,
-    token: &CancelToken,
-) -> Result<Vec<usize>, CancelReason> {
-    run_cancellable(token, || bfs_par(graph, pool, src))
 }
 
 /// Per-partition level state of the partitioned BFS: the current and the
@@ -376,27 +357,6 @@ pub fn bfs_partitioned_with(
         ws.put_buffer(s.next, s.next_cap);
     }
     result
-}
-
-/// [`bfs_partitioned`] with per-phase metrics attribution via
-/// [`PalPool::scoped_metrics`]: returns the distances plus the plan and
-/// solve deltas separately (single-client window — see
-/// [`scoped_metrics`](PalPool::scoped_metrics)).
-pub fn bfs_partitioned_metered(
-    graph: &CsrGraph,
-    pool: &PalPool,
-    src: usize,
-    parts: usize,
-) -> (Vec<usize>, PartitionPhases) {
-    let (plan, plan_delta) = pool.scoped_metrics(|| PartitionPlan::new(graph, pool, parts));
-    let (dist, solve_delta) = pool.scoped_metrics(|| bfs_partitioned_with(graph, pool, &plan, src));
-    (
-        dist,
-        PartitionPhases {
-            plan: plan_delta,
-            solve: solve_delta,
-        },
-    )
 }
 
 /// Eccentricity of `src` (the number of BFS levels): the largest finite

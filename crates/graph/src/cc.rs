@@ -17,11 +17,11 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use lopram_core::runtime::cancel;
-use lopram_core::{run_cancellable, CancelReason, CancelToken, PalPool};
+use lopram_core::PalPool;
 
 use crate::csr::CsrGraph;
 use crate::fuse::{fuse, FusionNode};
-use crate::partition::{PartitionPhases, PartitionPlan};
+use crate::partition::PartitionPlan;
 
 /// Sequential connected components: `labels[v]` is the smallest vertex id
 /// in `v`'s component — the differential twin of the parallel variants.
@@ -62,7 +62,8 @@ pub fn components_label_prop(graph: &CsrGraph, pool: &PalPool) -> Vec<usize> {
 /// [`components_label_prop`] also reporting the number of blocked rounds
 /// executed, **including** the final fixpoint-confirming round that
 /// observes no change (so a correct labelling at round one still costs
-/// two) — the work measure the `bench_cc_shootout` ablation records.
+/// two) — the work measure `tests/uf.rs` holds against union-find's
+/// constant pass count on the permuted path.
 /// The count is schedule-dependent — an in-chunk ascending scan can zip
 /// a label many hops within one round — but always lies in
 /// `[2, diameter + 1]` on non-empty graphs: fresh in-round reads only
@@ -113,8 +114,8 @@ pub fn components_label_prop_rounds(graph: &CsrGraph, pool: &PalPool) -> (Vec<us
     let labels: &[AtomicUsize] = &labels;
     let mut rounds = 0;
     loop {
-        // Round boundary: a fired ambient token stops the propagation
-        // here at the latest (see [`components_cancellable`]).
+        // Round boundary: under `run_cancellable` a fired token stops the
+        // propagation here at the latest.
         cancel::checkpoint();
         rounds += 1;
         let changed = AtomicBool::new(false);
@@ -185,8 +186,8 @@ pub fn components_hook_rounds(graph: &CsrGraph, pool: &PalPool) -> (Vec<usize>, 
     let parent: &[AtomicUsize] = &parent;
     let mut rounds = 0;
     loop {
-        // Round boundary: a fired ambient token stops the hooking here at
-        // the latest (see [`components_cancellable`]).
+        // Round boundary: under `run_cancellable` a fired token stops the
+        // hooking here at the latest.
         cancel::checkpoint();
         rounds += 1;
         // Hook: merge the two trees of every cross-tree edge, smaller root
@@ -232,23 +233,6 @@ pub fn components_hook_rounds(graph: &CsrGraph, pool: &PalPool) -> (Vec<usize>, 
             );
         }
     }
-}
-
-/// Cancellable entry point for [`components_hook`]: runs the hooking
-/// under `token` and reports how it ended.
-///
-/// `Ok(labels)` when the fixpoint is reached; `Err(reason)` when the
-/// token fires first.  The kernel checkpoints at every hook round and —
-/// through the pool's fork boundaries — inside each round, so a fired
-/// token unwinds promptly and releases every arena buffer it held; the
-/// pool stays warm for the next caller (the contract the `lopram-serve`
-/// job service builds on).
-pub fn components_cancellable(
-    graph: &CsrGraph,
-    pool: &PalPool,
-    token: &CancelToken,
-) -> Result<Vec<usize>, CancelReason> {
-    run_cancellable(token, || components_hook(graph, pool))
 }
 
 /// Find the root of `v` in a plain union-find forest over the exclusive
@@ -394,27 +378,6 @@ pub fn components_partitioned_with(
         }
         root
     })
-}
-
-/// [`components_partitioned`] with per-phase metrics attribution via
-/// [`PalPool::scoped_metrics`]: returns the labels plus the plan and
-/// solve deltas separately (single-client window — see
-/// [`scoped_metrics`](PalPool::scoped_metrics)).
-pub fn components_partitioned_metered(
-    graph: &CsrGraph,
-    pool: &PalPool,
-    parts: usize,
-) -> (Vec<usize>, PartitionPhases) {
-    let (plan, plan_delta) = pool.scoped_metrics(|| PartitionPlan::new(graph, pool, parts));
-    let (labels, solve_delta) =
-        pool.scoped_metrics(|| components_partitioned_with(graph, pool, &plan));
-    (
-        labels,
-        PartitionPhases {
-            plan: plan_delta,
-            solve: solve_delta,
-        },
-    )
 }
 
 /// Number of distinct components in a labelling (counts distinct label

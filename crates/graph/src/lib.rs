@@ -61,10 +61,10 @@ pub use csr::CsrGraph;
 
 /// Convenience prelude re-exporting the items most users need.
 pub mod prelude {
-    pub use crate::bfs::{bfs_cancellable, bfs_par, bfs_partitioned, bfs_seq, levels, UNREACHED};
+    pub use crate::bfs::{bfs_par, bfs_partitioned, bfs_seq, levels, UNREACHED};
     pub use crate::cc::{
-        component_count, components_cancellable, components_hook, components_label_prop,
-        components_partitioned, components_seq,
+        component_count, components_hook, components_label_prop, components_partitioned,
+        components_seq,
     };
     pub use crate::csr::CsrGraph;
     pub use crate::fuse::{fuse, FusionNode};
@@ -72,9 +72,8 @@ pub mod prelude {
     pub use crate::kernels::{
         degree_histogram, degree_histogram_seq, triangle_count, triangle_count_seq,
     };
-    pub use crate::partition::{plan_forks, PartitionPhases, PartitionPlan};
+    pub use crate::partition::{plan_forks, PartitionPlan};
     pub use crate::uf::{
-        components_union_find, components_union_find_cancellable, components_union_find_metered,
-        components_union_find_with, union_find_forks, UnionFindConfig, UnionFindPhases,
+        components_union_find, components_union_find_with, union_find_forks, UnionFindConfig,
     };
 }

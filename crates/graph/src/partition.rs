@@ -38,7 +38,7 @@
 //! `C = pool.chunk_count(vertices)`; see [`plan_forks`].  The cut search
 //! itself is a `parts + 1`-iteration binary-search loop, fork-free.
 
-use lopram_core::{MetricsSnapshot, PalPool, WorkspaceGuard};
+use lopram_core::{PalPool, WorkspaceGuard};
 
 use crate::csr::CsrGraph;
 
@@ -182,7 +182,7 @@ impl<'p> PartitionPlan<'p> {
     }
 
     /// Fraction of stored arcs that cross a partition boundary, in
-    /// `[0, 1]` (`0.0` for an arcless graph or `parts == 1`).  The E17
+    /// `[0, 1]` (`0.0` for an arcless graph or `parts == 1`).  The
     /// locality headline: the local phase touches `1 − boundary_fraction`
     /// of the arcs with zero cross-partition traffic.
     pub fn boundary_fraction(&self) -> f64 {
@@ -210,17 +210,6 @@ pub fn plan_forks(pool: &PalPool, vertices: usize) -> u64 {
         return 0;
     }
     8 * (pool.chunk_count(vertices) as u64 - 1)
-}
-
-/// Per-phase metrics of a partitioned kernel run, attributed with
-/// [`PalPool::scoped_metrics`]: the partition pass and the solve
-/// (local kernels + fusion tree) separately.
-#[derive(Debug, Clone, Copy)]
-pub struct PartitionPhases {
-    /// Metrics delta of [`PartitionPlan::new`].
-    pub plan: MetricsSnapshot,
-    /// Metrics delta of the local-kernel + fusion-tree phase.
-    pub solve: MetricsSnapshot,
 }
 
 #[cfg(test)]

@@ -44,13 +44,13 @@
 //!
 //! The parent and sample buffers come out of the pool's
 //! [`Workspace`](lopram_core::Workspace) arena, so a warmed pool runs
-//! million-edge CC calls with zero arena growth (the steady state the
-//! `bench_cc_shootout` binary gates).
+//! million-edge CC calls with zero arena growth (the steady state
+//! `tests/uf.rs` gates).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lopram_core::runtime::cancel;
-use lopram_core::{run_cancellable, CancelReason, CancelToken, MetricsSnapshot, PalPool};
+use lopram_core::PalPool;
 
 use crate::csr::CsrGraph;
 
@@ -77,17 +77,6 @@ impl Default for UnionFindConfig {
             sample_vertices: 1024,
         }
     }
-}
-
-/// Per-phase metrics of a union-find run, attributed with
-/// [`PalPool::scoped_metrics`]: the sampling passes (+ the sequential
-/// giant-root estimate) and the finish pass (+ flatten) separately.
-#[derive(Debug, Clone, Copy)]
-pub struct UnionFindPhases {
-    /// Metrics delta of the sampling passes and the root estimate.
-    pub sample: MetricsSnapshot,
-    /// Metrics delta of the full linking pass and the final flatten.
-    pub finish: MetricsSnapshot,
 }
 
 /// Read-only chase to the current root (`parent[r] == r`).  Terminates
@@ -162,8 +151,8 @@ fn sample_phase<'ws>(
     {
         let parent: &[AtomicUsize] = &parent;
         for r in 0..config.sample_edges {
-            // Round boundary: a fired ambient token unwinds here at the
-            // latest (see [`components_union_find_cancellable`]).
+            // Round boundary: under `run_cancellable` a fired token
+            // unwinds here at the latest.
             cancel::checkpoint();
             pool.for_each_index(0..n, |v| {
                 if let Some(&u) = graph.neighbors(v).get(r) {
@@ -248,43 +237,6 @@ pub fn components_union_find_with(
 ) -> Vec<usize> {
     let (parent, giant) = sample_phase(graph, pool, config);
     finish_phase(graph, pool, &parent, giant)
-}
-
-/// [`components_union_find`] with per-phase metrics attribution via
-/// [`PalPool::scoped_metrics`]: returns the labels plus the sample and
-/// finish deltas separately (single-client window — see
-/// [`scoped_metrics`](PalPool::scoped_metrics)).
-pub fn components_union_find_metered(
-    graph: &CsrGraph,
-    pool: &PalPool,
-    config: &UnionFindConfig,
-) -> (Vec<usize>, UnionFindPhases) {
-    let ((parent, giant), sample_delta) = pool.scoped_metrics(|| sample_phase(graph, pool, config));
-    let (labels, finish_delta) = pool.scoped_metrics(|| finish_phase(graph, pool, &parent, giant));
-    drop(parent);
-    (
-        labels,
-        UnionFindPhases {
-            sample: sample_delta,
-            finish: finish_delta,
-        },
-    )
-}
-
-/// Cancellable entry point for [`components_union_find`]: runs the
-/// kernel under `token` and reports how it ended.
-///
-/// `Ok(labels)` when the forest is flattened; `Err(reason)` when the
-/// token fires first.  The kernel checkpoints at every phase boundary
-/// and — through the pool's fork boundaries — inside each blocked pass,
-/// so a fired token unwinds promptly and releases the arena-backed
-/// parent buffer; the pool stays warm for the next caller.
-pub fn components_union_find_cancellable(
-    graph: &CsrGraph,
-    pool: &PalPool,
-    token: &CancelToken,
-) -> Result<Vec<usize>, CancelReason> {
-    run_cancellable(token, || components_union_find(graph, pool))
 }
 
 /// The exact, schedule-independent fork count of a

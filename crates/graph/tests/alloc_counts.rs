@@ -1,0 +1,139 @@
+//! Heap-allocation counts of the warm steady state, under a counting
+//! global allocator.
+//!
+//! Everything runs on `p = 1` pools, where no fork ever leaves the calling
+//! thread and the count is therefore the code's alone — deterministic, not
+//! a sample of a schedule (at `p > 1` every granted spawn adds one heap
+//! job, by design).  One `#[test]` on purpose: the counter is
+//! process-global, and a second test running beside this one would be
+//! counted into its windows.
+//!
+//! * a fork nobody steals allocates **nothing** — the job lives on the
+//!   forking frame, the latch inline (a `.no_cutoff()` pool, so every fork
+//!   really goes through the deque and is popped back);
+//! * a warm `scan_copy_in` / `pack_in` call allocates **nothing**, on
+//!   either side of the wake floor — all scratch comes from the arena;
+//! * a warm `bfs_par` with fat levels allocates the vector it returns and
+//!   nothing else — far inside one per level; the level buffers are the
+//!   arena's;
+//! * a warm `bfs_partitioned_with` allocates its result and its
+//!   per-partition table — under one per two levels — at
+//!   `parts ∈ {1, 2, 4}` (outboxes and frontiers are the arena's too).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use lopram_core::policy::WAKE_GRAIN;
+use lopram_core::PalPool;
+use lopram_graph::bfs::bfs_partitioned_with;
+use lopram_graph::prelude::*;
+
+/// Allocation events (alloc + realloc, all threads) since process start.
+static EVENTS: AtomicU64 = AtomicU64::new(0);
+
+/// Delegates to [`System`] and counts: `realloc` is an event too — buffer
+/// growth is exactly what the arena exists to remove — `dealloc` is free.
+struct CountingAlloc;
+
+// SAFETY: delegates verbatim to `System`; the counter is a side effect
+// with no influence on the returned memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        EVENTS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        EVENTS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Allocation events during `f`.
+fn allocs(f: impl FnOnce()) -> u64 {
+    let before = EVENTS.load(Ordering::Relaxed);
+    f();
+    EVENTS.load(Ordering::Relaxed) - before
+}
+
+fn join_tree(pool: &PalPool, depth: u32) -> u64 {
+    if depth == 0 {
+        return 1;
+    }
+    let (a, b) = pool.join(|| join_tree(pool, depth - 1), || join_tree(pool, depth - 1));
+    a + b
+}
+
+#[test]
+fn warm_steady_state_allocation_counts() {
+    // -- an un-stolen fork ------------------------------------------------
+    let raw = PalPool::builder()
+        .processors(1)
+        .no_cutoff()
+        .build()
+        .unwrap();
+    join_tree(&raw, 4);
+    let in_tree = allocs(|| assert_eq!(black_box(join_tree(&raw, 14)), 1 << 14));
+    assert_eq!(raw.metrics().inlined(), (1 << 4) - 1 + (1 << 14) - 1);
+    assert_eq!(in_tree, 0, "2^14 - 1 popped-back forks");
+
+    // -- scan and pack, below and above the wake floor ---------------------
+    let pool = PalPool::new(1).unwrap();
+    let keep = |_: usize, x: &usize| x.is_multiple_of(3);
+    for n in [1000, 2 * WAKE_GRAIN] {
+        let input: Vec<usize> = (0..n).map(|i| (i * 2_654_435_761) % 1009).collect();
+        let (mut scanned, mut packed) = (Vec::new(), Vec::new());
+        for _ in 0..2 {
+            pool.scan_copy_in(&input, 0usize, |a, b| a + b, &mut scanned);
+            pool.pack_in(&input, keep, &mut packed);
+        }
+        let scan = allocs(|| {
+            black_box(pool.scan_copy_in(&input, 0usize, |a, b| a + b, &mut scanned));
+        });
+        assert_eq!(scan, 0, "warm scan_copy_in, n = {n}");
+        let pack = allocs(|| pool.pack_in(&input, keep, &mut packed));
+        assert_eq!(pack, 0, "warm pack_in, n = {n}");
+        assert_eq!(packed.len(), input.iter().filter(|x| keep(0, x)).count());
+    }
+
+    // -- BFS, flat and partitioned -----------------------------------------
+    // 2^17 arcs: the middle levels clear the wake floor and take the
+    // scan/pack pipeline (the fork count says so), the rest are thin loops.
+    let graph = gnm(1 << 13, 1 << 16, 42);
+    let expected = bfs_seq(&graph, 0);
+    // Deep enough that the exact counts below sit inside "one per level"
+    // (flat) and "one per two levels" (partitioned).
+    assert!(levels(&expected) >= 3);
+    for _ in 0..2 {
+        let (dist, run) = pool.scoped_metrics(|| bfs_par(&graph, &pool, 0));
+        assert_eq!(dist, expected);
+        assert!(run.forks() > 0, "no level was fat");
+    }
+    let flat = allocs(|| {
+        black_box(bfs_par(&graph, &pool, 0));
+    });
+    // Exact, because p = 1 makes it so.
+    assert_eq!(flat, 1, "warm bfs_par allocates its result, nothing else");
+    for parts in [1, 2, 4] {
+        let plan = PartitionPlan::new(&graph, &pool, parts);
+        for _ in 0..2 {
+            assert_eq!(bfs_partitioned_with(&graph, &pool, &plan, 0), expected);
+        }
+        let partitioned = allocs(|| {
+            black_box(bfs_partitioned_with(&graph, &pool, &plan, 0));
+        });
+        assert_eq!(
+            partitioned, 2,
+            "warm bfs_partitioned_with allocates its result and its \
+             per-partition table, nothing else (parts = {parts})"
+        );
+    }
+}

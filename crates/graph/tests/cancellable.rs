@@ -9,10 +9,24 @@
 
 use std::time::Duration;
 
-use lopram_core::{CancelReason, CancelToken, PalPool};
-use lopram_graph::bfs::{bfs_cancellable, bfs_seq};
-use lopram_graph::cc::{components_cancellable, components_seq};
-use lopram_graph::gen;
+use lopram_core::{run_cancellable, CancelReason, CancelToken, PalPool};
+use lopram_graph::bfs::{bfs_par, bfs_seq};
+use lopram_graph::cc::{
+    components_hook, components_label_prop, components_partitioned, components_seq,
+};
+use lopram_graph::uf::components_union_find;
+use lopram_graph::{gen, CsrGraph};
+
+/// A parallel CC kernel behind one signature.
+type CcKernel = fn(&CsrGraph, &PalPool) -> Vec<usize>;
+
+/// Every parallel CC kernel, each run under `run_cancellable` below.
+const CC_KERNELS: [(&str, CcKernel); 4] = [
+    ("hook", components_hook),
+    ("label_prop", components_label_prop),
+    ("union_find", components_union_find),
+    ("partitioned", |g, pool| components_partitioned(g, pool, 2)),
+];
 
 #[test]
 fn live_token_changes_nothing() {
@@ -21,12 +35,12 @@ fn live_token_changes_nothing() {
         let pool = PalPool::new(p).unwrap();
         let token = CancelToken::new();
         assert_eq!(
-            bfs_cancellable(&g, &pool, 0, &token).as_deref(),
+            run_cancellable(&token, || bfs_par(&g, &pool, 0)).as_deref(),
             Ok(bfs_seq(&g, 0).as_slice()),
             "p = {p}"
         );
         assert_eq!(
-            components_cancellable(&g, &pool, &token).as_deref(),
+            run_cancellable(&token, || components_hook(&g, &pool)).as_deref(),
             Ok(components_seq(&g).as_slice()),
             "p = {p}"
         );
@@ -42,23 +56,29 @@ fn fired_token_stops_both_kernels() {
     let cancelled = CancelToken::new();
     cancelled.cancel();
     assert_eq!(
-        bfs_cancellable(&g, &pool, 0, &cancelled),
+        run_cancellable(&cancelled, || bfs_par(&g, &pool, 0)),
         Err(CancelReason::Cancelled)
     );
-    assert_eq!(
-        components_cancellable(&g, &pool, &cancelled),
-        Err(CancelReason::Cancelled)
-    );
+    for (name, kernel) in CC_KERNELS {
+        assert_eq!(
+            run_cancellable(&cancelled, || kernel(&g, &pool)),
+            Err(CancelReason::Cancelled),
+            "{name}"
+        );
+    }
 
     let expired = CancelToken::with_deadline(Duration::ZERO);
     assert_eq!(
-        bfs_cancellable(&g, &pool, 0, &expired),
+        run_cancellable(&expired, || bfs_par(&g, &pool, 0)),
         Err(CancelReason::DeadlineExceeded)
     );
-    assert_eq!(
-        components_cancellable(&g, &pool, &expired),
-        Err(CancelReason::DeadlineExceeded)
-    );
+    for (name, kernel) in CC_KERNELS {
+        assert_eq!(
+            run_cancellable(&expired, || kernel(&g, &pool)),
+            Err(CancelReason::DeadlineExceeded),
+            "{name}"
+        );
+    }
 }
 
 #[test]
@@ -73,8 +93,11 @@ fn cancelled_kernel_leaves_the_arena_warm() {
     // capacities only settle after the second pass.
     let live = CancelToken::new();
     for _ in 0..2 {
-        assert_eq!(bfs_cancellable(&g, &pool, 0, &live).as_ref(), Ok(&expected));
-        let labels = components_cancellable(&g, &pool, &live).unwrap();
+        assert_eq!(
+            run_cancellable(&live, || bfs_par(&g, &pool, 0)).as_ref(),
+            Ok(&expected)
+        );
+        let labels = run_cancellable(&live, || components_hook(&g, &pool)).unwrap();
         assert_eq!(labels, components_seq(&g));
     }
     let warm = pool.workspace().stats().grown_bytes;
@@ -84,19 +107,19 @@ fn cancelled_kernel_leaves_the_arena_warm() {
         let fired = CancelToken::new();
         fired.cancel();
         assert_eq!(
-            bfs_cancellable(&g, &pool, 0, &fired),
+            run_cancellable(&fired, || bfs_par(&g, &pool, 0)),
             Err(CancelReason::Cancelled),
             "iteration {i}"
         );
         assert_eq!(
-            components_cancellable(&g, &pool, &fired),
+            run_cancellable(&fired, || components_hook(&g, &pool)),
             Err(CancelReason::Cancelled),
             "iteration {i}"
         );
         // …so the next warm run neither grows the arena nor mislabels.
         let live = CancelToken::new();
         assert_eq!(
-            bfs_cancellable(&g, &pool, 0, &live).as_ref(),
+            run_cancellable(&live, || bfs_par(&g, &pool, 0)).as_ref(),
             Ok(&expected),
             "iteration {i}"
         );
@@ -134,7 +157,7 @@ fn mid_flight_cancel_from_another_thread_stops_a_long_search() {
             canceller.cancel();
         });
         assert_eq!(
-            bfs_cancellable(&g, pool, 0, &token),
+            run_cancellable(&token, || bfs_par(&g, pool, 0)),
             Err(CancelReason::Cancelled)
         );
     });
@@ -142,7 +165,7 @@ fn mid_flight_cancel_from_another_thread_stops_a_long_search() {
     let live = CancelToken::new();
     let small = gen::grid(5, 5);
     assert_eq!(
-        bfs_cancellable(&small, &pool, 0, &live).as_deref(),
+        run_cancellable(&live, || bfs_par(&small, &pool, 0)).as_deref(),
         Ok(bfs_seq(&small, 0).as_slice())
     );
 }

@@ -15,9 +15,9 @@
 //!   schedule-independent, attributed per phase with
 //!   [`PalPool::scoped_metrics`].
 
-use lopram_core::PalPool;
-use lopram_graph::bfs::{bfs_partitioned_metered, bfs_partitioned_with};
-use lopram_graph::cc::components_partitioned_metered;
+use lopram_core::{MetricsSnapshot, PalPool};
+use lopram_graph::bfs::bfs_partitioned_with;
+use lopram_graph::cc::components_partitioned_with;
 use lopram_graph::prelude::*;
 use proptest::prelude::*;
 
@@ -46,6 +46,20 @@ fn shapes() -> Vec<CsrGraph> {
     ]
 }
 
+/// Plan `parts` partitions, then run `solve` on the plan, each inside its
+/// own [`PalPool::scoped_metrics`] window: the output, the plan-phase
+/// delta and the solve-phase delta.
+fn phased<T>(
+    g: &CsrGraph,
+    pool: &PalPool,
+    parts: usize,
+    solve: impl FnOnce(&PartitionPlan<'_>) -> T,
+) -> (T, MetricsSnapshot, MetricsSnapshot) {
+    let (plan, plan_delta) = pool.scoped_metrics(|| PartitionPlan::new(g, pool, parts));
+    let (out, solve_delta) = pool.scoped_metrics(|| solve(&plan));
+    (out, plan_delta, solve_delta)
+}
+
 /// The exact, schedule-independent fork count of the partitioned-BFS
 /// solve phase: one fusion tree per frontier round.
 fn bfs_solve_forks(dist: &[usize], parts: usize) -> u64 {
@@ -69,27 +83,31 @@ fn partitioned_kernels_match_twins_on_generator_shapes() {
         for p in P_SWEEP {
             let pool = PalPool::new(p).unwrap();
             for parts in PARTS_SWEEP {
-                let (dist, bfs_phases) = bfs_partitioned_metered(g, &pool, 0, parts);
+                let (dist, bfs_plan, bfs_solve) = phased(g, &pool, parts, |plan| {
+                    bfs_partitioned_with(g, &pool, plan, 0)
+                });
                 assert_eq!(
                     dist, expected_dist,
                     "BFS shape {i}, p = {p}, parts = {parts}"
                 );
-                let (labels, cc_phases) = components_partitioned_metered(g, &pool, parts);
+                let (labels, cc_plan, cc_solve) = phased(g, &pool, parts, |plan| {
+                    components_partitioned_with(g, &pool, plan)
+                });
                 assert_eq!(
                     labels, expected_labels,
                     "CC shape {i}, p = {p}, parts = {parts}"
                 );
                 // Exact per-phase fork accounting on every cell.
                 let planned = plan_forks(&pool, g.vertices());
-                assert_eq!(bfs_phases.plan.forks(), planned, "BFS plan forks");
-                assert_eq!(cc_phases.plan.forks(), planned, "CC plan forks");
+                assert_eq!(bfs_plan.forks(), planned, "BFS plan forks");
+                assert_eq!(cc_plan.forks(), planned, "CC plan forks");
                 assert_eq!(
-                    bfs_phases.solve.forks(),
+                    bfs_solve.forks(),
                     bfs_solve_forks(&dist, parts),
                     "BFS solve forks, shape {i}, p = {p}, parts = {parts}"
                 );
                 assert_eq!(
-                    cc_phases.solve.forks(),
+                    cc_solve.forks(),
                     cc_solve_forks(&pool, g.vertices(), parts),
                     "CC solve forks, shape {i}, p = {p}, parts = {parts}"
                 );
@@ -208,11 +226,13 @@ proptest! {
         for p in P_SWEEP {
             let pool = PalPool::new(p).unwrap();
             for parts in PARTS_SWEEP {
-                let (dist, phases) = bfs_partitioned_metered(&g, &pool, src, parts);
+                let (dist, plan, solve) = phased(&g, &pool, parts, |plan| {
+                    bfs_partitioned_with(&g, &pool, plan, src)
+                });
                 prop_assert_eq!(&dist, &expected, "p = {}, parts = {}", p, parts);
-                prop_assert_eq!(phases.plan.forks(), plan_forks(&pool, n));
+                prop_assert_eq!(plan.forks(), plan_forks(&pool, n));
                 prop_assert_eq!(
-                    phases.solve.forks(),
+                    solve.forks(),
                     bfs_solve_forks(&dist, parts),
                     "solve forks, p = {}, parts = {}", p, parts
                 );
@@ -230,11 +250,13 @@ proptest! {
         for p in P_SWEEP {
             let pool = PalPool::new(p).unwrap();
             for parts in PARTS_SWEEP {
-                let (labels, phases) = components_partitioned_metered(&g, &pool, parts);
+                let (labels, plan, solve) = phased(&g, &pool, parts, |plan| {
+                    components_partitioned_with(&g, &pool, plan)
+                });
                 prop_assert_eq!(&labels, &expected, "p = {}, parts = {}", p, parts);
-                prop_assert_eq!(phases.plan.forks(), plan_forks(&pool, n));
+                prop_assert_eq!(plan.forks(), plan_forks(&pool, n));
                 prop_assert_eq!(
-                    phases.solve.forks(),
+                    solve.forks(),
                     cc_solve_forks(&pool, n, parts),
                     "solve forks, p = {}, parts = {}", p, parts
                 );

@@ -8,10 +8,9 @@
 //!   forest's min-hooking makes the result exact, not merely equal up to
 //!   relabelling);
 //! * **exact fork accounting** — every run costs exactly
-//!   [`union_find_forks`] forks, schedule-independent, attributed per
-//!   phase with [`PalPool::scoped_metrics`]: the sampling passes and the
-//!   sequential giant-root estimate on one side, the finish pass plus
-//!   blocked flatten on the other;
+//!   [`union_find_forks`] forks, schedule-independent, measured with
+//!   [`PalPool::scoped_metrics`]; the `sample_edges: 0` sweep row is the
+//!   finish pass plus blocked flatten alone;
 //! * **zero warm-arena growth** — after the settling warmup, repeated
 //!   runs on one pool check the parent and sample buffers out of the
 //!   arena without growing it;
@@ -21,9 +20,8 @@
 //!   setting — widens it to ~4·10⁶ edges).
 
 use lopram_core::PalPool;
-use lopram_graph::cc::components_seq;
+use lopram_graph::cc::{components_label_prop_rounds, components_seq};
 use lopram_graph::prelude::*;
-use lopram_graph::uf::components_union_find_metered;
 use proptest::prelude::*;
 
 /// Processor counts every property is checked under.
@@ -72,25 +70,20 @@ fn union_find_matches_twin_on_generator_shapes_with_exact_forks() {
         for p in P_SWEEP {
             let pool = PalPool::new(p).unwrap();
             for config in &configs {
-                let (labels, phases) = components_union_find_metered(g, &pool, config);
+                let (labels, run) =
+                    pool.scoped_metrics(|| components_union_find_with(g, &pool, config));
                 assert_eq!(
                     labels, expected,
                     "shape {i}, p = {p}, k = {}",
                     config.sample_edges
                 );
                 // Exact, schedule-independent fork accounting: the whole
-                // run costs the closed form, and the estimate phase adds
-                // nothing beyond its sampling passes.
+                // run costs the closed form (the `sample_edges: 0` config
+                // pins the finish pass + flatten on their own).
                 assert_eq!(
-                    phases.sample.forks() + phases.finish.forks(),
+                    run.forks(),
                     union_find_forks(&pool, g.vertices(), config.sample_edges),
                     "total forks, shape {i}, p = {p}, k = {}",
-                    config.sample_edges
-                );
-                assert_eq!(
-                    phases.finish.forks(),
-                    union_find_forks(&pool, g.vertices(), 0),
-                    "finish-phase forks, shape {i}, p = {p}, k = {}",
                     config.sample_edges
                 );
             }
@@ -108,6 +101,21 @@ fn union_find_agrees_with_every_other_cc_kernel() {
     for parts in [1, 2, 4] {
         assert_eq!(uf, components_partitioned(&g, &pool, parts));
     }
+
+    // Why union-find is the production kernel, as a count: on the
+    // diameter-adversarial permuted path, label propagation's rounds track
+    // the diameter while union-find makes `sample_edges + 1` index passes
+    // whatever the shape.  p = 1, so the round count is deterministic.
+    let path = path_permuted(512, 7);
+    let pool = PalPool::new(1).unwrap();
+    let (labels, rounds) = components_label_prop_rounds(&path, &pool);
+    assert_eq!(labels, components_union_find(&path, &pool));
+    let uf_passes = UnionFindConfig::default().sample_edges + 1;
+    assert!(
+        rounds > uf_passes,
+        "label-prop took {rounds} rounds on a 512-vertex permuted path, \
+         union-find {uf_passes} passes"
+    );
 }
 
 #[test]
@@ -155,11 +163,10 @@ fn million_edge_streamed_graph_matches_twin() {
     let expected = components_seq(&g);
     for p in P_SWEEP {
         let pool = PalPool::new(p).unwrap();
-        let (labels, phases) =
-            components_union_find_metered(&g, &pool, &UnionFindConfig::default());
+        let (labels, run) = pool.scoped_metrics(|| components_union_find(&g, &pool));
         assert_eq!(labels, expected, "diverged at p = {p} on G({n}, {m})");
         assert_eq!(
-            phases.sample.forks() + phases.finish.forks(),
+            run.forks(),
             union_find_forks(&pool, n, 2),
             "fork closed form at p = {p} on G({n}, {m})"
         );
@@ -183,10 +190,11 @@ proptest! {
         };
         for p in P_SWEEP {
             let pool = PalPool::new(p).unwrap();
-            let (labels, phases) = components_union_find_metered(&g, &pool, &config);
+            let (labels, run) =
+                pool.scoped_metrics(|| components_union_find_with(&g, &pool, &config));
             prop_assert_eq!(&labels, &expected, "p = {}, k = {}", p, sample_edges);
             prop_assert_eq!(
-                phases.sample.forks() + phases.finish.forks(),
+                run.forks(),
                 union_find_forks(&pool, n, sample_edges),
                 "forks, p = {}, k = {}", p, sample_edges
             );

@@ -242,7 +242,7 @@ impl ServiceStats {
     }
 
     /// Max/min ratio of per-tenant `Ok`-completions — the fairness
-    /// number `bench_serve` gates on.  1.0 when perfectly fair, `inf`
+    /// number `tests/fault_injection.rs` gates on.  1.0 when perfectly fair, `inf`
     /// when some tenant starved entirely (and another completed work),
     /// 1.0 for the degenerate all-zero case.
     pub fn fairness_ratio(&self) -> f64 {

@@ -16,10 +16,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lopram_core::policy::WAKE_GRAIN;
-use lopram_core::{ChaosConfig, SelfHeal};
+use lopram_core::{ChaosConfig, PoolHealth, SelfHeal};
 use lopram_serve::{
-    Fault, FaultPlan, JobContext, JobError, JobService, JobSpec, RetryPolicy, ServeConfig,
-    SubmitError,
+    Fault, FaultPlan, JobContext, JobError, JobReport, JobService, JobSpec, RetryPolicy,
+    ServeConfig, ServiceStats, SubmitError,
 };
 
 /// Stress multiplier: `LOPRAM_TEST_REPEAT=20` (CI chaos-stress job)
@@ -220,6 +220,96 @@ fn backoff_is_a_pure_function_of_seed_job_and_attempt() {
     assert_eq!(none.backoff(3, 2), Duration::ZERO);
 }
 
+/// Panic- and cancel-faults on every third job of a `count`-job round,
+/// at steps that vary with `round`.
+fn faulted_third(count: u64, round: u64) -> FaultPlan {
+    let mut plan = FaultPlan::none();
+    for i in (0..count).step_by(3) {
+        let at_step = 1 + (round + i) % 16;
+        let fault = if i % 2 == 0 {
+            Fault::Panic { at_step }
+        } else {
+            Fault::Cancel { at_step }
+        };
+        plan = plan.inject(i, fault);
+    }
+    plan
+}
+
+/// One round of seeded traffic — `count` [`job_body`] jobs over three
+/// tenants, two executors and a two-processor pool — under a fault plan
+/// and a scheduler-chaos mix: every report in submission order, the
+/// service totals, and the pool health the watchdog settled on.
+fn run_traffic(
+    count: u64,
+    plan: FaultPlan,
+    retries: u32,
+    chaos: ChaosConfig,
+    self_heal: SelfHeal,
+) -> (Vec<JobReport>, ServiceStats, PoolHealth) {
+    let service = JobService::start(ServeConfig {
+        tenants: 3,
+        tenant_budget: 2,
+        executors: 2,
+        queue_capacity: count as usize,
+        chaos,
+        self_heal,
+        ..retrying_config(plan, retries)
+    });
+    let tickets: Vec<_> = (0..count)
+        .map(|i| {
+            service
+                .submit(JobSpec::new((i % 3) as usize, job_body(i)))
+                .expect("capacity sized to count")
+        })
+        .collect();
+    if chaos.kill_worker.is_some() {
+        provoke_kill(&service);
+    }
+    let reports = tickets.into_iter().map(|t| t.wait()).collect();
+    let (killed, _, alive) = settled_health(chaos, self_heal);
+    let health = wait_health(&service, killed, alive);
+    (reports, service.shutdown(), health)
+}
+
+/// The watchdog's books once a round under `chaos` has drained on the
+/// two-processor pool: `(killed, respawned, alive_workers)`.
+fn settled_health(chaos: ChaosConfig, self_heal: SelfHeal) -> (u64, u64, usize) {
+    match (chaos.kill_worker, self_heal) {
+        (None, _) => (0, 0, 2),
+        (Some(_), SelfHeal::Respawn) => (1, 1, 2),
+        (Some(_), SelfHeal::Degrade) => (1, 0, 1),
+    }
+}
+
+/// Make sure the chaos victim runs the task that kills it while the
+/// traffic is still in flight: fork on the shared pool, the first child
+/// lingering (bounded, so a fork elided by a degraded cutoff cannot
+/// wedge) until the second — pending in that worker's deque — has been
+/// started by the *other* worker, until health reports the death.
+fn provoke_kill(service: &JobService) {
+    let begun = Instant::now();
+    while service.health().killed == 0 {
+        assert!(
+            begun.elapsed() < Duration::from_secs(10),
+            "the chaos victim never ran a task; last {:?}",
+            service.health()
+        );
+        let started = AtomicBool::new(false);
+        let forked = Instant::now();
+        service.pool().join(
+            || {
+                while !started.load(Ordering::Acquire)
+                    && forked.elapsed() < Duration::from_millis(1)
+                {
+                    std::thread::yield_now();
+                }
+            },
+            || started.store(true, Ordering::Release),
+        );
+    }
+}
+
 #[test]
 fn retried_traffic_digests_match_a_clean_run() {
     // Differential acceptance: seeded traffic where a third of the jobs
@@ -227,43 +317,15 @@ fn retried_traffic_digests_match_a_clean_run() {
     // Ok with the digest of the fault-free run, faulted ones with
     // attempts > 1.
     let count = 30u64;
+    let quiet = |plan, retries| {
+        let (reports, stats, _) =
+            run_traffic(count, plan, retries, ChaosConfig::none(), SelfHeal::Respawn);
+        (reports, stats)
+    };
     for round in 0..repeat() {
-        let mut plan = FaultPlan::none();
-        for i in (0..count).step_by(3) {
-            let fault = if i % 2 == 0 {
-                Fault::Panic {
-                    at_step: 1 + (round + i) % 16,
-                }
-            } else {
-                Fault::Cancel {
-                    at_step: 1 + (round + i) % 16,
-                }
-            };
-            plan = plan.inject(i, fault);
-        }
-
-        let run = |plan: FaultPlan, retries: u32| {
-            let service = JobService::start(ServeConfig {
-                tenants: 3,
-                tenant_budget: 2,
-                executors: 2,
-                queue_capacity: count as usize,
-                ..retrying_config(plan, retries)
-            });
-            let tickets: Vec<_> = (0..count)
-                .map(|i| {
-                    service
-                        .submit(JobSpec::new((i % 3) as usize, job_body(i)))
-                        .expect("capacity sized to count")
-                })
-                .collect();
-            let reports: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
-            let stats = service.shutdown();
-            (reports, stats)
-        };
-
-        let (clean, _) = run(FaultPlan::none(), 0);
-        let (healed, stats) = run(plan.clone(), 2);
+        let plan = faulted_third(count, round);
+        let (clean, _) = quiet(FaultPlan::none(), 0);
+        let (healed, stats) = quiet(plan.clone(), 2);
         for (c, h) in clean.iter().zip(&healed) {
             assert_eq!(h.outcome, c.outcome, "job {} round {round}", c.job);
             if plan.fault_for(c.job).is_some() {
@@ -278,14 +340,88 @@ fn retried_traffic_digests_match_a_clean_run() {
     }
 }
 
-/// Poll the service's pool health until `ok` holds, failing after 10s.
-fn wait_degraded(service: &JobService, alive: usize) {
+#[test]
+fn traffic_digests_survive_every_scheduler_chaos_mix() {
+    // The same differential with the scheduler itself under attack: a
+    // worker killed mid-traffic and respawned, killed and degraded
+    // around, killed while a third of the jobs fault and retry, wake-ups
+    // dropped and delayed, every steal forced through retry rounds.
+    // Chaos may cost latency, never a result: every job Ok with the clean
+    // run's digest, a retry only where a fault was planned, and the
+    // watchdog's books showing exactly the kill and the heal configured.
+    let count = 30u64;
+    let (clean, _, health) = run_traffic(
+        count,
+        FaultPlan::none(),
+        0,
+        ChaosConfig::none(),
+        SelfHeal::Respawn,
+    );
+    assert!(clean.iter().all(|c| c.outcome.is_ok()));
+    assert_eq!((health.killed, health.alive_workers), (0, 2));
+
+    let kill = ChaosConfig::none().kill(1, 1);
+    let wakeups = ChaosConfig::none().drop_wakeup(1).delay_wakeup(2);
+    let steals = ChaosConfig::none().force_steal_retries(3);
+    for round in 0..repeat() {
+        let mixes = [
+            ("kill-respawn", kill, SelfHeal::Respawn, FaultPlan::none()),
+            ("kill-degrade", kill, SelfHeal::Degrade, FaultPlan::none()),
+            (
+                "faults-retried",
+                kill,
+                SelfHeal::Respawn,
+                faulted_third(count, round),
+            ),
+            (
+                "dropped-wakeups",
+                wakeups,
+                SelfHeal::Respawn,
+                FaultPlan::none(),
+            ),
+            (
+                "steal-retries",
+                steals,
+                SelfHeal::Respawn,
+                FaultPlan::none(),
+            ),
+        ];
+        for (mix, chaos, self_heal, plan) in mixes {
+            let (reports, stats, health) = run_traffic(count, plan.clone(), 2, chaos, self_heal);
+            for (c, r) in clean.iter().zip(&reports) {
+                assert_eq!(r.outcome, c.outcome, "{mix}: job {} round {round}", c.job);
+                assert_eq!(
+                    r.attempts > 1,
+                    plan.fault_for(c.job).is_some(),
+                    "{mix}: job {} took {} attempts, round {round}",
+                    c.job,
+                    r.attempts
+                );
+            }
+            assert_eq!(stats.completed, count, "{mix} round {round}");
+            assert_eq!(stats.retries, plan.len() as u64, "{mix} round {round}");
+            assert_eq!(
+                (health.killed, health.respawned, health.alive_workers),
+                settled_health(chaos, self_heal),
+                "{mix} round {round}"
+            );
+        }
+    }
+}
+
+/// Poll the service's pool health (each probe is a supervision pass)
+/// until it shows `killed` deaths and `alive` live workers, failing
+/// after 10s.
+fn wait_health(service: &JobService, killed: u64, alive: usize) -> PoolHealth {
     let start = Instant::now();
-    while service.health().alive_workers != alive {
+    loop {
+        let health = service.health();
+        if health.killed == killed && health.alive_workers == alive {
+            return health;
+        }
         assert!(
             start.elapsed() < Duration::from_secs(10),
-            "pool never degraded to {alive} alive; last {:?}",
-            service.health()
+            "pool never reached {killed} killed / {alive} alive; last {health:?}"
         );
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -342,7 +478,7 @@ fn degraded_pool_sheds_submissions_while_admitted_work_drains() {
     for t in tickets {
         assert!(t.wait().outcome.is_ok());
     }
-    wait_degraded(&service, 1);
+    wait_health(&service, 1, 1);
     // Below the floor: new work is shed with the live numbers.
     match service.submit(JobSpec::new(0, job_body(99))) {
         Err(SubmitError::Degraded { alive, floor }) => {

@@ -10,7 +10,8 @@
 //! call sites are configuration-independent) and blocked scans (pass
 //! forks, which the replayer recounts per configuration) so both halves of
 //! the fork-recount identity are exercised; cross-configuration fork
-//! predictions are validated against fresh measured pools.
+//! predictions are validated against fresh measured pools — for those
+//! mixes and for a traced `bfs_par` on a seeded G(n, m).
 //!
 //! Two further workload families extend the coverage beyond the balanced
 //! shapes:
@@ -30,6 +31,8 @@
 use lopram_core::policy::WAKE_GRAIN;
 use lopram_core::{DagTrace, PalPool, TraceConfig};
 use lopram_dp::prelude::{solve_sequential, solve_wavefront, PrefixChain};
+use lopram_graph::bfs::{bfs_par, bfs_seq};
+use lopram_graph::gen::gnm;
 use lopram_sim::replay::{ReplayGrain, TraceReplay};
 use proptest::prelude::*;
 
@@ -105,6 +108,60 @@ fn capture(p: usize, depth: u32, len: usize) -> (DagTrace, lopram_core::MetricsS
     let metrics = pool.metrics().snapshot();
     let trace = pool.take_trace().expect("tracing was on");
     (trace, metrics)
+}
+
+/// The cross-configuration half of the contract: capture `workload` on a
+/// traced adaptive pool at `capture_p`, then hold the replay-predicted
+/// fork count of every `(p, grain)` in `P_SWEEP × {adaptive, fixed}` to a
+/// fresh untraced pool that runs the same workload at that configuration.
+#[track_caller]
+fn assert_cross_config_forks(capture_p: usize, fixed: usize, workload: impl Fn(&PalPool)) {
+    let traced = traced_pool(capture_p);
+    workload(&traced);
+    let trace = traced.take_trace().expect("tracing was on");
+    assert!(
+        trace.is_complete(),
+        "capture p = {capture_p} dropped events"
+    );
+    let replay = TraceReplay::from_trace(trace);
+    for grain in [ReplayGrain::Adaptive, ReplayGrain::Fixed(fixed)] {
+        for p in P_SWEEP {
+            let mut builder = PalPool::builder().processors(p);
+            if let ReplayGrain::Fixed(min) = grain {
+                builder = builder.grain(min);
+            }
+            let pool = builder.build().unwrap();
+            workload(&pool);
+            assert_eq!(
+                replay.predict(p, 2.0, grain).forks,
+                pool.metrics().forks(),
+                "capture p = {capture_p} -> (p = {p}, {grain:?})"
+            );
+        }
+    }
+}
+
+/// The graph kernel the replayer was built for: every fork of a
+/// level-synchronous BFS is a blocked-pass fork, and frontier sets — hence
+/// every pass length — are pure in `(graph, src)`, so the recount must be
+/// exact.  2¹⁷ arcs: the middle levels clear `WAKE_GRAIN` and fork in the
+/// adaptive capture itself, the first and last are one-block passes that
+/// only fork under the pinned grain.
+#[test]
+fn bfs_cross_config_fork_prediction_matches_fresh_pools() {
+    let graph = gnm(1 << 13, 1 << 16, 42);
+    assert!(graph.arcs() >= WAKE_GRAIN);
+    let expected = bfs_seq(&graph, 0);
+    for capture_p in P_SWEEP {
+        assert_cross_config_forks(capture_p, 64, |pool| {
+            assert_eq!(
+                bfs_par(&graph, pool, 0),
+                expected,
+                "p = {}",
+                pool.processors()
+            );
+        });
+    }
 }
 
 proptest! {
@@ -184,29 +241,13 @@ proptest! {
         len in 0usize..MAX_LEN,
         capture_p_idx in 0usize..3,
     ) {
-        let capture_p = P_SWEEP[capture_p_idx];
-        let (trace, _) = capture(capture_p, depth, len);
-        let replay = TraceReplay::from_trace(trace);
-        for grain in [ReplayGrain::Adaptive, ReplayGrain::Fixed(32)] {
-            for p in P_SWEEP {
-                let predicted = replay.predict(p, 2.0, grain);
-                let mut builder = PalPool::builder().processors(p);
-                if let ReplayGrain::Fixed(min) = grain {
-                    builder = builder.grain(min);
-                }
-                let pool = builder.build().unwrap();
-                join_tree(&pool, depth);
-                if len > 0 {
-                    let input: Vec<u64> = (0..len as u64).collect();
-                    pool.scan(&input, 0u64, |a, b| a + b);
-                }
-                prop_assert_eq!(
-                    predicted.forks,
-                    pool.metrics().forks(),
-                    "capture p = {} -> (p = {}, {:?})", capture_p, p, grain
-                );
+        assert_cross_config_forks(P_SWEEP[capture_p_idx], 32, |pool| {
+            join_tree(pool, depth);
+            if len > 0 {
+                let input: Vec<u64> = (0..len as u64).collect();
+                pool.scan(&input, 0u64, |a, b| a + b);
             }
-        }
+        });
     }
 
     // E12's unbalanced chain: the maximally skewed join tree must satisfy
