@@ -7,11 +7,10 @@
 //! `work / max(chain, work/p)` for `p = 8`.
 
 use lopram_bench::{random_edges, random_string};
-use lopram_core::SeqExecutor;
 use lopram_dp::prelude::*;
 
 fn report<P: DpProblem>(problem: &P, label: &str) {
-    let dag = dependency_dag(problem, &SeqExecutor);
+    let dag = dependency_dag(problem);
     let levels = dag.levels();
     assert!(
         levels.validate(&dag),

@@ -6,7 +6,6 @@
 //! `p`-processor schedule of the same dependency DAG (from `lopram-sim`).
 
 use lopram_bench::{measure, pool_with, random_string, SpeedupRow, PROCESSOR_SWEEP};
-use lopram_core::SeqExecutor;
 use lopram_dp::prelude::*;
 use lopram_sim::simulate_dag_schedule;
 
@@ -16,7 +15,7 @@ fn bench_problem<P: DpProblem>(problem: &P, label: &str, rows: &mut Vec<SpeedupR
     let seq = measure(runs, || {
         std::hint::black_box(solve_sequential(problem));
     });
-    let dag = dependency_dag(problem, &SeqExecutor);
+    let dag = dependency_dag(problem);
     let costs = vec![1u64; dag.len()];
     for &p in &PROCESSOR_SWEEP {
         let pool = pool_with(p);

@@ -38,6 +38,22 @@ pub trait Executor: Sync {
     where
         F: Fn(usize) + Sync;
 
+    /// How many blocks a pass of `len` units of work (`len ≥ 1`) is worth
+    /// splitting into on this executor; `1` means "run it as a plain loop on
+    /// the calling thread".  The default is the workspace's one pass policy,
+    /// [`policy::pass_chunks`](crate::policy::pass_chunks)`(len, p)`; a
+    /// [`PalPool`] answers with its own grain-aware
+    /// [`chunk_count`](PalPool::chunk_count), so a `.grain(k)`-pinned pool
+    /// keeps splitting small passes.
+    ///
+    /// [`for_each_index`](Executor::for_each_index) cannot ask this itself —
+    /// the cost of one index is hidden in the closure — so a caller that can
+    /// price its indices (a DP level: cells plus the table reads they make)
+    /// asks here and hands `for_each_index` one index per block.
+    fn chunk_count(&self, len: usize) -> usize {
+        crate::policy::pass_chunks(len, self.processors())
+    }
+
     /// `true` when more than one processor is available.
     fn is_parallel(&self) -> bool {
         self.processors() > 1
@@ -90,6 +106,10 @@ impl Executor for PalPool {
         F: Fn(usize) + Sync,
     {
         PalPool::for_each_index(self, range, f)
+    }
+
+    fn chunk_count(&self, len: usize) -> usize {
+        PalPool::chunk_count(self, len)
     }
 }
 
@@ -165,6 +185,10 @@ impl Executor for PalExecutor {
     {
         self.pool.for_each_index(range, f)
     }
+
+    fn chunk_count(&self, len: usize) -> usize {
+        self.pool.chunk_count(len)
+    }
 }
 
 impl<E: Executor> Executor for &E {
@@ -186,6 +210,10 @@ impl<E: Executor> Executor for &E {
     {
         (**self).for_each_index(range, f)
     }
+
+    fn chunk_count(&self, len: usize) -> usize {
+        (**self).chunk_count(len)
+    }
 }
 
 #[cfg(test)]
@@ -202,6 +230,26 @@ mod tests {
         });
         assert_eq!(counter.load(Ordering::SeqCst), 100);
         assert!(exec.processors() >= 1);
+    }
+
+    #[test]
+    fn chunk_count_defaults_to_the_pass_policy_and_pools_forward_their_grain() {
+        use crate::policy::{pass_chunks, WAKE_GRAIN};
+        let throttled = ThrottledPool::new(2).unwrap();
+        let pool = PalPool::new(4).unwrap();
+        for len in [1, 100, WAKE_GRAIN - 1, WAKE_GRAIN, 1 << 20] {
+            assert_eq!(SeqExecutor.chunk_count(len), pass_chunks(len, 1));
+            assert_eq!(throttled.chunk_count(len), pass_chunks(len, 2));
+            assert_eq!(Executor::chunk_count(&pool, len), pass_chunks(len, 4));
+            assert_eq!(Executor::chunk_count(&&pool, len), pass_chunks(len, 4));
+        }
+        // A pinned pool answers with its own policy, through every wrapper.
+        let pinned = PalPool::builder().processors(4).grain(64).build().unwrap();
+        assert_eq!(Executor::chunk_count(&pinned, 128), 2);
+        assert_eq!(Executor::chunk_count(&&pinned, 128), 2);
+        let exec = PalExecutor::from_pool(pinned);
+        assert_eq!(exec.chunk_count(128), 2);
+        assert_eq!(exec.chunk_count(1 << 20), exec.pool().chunk_count(1 << 20));
     }
 
     #[test]

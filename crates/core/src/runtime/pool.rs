@@ -873,9 +873,14 @@ impl PalPool {
     /// and calling this method is all a test needs to predict it.
     /// [`for_each_index`](PalPool::for_each_index) and
     /// [`map_reduce`](PalPool::map_reduce) do **not** use this policy:
-    /// their per-index cost is an opaque closure (a dynamic-programming
-    /// cell can cost microseconds), so they keep the fixed `4·p` chunk
-    /// bound of [`index_chunk_count`](PalPool::index_chunk_count).
+    /// their per-index cost is an opaque closure (one index may be a
+    /// whole worker loop), so they keep the fixed `4·p` chunk bound of
+    /// [`index_chunk_count`](PalPool::index_chunk_count).  A caller that
+    /// *can* price its indices asks here first, through
+    /// [`Executor::chunk_count`](crate::Executor::chunk_count), and hands
+    /// `for_each_index` one index per block: the wavefront DP solver
+    /// weighs a level at its cells plus the table reads they make, runs a
+    /// one-block level as a plain loop and forks only the rest.
     pub fn chunk_count(&self, len: usize) -> usize {
         self.grain.chunks(len, self.processors)
     }

@@ -3,15 +3,16 @@
 //! Parallel dynamic programming on the LoPRAM (paper §4.2–§4.6).
 //!
 //! A dynamic program is specified by [`DpProblem`]: a set of cells, the cells
-//! each cell depends on, and how to compute a cell from its dependencies
-//! (Eq. 6 of the paper).  From that specification the crate derives the
-//! dependency DAG (§4.3) and offers four ways to evaluate it:
+//! each cell depends on (appended to a buffer the caller owns, so listing a
+//! whole table allocates nothing), and how to compute a cell from its
+//! dependencies (Eq. 6 of the paper).  There are four ways to evaluate it:
 //!
 //! * [`solve_sequential`] — bottom-up in topological order, the `T_1`
 //!   baseline;
-//! * [`solve_wavefront`] — partition the DAG into antichains (the dual of
-//!   Dilworth's theorem) and evaluate each antichain in parallel, level by
-//!   level;
+//! * [`solve_wavefront`] — partition the cells into antichains (the dual of
+//!   Dilworth's theorem) and evaluate them level by level; a level heavy
+//!   enough to repay waking a second processor is split across the
+//!   executor, a lighter one is a plain loop on the caller;
 //! * [`solve_counter`] — the paper's **Algorithm 1**: every cell carries a
 //!   counter of outstanding dependencies, completed cells decrement their
 //!   neighbours' counters, and cells whose counter reaches zero are handed to
@@ -19,6 +20,15 @@
 //! * [`solve_memoized`] — the top-down **parallel memoization** of §4.5, with
 //!   "in progress" markers and wait-for-notification on cells another
 //!   processor is already computing.
+//!
+//! The three bottom-up solvers do not materialise the dependency DAG of
+//! §4.3.  They enumerate the specification once into a flat schedule —
+//! dependency lists in one CSR array of `u32` ids (so a table must stay
+//! below 2³² cells), cells counting-sorted by level — that costs a dozen
+//! allocations whatever the table's size, and all three read order, levels
+//! and in-degrees from it.  [`dependency_dag`] builds the DAG itself, as a
+//! [`lopram_analysis::Dag`], for the questions that are about the graph:
+//! antichain widths, the longest chain, the ideal `p`-processor schedule.
 //!
 //! The [`problems`] module provides classic dynamic programs covering the
 //! spectrum of DAG shapes §4.6 discusses: two-dimensional tables with

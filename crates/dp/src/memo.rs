@@ -93,7 +93,8 @@ fn resolve<P: DpProblem, E: Executor>(state: &MemoState<'_, P>, exec: &E, cell: 
     // therefore contains only `problem.compute`, never a pal-thread join or a
     // wait, so no thread can block while it owns an in-progress cell — which
     // is what makes the wait below deadlock-free.
-    let deps = state.problem.dependencies(cell);
+    let mut deps = Vec::new();
+    state.problem.dependencies(cell, &mut deps);
     resolve_all(state, exec, &deps);
     match state.states[cell].compare_exchange(
         EMPTY,
@@ -187,13 +188,11 @@ mod tests {
             (self.n + 1) * (self.k + 1)
         }
 
-        fn dependencies(&self, cell: usize) -> Vec<usize> {
+        fn dependencies(&self, cell: usize, out: &mut Vec<usize>) {
             let i = cell / (self.k + 1);
             let j = cell % (self.k + 1);
-            if j == 0 || j >= i {
-                vec![]
-            } else {
-                vec![self.id(i - 1, j - 1), self.id(i - 1, j)]
+            if j != 0 && j < i {
+                out.extend([self.id(i - 1, j - 1), self.id(i - 1, j)]);
             }
         }
 
@@ -271,9 +270,7 @@ mod tests {
             fn num_cells(&self) -> usize {
                 1
             }
-            fn dependencies(&self, _: usize) -> Vec<usize> {
-                vec![]
-            }
+            fn dependencies(&self, _: usize, _: &mut Vec<usize>) {}
             fn compute(&self, _: usize, _: &dyn Fn(usize) -> i32) -> i32 {
                 41
             }

@@ -61,11 +61,9 @@ impl DpProblem for PrefixChain {
         self.values.len()
     }
 
-    fn dependencies(&self, cell: usize) -> Vec<usize> {
-        if cell == 0 {
-            vec![]
-        } else {
-            vec![cell - 1]
+    fn dependencies(&self, cell: usize, out: &mut Vec<usize>) {
+        if cell > 0 {
+            out.push(cell - 1);
         }
     }
 
@@ -84,7 +82,7 @@ mod tests {
     use super::*;
     use crate::memo::solve_memoized;
     use crate::solver::{dependency_dag, solve_counter, solve_sequential, solve_wavefront};
-    use lopram_core::{PalPool, SeqExecutor};
+    use lopram_core::PalPool;
     use proptest::prelude::*;
 
     #[test]
@@ -101,7 +99,7 @@ mod tests {
     #[test]
     fn dag_is_a_path_with_no_parallelism() {
         let p = PrefixChain::new(vec![1; 200]);
-        let dag = dependency_dag(&p, &SeqExecutor);
+        let dag = dependency_dag(&p);
         assert_eq!(dag.longest_chain(), 200);
         assert_eq!(dag.max_width(), 1);
         assert!((dag.max_speedup(8) - 1.0).abs() < 1e-12);

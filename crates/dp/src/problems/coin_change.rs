@@ -50,18 +50,17 @@ impl DpProblem for CoinChange {
         (self.coins.len() + 1) * self.cols()
     }
 
-    fn dependencies(&self, cell: usize) -> Vec<usize> {
+    fn dependencies(&self, cell: usize, out: &mut Vec<usize>) {
         let coin = cell / self.cols();
         let amt = cell % self.cols();
         if coin == 0 {
-            return vec![];
+            return;
         }
-        let mut deps = vec![self.cell(coin - 1, amt)];
+        out.push(self.cell(coin - 1, amt));
         let c = self.coins[coin - 1];
         if c <= amt {
-            deps.push(self.cell(coin, amt - c));
+            out.push(self.cell(coin, amt - c));
         }
-        deps
     }
 
     fn compute(&self, cell: usize, get: &dyn Fn(usize) -> u64) -> u64 {

@@ -59,17 +59,17 @@ impl DpProblem for EditDistance {
         (self.a.len() + 1) * self.cols()
     }
 
-    fn dependencies(&self, cell: usize) -> Vec<usize> {
+    fn dependencies(&self, cell: usize, out: &mut Vec<usize>) {
         let i = cell / self.cols();
         let j = cell % self.cols();
         if i == 0 || j == 0 {
-            return vec![];
+            return;
         }
-        vec![
+        out.extend([
             self.cell(i - 1, j - 1),
             self.cell(i - 1, j),
             self.cell(i, j - 1),
-        ]
+        ]);
     }
 
     fn compute(&self, cell: usize, get: &dyn Fn(usize) -> u32) -> u32 {

@@ -86,19 +86,18 @@ impl DpProblem for FloydWarshall {
         (self.n + 1) * self.n * self.n
     }
 
-    fn dependencies(&self, cell: usize) -> Vec<usize> {
+    fn dependencies(&self, cell: usize, out: &mut Vec<usize>) {
         let (k, i, j) = self.coords(cell);
         if k == 0 {
-            return vec![];
+            return;
         }
-        let mut deps = vec![
+        let start = out.len();
+        out.extend([
             self.cell(k - 1, i, j),
             self.cell(k - 1, i, k - 1),
             self.cell(k - 1, k - 1, j),
-        ];
-        deps.sort_unstable();
-        deps.dedup();
-        deps
+        ]);
+        super::sort_dedup_from(out, start);
     }
 
     fn compute(&self, cell: usize, get: &dyn Fn(usize) -> u64) -> u64 {
@@ -124,7 +123,7 @@ impl DpProblem for FloydWarshall {
 mod tests {
     use super::*;
     use crate::solver::{dependency_dag, solve_counter, solve_sequential, solve_wavefront};
-    use lopram_core::{PalPool, SeqExecutor};
+    use lopram_core::PalPool;
     use proptest::prelude::*;
 
     fn sample_graph() -> FloydWarshall {
@@ -185,7 +184,7 @@ mod tests {
     #[test]
     fn dag_has_one_level_per_k_slab() {
         let g = FloydWarshall::from_edges(4, &[(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
-        let dag = dependency_dag(&g, &SeqExecutor);
+        let dag = dependency_dag(&g);
         assert_eq!(dag.longest_chain(), 5); // k = 0..=4
         assert_eq!(dag.max_width(), 16);
     }

@@ -58,18 +58,17 @@ impl DpProblem for Knapsack {
         (self.weights.len() + 1) * self.cols()
     }
 
-    fn dependencies(&self, cell: usize) -> Vec<usize> {
+    fn dependencies(&self, cell: usize, out: &mut Vec<usize>) {
         let item = cell / self.cols();
         let cap = cell % self.cols();
         if item == 0 {
-            return vec![];
+            return;
         }
-        let mut deps = vec![self.cell(item - 1, cap)];
+        out.push(self.cell(item - 1, cap));
         let w = self.weights[item - 1];
         if w <= cap {
-            deps.push(self.cell(item - 1, cap - w));
+            out.push(self.cell(item - 1, cap - w));
         }
-        deps
     }
 
     fn compute(&self, cell: usize, get: &dyn Fn(usize) -> u64) -> u64 {
@@ -101,7 +100,7 @@ mod tests {
     use super::*;
     use crate::memo::solve_memoized;
     use crate::solver::{dependency_dag, solve_counter, solve_sequential, solve_wavefront};
-    use lopram_core::{PalPool, SeqExecutor};
+    use lopram_core::PalPool;
     use proptest::prelude::*;
 
     #[test]
@@ -132,7 +131,7 @@ mod tests {
     #[test]
     fn dag_is_row_staged() {
         let p = Knapsack::new(vec![2, 3], vec![5, 6], 6);
-        let dag = dependency_dag(&p, &SeqExecutor);
+        let dag = dependency_dag(&p);
         // Longest chain = number of item rows + 1.
         assert_eq!(dag.longest_chain(), 3);
         // Width equals the number of capacity columns.

@@ -55,17 +55,17 @@ impl DpProblem for Lcs {
         (self.a.len() + 1) * self.cols()
     }
 
-    fn dependencies(&self, cell: usize) -> Vec<usize> {
+    fn dependencies(&self, cell: usize, out: &mut Vec<usize>) {
         let i = cell / self.cols();
         let j = cell % self.cols();
         if i == 0 || j == 0 {
-            return vec![];
+            return;
         }
-        vec![
+        out.extend([
             self.cell(i - 1, j - 1),
             self.cell(i - 1, j),
             self.cell(i, j - 1),
-        ]
+        ]);
     }
 
     fn compute(&self, cell: usize, get: &dyn Fn(usize) -> u32) -> u32 {
@@ -124,7 +124,7 @@ mod tests {
     #[test]
     fn dag_antichains_are_antidiagonals() {
         let p = Lcs::new(*b"abcd", *b"xyz");
-        let dag = dependency_dag(&p, &SeqExecutor);
+        let dag = dependency_dag(&p);
         // All border cells are base cases (level 0); interior cell (i, j)
         // sits at level i + j − 1, so the longest chain has |a| + |b| levels.
         assert_eq!(dag.longest_chain(), 4 + 3);

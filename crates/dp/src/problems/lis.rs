@@ -45,11 +45,9 @@ impl DpProblem for Lis {
         self.values.len() + 1
     }
 
-    fn dependencies(&self, cell: usize) -> Vec<usize> {
-        if cell == self.values.len() {
-            return (0..self.values.len()).collect();
-        }
-        (0..cell).collect()
+    fn dependencies(&self, cell: usize, out: &mut Vec<usize>) {
+        // The goal cell `n` reads all of `0..n`, like every other cell.
+        out.extend(0..cell);
     }
 
     fn compute(&self, cell: usize, get: &dyn Fn(usize) -> u32) -> u32 {
@@ -80,7 +78,7 @@ mod tests {
     use super::*;
     use crate::memo::solve_memoized;
     use crate::solver::{dependency_dag, solve_counter, solve_sequential, solve_wavefront};
-    use lopram_core::{PalPool, SeqExecutor};
+    use lopram_core::PalPool;
     use proptest::prelude::*;
 
     #[test]
@@ -108,7 +106,7 @@ mod tests {
     #[test]
     fn dag_is_a_transitive_tournament() {
         let p = Lis::new(vec![5, 1, 8, 2]);
-        let dag = dependency_dag(&p, &SeqExecutor);
+        let dag = dependency_dag(&p);
         // Every cell depends on all previous ones: longest chain = n + 1.
         assert_eq!(dag.longest_chain(), 5);
         assert_eq!(dag.max_width(), 1);

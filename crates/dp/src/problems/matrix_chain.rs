@@ -64,19 +64,14 @@ impl DpProblem for MatrixChain {
         self.matrices() * self.matrices()
     }
 
-    fn dependencies(&self, cell: usize) -> Vec<usize> {
+    fn dependencies(&self, cell: usize, out: &mut Vec<usize>) {
         let (i, j) = self.coords(cell);
-        if i >= j {
-            return vec![];
-        }
-        let mut deps = Vec::with_capacity(2 * (j - i));
+        let start = out.len();
         for k in i..j {
-            deps.push(self.cell(i, k));
-            deps.push(self.cell(k + 1, j));
+            out.push(self.cell(i, k));
+            out.push(self.cell(k + 1, j));
         }
-        deps.sort_unstable();
-        deps.dedup();
-        deps
+        super::sort_dedup_from(out, start);
     }
 
     fn compute(&self, cell: usize, get: &dyn Fn(usize) -> u64) -> u64 {
@@ -149,7 +144,7 @@ mod tests {
     #[test]
     fn dag_height_equals_chain_length() {
         let p = MatrixChain::new(vec![2; 9]); // 8 matrices
-        let dag = dependency_dag(&p, &SeqExecutor);
+        let dag = dependency_dag(&p);
         // Levels correspond to interval lengths 1..=8.
         assert_eq!(dag.longest_chain(), 8);
     }

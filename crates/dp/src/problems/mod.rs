@@ -25,3 +25,19 @@ pub mod lis;
 pub mod matrix_chain;
 pub mod optimal_bst;
 pub mod rod_cutting;
+
+/// Sort `out[start..]` and drop its duplicates, leaving `out[..start]` as it
+/// is: [`dependencies`](crate::DpProblem::dependencies) appends, so an
+/// implementation that lists a cell once per recurrence term tidies only its
+/// own tail of the buffer.
+fn sort_dedup_from(out: &mut Vec<usize>, start: usize) {
+    out[start..].sort_unstable();
+    let mut kept = start;
+    for read in start..out.len() {
+        if kept == start || out[read] != out[kept - 1] {
+            out[kept] = out[read];
+            kept += 1;
+        }
+    }
+    out.truncate(kept);
+}

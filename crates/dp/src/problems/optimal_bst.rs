@@ -75,23 +75,21 @@ impl DpProblem for OptimalBst {
         self.keys() * self.keys()
     }
 
-    fn dependencies(&self, cell: usize) -> Vec<usize> {
+    fn dependencies(&self, cell: usize, out: &mut Vec<usize>) {
         let (i, j) = self.coords(cell);
         if i >= j {
-            return vec![];
+            return;
         }
-        let mut deps = Vec::new();
+        let start = out.len();
         for r in i..=j {
             if r > i {
-                deps.push(self.cell(i, r - 1));
+                out.push(self.cell(i, r - 1));
             }
             if r < j {
-                deps.push(self.cell(r + 1, j));
+                out.push(self.cell(r + 1, j));
             }
         }
-        deps.sort_unstable();
-        deps.dedup();
-        deps
+        super::sort_dedup_from(out, start);
     }
 
     fn compute(&self, cell: usize, get: &dyn Fn(usize) -> u64) -> u64 {

@@ -49,8 +49,8 @@ impl DpProblem for RodCutting {
         self.length + 1
     }
 
-    fn dependencies(&self, cell: usize) -> Vec<usize> {
-        (0..cell).collect()
+    fn dependencies(&self, cell: usize, out: &mut Vec<usize>) {
+        out.extend(0..cell);
     }
 
     fn compute(&self, cell: usize, get: &dyn Fn(usize) -> u64) -> u64 {

@@ -20,9 +20,10 @@
 //!   cheap leaf against the rest of the chain) — maximally skewed join
 //!   structure, still configuration-independent, so cross-configuration
 //!   fork prediction must stay exact;
-//! * a **DP wavefront** (`PrefixChain` under `solve_wavefront`) — its
-//!   forks are `for_each_index` scope spawns, which the replayer carries
-//!   *as recorded*.  Spawn counts are a pure function of `(len, p)` but
+//! * a **DP wavefront** (`EditDistance` under `solve_wavefront`, on
+//!   `.grain(1)` pools so that its levels fork at all) — its forks are
+//!   `for_each_index` scope spawns, which the replayer carries *as
+//!   recorded*.  Spawn counts are a pure function of `(level widths, p)` but
 //!   `p`-*dependent* (`index_chunk_count`), so replay exactness holds at
 //!   the capture configuration (and against a fresh pool at the capture
 //!   `p`), while cross-`p` prediction is deliberately out of contract
@@ -30,7 +31,7 @@
 
 use lopram_core::policy::WAKE_GRAIN;
 use lopram_core::{DagTrace, PalPool, TraceConfig};
-use lopram_dp::prelude::{solve_sequential, solve_wavefront, PrefixChain};
+use lopram_dp::prelude::{solve_sequential, solve_wavefront, EditDistance};
 use lopram_graph::bfs::{bfs_par, bfs_seq};
 use lopram_graph::gen::gnm;
 use lopram_sim::replay::{ReplayGrain, TraceReplay};
@@ -292,22 +293,28 @@ proptest! {
         }
     }
 
-    // A DP wavefront (PrefixChain): every fork is a `for_each_index`
-    // scope spawn the replayer carries as recorded.  Spawn counts are
-    // pure in (len, p) but p-dependent, so the contract here is capture
-    // fidelity, identity replay, steal-free p = 1, and fork exactness
-    // against a fresh pool at the *capture* p — cross-p prediction is
-    // out of contract for spawn-based workloads (see module docs).
+    // A DP wavefront (edit distance on `.grain(1)` pools, where every
+    // antidiagonal of two or more cells is forked — a default pool runs
+    // levels this light as plain loops and would record nothing): every
+    // fork is a `for_each_index` scope spawn the replayer carries as
+    // recorded.  Spawn counts are pure in (level widths, p) but
+    // p-dependent, so the contract here is capture fidelity, identity
+    // replay, steal-free p = 1, and fork exactness against a fresh pool at
+    // the *capture* p — cross-p prediction is out of contract for
+    // spawn-based workloads (see module docs).
     #[test]
     fn dp_wavefront_replay_is_exact_at_capture_config(
-        len in 1usize..120,
-        seed in 0i64..1000,
+        len in 2usize..24,
+        seed in 0usize..1000,
     ) {
-        let values: Vec<i64> = (0..len as i64).map(|i| (i * 31 + seed) % 97 - 48).collect();
-        let problem = PrefixChain::new(values);
+        let text = |salt: usize| -> Vec<u8> {
+            (0..len).map(|i| b"acgt"[(i * salt + seed + i / 3) % 4]).collect()
+        };
+        let problem = EditDistance::new(text(3), text(7));
         let expected = solve_sequential(&problem).goal;
         for p in P_SWEEP {
-            let pool = traced_pool(p);
+            let pinned = || PalPool::builder().processors(p).grain(1);
+            let pool = pinned().trace(TraceConfig::default()).build().unwrap();
             let solution = solve_wavefront(&problem, &pool);
             prop_assert_eq!(solution.goal, expected, "wavefront diverged at p = {}", p);
             let m = pool.metrics().snapshot();
@@ -316,18 +323,19 @@ proptest! {
 
             let replay = TraceReplay::from_trace(trace);
             let recorded = replay.recorded();
-            let same = replay.predict(p, 2.0, ReplayGrain::Adaptive);
+            prop_assert!(recorded.forks > 0, "nothing spawned at p = {}", p);
+            let same = replay.predict(p, 2.0, ReplayGrain::Fixed(1));
             prop_assert!(same.at_capture_config, "p = {}", p);
             prop_assert_eq!(same.forks, recorded.forks, "identity forks, p = {}", p);
             prop_assert_eq!(same.steals, recorded.steals, "identity steals, p = {}", p);
-            let one = replay.predict(1, 2.0, ReplayGrain::Adaptive);
+            let one = replay.predict(1, 2.0, ReplayGrain::Fixed(1));
             prop_assert_eq!(one.steals, 0u64, "p = {}", p);
             prop_assert_eq!(one.scheduled, 0u64, "p = {}", p);
             prop_assert_eq!(one.elided, one.forks, "p = {}", p);
             // Replay exactness against a fresh measured pool at the
             // capture configuration: spawn counts are deterministic at
             // fixed p.
-            let fresh = PalPool::new(p).unwrap();
+            let fresh = pinned().build().unwrap();
             let fresh_solution = solve_wavefront(&problem, &fresh);
             prop_assert_eq!(fresh_solution.goal, expected);
             prop_assert_eq!(

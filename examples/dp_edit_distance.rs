@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use lopram::core::{PalPool, SeqExecutor};
+use lopram::core::PalPool;
 use lopram::dp::prelude::*;
 use lopram::sim::simulate_dag_schedule;
 
@@ -19,7 +19,7 @@ fn main() {
     let problem = EditDistance::new(a, b);
 
     // The dependency DAG and its antichain (Mirsky) decomposition.
-    let dag = dependency_dag(&problem, &SeqExecutor);
+    let dag = dependency_dag(&problem);
     println!(
         "edit distance {n}x{n}: {} cells, longest chain {}, max antichain width {}, avg width {:.1}",
         dag.work(),

@@ -2,7 +2,7 @@
 //! problem specification → dependency DAG (analysis) → ideal schedule
 //! (simulator) → real pal-thread execution (dp + core).
 
-use lopram::core::{PalPool, SeqExecutor};
+use lopram::core::PalPool;
 use lopram::dp::prelude::*;
 use lopram::sim::simulate_dag_schedule;
 
@@ -13,7 +13,7 @@ fn lcs_pipeline_from_spec_to_schedulers() {
     let problem = Lcs::new(a, b);
 
     // Dependency DAG and its antichain structure.
-    let dag = dependency_dag(&problem, &SeqExecutor);
+    let dag = dependency_dag(&problem);
     assert_eq!(dag.len(), problem.num_cells());
     assert!(dag.is_acyclic());
     let levels = dag.levels();
@@ -39,7 +39,7 @@ fn lcs_pipeline_from_spec_to_schedulers() {
 #[test]
 fn chain_dp_has_no_parallelism_but_stays_correct() {
     let problem = PrefixChain::new((0..3000).map(|i| (i % 997) as i64 - 498).collect());
-    let dag = dependency_dag(&problem, &SeqExecutor);
+    let dag = dependency_dag(&problem);
     assert_eq!(dag.max_width(), 1);
     assert!((dag.max_speedup(8) - 1.0).abs() < 1e-12);
 
@@ -184,7 +184,7 @@ fn floyd_warshall_matches_reference_through_the_full_pipeline() {
         expected
     );
 
-    let dag = dependency_dag(&problem, &SeqExecutor);
+    let dag = dependency_dag(&problem);
     // One antichain per k-slab plus the base slab.
     assert_eq!(dag.longest_chain(), 21);
 }
