@@ -1,8 +1,9 @@
 //! # lopram-analysis
 //!
 //! The analysis toolkit of the LoPRAM reproduction: everything §4 of the
-//! paper states analytically, implemented so the experiment harness can put
-//! predicted and measured numbers side by side.
+//! paper states analytically, implemented so the tests and the
+//! `paper_tables` example can put predicted and simulated numbers side by
+//! side.
 //!
 //! * [`growth`] — symbolic growth functions `c · n^k · log^j n`, the shape of
 //!   every driving function `f(n)` the Master theorem handles;

@@ -11,7 +11,7 @@
 //! and the parallel-merging variant divides the merge term at level `i` by
 //! the `min(a^i, p)` processors that can work on it (Eq. 5 context).  The
 //! evaluators here compute those quantities *exactly* (by walking the
-//! recursion levels), so experiment E7 can check that the step-accurate
+//! recursion levels), so the tests can check that the step-accurate
 //! simulator and the closed-form analysis agree.
 
 use crate::growth::Growth;
@@ -174,8 +174,7 @@ impl Recurrence {
     }
 }
 
-/// Recurrences for the classic algorithms used throughout the paper and the
-/// experiment harness.
+/// Recurrences for the classic algorithms used throughout the paper.
 pub mod catalog {
     use super::*;
 

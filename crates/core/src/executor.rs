@@ -9,8 +9,8 @@
 //! work-optimal parallel algorithms are obtained from "simple modifications
 //! of sequential algorithms": the modification is just the choice of
 //! executor.  Because `PalPool` and `ThrottledPool` expose the same trait,
-//! the scheduler-ablation experiment (E12) can run one algorithm body on
-//! both and compare their `RunMetrics` (spawned/inlined/steals) directly.
+//! a test can run one algorithm body on both and compare their results and
+//! `RunMetrics` (spawned/inlined/steals) directly.
 
 use std::ops::Range;
 

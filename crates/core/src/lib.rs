@@ -28,7 +28,7 @@
 //! * [`Executor`] — an abstraction over sequential and pal-thread execution
 //!   used by the divide-and-conquer and dynamic-programming crates;
 //! * [`SerCell`] — the paper's transparently *serialized shared variable*;
-//! * [`metrics`] — work / spawn accounting used by the experiment harness.
+//! * [`metrics`] — work / spawn accounting.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -131,8 +131,8 @@ pub enum ProcessorPolicy {
     /// `p = max(1, ⌈log₂ n⌉)`, capped by the host core count.  Useful when a
     /// power-of-two `n` should still use the "next" processor.
     LogNCeil,
-    /// A fixed processor count, still clamped to at least one.  Used by the
-    /// experiment harness to sweep `p ∈ {1, 2, 4, 8, …}` independently of `n`.
+    /// A fixed processor count, still clamped to at least one: sweeps
+    /// `p ∈ {1, 2, 4, 8, …}` independently of `n`.
     Fixed(usize),
     /// Use every core the host reports (`std::thread::available_parallelism`).
     Available,

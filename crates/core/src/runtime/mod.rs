@@ -28,15 +28,15 @@
 //!   processor can ever be free for them — are *elided* into plain
 //!   sequential calls that never touch the scheduler at all (see the
 //!   [`pool`](self) module docs).  This is the executor all algorithm
-//!   crates use and the one whose speedups the experiment harness reports.
+//!   crates use and the one the benchmark times.
 //! * [`ThrottledPool`] (ablation) — an eager variant that decides
 //!   *at creation time* whether a pal-thread gets its own processor or is
 //!   folded into its parent, and never revisits the decision.  It
-//!   deliberately lacks the migration rule; experiment E12
-//!   (`table_scheduler_ablation`) uses it to quantify what that rule buys.
-//!   Its committed pal-threads travel through the *same* work-stealing
-//!   runtime (`p − 1` persistent workers), so E12 compares scheduling
-//!   policies, not queue implementations.
+//!   deliberately lacks the migration rule and is kept as the eager
+//!   reference the tests compare `PalPool` against.  Its committed
+//!   pal-threads travel through the *same* work-stealing runtime (`p − 1`
+//!   persistent workers), so the two differ in scheduling policy, not in
+//!   queue implementation.
 //!
 //! The step-accurate, deterministic implementation of the paper's activation
 //! tree (the one that reproduces Figure 1 literally) is in the `lopram-sim`

@@ -24,8 +24,8 @@
 //! recursion cutoff depth `log_a p` of Figure 2 observable on the real pool,
 //! not just on the step-accurate `lopram-sim` simulator.  The
 //! eagerly-scheduled [`ThrottledPool`](crate::runtime::ThrottledPool), which
-//! deliberately lacks the migration rule, is kept as the experiment-E12
-//! ablation.
+//! deliberately lacks the migration rule, is kept as the eager reference the
+//! runtime tests compare against.
 //!
 //! # The α·log p sequential cutoff
 //!
@@ -46,8 +46,8 @@
 //! The default `α = 2` keeps twice the exact binary cutoff depth, leaving
 //! pending pal-threads for migration even on unbalanced trees; tune it with
 //! [`PalPoolBuilder::alpha`] or disable the throttle entirely with
-//! [`PalPoolBuilder::no_cutoff`] (the scheduler-ablation experiments do, to
-//! measure the raw runtime).
+//! [`PalPoolBuilder::no_cutoff`] (the runtime tests do, to exercise the raw
+//! runtime).
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -1085,9 +1085,8 @@ impl PalPoolBuilder {
     }
 
     /// Disable the depth throttle: every fork goes through the
-    /// work-stealing scheduler regardless of depth (used by the
-    /// scheduler-ablation and overhead benchmarks to measure the raw
-    /// runtime).
+    /// work-stealing scheduler regardless of depth (used by the runtime
+    /// tests and the overhead benchmarks to measure the raw runtime).
     pub fn no_cutoff(mut self) -> Self {
         self.alpha = None;
         self

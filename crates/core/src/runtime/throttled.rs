@@ -14,12 +14,13 @@
 //! its forks stay *pending* in per-worker deques until a processor actually
 //! takes them, so a processor that frees up later steals the oldest pending
 //! pal-thread (§3.1's activation rule).  `ThrottledPool` is retained as the
-//! ablation the experiment harness uses to quantify how much that rule
-//! actually buys (experiment E12, `table_scheduler_ablation`): on an
-//! unbalanced divide-and-conquer tree the two schedulers diverge sharply —
-//! `PalPool` keeps migrating the heavy pending subtree to whichever
-//! processor frees up, while `ThrottledPool` spawns once and then runs the
-//! rest of the chain sequentially.
+//! eager reference the tests compare against: `runtime_stress` and
+//! `model_integration` check that both schedulers return the same results,
+//! and `runtime_stress` that this one never steals.  On an unbalanced
+//! divide-and-conquer tree the two diverge sharply — `PalPool` keeps
+//! migrating the heavy pending subtree to whichever processor frees up,
+//! while `ThrottledPool` spawns once and then runs the rest of the chain
+//! sequentially.
 //!
 //! # Transport vs. policy
 //!
@@ -32,10 +33,10 @@
 //! calling thread plays the remaining processor.  What stays eager is the
 //! **policy**: [`ProcessorTokens`] admission is consulted once, at creation
 //! time, and a pal-thread denied a token is executed inline immediately and
-//! can never migrate later.  E12 therefore compares scheduling policies on
-//! identical data structures, not a lock-free runtime against OS-thread
-//! spawning.  The pool's own [`RunMetrics`] record only the eager decisions
-//! (`steals` is structurally zero).
+//! can never migrate later.  The two pools therefore differ in scheduling
+//! policy on identical data structures, not as a lock-free runtime against
+//! OS-thread spawning.  The pool's own [`RunMetrics`] record only the eager
+//! decisions (`steals` is structurally zero).
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -413,7 +414,7 @@ mod tests {
     #[test]
     fn eager_scheduler_never_steals() {
         // The defining gap to PalPool: no pending queue, so no migrations —
-        // the E12 ablation hinges on this staying zero.
+        // the comparison with it hinges on this staying zero.
         fn recurse(pool: &ThrottledPool, depth: usize) {
             if depth == 0 {
                 return;

@@ -23,8 +23,7 @@ use std::sync::Arc;
 pub struct ProcessorTokens {
     free: AtomicUsize,
     total: usize,
-    /// High-water mark of simultaneously acquired tokens, for tests and the
-    /// experiment harness.
+    /// High-water mark of simultaneously acquired tokens, for tests.
     peak_in_use: AtomicUsize,
 }
 

@@ -2,7 +2,7 @@
 //! forks below the top `⌈α·log₂ p⌉` recursion levels must degenerate to
 //! plain sequential calls — `spawned == 0` for them, no scheduler job ever
 //! created — while the levels above keep the full §3.1 migration behaviour
-//! (`table_scheduler_ablation --smoke` still asserts the divergence in CI).
+//! (`runtime_migration.rs` forces a steal with the cutoff on and off).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -50,8 +50,26 @@ fn await_flag(flag: &AtomicBool, what: &str) {
 /// which is circularly waiting for it) and times out.
 #[test]
 fn freed_processor_picks_up_pending_pal_thread() {
+    picks_up_pending_pal_thread(|| PalPool::new(2).unwrap());
+}
+
+/// The same forced steal on the raw runtime, with the α·log p throttle off:
+/// a throttle regression must not hide behind the default pool's steals,
+/// nor a runtime regression behind the throttle.
+#[test]
+fn freed_processor_picks_up_pending_pal_thread_without_cutoff() {
+    picks_up_pending_pal_thread(|| {
+        PalPool::builder()
+            .processors(2)
+            .no_cutoff()
+            .build()
+            .unwrap()
+    });
+}
+
+fn picks_up_pending_pal_thread(new_pool: impl Fn() -> PalPool) {
     for _ in 0..repeat(3) {
-        let pool = PalPool::new(2).unwrap();
+        let pool = new_pool();
         let inner_ran = AtomicBool::new(false);
         let parent_thread: Mutex<Option<ThreadId>> = Mutex::new(None);
         let inner_thread: Mutex<Option<ThreadId>> = Mutex::new(None);

@@ -3,9 +3,8 @@
 //! Splitting both operands in half and computing all four half-size products
 //! gives `T(n) = 4T(n/2) + Θ(n)` — still Master case 1 (`n^{log₂4} = n²`
 //! dominates the linear combine), so the pal-thread version is promised
-//! `O(T(n)/p)`.  This is the "unoptimised" sibling of Karatsuba; the
-//! experiment harness uses both to show that the speedup *shape* is the same
-//! even though the sequential constants differ.
+//! `O(T(n)/p)`.  This is the "unoptimised" sibling of Karatsuba: the same
+//! speedup *shape*, different sequential constants.
 
 use lopram_core::Executor;
 

@@ -5,8 +5,7 @@
 //! (`n^{log₂7} ≈ n^{2.81}` dominates), so Theorem 1 promises `O(T(n)/p)`.
 //! The seven recursive products are created as pal-threads.  The classical
 //! eight-product blocked recursion (`8T(n/2) + Θ(n²)`, also case 1) is
-//! provided as well, since the experiment harness compares both against the
-//! naive `Θ(n³)` baseline.
+//! provided as well, to compare both against the naive `Θ(n³)` baseline.
 
 use lopram_core::Executor;
 use parking_lot::Mutex;

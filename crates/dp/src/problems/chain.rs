@@ -4,8 +4,8 @@
 //! DAG is a path and hence there is no speedup possible."  [`PrefixChain`]
 //! computes running prefix aggregates where every cell depends only on its
 //! predecessor, so the dependency DAG is a path: the antichain decomposition
-//! has width 1 and every scheduler degenerates to sequential execution.  The
-//! experiment harness uses it to show measured speedup ≈ 1 regardless of `p`.
+//! has width 1 and every scheduler degenerates to sequential execution: its
+//! speedup bound is 1 regardless of `p`.
 
 use crate::spec::DpProblem;
 

@@ -48,7 +48,7 @@ pub trait DpProblem: Sync {
         self.num_cells().saturating_sub(1)
     }
 
-    /// A short human-readable name used by the experiment harness.
+    /// A short human-readable name.
     fn name(&self) -> &'static str {
         "dp-problem"
     }

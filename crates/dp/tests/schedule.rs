@@ -4,7 +4,9 @@
 //! * **levels** — a probe [`Executor`] that asks for every level to be
 //!   split sees one `for_each_index` per level of width ≥ 2, and a recording
 //!   problem sees every `compute`; together they spell out the antichains
-//!   the wavefront evaluates, which must be `dependency_dag(..).levels()`;
+//!   the wavefront evaluates, which must be `dependency_dag(..).levels()`,
+//!   a valid decomposition as tall as the longest chain (§4.3/§4.6), with
+//!   no speedup to offer exactly on the tables whose DAG is a path;
 //! * **values** — all three bottom-up solvers and `solve_memoized` agree at
 //!   p ∈ {1, 2, 3, 4, 8}, on default pools (every level a plain loop) and on
 //!   `.grain(1)` pools (every level of width ≥ 2 forked, one output buffer
@@ -221,6 +223,13 @@ where
 {
     let dag = dependency_dag(problem);
     let reference = dag.levels();
+    assert!(reference.validate(&dag), "{name}: antichain decomposition");
+    assert_eq!(reference.height(), dag.longest_chain(), "{name}: levels");
+    // §4.6: a table whose DAG is a path supports no speedup at all.
+    let path = ["rod-cutting", "lis", "prefix-chain"]
+        .iter()
+        .any(|path| name.starts_with(path));
+    assert_eq!(dag.max_speedup(8) == 1.0, path, "{name}: speedup bound");
     let levels = wavefront_levels(problem);
     assert_eq!(levels, reference.antichains, "{name}: antichains");
     assert_eq!(levels.len(), dag.longest_chain(), "{name}: height");

@@ -1,9 +1,9 @@
 //! Deterministic graph generators.
 //!
 //! Every generator is seeded (or shape-determined) and produces the same
-//! [`CsrGraph`] on every run, so the differential suite and the
-//! `table_graph_speedup` experiment can compare parallel and sequential
-//! kernels on identical inputs across processor counts.
+//! [`CsrGraph`] on every run, so the differential suite and the benchmark
+//! can compare parallel and sequential kernels on identical inputs across
+//! processor counts.
 //!
 //! ## The `G(n, m)` contract
 //!

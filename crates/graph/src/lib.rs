@@ -41,9 +41,9 @@
 //!
 //! Every parallel kernel has a sequential twin producing bit-identical
 //! output for any processor count; `tests/differential.rs` checks that
-//! property over random graphs at `p ∈ {1, 2, 4}`, and the
-//! `table_graph_speedup` experiment in `lopram-bench` measures the
-//! speedups.
+//! property over random graphs and on fixed shapes wide enough to fork at
+//! `p ∈ {1, 2, 4}`, and the standalone `benchmark/` workspace times the
+//! kernels against their twins.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -9,6 +9,11 @@
 //! accounting of the scan/pack primitives through
 //! [`assert_metrics_consistent`]: the fork count of a blocked primitive is
 //! a function of the block count alone, never of the schedule.
+//!
+//! Random graphs this small never clear the default pool's wake floor, so
+//! two plain tests add inputs that fork: the kernels on four fixed shapes,
+//! one of them wide enough that its passes split, and the exact fork count
+//! of label propagation on a path.
 
 use lopram_core::{assert_metrics_consistent, PalPool};
 use lopram_graph::prelude::*;
@@ -39,6 +44,67 @@ fn normalize(labels: &[usize]) -> Vec<usize> {
             rename[l]
         })
         .collect()
+}
+
+#[test]
+fn kernels_match_their_twins_on_shapes_that_fork() {
+    let shapes = [
+        // Wide enough that BFS's middle levels and the per-vertex passes
+        // clear the wake floor; the other three run every pass as one block.
+        ("gnm", gnm(1 << 15, 1 << 17, 42)),
+        ("grid", grid(48, 48)),
+        ("star", star(4096)),
+        ("tree", binary_tree(4095)),
+    ];
+    for (shape, g) in &shapes {
+        let dist = bfs_seq(g, 0);
+        let labels = components_seq(g);
+        let hist = degree_histogram_seq(g);
+        let triangles = triangle_count_seq(g);
+        for p in P_SWEEP {
+            let pool = PalPool::new(p).unwrap();
+            assert_eq!(bfs_par(g, &pool, 0), dist, "bfs, {shape}, p = {p}");
+            let label_prop = components_label_prop(g, &pool);
+            assert_eq!(label_prop, labels, "label propagation, {shape}, p = {p}");
+            let hook = components_hook(g, &pool);
+            assert_eq!(hook, labels, "tree hooking, {shape}, p = {p}");
+            assert_eq!(
+                degree_histogram(g, &pool),
+                hist,
+                "histogram, {shape}, p = {p}"
+            );
+            assert_eq!(
+                triangle_count(g, &pool),
+                triangles,
+                "triangles, {shape}, p = {p}"
+            );
+            // Chunks spawned from this (non-worker) thread, as the CC
+            // kernels' index passes are, are injected into the pool: a
+            // `spawned` count that needs no steal, so it holds whatever the
+            // schedule.  Whether anything was also stolen depends on it.
+            let m = pool.metrics().snapshot();
+            assert!(m.steals <= m.spawned, "{shape}, p = {p}: {m:?}");
+            if p == 1 {
+                assert_eq!(m.steals, 0, "{shape}: a one-processor pool cannot migrate");
+            } else if *shape == "gnm" {
+                assert!(
+                    m.spawned > 0,
+                    "p = {p}: no pass on gnm was granted a processor"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn label_propagation_on_a_path_forks_two_sweeps_at_p1() {
+    // At p = 1 the elided spawns run in creation (ascending-index) order,
+    // so label propagation on a path converges in exactly two sweeps (one
+    // propagating, one confirming the fixpoint) of 4 chunk spawns each.
+    let g = path(64);
+    let pool = PalPool::new(1).unwrap();
+    assert_eq!(components_label_prop(&g, &pool), components_seq(&g));
+    assert_metrics_consistent(pool.metrics(), 2 * 4);
 }
 
 proptest! {

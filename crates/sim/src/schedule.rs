@@ -470,7 +470,7 @@ mod tests {
 
     #[test]
     fn makespan_matches_eq3_for_power_of_a_processors() {
-        // E7: the simulated schedule and the closed-form Eq. 3 agree for
+        // The simulated schedule and the closed-form Eq. 3 agree for
         // mergesort-like costs when p is a power of a (up to the +1 divide
         // steps the analytic recurrence does not model).
         use lopram_analysis::recurrence::catalog;

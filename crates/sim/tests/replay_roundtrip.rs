@@ -16,7 +16,7 @@
 //! Two further workload families extend the coverage beyond the balanced
 //! shapes:
 //!
-//! * E12's **unbalanced divide-and-conquer tree** (each level joins a
+//! * the **unbalanced divide-and-conquer tree** (each level joins a
 //!   cheap leaf against the rest of the chain) — maximally skewed join
 //!   structure, still configuration-independent, so cross-configuration
 //!   fork prediction must stay exact;
@@ -54,8 +54,8 @@ fn join_tree(pool: &PalPool, depth: u32) -> u64 {
     a + b
 }
 
-/// E12's unbalanced divide-and-conquer shape (without the sleeps): each
-/// level forks a trivial leaf against the rest of the chain, so the tree
+/// The unbalanced divide-and-conquer shape: each level forks a trivial
+/// leaf against the rest of the chain, so the tree
 /// is a maximally skewed chain of `depth` joins — `depth` forks total,
 /// configuration-independent.
 fn unbalanced(pool: &PalPool, depth: u32) -> u64 {
@@ -251,7 +251,7 @@ proptest! {
         });
     }
 
-    // E12's unbalanced chain: the maximally skewed join tree must satisfy
+    // The unbalanced chain: the maximally skewed join tree must satisfy
     // the whole contract — capture fidelity, identity replay, steal-free
     // p = 1, and exact cross-configuration fork prediction (all its forks
     // are configuration-independent call sites: exactly `depth` at any

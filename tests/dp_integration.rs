@@ -36,6 +36,20 @@ fn lcs_pipeline_from_spec_to_schedulers() {
     assert_eq!(solve_memoized(&problem, &pool).goal, expected);
 }
 
+/// §3.2: "The algorithm must execute properly for any value of p" —
+/// Algorithm 1 on one table, from one processor to well past the core count.
+#[test]
+fn counter_solves_lcs_identically_for_any_p() {
+    let a: Vec<u8> = (0..200).map(|i| b"acgt"[(i * 3 + i / 7) % 4]).collect();
+    let b: Vec<u8> = (0..180).map(|i| b"acgt"[(i * 5 + i / 7) % 4]).collect();
+    let problem = Lcs::new(a, b);
+    let expected = solve_sequential(&problem).values;
+    for p in [1, 2, 3, 4, 6, 8, 12, 16] {
+        let pool = PalPool::new(p).unwrap();
+        assert_eq!(solve_counter(&problem, &pool).values, expected, "p = {p}");
+    }
+}
+
 #[test]
 fn chain_dp_has_no_parallelism_but_stays_correct() {
     let problem = PrefixChain::new((0..3000).map(|i| (i % 997) as i64 - 498).collect());

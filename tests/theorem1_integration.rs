@@ -2,7 +2,9 @@
 //! predictions, the simulator's schedules and the real pal-thread runtime
 //! must tell the same story for all three Master-theorem cases.
 
-use lopram::analysis::{parallel_master_bound, recurrence::catalog, MergeMode, SpeedupClass};
+use lopram::analysis::{
+    parallel_master_bound, recurrence::catalog, Growth, MergeMode, Recurrence, SpeedupClass,
+};
 use lopram::core::{PalPool, SeqExecutor};
 use lopram::dnc::case3::{cross_product_sum, pair_sum_oracle, CrossMergeMode};
 use lopram::dnc::karatsuba::{karatsuba_mul, schoolbook_mul};
@@ -125,4 +127,89 @@ fn figure2_cutoff_depth_matches_analysis() {
     let karatsuba = catalog::karatsuba();
     assert_eq!(karatsuba.parallel_depth(9), 2);
     assert_eq!(karatsuba.parallel_depth(8), 1);
+
+    // On the simulator, the deepest level whose calls all started at the
+    // same step — one processor each — is ⌊log_a p⌋.
+    for (a, b) in [(2, 2), (3, 2), (4, 2), (4, 4)] {
+        let rec = Recurrence::new(a, b, Growth::linear(1.0));
+        let tree = TaskTree::divide_and_conquer(1 << 8, a, b, 1, &CostSpec::unit());
+        for p in [2, 4, 8, 16] {
+            let result = TreeSimulator::new(&tree).run(p);
+            let started_together = |level: &&Vec<usize>| {
+                let at = |id: &usize| result.records[*id].activated_at;
+                level.len() > 1 && level.iter().all(|id| at(id) == at(&level[0]))
+            };
+            let deepest = tree.levels()[1..]
+                .iter()
+                .filter(started_together)
+                .map(|level| tree.node(level[0]).depth)
+                .max()
+                .unwrap_or(0);
+            assert_eq!(deepest, rec.parallel_depth(p), "a = {a}, b = {b}, p = {p}");
+        }
+    }
+}
+
+/// Theorem 1's shape on the simulated LoPRAM, one recurrence per Master
+/// case.  Eq. 3 rounds `log_a p` down, so it is a lower bound on the
+/// simulated speedup (case 1 at p = 2 simulates ≈ 2× against a predicted
+/// 1×); on cases 2 and 3 (sequential merges) it is also within 5%.
+#[test]
+fn simulated_speedup_meets_eq3_in_every_master_case() {
+    // (case, recurrence, n, a, k, tolerance) for T(n) = a·T(n/2) + n^k.
+    let cases = [
+        ("case 1", catalog::karatsuba(), 1 << 10, 3, 1, None),
+        ("case 2", catalog::mergesort(), 1 << 14, 2, 1, Some(0.05)),
+        (
+            "case 3",
+            catalog::quadratic_merge(),
+            1 << 9,
+            2,
+            2,
+            Some(0.05),
+        ),
+    ];
+    for (case, rec, n, a, k, tolerance) in cases {
+        let costs = CostSpec::merge_dominated(move |s| (s as u64).pow(k));
+        let tree = TaskTree::divide_and_conquer(n, a, 2, 1, &costs);
+        let t1 = TreeSimulator::new(&tree).run(1).makespan as f64;
+        for p in [2, 4, 8, 16] {
+            let speedup = t1 / TreeSimulator::new(&tree).run(p).makespan as f64;
+            let predicted = rec.predicted_speedup(n, p);
+            let label = format!("{case}, p = {p}: simulated {speedup}, Eq. 3 {predicted}");
+            assert!(speedup >= predicted, "{label}");
+            if let Some(tolerance) = tolerance {
+                assert!(speedup <= predicted * (1.0 + tolerance), "{label}");
+            }
+        }
+    }
+}
+
+/// A `2T(n/2) + n²` tree whose merges are parallelised as Eq. 5 assumes: a
+/// merge of size `s` gets the `p·s/n` processors its level has (at least
+/// one), since the `2^d` merges at depth `d` already run side by side.
+fn parallel_merge_tree(n: usize, p: usize) -> TaskTree {
+    let merge = move |s: usize| ((s * s) as u64).div_ceil((p * s / n).max(1) as u64);
+    TaskTree::divide_and_conquer(n, 2, 2, 1, &CostSpec::merge_dominated(merge))
+}
+
+#[test]
+fn parallel_merge_speedup_follows_eq5_and_never_exceeds_p() {
+    let n = 1 << 9;
+    let rec = catalog::quadratic_merge();
+    let t1 = TreeSimulator::new(&parallel_merge_tree(n, 1))
+        .run(1)
+        .makespan as f64;
+    for p in [2, 4, 8, 16] {
+        let tp = TreeSimulator::new(&parallel_merge_tree(n, p))
+            .run(p)
+            .makespan;
+        let speedup = t1 / tp as f64;
+        let predicted = rec.predicted_speedup_parallel_merge(n, p);
+        assert!(speedup <= p as f64, "p = {p}: speedup {speedup} above p");
+        assert!(
+            (speedup / predicted - 1.0).abs() <= 0.01,
+            "p = {p}: simulated {speedup}, Eq. 5 {predicted}"
+        );
+    }
 }
