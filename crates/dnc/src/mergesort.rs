@@ -28,9 +28,10 @@ pub const DEFAULT_GRAIN: usize = 64;
 ///
 /// A fork from a non-worker thread costs one wake/park round trip
 /// (≈ 47 µs on the 2-CPU benchmark container, see
-/// `lopram_core::policy::WAKE_GRAIN`); sorting 8192 `i64`s sequentially
-/// takes ≈ 0.35 ms ≈ 7 wakes, the smallest piece for which handing half
-/// of it to another processor still wins.  Measured on the benchmark's
+/// `lopram_core::policy::WAKE_GRAIN`); sorting 8192 random `i64`s
+/// sequentially takes 0.28–0.33 ms ≈ 6–7 wakes (0.41–0.50 ms before the
+/// merge went branch-free, same machine), still a piece for which handing
+/// half of it to another processor wins.  Measured on the benchmark's
 /// `batch-fine-pN` (p = 2): each sort of 2048 paid ≈ 50 µs of wake on
 /// ≈ 90 µs of sorting, `dnc.mergesort_vs_seq` 1.69 → 1.00 with the cutoff.
 pub const SEQ_CUTOFF: usize = 8192;
@@ -38,22 +39,45 @@ pub const SEQ_CUTOFF: usize = 8192;
 /// Sequential mergesort (the `T_1` baseline).
 pub fn merge_sort_seq<T: Ord + Copy>(data: &mut [T]) {
     let mut temp = data.to_vec();
-    msort_seq(data, &mut temp);
+    msort_seq(data, &mut temp, false);
 }
 
-fn msort_seq<T: Ord + Copy>(data: &mut [T], temp: &mut [T]) {
-    if data.len() <= 16 {
+/// Sorts the contents of `data` into `temp` (`into_temp`) or back into
+/// `data`.  The buffers ping-pong: the children leave their runs in the
+/// buffer this level merges *from*, so no level copies back.
+fn msort_seq<T: Ord + Copy>(data: &mut [T], temp: &mut [T], into_temp: bool) {
+    let n = data.len();
+    if n <= 16 {
         insertion_sort(data);
+        if into_temp {
+            temp.copy_from_slice(data);
+        }
         return;
     }
-    let n = data.len();
     let mid = n / 2;
-    let (dl, dr) = data.split_at_mut(mid);
-    let (tl, tr) = temp.split_at_mut(mid);
-    msort_seq(dl, tl);
-    msort_seq(dr, tr);
-    merge_into(dl, dr, temp);
-    data.copy_from_slice(&temp[..n]);
+    {
+        let (dl, dr) = data.split_at_mut(mid);
+        let (tl, tr) = temp.split_at_mut(mid);
+        msort_seq(dl, tl, !into_temp);
+        msort_seq(dr, tr, !into_temp);
+    }
+    let (src, dst) = ping_pong(data, temp, into_temp);
+    let (left, right) = src.split_at(mid);
+    merge_into(left, right, dst);
+}
+
+/// `(src, dst)` of a level's merge: the children sorted into the buffer
+/// this level does not write.
+fn ping_pong<'a, T>(
+    data: &'a mut [T],
+    temp: &'a mut [T],
+    into_temp: bool,
+) -> (&'a [T], &'a mut [T]) {
+    if into_temp {
+        (data, temp)
+    } else {
+        (temp, data)
+    }
 }
 
 /// Pal-thread mergesort with a sequential merge (the paper's listing).
@@ -70,7 +94,7 @@ where
     E: Executor,
 {
     let mut temp = data.to_vec();
-    msort_par(exec, data, &mut temp, SEQ_CUTOFF - 1, false);
+    msort_par(exec, data, &mut temp, SEQ_CUTOFF - 1, false, false);
 }
 
 /// Pal-thread mergesort with an explicit sequential-cutoff grain: forks
@@ -81,7 +105,7 @@ where
     E: Executor,
 {
     let mut temp = data.to_vec();
-    msort_par(exec, data, &mut temp, grain.max(2), false);
+    msort_par(exec, data, &mut temp, grain.max(2), false, false);
 }
 
 /// Pal-thread mergesort whose merge phase is itself parallelised (Eq. 5).
@@ -91,59 +115,66 @@ where
     E: Executor,
 {
     let mut temp = data.to_vec();
-    msort_par(exec, data, &mut temp, DEFAULT_GRAIN, true);
+    msort_par(exec, data, &mut temp, DEFAULT_GRAIN, true, false);
 }
 
-fn msort_par<T, E>(exec: &E, data: &mut [T], temp: &mut [T], grain: usize, parallel_merge: bool)
-where
+/// [`msort_seq`]'s ping-pong contract, with the two halves as pal-threads.
+fn msort_par<T, E>(
+    exec: &E,
+    data: &mut [T],
+    temp: &mut [T],
+    grain: usize,
+    parallel_merge: bool,
+    into_temp: bool,
+) where
     T: Ord + Copy + Send + Sync,
     E: Executor,
 {
-    if data.len() <= grain {
-        msort_seq(data, temp);
+    let n = data.len();
+    if n <= grain {
+        msort_seq(data, temp, into_temp);
         return;
     }
-    let n = data.len();
     let mid = n / 2;
-    let (dl, dr) = data.split_at_mut(mid);
-    let (tl, tr) = temp.split_at_mut(mid);
-    // palthreads { m_sort(left); m_sort(right); }
-    exec.join(
-        || msort_par(exec, dl, tl, grain, parallel_merge),
-        || msort_par(exec, dr, tr, grain, parallel_merge),
-    );
-    if parallel_merge {
-        merge_parallel(exec, dl, dr, temp, grain);
-    } else {
-        merge_into(dl, dr, temp);
+    {
+        let (dl, dr) = data.split_at_mut(mid);
+        let (tl, tr) = temp.split_at_mut(mid);
+        // palthreads { m_sort(left); m_sort(right); }
+        exec.join(
+            || msort_par(exec, dl, tl, grain, parallel_merge, !into_temp),
+            || msort_par(exec, dr, tr, grain, parallel_merge, !into_temp),
+        );
     }
-    data.copy_from_slice(&temp[..n]);
+    let (src, dst) = ping_pong(data, temp, into_temp);
+    let (left, right) = src.split_at(mid);
+    if parallel_merge {
+        merge_parallel(exec, left, right, dst, grain);
+    } else {
+        merge_into(left, right, dst);
+    }
 }
 
-/// Merge two sorted runs into `out` (sequentially).
+/// Merge two sorted runs into `out` (sequentially).  Stable: on equal
+/// keys the left run's element comes first.
+///
+/// Branch-free: the comparison becomes an index increment and a select,
+/// so random keys cost no mispredicted branch per element.
 pub fn merge_into<T: Ord + Copy>(left: &[T], right: &[T], out: &mut [T]) {
     debug_assert!(out.len() >= left.len() + right.len());
     let (mut i, mut j, mut k) = (0, 0, 0);
     while i < left.len() && j < right.len() {
-        if left[i] <= right[j] {
-            out[k] = left[i];
-            i += 1;
-        } else {
-            out[k] = right[j];
-            j += 1;
-        }
+        let (a, b) = (left[i], right[j]);
+        // Strictly less: a tie takes from the left, which keeps it stable.
+        let take_right = b < a;
+        out[k] = if take_right { b } else { a };
+        j += usize::from(take_right);
+        i += usize::from(!take_right);
         k += 1;
     }
-    while i < left.len() {
-        out[k] = left[i];
-        i += 1;
-        k += 1;
-    }
-    while j < right.len() {
-        out[k] = right[j];
-        j += 1;
-        k += 1;
-    }
+    let (left, right) = (&left[i..], &right[j..]);
+    out[k..k + left.len()].copy_from_slice(left);
+    k += left.len();
+    out[k..k + right.len()].copy_from_slice(right);
 }
 
 /// Merge two sorted runs into `out`, splitting the work across pal-threads:
@@ -312,6 +343,85 @@ mod tests {
         merge_into(&left, &right, &mut out_seq);
         merge_parallel(&pool, &left, &right, &mut out_par, 32);
         assert_eq!(out_seq, out_par);
+    }
+
+    /// A record ordered by `key` alone; `tag` tells equal keys apart.
+    #[derive(Clone, Copy, Debug)]
+    struct Rec {
+        key: u8,
+        tag: u32,
+    }
+
+    impl PartialEq for Rec {
+        fn eq(&self, other: &Self) -> bool {
+            self.key == other.key
+        }
+    }
+
+    impl Eq for Rec {}
+
+    impl PartialOrd for Rec {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for Rec {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.key.cmp(&other.key)
+        }
+    }
+
+    fn random_records(n: usize, seed: u64) -> Vec<Rec> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n as u32)
+            .map(|tag| Rec {
+                key: rng.gen_range(0..64u8),
+                tag,
+            })
+            .collect()
+    }
+
+    /// `(key, tag)` pairs: equality that sees the tags.
+    fn pairs(v: &[Rec]) -> Vec<(u8, u32)> {
+        v.iter().map(|r| (r.key, r.tag)).collect()
+    }
+
+    #[test]
+    fn every_sort_and_merge_is_stable() {
+        for n in [SEQ_CUTOFF - 1, SEQ_CUTOFF + 1, 4 * SEQ_CUTOFF + 3] {
+            let input = random_records(n, n as u64);
+            let mut expected = input.clone();
+            expected.sort_by_key(|r| r.key);
+            let expected = pairs(&expected);
+
+            // Two stably sorted runs merge into the stable sort of both.
+            let (mut left, mut right) = (input[..n / 2].to_vec(), input[n / 2..].to_vec());
+            left.sort_by_key(|r| r.key);
+            right.sort_by_key(|r| r.key);
+            let mut out = input.clone();
+            merge_into(&left, &right, &mut out);
+            assert_eq!(pairs(&out), expected, "merge_into, n = {n}");
+
+            let mut v = input.clone();
+            merge_sort_seq(&mut v);
+            assert_eq!(pairs(&v), expected, "merge_sort_seq, n = {n}");
+
+            for p in [1usize, 2, 4] {
+                let pool = PalPool::new(p).unwrap();
+                let (mut a, mut b, mut c) = (input.clone(), input.clone(), input.clone());
+                merge_sort(&pool, &mut a);
+                merge_sort_with_grain(&pool, &mut b, 8);
+                merge_sort_parallel_merge(&pool, &mut c);
+                for (name, v) in [
+                    ("merge_sort", a),
+                    ("merge_sort_with_grain(8)", b),
+                    ("merge_sort_parallel_merge", c),
+                ] {
+                    assert_eq!(pairs(&v), expected, "{name}, n = {n}, p = {p}");
+                }
+            }
+        }
     }
 
     #[test]
