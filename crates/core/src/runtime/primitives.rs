@@ -1,8 +1,9 @@
 //! Blocked data-parallel primitives on the [`PalPool`]: prefix-sum
 //! ([`scan`](PalPool::scan)), filtering ([`pack`](PalPool::pack)), CSR-style
 //! expansion ([`expand`](PalPool::expand)), index-space map
-//! ([`map_collect`](PalPool::map_collect)) and histogram-style reduction
-//! ([`reduce_by_index`](PalPool::reduce_by_index)).
+//! ([`map_collect`](PalPool::map_collect)), one value per block
+//! ([`map_blocks_in`](PalPool::map_blocks_in)) and histogram-style
+//! reduction ([`reduce_by_index`](PalPool::reduce_by_index)).
 //!
 //! Irregular workloads — frontier BFS, connected components, and the other
 //! graph kernels in `lopram-graph` — are built from exactly two primitives,
@@ -67,13 +68,14 @@
 //! | primitive | forks | below `WAKE_GRAIN` (default pool) |
 //! |-----------|-------|------|
 //! | [`map_collect`](PalPool::map_collect) / [`map_collect_in`](PalPool::map_collect_in) | `C − 1` | 0 |
+//! | [`map_blocks_in`](PalPool::map_blocks_in) | `C − 1` | 0 |
 //! | [`reduce_by_index`](PalPool::reduce_by_index) | `C − 1` | 0 |
 //! | [`scan`](PalPool::scan) / [`scan_in`](PalPool::scan_in) / [`scan_copy`](PalPool::scan_copy) | `2·(C − 1)` | 0 |
 //! | [`pack`](PalPool::pack) / [`pack_in`](PalPool::pack_in) | `2·(C − 1)` (`C − 1` when nothing survives) | 0 |
 //! | [`expand`](PalPool::expand) / [`expand_in`](PalPool::expand_in) | `2·(C − 1)` (block sums + write pass) | 0 |
 //!
 //! `len` is what each primitive blocks over: the input slice for
-//! scan/pack, the index range for map_collect/reduce_by_index, and
+//! scan/pack, the index range for map_collect/map_blocks_in/reduce_by_index, and
 //! `sizes.len()` — the number of *regions*, not of output slots — for
 //! expand (see the limit noted on [`expand_in`](PalPool::expand_in)).
 //!
@@ -420,9 +422,11 @@ impl PalPool {
     /// **Known limit.**  The blocking is keyed on `sizes.len()`, not on the
     /// number of output slots, so on a default pool fewer than
     /// [`WAKE_GRAIN`](crate::policy::WAKE_GRAIN) regions expand on one
-    /// thread however many slots they cover — a 4 k-vertex BFS frontier
-    /// with 64 k arcs is one block.  A slot-weighted blocking belongs with
-    /// direction-switching BFS (ROADMAP item 2(c)).
+    /// thread however many slots they cover.  Direction-switching BFS
+    /// sends every dense level bottom-up instead of through here, but a
+    /// sparse level can still be this shape: a 4 k-vertex frontier with
+    /// 64 k arcs expands on one thread.  Slot-weighted blocking is still
+    /// open (ROADMAP item 4(b)).
     pub fn expand_in<T, F>(&self, sizes: &[usize], fill: T, write: F, out: &mut Vec<T>)
     where
         T: Clone + Send + Sync + 'static,
@@ -505,6 +509,36 @@ impl PalPool {
             for (k, slot) in slots.iter_mut().enumerate() {
                 *slot = map(lo + k);
             }
+        });
+    }
+
+    /// One value per block of `range`: `out` is cleared and refilled with
+    /// `f(block)` for each of the `C = `[`chunk_count`](PalPool::chunk_count)`(range.len())`
+    /// balanced sub-ranges, in block order — a blocked reduction whose
+    /// combine step is left to the caller (it is over `C = O(p)` values).
+    /// `f` is called exactly once per block, so it may have side effects
+    /// on state it owns per index, e.g. a sweep over vertices that writes
+    /// each vertex's own slot and returns what it found.
+    ///
+    /// Costs `C − 1` forks (one pass) and, on a traced pool, records one
+    /// `Pass` event — unlike [`for_each_index`](PalPool::for_each_index),
+    /// whose chunking is cost-opaque.
+    pub fn map_blocks_in<T, F>(&self, range: Range<usize>, f: F, out: &mut Vec<T>)
+    where
+        T: Clone + Default + Send,
+        F: Fn(Range<usize>) -> T + Sync,
+    {
+        let len = range.end.saturating_sub(range.start);
+        if len == 0 {
+            out.clear();
+            return;
+        }
+        let chunks = self.chunk_count(len);
+        prepare_slots(out, chunks, T::default);
+        self.trace_pass(len, chunks);
+        self.blocked_balanced_mut(out, chunks, |c, slot| {
+            let at = |c| range.start + block_start(len, chunks, c);
+            slot[0] = f(at(c)..at(c + 1));
         });
     }
 
@@ -953,6 +987,38 @@ mod tests {
         assert_eq!(out.capacity(), cap);
         pool.map_collect_in(3..3, |i| i as u64, &mut out);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn map_blocks_in_covers_the_range_once_per_block() {
+        // Each block reports its own bounds: in order, contiguous, covering
+        // the range, one pass of `C − 1` forks.
+        for p in [1usize, 2, 4] {
+            for pool in pools(p) {
+                let range = 7..WAKE_GRAIN + 300;
+                let chunks = pool.chunk_count(range.len());
+                let mut out = vec![(9, 9); 3];
+                pool.map_blocks_in(range.clone(), |b| (b.start, b.end), &mut out);
+                assert_eq!(out.len(), chunks, "p = {p}");
+                assert_eq!(out[0].0, range.start);
+                assert_eq!(out[chunks - 1].1, range.end);
+                assert!(out.windows(2).all(|w| w[0].1 == w[1].0 && w[0].0 < w[0].1));
+                assert_metrics_consistent(pool.metrics(), chunks as u64 - 1);
+                pool.map_blocks_in(3..3, |b| (b.start, b.end), &mut out);
+                assert!(out.is_empty());
+            }
+        }
+        // One `Pass` event, so a replay can recount it under another grain.
+        let traced = PalPool::builder()
+            .processors(2)
+            .trace(crate::TraceConfig::default())
+            .build()
+            .unwrap();
+        let mut out = Vec::new();
+        traced.map_blocks_in(0..WAKE_GRAIN, |b| b.len(), &mut out);
+        let s = traced.take_trace().unwrap().summary();
+        assert_eq!((s.passes, s.pass_forks), (1, out.len() as u64 - 1));
+        assert_eq!(out.iter().sum::<usize>(), WAKE_GRAIN);
     }
 
     #[test]

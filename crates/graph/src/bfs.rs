@@ -1,36 +1,63 @@
-//! Breadth-first search: level-synchronous frontier BFS on the pal-thread
-//! runtime, with a sequential twin.
+//! Breadth-first search: level-synchronous, direction-switching frontier
+//! BFS on the pal-thread runtime, with a sequential twin that switches the
+//! same way.
 //!
-//! The parallel algorithm is the classic scan/pack formulation (Blelloch;
-//! Tithi et al.'s level-synchronous BFS with optimal prefix-sum; GBBS's
-//! `edgeMap`): per level, the frontier's degrees are block-summed inside
+//! **Direction.**  Every level runs one of two ways, chosen by one pure
+//! rule, [`is_dense_level`] (GBBS's `edgeMap` default, Dhulipala–Blelloch–
+//! Shun): a level is *dense* when its frontier and the frontier's arcs
+//! together exceed `m / 20` for a graph of `m` arcs.
+//!
+//! * A **sparse** level runs top-down (push): every frontier vertex claims
+//!   its unreached neighbours.
+//! * A **dense** level runs bottom-up (pull): every unreached vertex scans
+//!   its neighbours and stops at the first one at distance `level − 1`,
+//!   then writes only its own distance slot.  No claim, no candidate
+//!   buffer, no pack.  The result is exact on every schedule: a racy read
+//!   of a neighbour being found in this same level sees `UNREACHED` or
+//!   `level`, and neither equals `level − 1`.
+//!
+//! Each level's frontier size and arc count come from the level that found
+//! it: a dense pass's blocks return them, and a sparse level sums its new
+//! frontier's degrees in one loop (the sum the thin-level test always
+//! made).  A frontier list is rebuilt — one O(n) filter of
+//! `dist == level − 1` — only when a search switches from dense back to
+//! sparse.
+//!
+//! **Work bound.**  Every reached vertex is on exactly one frontier, so
+//! over a search the frontiers' sizes sum to at most `n` and their arcs to
+//! at most `m`.  A dense level takes more than `m / 20` of that `n + m`, so
+//! at most `20·(n + m)/m` levels are dense — about 30 on a connected graph,
+//! where `n ≤ m/2 + 1`.  A dense level costs O(n + m) and a sparse one
+//! O(its frontier and arcs), so a search costs O(n + m) whenever
+//! `n = O(m)`.
+//!
+//! **Parallel sparse levels** are the classic scan/pack formulation
+//! (Blelloch; Tithi et al.'s level-synchronous BFS with optimal
+//! prefix-sum): the frontier's degrees are block-summed inside
 //! [`PalPool::expand_in`] to give every frontier vertex its own region of
 //! the candidate buffer, candidates are claimed with a compare-and-swap
 //! on the distance array, and the claimed candidates are compacted into
-//! the next frontier with [`PalPool::pack_in`].  All parallelism flows
-//! through `PalPool::join`, so the kernel inherits the `⌈α·log₂ p⌉`
-//! sequential cutoff and full `RunMetrics` fork accounting.
+//! the next frontier with [`PalPool::pack_in`].  A **thin** sparse level —
+//! frontier and arcs each a single block under the pool's chunking policy,
+//! i.e. below [`WAKE_GRAIN`](lopram_core::policy::WAKE_GRAIN) on a default
+//! pool — is not worth three passes, let alone a wake: it runs as the
+//! sequential twin's loop on the calling thread.  A **dense** level is one
+//! blocked pass over the vertices ([`PalPool::map_blocks_in`]).  All
+//! parallelism flows through `PalPool::join`, so the kernel inherits the
+//! `⌈α·log₂ p⌉` sequential cutoff and full `RunMetrics` fork accounting.
 //!
-//! A **thin** level — one whose frontier and whose arcs are both a single
-//! block under the pool's chunking policy, i.e. below
-//! [`WAKE_GRAIN`](lopram_core::policy::WAKE_GRAIN) on a default pool — is
-//! not worth three passes, let alone a wake: it runs as the sequential
-//! twin's loop on the calling thread (Dhulipala–Blelloch–Shun run small
-//! frontiers through a sequential sparse path for the same reason).  A
-//! 384×384 grid never leaves that regime; a G(n, m) search enters the
-//! scan/pack pipeline after its first few levels and drops back out for
-//! its last.
+//! A 384×384 grid never goes dense and never leaves the thin regime; a
+//! G(2¹⁷, 2²⁰) search runs three thin levels, one scan/pack level, two
+//! dense levels and a thin last level.
 //!
-//! Every per-level buffer — frontier, degrees, candidates, and the
-//! distance array itself — is checked out of the pool's
+//! Every per-level buffer — frontier, degrees, candidates, block results,
+//! and the distance array itself — is checked out of the pool's
 //! [`Workspace`](lopram_core::Workspace) arena and reused across levels
 //! (and across BFS calls on the same pool), so a steady-state BFS level
 //! performs **zero allocations**: the GBBS recipe of reusing scratch
 //! rather than re-materializing it (`tests/alloc_counts.rs` holds a warm
-//! search to at most one heap allocation per level — the returned vector,
-//! amortized).
+//! search to exactly one heap allocation — the returned vector).
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lopram_core::runtime::cancel;
@@ -43,8 +70,33 @@ use crate::partition::PartitionPlan;
 /// Distance label of a vertex no BFS level reached.
 pub const UNREACHED: usize = usize::MAX;
 
+/// A BFS level is dense when its frontier and the frontier's arcs together
+/// exceed `m / DENSE_DIVISOR` for a graph of `m` arcs (GBBS's default).
+const DENSE_DIVISOR: usize = 20;
+
+/// The direction rule: `true` when a BFS level whose frontier holds
+/// `frontier_len` vertices with `frontier_arcs` arcs between them should
+/// run bottom-up on `graph` — when `frontier_len + frontier_arcs` exceeds
+/// `graph.arcs() / 20` (GBBS's default).
+///
+/// A pure function of the graph and the level's sizes — never of the pool
+/// — so every kernel, pool and trace takes the same directions.  Since the
+/// frontiers' sizes and arcs sum to at most `n + m`, at most
+/// `20·(n + m)/m` levels of a search are dense, and each costs O(n + m):
+/// total work stays O(n + m) whenever `n = O(m)` (see the module docs).
+pub fn is_dense_level(graph: &CsrGraph, frontier_len: usize, frontier_arcs: usize) -> bool {
+    frontier_len + frontier_arcs > graph.arcs() / DENSE_DIVISOR
+}
+
 /// Sequential BFS distances from `src` (`UNREACHED` for vertices in other
 /// components) — the differential twin of [`bfs_par`].
+///
+/// The same direction-switching search on one thread: a sparse level
+/// walks the frontier and appends what it claims, a dense level
+/// ([`is_dense_level`]) sweeps the unreached vertices for a neighbour at
+/// distance `level − 1`.  Writing `level` into a vertex mid-sweep cannot
+/// fool a later vertex, which compares against `level − 1`.  Work is
+/// O(n + m) whenever `n = O(m)` (see the module docs).
 ///
 /// # Panics
 ///
@@ -53,53 +105,97 @@ pub fn bfs_seq(graph: &CsrGraph, src: usize) -> Vec<usize> {
     assert!(src < graph.vertices(), "source {src} out of range");
     let mut dist = vec![UNREACHED; graph.vertices()];
     dist[src] = 0;
-    let mut queue = VecDeque::from([src]);
-    while let Some(u) = queue.pop_front() {
-        for &v in graph.neighbors(u) {
-            if dist[v] == UNREACHED {
-                dist[v] = dist[u] + 1;
-                queue.push_back(v);
+    // After a dense level `frontier` is left empty while `frontier_len`
+    // counts its vertices; the next sparse level rebuilds it.
+    let mut frontier = vec![src];
+    let mut next = Vec::new();
+    let (mut frontier_len, mut frontier_arcs) = (1, graph.degree(src));
+    let mut level = 0;
+    while frontier_len > 0 {
+        level += 1;
+        let parent = level - 1;
+        if is_dense_level(graph, frontier_len, frontier_arcs) {
+            frontier.clear();
+            (frontier_len, frontier_arcs) = (0, 0);
+            for v in 0..dist.len() {
+                if dist[v] != UNREACHED {
+                    continue;
+                }
+                let neighbors = graph.neighbors(v);
+                if neighbors.iter().any(|&u| dist[u] == parent) {
+                    dist[v] = level;
+                    frontier_len += 1;
+                    frontier_arcs += neighbors.len();
+                }
             }
+        } else {
+            if frontier.is_empty() {
+                frontier.extend((0..dist.len()).filter(|&v| dist[v] == parent));
+            }
+            next.clear();
+            for &u in &frontier {
+                for &v in graph.neighbors(u) {
+                    if dist[v] == UNREACHED {
+                        dist[v] = level;
+                        next.push(v);
+                    }
+                }
+            }
+            std::mem::swap(&mut frontier, &mut next);
+            frontier_len = frontier.len();
+            frontier_arcs = arcs_of(graph, &frontier);
         }
     }
     dist
 }
 
-/// Level-synchronous parallel BFS distances from `src`; identical output to
-/// [`bfs_seq`] for every processor count.
+/// Level-synchronous, direction-switching parallel BFS distances from
+/// `src`; identical output to [`bfs_seq`] for every processor count.
 ///
-/// Per **fat** level: one [`map_collect_in`](PalPool::map_collect_in)
-/// (frontier degrees), one [`expand_in`](PalPool::expand_in) (block-sum the
-/// degrees, then gather-and-claim neighbour candidates — duplicates are
-/// resolved by a compare-and-swap on the distance array, so each vertex
-/// enters exactly one frontier), one [`pack_in`](PalPool::pack_in) (compact
-/// the claimed candidates).  The set of vertices per level is
-/// deterministic — distances are the level number — even though which
-/// parent claims a shared candidate is not.
+/// Each level takes the direction [`is_dense_level`] gives it — a pure
+/// function of the graph and the level's sizes, so `bfs_seq`, a traced and
+/// an untraced pool all take the same directions:
 ///
-/// A **thin** level is a loop, not three passes: when
-/// [`chunk_count`](PalPool::chunk_count) is 1 for the frontier length *and*
-/// for the frontier's total degree (on a default pool: both below
-/// [`WAKE_GRAIN`](lopram_core::policy::WAKE_GRAIN)), every one of those
-/// passes would be a single block on the calling thread anyway, so the
-/// level runs as [`bfs_seq`]'s inner loop — for each frontier vertex, for
-/// each neighbour, claim if unreached and push — with no degree buffer, no
-/// candidate buffer, no compare-and-swap and no pack.  The level sits
-/// between two barriers on one thread, so relaxed loads and stores are
-/// sound, and the next frontier comes out in exactly the order the pack
-/// would have produced.  Fork count of such a level is 0 either way, so
-/// the closed form `Σ_levels passes·(C − 1)` is unchanged.  A *traced*
-/// pool ([`PalPool::is_tracing`]) never takes the loop: its levels keep
-/// recording the `Pass` events the replayer recounts under other grains.
+/// * **dense** — one [`map_blocks_in`](PalPool::map_blocks_in) pass over
+///   the [`chunk_count`](PalPool::chunk_count)`(n)` vertex blocks: every
+///   unreached vertex looks for a neighbour at distance `level − 1` and, if
+///   it finds one, stores `level` into its own slot (a relaxed store — no
+///   compare-and-swap: nobody else writes that slot this level, and a racy
+///   read of it sees `UNREACHED` or `level`, never `level − 1`).  Each
+///   block returns `(found, arcs)` for the next level's rule.  `C − 1`
+///   forks.
+/// * **sparse, fat** — one [`map_collect_in`](PalPool::map_collect_in)
+///   (frontier degrees), one [`expand_in`](PalPool::expand_in) (block-sum
+///   the degrees, then gather-and-claim neighbour candidates — duplicates
+///   are resolved by a compare-and-swap on the distance array, so each
+///   vertex enters exactly one frontier), one
+///   [`pack_in`](PalPool::pack_in) (compact the claimed candidates).
+///   Which parent claims a shared candidate is not deterministic; the set
+///   of vertices per level is.
+/// * **sparse, thin** — when `chunk_count` is 1 for the frontier length
+///   *and* for its arcs (on a default pool: both below
+///   [`WAKE_GRAIN`](lopram_core::policy::WAKE_GRAIN)), every one of those
+///   passes would be a single block on the calling thread anyway, so the
+///   level runs as [`bfs_seq`]'s sparse loop, with no degree buffer, no
+///   candidate buffer, no compare-and-swap and no pack.  The level sits
+///   between two barriers on one thread, so relaxed loads and stores are
+///   sound.  A *traced* pool ([`PalPool::is_tracing`]) never takes the
+///   loop: its levels keep recording the `Pass` events the replayer
+///   recounts under other grains.
+///
+/// A sparse level after a dense one first rebuilds its frontier list with
+/// one sequential O(n) filter.  The fork count is therefore the closed
+/// form `Σ_dense (C(n) − 1) + Σ_fat (3·(C_f − 1) + (1 or 2)·(C_a − 1))`,
+/// schedule-independent (`tests/bfs_levels.rs`).
 ///
 /// All level buffers come from [`PalPool::workspace`] and are reused
-/// across levels and calls: after the first level warms the arena, a
+/// across levels and calls: after the first search warms the arena, a
 /// level allocates nothing (see the module docs).
 ///
 /// Cancellation is cooperative: under
 /// [`run_cancellable`](lopram_core::run_cancellable) the search
 /// checkpoints at every level boundary and (through the primitives) at
-/// every fork and chunk boundary, so a fired token unwinds in O(grain)
+/// every fork and block boundary, so a fired token unwinds in O(grain)
 /// work — at most one thin level between two checkpoints — and the unwind
 /// returns every arena buffer, leaving the pool warm (what `lopram-serve`
 /// relies on when a client abandons a graph job mid-flight).
@@ -109,27 +205,65 @@ pub fn bfs_seq(graph: &CsrGraph, src: usize) -> Vec<usize> {
 /// Panics if `src` is not a vertex of `graph`.
 pub fn bfs_par(graph: &CsrGraph, pool: &PalPool, src: usize) -> Vec<usize> {
     assert!(src < graph.vertices(), "source {src} out of range");
+    let n = graph.vertices();
     let ws = pool.workspace();
     let mut dist = ws.checkout::<AtomicUsize>();
-    dist.resize_with(graph.vertices(), || AtomicUsize::new(UNREACHED));
+    dist.resize_with(n, || AtomicUsize::new(UNREACHED));
     dist[src].store(0, Ordering::Relaxed);
 
+    // After a dense level `frontier` is left empty while `frontier_len`
+    // counts its vertices; the next sparse level rebuilds it.
     let mut frontier = ws.checkout::<usize>();
     let mut next = ws.checkout::<usize>();
     let mut degrees = ws.checkout::<usize>();
     let mut candidates = ws.checkout::<usize>();
+    let mut found = ws.checkout::<(usize, usize)>();
     frontier.push(src);
+    let (mut frontier_len, mut frontier_arcs) = (1, graph.degree(src));
     let mut level = 0usize;
-    while !frontier.is_empty() {
+    while frontier_len > 0 {
         // Level boundary: the natural sequential point of the kernel.
         // Inside `run_cancellable` a fired token stops the search here at
         // the latest — the primitives below checkpoint at their own fork
-        // and chunk boundaries too.
+        // and block boundaries too.
         cancel::checkpoint();
         level += 1;
-        let frontier_ref: &[usize] = &frontier;
+        let parent = level - 1;
         let dist_ref: &[AtomicUsize] = &dist;
-        if is_thin_level(graph, pool, frontier_ref) {
+        if is_dense_level(graph, frontier_len, frontier_arcs) {
+            frontier.clear();
+            pool.map_blocks_in(
+                0..n,
+                |block| {
+                    let (mut count, mut arcs) = (0, 0);
+                    for v in block {
+                        if dist_ref[v].load(Ordering::Relaxed) != UNREACHED {
+                            continue;
+                        }
+                        let neighbors = graph.neighbors(v);
+                        if neighbors
+                            .iter()
+                            .any(|&u| dist_ref[u].load(Ordering::Relaxed) == parent)
+                        {
+                            dist_ref[v].store(level, Ordering::Relaxed);
+                            count += 1;
+                            arcs += neighbors.len();
+                        }
+                    }
+                    (count, arcs)
+                },
+                &mut found,
+            );
+            (frontier_len, frontier_arcs) = found
+                .iter()
+                .fold((0, 0), |(len, arcs), &(c, a)| (len + c, arcs + a));
+            continue;
+        }
+        if frontier.is_empty() {
+            frontier.extend((0..n).filter(|&v| dist_ref[v].load(Ordering::Relaxed) == parent));
+        }
+        let frontier_ref: &[usize] = &frontier;
+        if is_thin_level(pool, frontier_len, frontier_arcs) {
             next.clear();
             for &u in frontier_ref {
                 for &v in graph.neighbors(u) {
@@ -163,22 +297,31 @@ pub fn bfs_par(graph: &CsrGraph, pool: &PalPool, src: usize) -> Vec<usize> {
         // Swap the guards themselves (not their contents) so each buffer
         // stays attributed to its own checkout in the arena accounting.
         std::mem::swap(&mut frontier, &mut next);
+        frontier_len = frontier.len();
+        frontier_arcs = arcs_of(graph, &frontier);
     }
     dist.iter().map(|d| d.load(Ordering::Relaxed)).collect()
 }
 
-/// `true` when a BFS level over `frontier` is a single block end to end:
-/// the pool's chunking policy gives one block for the frontier (the degree
-/// and expand passes) and one block for its arcs (the pack pass), so the
-/// three passes would fork nothing and the level can run as a plain loop.
-/// A pure function of the level's sizes and the pool's configuration.
-fn is_thin_level(graph: &CsrGraph, pool: &PalPool, frontier: &[usize]) -> bool {
-    if pool.is_tracing() || pool.chunk_count(frontier.len()) != 1 {
-        return false;
-    }
-    let arcs: usize = frontier.iter().map(|&u| graph.degree(u)).sum();
+/// Total degree of `frontier`: the arc count a sparse level hands the
+/// direction rule.  Summed in its own loop after the level, not as a
+/// running sum in the discovery loop: on the 384² grid the running sum
+/// made a search ≈ 25 % slower in the benchmark's `batch-fine-pN`.
+fn arcs_of(graph: &CsrGraph, frontier: &[usize]) -> usize {
+    frontier.iter().map(|&v| graph.degree(v)).sum()
+}
+
+/// `true` when a sparse BFS level of `frontier_len` vertices and
+/// `frontier_arcs` arcs is a single block end to end: the pool's chunking
+/// policy gives one block for the frontier (the degree and expand passes)
+/// and one block for its arcs (the pack pass), so the three passes would
+/// fork nothing and the level can run as a plain loop.  A pure function of
+/// the level's sizes and the pool's configuration.
+fn is_thin_level(pool: &PalPool, frontier_len: usize, frontier_arcs: usize) -> bool {
     // `chunk_count` wants a non-empty pass; a level without arcs is thin.
-    arcs == 0 || pool.chunk_count(arcs) == 1
+    !pool.is_tracing()
+        && pool.chunk_count(frontier_len) == 1
+        && (frontier_arcs == 0 || pool.chunk_count(frontier_arcs) == 1)
 }
 
 /// Per-partition level state of the partitioned BFS: the current and the
@@ -406,6 +549,19 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_level_is_dense_past_one_twentieth_of_the_arcs() {
+        let g = gen::gnm(1000, 5000, 3);
+        assert_eq!(g.arcs() / DENSE_DIVISOR, 500);
+        assert!(!is_dense_level(&g, 100, 400));
+        assert!(is_dense_level(&g, 100, 401));
+        // A long path's levels never are; a star's hub level is.
+        let path = gen::path(1000);
+        assert!(!is_dense_level(&path, 1, 2));
+        let star = gen::star(1000);
+        assert!(is_dense_level(&star, 1, star.degree(0)));
     }
 
     #[test]

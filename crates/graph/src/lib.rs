@@ -20,8 +20,10 @@
 //! * [`csr`] — undirected compressed-sparse-row graphs;
 //! * [`gen`] — deterministic generators: seeded `G(n, m)`, grid, star,
 //!   path, complete binary tree;
-//! * [`bfs`] — level-synchronous frontier BFS ([`bfs::bfs_par`]) and its
-//!   sequential twin ([`bfs::bfs_seq`]);
+//! * [`bfs`] — level-synchronous, direction-switching frontier BFS
+//!   ([`bfs::bfs_par`]: sparse levels top-down by scan/pack, dense levels
+//!   bottom-up in one pass) and its sequential twin ([`bfs::bfs_seq`]),
+//!   which switches by the same rule ([`bfs::is_dense_level`]);
 //! * [`cc`] — connected components by parallel label propagation
 //!   ([`cc::components_label_prop`]) and tree hooking
 //!   ([`cc::components_hook`]), twin [`cc::components_seq`];
@@ -61,7 +63,7 @@ pub use csr::CsrGraph;
 
 /// Convenience prelude re-exporting the items most users need.
 pub mod prelude {
-    pub use crate::bfs::{bfs_par, bfs_partitioned, bfs_seq, levels, UNREACHED};
+    pub use crate::bfs::{bfs_par, bfs_partitioned, bfs_seq, is_dense_level, levels, UNREACHED};
     pub use crate::cc::{
         component_count, components_hook, components_label_prop, components_partitioned,
         components_seq,

@@ -13,9 +13,9 @@
 //!   really goes through the deque and is popped back);
 //! * a warm `scan_copy_in` / `pack_in` call allocates **nothing**, on
 //!   either side of the wake floor — all scratch comes from the arena;
-//! * a warm `bfs_par` with fat levels allocates the vector it returns and
-//!   nothing else — far inside one per level; the level buffers are the
-//!   arena's;
+//! * a warm `bfs_par` allocates the vector it returns and nothing else —
+//!   far inside one per level — through thin, fat and dense levels and a
+//!   rebuilt frontier; the level buffers are the arena's;
 //! * a warm `bfs_partitioned_with` allocates its result and its
 //!   per-partition table — under one per two levels — at
 //!   `parts ∈ {1, 2, 4}` (outboxes and frontiers are the arena's too).
@@ -105,23 +105,48 @@ fn warm_steady_state_allocation_counts() {
     }
 
     // -- BFS, flat and partitioned -----------------------------------------
-    // 2^17 arcs: the middle levels clear the wake floor and take the
-    // scan/pack pipeline (the fork count says so), the rest are thin loops.
+    // 2^17 arcs, so a level is dense above ~6.5 k frontier vertices + arcs:
+    // three sparse levels, two dense ones, a sparse last one (its frontier
+    // list rebuilt).  On the default pool every pass is one block; on the
+    // grain-64 pool the dense passes fork and the middle sparse levels take
+    // the scan/pack pipeline.
     let graph = gnm(1 << 13, 1 << 16, 42);
     let expected = bfs_seq(&graph, 0);
+    let pinned = PalPool::builder().processors(1).grain(64).build().unwrap();
+    let mut profile = vec![(0, 0); levels(&expected) + 1];
+    for (v, &d) in expected
+        .iter()
+        .enumerate()
+        .filter(|&(_, &d)| d != UNREACHED)
+    {
+        profile[d].0 += 1;
+        profile[d].1 += graph.degree(v);
+    }
+    let dense = |&(f, a): &(usize, usize)| is_dense_level(&graph, f, a);
+    assert!(profile.iter().any(dense), "no level was dense");
+    assert!(
+        profile
+            .iter()
+            .any(|l| !dense(l) && pinned.chunk_count(l.1) > 1),
+        "no level was fat"
+    );
     // Deep enough that the exact counts below sit inside "one per level"
     // (flat) and "one per two levels" (partitioned).
     assert!(levels(&expected) >= 3);
-    for _ in 0..2 {
-        let (dist, run) = pool.scoped_metrics(|| bfs_par(&graph, &pool, 0));
-        assert_eq!(dist, expected);
-        assert!(run.forks() > 0, "no level was fat");
+    for (grain, pool) in [("default", &pool), ("grain64", &pinned)] {
+        for _ in 0..2 {
+            assert_eq!(bfs_par(&graph, pool, 0), expected, "{grain}");
+        }
+        let flat = allocs(|| {
+            black_box(bfs_par(&graph, pool, 0));
+        });
+        // Exact, because p = 1 makes it so.
+        assert_eq!(
+            flat, 1,
+            "warm bfs_par allocates its result, nothing else ({grain})"
+        );
     }
-    let flat = allocs(|| {
-        black_box(bfs_par(&graph, &pool, 0));
-    });
-    // Exact, because p = 1 makes it so.
-    assert_eq!(flat, 1, "warm bfs_par allocates its result, nothing else");
+    assert!(pinned.metrics().forks() > 0);
     for parts in [1, 2, 4] {
         let plan = PartitionPlan::new(&graph, &pool, parts);
         for _ in 0..2 {

@@ -1,15 +1,18 @@
-//! `bfs_par` across the thin/fat level boundary.
+//! `bfs_par` across its three kinds of level.
 //!
-//! A BFS level whose frontier and arcs are each a single block under the
-//! pool's chunking policy runs as a plain loop on the calling thread; any
-//! other level runs the three-pass scan/pack pipeline.  The choice is a
-//! pure function of the level's sizes, so three things must hold on every
-//! shape, source, processor count and grain:
+//! A dense level ([`is_dense_level`]) runs bottom-up as one blocked pass
+//! over the vertices.  A sparse level whose frontier and arcs are each a
+//! single block under the pool's chunking policy runs as a plain loop on
+//! the calling thread; any other sparse level runs the three-pass
+//! scan/pack pipeline.  Every choice is a pure function of the level's
+//! sizes (the direction ignores the pool), so three things must hold on
+//! every shape, source, processor count and grain:
 //!
 //! * distances equal [`bfs_seq`]'s, however often a search switches
-//!   between the two level kinds;
-//! * the fork count is the closed form — zero for a thin level,
-//!   `3·(C_f − 1) + (1 or 2)·(C_a − 1)` for a fat one — exactly;
+//!   between the kinds;
+//! * the fork count is the closed form — `C_n − 1` for a dense level, zero
+//!   for a thin one, `3·(C_f − 1) + (1 or 2)·(C_a − 1)` for a fat one —
+//!   exactly;
 //! * a traced pool (which never takes the loop, so its `Pass` events stay
 //!   replayable) produces the same output and the same fork count.
 
@@ -29,36 +32,88 @@ fn level_profile(g: &CsrGraph, dist: &[usize]) -> Vec<(usize, usize)> {
     profile
 }
 
-/// The thin-level rule, restated through the one public function it is
-/// defined by.
-fn is_thin(pool: &PalPool, frontier: usize, arcs: usize) -> bool {
-    pool.chunk_count(frontier) == 1 && (arcs == 0 || pool.chunk_count(arcs) == 1)
+/// How `bfs_par` runs the level that expands a frontier.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Dense,
+    Thin,
+    Fat,
+}
+
+/// The kind of a level, restated through the public functions it is
+/// defined by: the direction rule, then `chunk_count`.
+fn kind(g: &CsrGraph, pool: &PalPool, frontier: usize, arcs: usize) -> Kind {
+    if is_dense_level(g, frontier, arcs) {
+        Kind::Dense
+    } else if pool.chunk_count(frontier) == 1 && (arcs == 0 || pool.chunk_count(arcs) == 1) {
+        Kind::Thin
+    } else {
+        Kind::Fat
+    }
 }
 
 /// Exact fork count of `bfs_par` on `pool` for a search with this level
-/// profile: a fat level costs one degree pass and two expand passes over
-/// the frontier's blocks, plus the pack's count pass (and its write pass
-/// unless the level discovered nothing) over the arcs' blocks.
-fn expected_forks(pool: &PalPool, profile: &[(usize, usize)]) -> u64 {
+/// profile: a dense level costs one pass over the vertices' blocks; a fat
+/// level one degree pass and two expand passes over the frontier's blocks,
+/// plus the pack's count pass (and its write pass unless the level
+/// discovered nothing) over the arcs' blocks.
+fn expected_forks(g: &CsrGraph, pool: &PalPool, profile: &[(usize, usize)]) -> u64 {
     let mut forks = 0;
     for (level, &(frontier, arcs)) in profile.iter().enumerate() {
-        if is_thin(pool, frontier, arcs) {
-            continue;
-        }
-        let discovered = profile.get(level + 1).is_some();
-        let c_f = pool.chunk_count(frontier) as u64;
-        let c_a = pool.chunk_count(arcs) as u64;
-        forks += 3 * (c_f - 1) + if discovered { 2 } else { 1 } * (c_a - 1);
+        forks += match kind(g, pool, frontier, arcs) {
+            Kind::Dense => pool.chunk_count(g.vertices()) as u64 - 1,
+            Kind::Thin => 0,
+            Kind::Fat => {
+                let discovered = profile.get(level + 1).is_some();
+                let c_f = pool.chunk_count(frontier) as u64;
+                let c_a = pool.chunk_count(arcs) as u64;
+                3 * (c_f - 1) + if discovered { 2 } else { 1 } * (c_a - 1)
+            }
+        };
     }
     forks
 }
 
-/// How a search's levels alternate: (thin → fat switches, fat → thin).
-fn switches(pool: &PalPool, profile: &[(usize, usize)]) -> (usize, usize) {
-    let thin: Vec<bool> = profile.iter().map(|&(f, a)| is_thin(pool, f, a)).collect();
-    let up = thin.windows(2).filter(|w| w[0] && !w[1]).count();
-    let down = thin.windows(2).filter(|w| !w[0] && w[1]).count();
-    (up, down)
+/// How often a search's levels switch kind: `[thin → fat, fat → thin,
+/// sparse → dense, dense → sparse]`.
+fn switches(g: &CsrGraph, pool: &PalPool, profile: &[(usize, usize)]) -> [usize; 4] {
+    let kinds: Vec<Kind> = profile.iter().map(|&(f, a)| kind(g, pool, f, a)).collect();
+    let count = |from: fn(Kind) -> bool, to: fn(Kind) -> bool| {
+        kinds.windows(2).filter(|w| from(w[0]) && to(w[1])).count()
+    };
+    [
+        count(|k| k == Kind::Thin, |k| k == Kind::Fat),
+        count(|k| k == Kind::Fat, |k| k == Kind::Thin),
+        count(|k| k != Kind::Dense, |k| k == Kind::Dense),
+        count(|k| k == Kind::Dense, |k| k != Kind::Dense),
+    ]
+}
+
+/// `gnm(2¹⁶, 2¹⁹, 42)` plus a second component: a source joined to every
+/// vertex of a 200-clique, and a 50-vertex tail hanging off the clique.
+/// The clique's level has 40 k arcs — fat on a default pool, yet sparse
+/// against the whole graph's 1.1 M — and the tail's levels are thin, so a
+/// search from the returned source switches fat → thin on any pool.
+fn gnm_with_clique() -> (CsrGraph, usize) {
+    let g = gnm(1 << 16, 1 << 19, 42);
+    let src = g.vertices();
+    let clique = src + 1..src + 201;
+    let mut edges: Vec<(usize, usize)> = (0..g.vertices())
+        .flat_map(|v| {
+            g.neighbors(v)
+                .iter()
+                .filter(move |&&u| v < u)
+                .map(move |&u| (v, u))
+        })
+        .collect();
+    for u in clique.clone() {
+        edges.push((src, u));
+        edges.extend((u + 1..clique.end).map(|w| (u, w)));
+    }
+    // The tail: a path leaving the clique's last vertex.
+    let tail = clique.end..clique.end + 50;
+    edges.extend((clique.end - 1..tail.end - 1).map(|v| (v, v + 1)));
+    (CsrGraph::from_undirected_edges(tail.end, &edges), src)
 }
 
 /// The default policy plus two pinned grains: `grain(64)` puts the
@@ -76,21 +131,26 @@ fn builders(p: usize) -> [(&'static str, PalPoolBuilder); 3] {
 #[test]
 fn bfs_is_exact_across_thin_and_fat_levels() {
     let hub_and_leaves = WAKE_GRAIN + 100;
+    let (gnm_wide, clique_src) = gnm_with_clique();
     let cases: Vec<(&str, CsrGraph, Vec<usize>)> = vec![
         // Corner: the frontier grows to a diagonal and shrinks back;
-        // centre: four fronts at once.
+        // centre: four fronts at once.  Never dense.
         ("grid", grid(48, 48), vec![0, 24 * 48 + 24]),
-        // One or two vertices per level, all the way.
+        // One or two vertices per level, all the way.  Never dense.
         ("path_permuted", path_permuted(3000, 5), vec![0, 1500]),
-        // From a leaf: one arc, then the hub's > WAKE_GRAIN arcs, then
-        // every leaf at once.
+        // From the hub: every leaf at once, bottom-up.  From a leaf: one
+        // arc, then the hub's > WAKE_GRAIN arcs, then every leaf.
         ("star", star(hub_and_leaves), vec![0, 5]),
-        // Widens past the default wake floor after a few levels and
-        // drops back under it for the last.
+        // Thin, then two dense levels below the default wake floor (they
+        // fork only on pinned grains), then thin again.
         ("gnm", gnm(1 << 14, 1 << 17, 7), vec![0, 9999]),
+        // n ≥ WAKE_GRAIN, so the dense passes fork on a default pool too.
+        // From 4: thin, one scan/pack level, dense, dense, thin.  From the
+        // clique's source: thin, scan/pack, then a thin tail.
+        ("gnm_wide", gnm_wide.clone(), vec![4, clique_src]),
     ];
-    let mut crossed_default = (0, 0);
-    let mut crossed_pinned = (0, 0);
+    let mut crossed_default = [0; 4];
+    let mut crossed_pinned = [0; 4];
     for (name, g, sources) in &cases {
         for &src in sources {
             let expected = bfs_seq(g, src);
@@ -102,25 +162,28 @@ fn bfs_is_exact_across_thin_and_fat_levels() {
                     let traced = builder.trace(TraceConfig::default()).build().unwrap();
                     assert_eq!(bfs_par(g, &plain, src), expected, "{label}");
                     assert_eq!(bfs_par(g, &traced, src), expected, "{label}, traced");
-                    let forks = expected_forks(&plain, &profile);
+                    let forks = expected_forks(g, &plain, &profile);
                     assert_eq!(plain.metrics().forks(), forks, "{label}: forks");
                     assert_eq!(traced.metrics().forks(), forks, "{label}: traced forks");
-                    let (up, down) = switches(&plain, &profile);
                     let crossed = if grain == "default" {
                         &mut crossed_default
                     } else {
                         &mut crossed_pinned
                     };
-                    crossed.0 += up;
-                    crossed.1 += down;
+                    for (total, n) in crossed.iter_mut().zip(switches(g, &plain, &profile)) {
+                        *total += n;
+                    }
                 }
             }
         }
     }
-    // The sweep really exercised both directions of the switch, on the
-    // default policy and on pinned grains.
-    assert!(crossed_default.0 > 0 && crossed_default.1 > 0);
-    assert!(crossed_pinned.0 > 0 && crossed_pinned.1 > 0);
+    // The sweep really exercised every switch — thin ⇄ fat and
+    // sparse ⇄ dense — on the default policy and on pinned grains.
+    assert!(
+        crossed_default.iter().all(|&n| n > 0),
+        "{crossed_default:?}"
+    );
+    assert!(crossed_pinned.iter().all(|&n| n > 0), "{crossed_pinned:?}");
 }
 
 #[test]

@@ -10,10 +10,16 @@
 //! [`assert_metrics_consistent`]: the fork count of a blocked primitive is
 //! a function of the block count alone, never of the schedule.
 //!
+//! Both BFS kernels switch direction per level, so they are also held to
+//! an independent oracle: a test-local textbook queue BFS, on dense random
+//! graphs and on multi-component ones.
+//!
 //! Random graphs this small never clear the default pool's wake floor, so
 //! two plain tests add inputs that fork: the kernels on four fixed shapes,
 //! one of them wide enough that its passes split, and the exact fork count
 //! of label propagation on a path.
+
+use std::collections::VecDeque;
 
 use lopram_core::{assert_metrics_consistent, PalPool};
 use lopram_graph::prelude::*;
@@ -44,6 +50,38 @@ fn normalize(labels: &[usize]) -> Vec<usize> {
             rename[l]
         })
         .collect()
+}
+
+/// Textbook BFS — one FIFO queue, no levels, no direction — the oracle
+/// both direction-switching kernels are held to.
+fn bfs_queue(graph: &CsrGraph, src: usize) -> Vec<usize> {
+    let mut dist = vec![UNREACHED; graph.vertices()];
+    dist[src] = 0;
+    let mut queue = VecDeque::from([src]);
+    while let Some(u) = queue.pop_front() {
+        for &v in graph.neighbors(u) {
+            if dist[v] == UNREACHED {
+                dist[v] = dist[u] + 1;
+                queue.push_back(v);
+            }
+        }
+    }
+    dist
+}
+
+/// `parts` disjoint `gnm(n, density · n, ·)` blocks side by side, each
+/// seeded apart: a source reaches its own block only.
+fn gnm_blocks(parts: usize, n: usize, density: usize, seed: u64) -> CsrGraph {
+    let mut edges = Vec::new();
+    for k in 0..parts {
+        let block = gnm(n, density * n, seed.wrapping_add(k as u64));
+        for v in 0..n {
+            for &u in block.neighbors(v).iter().filter(|&&u| v < u) {
+                edges.push((k * n + v, k * n + u));
+            }
+        }
+    }
+    CsrGraph::from_undirected_edges(parts * n, &edges)
 }
 
 #[test]
@@ -119,6 +157,27 @@ proptest! {
         let g = graph_from(n, &raw);
         let src = src % n;
         let expected = bfs_seq(&g, src);
+        for p in P_SWEEP {
+            let pool = PalPool::new(p).unwrap();
+            prop_assert_eq!(&bfs_par(&g, &pool, src), &expected, "p = {}", p);
+        }
+    }
+
+    #[test]
+    fn bfs_kernels_match_a_textbook_queue_bfs(
+        n in 1usize..64,
+        density in 0usize..17,
+        parts in 1usize..4,
+        seed in 0u64..u64::MAX,
+        src in 0usize..usize::MAX,
+    ) {
+        // Up to 16 edges per vertex (clamped to the complete graph), and
+        // up to three components: dense levels are common, unreachable
+        // vertices too.
+        let g = gnm_blocks(parts, n, density, seed);
+        let src = src % g.vertices();
+        let expected = bfs_queue(&g, src);
+        prop_assert_eq!(&bfs_seq(&g, src), &expected, "bfs_seq");
         for p in P_SWEEP {
             let pool = PalPool::new(p).unwrap();
             prop_assert_eq!(&bfs_par(&g, &pool, src), &expected, "p = {}", p);

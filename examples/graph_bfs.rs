@@ -1,9 +1,10 @@
 //! Level-synchronous frontier BFS on the pal-thread runtime.
 //!
 //! Demonstrates the irregular-workload path of the reproduction: a CSR
-//! graph, the scan/pack-based parallel BFS of `lopram-graph`, its
-//! sequential twin, and the `RunMetrics` counters that make the §3.1
-//! schedule observable.
+//! graph, the direction-switching parallel BFS of `lopram-graph` (sparse
+//! levels top-down by scan/pack, dense levels bottom-up), its sequential
+//! twin, and the `RunMetrics` counters that make the §3.1 schedule
+//! observable.
 //!
 //! ```sh
 //! cargo run --release --example graph_bfs
@@ -43,14 +44,26 @@ fn main() {
         levels(&par)
     );
 
-    // Per-level frontier sizes: the shape the scan/pack pipeline processes.
-    let mut sizes = vec![0usize; levels(&par) + 1];
-    for &d in par.iter().filter(|&&d| d != UNREACHED) {
-        sizes[d] += 1;
+    // Per-level frontier sizes and arcs, and the direction both kernels
+    // expand each frontier in: top-down (scan/pack) while it is sparse,
+    // bottom-up (every unreached vertex looks for a parent) once dense.
+    let mut frontiers = vec![(0usize, 0usize); levels(&par) + 1];
+    for (v, &d) in par.iter().enumerate().filter(|&(_, &d)| d != UNREACHED) {
+        frontiers[d].0 += 1;
+        frontiers[d].1 += g.degree(v);
     }
-    for (level, size) in sizes.iter().enumerate() {
-        println!("  level {level:>2}: {size:>6} vertices");
+    for (level, &(size, arcs)) in frontiers.iter().enumerate() {
+        let direction = if is_dense_level(&g, size, arcs) {
+            "dense, bottom-up"
+        } else {
+            "sparse, top-down"
+        };
+        println!("  level {level:>2}: {size:>6} vertices, {arcs:>6} arcs  {direction}");
     }
+    assert!(
+        frontiers.iter().any(|&(f, a)| is_dense_level(&g, f, a)),
+        "the search should switch to bottom-up for its widest levels"
+    );
 
     // The schedule the runtime produced, fork by fork.
     let m = pool.metrics();
