@@ -3,19 +3,17 @@
 //! The divide-and-conquer and dynamic-programming crates are written against
 //! the [`Executor`] trait so that the same algorithm text can run
 //! sequentially (the paper's `T(n) = T_1(n)` baseline), on a [`PalPool`]
-//! (real pal-threads on a bounded work-stealing pool, §3.1), on the eager
-//! [`ThrottledPool`] ablation, or — through the `lopram-sim` crate — on the
-//! deterministic LoPRAM simulator.  This mirrors the paper's claim that
-//! work-optimal parallel algorithms are obtained from "simple modifications
-//! of sequential algorithms": the modification is just the choice of
-//! executor.  Because `PalPool` and `ThrottledPool` expose the same trait,
-//! a test can run one algorithm body on both and compare their results and
-//! `RunMetrics` (spawned/inlined/steals) directly.
+//! (real pal-threads on a bounded work-stealing pool, §3.1), or — through
+//! the `lopram-sim` crate — on the deterministic LoPRAM simulator.  This
+//! mirrors the paper's claim that work-optimal parallel algorithms are
+//! obtained from "simple modifications of sequential algorithms": the
+//! modification is just the choice of executor, so a test can run one
+//! algorithm body on [`SeqExecutor`] and on a `PalPool` and compare the
+//! results directly.
 
 use std::ops::Range;
 
-use crate::runtime::{PalPool, ThrottledPool};
-use crate::Result;
+use crate::runtime::PalPool;
 
 /// An execution back-end for pal-thread style parallelism.
 pub trait Executor: Sync {
@@ -113,84 +111,6 @@ impl Executor for PalPool {
     }
 }
 
-impl Executor for ThrottledPool {
-    fn processors(&self) -> usize {
-        ThrottledPool::processors(self)
-    }
-
-    fn join<RA, RB>(&self, a: impl FnOnce() -> RA + Send, b: impl FnOnce() -> RB + Send) -> (RA, RB)
-    where
-        RA: Send,
-        RB: Send,
-    {
-        ThrottledPool::join(self, a, b)
-    }
-
-    fn for_each_index<F>(&self, range: Range<usize>, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        ThrottledPool::for_each_index(self, range, f)
-    }
-}
-
-/// Pal-thread executor owning its [`PalPool`].
-#[derive(Debug)]
-pub struct PalExecutor {
-    pool: PalPool,
-}
-
-impl PalExecutor {
-    /// Create an executor with exactly `p` processors.
-    pub fn new(p: usize) -> Result<Self> {
-        Ok(PalExecutor {
-            pool: PalPool::new(p)?,
-        })
-    }
-
-    /// Create an executor sized by the paper's `p = O(log n)` policy.
-    pub fn for_input_size(n: usize) -> Self {
-        PalExecutor {
-            pool: PalPool::for_input_size(n),
-        }
-    }
-
-    /// Wrap an existing pool.
-    pub fn from_pool(pool: PalPool) -> Self {
-        PalExecutor { pool }
-    }
-
-    /// Access the underlying pool.
-    pub fn pool(&self) -> &PalPool {
-        &self.pool
-    }
-}
-
-impl Executor for PalExecutor {
-    fn processors(&self) -> usize {
-        self.pool.processors()
-    }
-
-    fn join<RA, RB>(&self, a: impl FnOnce() -> RA + Send, b: impl FnOnce() -> RB + Send) -> (RA, RB)
-    where
-        RA: Send,
-        RB: Send,
-    {
-        self.pool.join(a, b)
-    }
-
-    fn for_each_index<F>(&self, range: Range<usize>, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.pool.for_each_index(range, f)
-    }
-
-    fn chunk_count(&self, len: usize) -> usize {
-        self.pool.chunk_count(len)
-    }
-}
-
 impl<E: Executor> Executor for &E {
     fn processors(&self) -> usize {
         (**self).processors()
@@ -235,11 +155,9 @@ mod tests {
     #[test]
     fn chunk_count_defaults_to_the_pass_policy_and_pools_forward_their_grain() {
         use crate::policy::{pass_chunks, WAKE_GRAIN};
-        let throttled = ThrottledPool::new(2).unwrap();
         let pool = PalPool::new(4).unwrap();
         for len in [1, 100, WAKE_GRAIN - 1, WAKE_GRAIN, 1 << 20] {
             assert_eq!(SeqExecutor.chunk_count(len), pass_chunks(len, 1));
-            assert_eq!(throttled.chunk_count(len), pass_chunks(len, 2));
             assert_eq!(Executor::chunk_count(&pool, len), pass_chunks(len, 4));
             assert_eq!(Executor::chunk_count(&&pool, len), pass_chunks(len, 4));
         }
@@ -247,9 +165,10 @@ mod tests {
         let pinned = PalPool::builder().processors(4).grain(64).build().unwrap();
         assert_eq!(Executor::chunk_count(&pinned, 128), 2);
         assert_eq!(Executor::chunk_count(&&pinned, 128), 2);
-        let exec = PalExecutor::from_pool(pinned);
-        assert_eq!(exec.chunk_count(128), 2);
-        assert_eq!(exec.chunk_count(1 << 20), exec.pool().chunk_count(1 << 20));
+        assert_eq!(
+            Executor::chunk_count(&pinned, 1 << 20),
+            pinned.chunk_count(1 << 20)
+        );
     }
 
     #[test]
@@ -261,36 +180,20 @@ mod tests {
     }
 
     #[test]
-    fn pal_executor_works() {
-        let exec = PalExecutor::new(4).unwrap();
-        exercise(&exec);
-        assert!(exec.is_parallel());
-        assert_eq!(exec.processors(), 4);
-    }
-
-    #[test]
     fn pool_is_an_executor() {
-        let pool = PalPool::new(2).unwrap();
+        let pool = PalPool::new(4).unwrap();
         exercise(&pool);
-    }
-
-    #[test]
-    fn throttled_pool_is_an_executor() {
-        let pool = ThrottledPool::new(2).unwrap();
-        exercise(&pool);
+        assert!(pool.is_parallel());
+        assert_eq!(Executor::processors(&pool), 4);
+        let sized = PalPool::for_input_size(1 << 12);
+        exercise(&sized);
+        assert_eq!(Executor::processors(&sized), sized.processors());
     }
 
     #[test]
     fn reference_to_executor_is_executor() {
         let exec = SeqExecutor;
         exercise(&&exec);
-    }
-
-    #[test]
-    fn pal_executor_for_input_size() {
-        let exec = PalExecutor::for_input_size(1 << 12);
-        assert!(exec.processors() >= 1);
-        assert!(exec.pool().processors() == exec.processors());
     }
 
     #[test]
@@ -305,7 +208,7 @@ mod tests {
         }
         let data: Vec<u64> = (0..1000).collect();
         let seq = sum(&SeqExecutor, &data);
-        let pal = sum(&PalExecutor::new(4).unwrap(), &data);
+        let pal = sum(&PalPool::new(4).unwrap(), &data);
         assert_eq!(seq, pal);
         assert_eq!(seq, 999 * 1000 / 2);
     }

@@ -43,24 +43,24 @@ pub mod sercell;
 mod macros;
 
 pub use error::{Error, Result};
-pub use executor::{Executor, PalExecutor, SeqExecutor};
+pub use executor::{Executor, SeqExecutor};
 pub use metrics::{assert_metrics_consistent, MetricsSnapshot, RunMetrics, SpeedupReport};
 pub use policy::{processors_for, ProcessorPolicy};
 pub use runtime::{
     run_cancellable, CancelReason, CancelToken, ChaosConfig, DagTrace, PalPool, PalPoolBuilder,
-    PalScope, PoolHealth, Scan, SelfHeal, ThrottledPool, ThrottledScope, TraceConfig, TraceEvent,
-    TraceSummary, Workspace, WorkspaceGuard, WorkspaceStats,
+    PalScope, PoolHealth, Scan, SelfHeal, TraceConfig, TraceEvent, TraceSummary, Workspace,
+    WorkspaceGuard, WorkspaceStats,
 };
 pub use sercell::SerCell;
 
 /// Convenience prelude re-exporting the items almost every user needs.
 pub mod prelude {
-    pub use crate::executor::{Executor, PalExecutor, SeqExecutor};
+    pub use crate::executor::{Executor, SeqExecutor};
     pub use crate::palthreads;
     pub use crate::policy::{processors_for, ProcessorPolicy};
     pub use crate::runtime::{
         run_cancellable, CancelReason, CancelToken, ChaosConfig, DagTrace, PalPool, PalPoolBuilder,
-        PalScope, PoolHealth, Scan, SelfHeal, ThrottledPool, TraceConfig, Workspace,
+        PalScope, PoolHealth, Scan, SelfHeal, TraceConfig, Workspace,
     };
     pub use crate::sercell::SerCell;
 }

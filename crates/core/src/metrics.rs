@@ -11,9 +11,7 @@
 //! a processor precisely by being *stolen*: an idle processor picks the
 //! oldest pending pal-thread off another processor's deque (§3.1's "pending
 //! pal-threads are activated … as resources become available").  The
-//! [`steals`](RunMetrics::steals) counter records those migrations; on the
-//! eager [`ThrottledPool`](crate::ThrottledPool) ablation it is always zero
-//! because spawn-vs-inline is decided irrevocably at creation time.
+//! [`steals`](RunMetrics::steals) counter records those migrations.
 //!
 //! A fourth outcome exists since the α·log p sequential cutoff landed: a
 //! fork issued below the top `⌈α·log₂ p⌉` recursion levels is **elided** —
@@ -35,8 +33,7 @@ pub struct RunMetrics {
     /// `p` processors were busy.
     pub inlined: AtomicU64,
     /// Number of pending pal-threads that migrated to a processor other
-    /// than their creator (successful steals).  Zero on schedulers without
-    /// a pending queue (e.g. the `ThrottledPool` ablation).
+    /// than their creator (successful steals).
     pub steals: AtomicU64,
     /// Number of pal-thread creation points elided by the α·log p depth
     /// cutoff: the fork ran as a plain sequential call and no scheduler job

@@ -22,10 +22,9 @@
 //! pal-threads picked up by a processor that freed up after their creation,
 //! `inlined` counts pal-threads folded into their parent.  This makes the
 //! recursion cutoff depth `log_a p` of Figure 2 observable on the real pool,
-//! not just on the step-accurate `lopram-sim` simulator.  The
-//! eagerly-scheduled [`ThrottledPool`](crate::runtime::ThrottledPool), which
-//! deliberately lacks the migration rule, is kept as the eager reference the
-//! runtime tests compare against.
+//! not just on the step-accurate `lopram-sim` simulator, and
+//! `tests/runtime_migration.rs` pins the migration rule itself: a pending
+//! pal-thread is taken by whichever processor frees up first.
 //!
 //! # The α·log p sequential cutoff
 //!
@@ -863,8 +862,7 @@ impl PalPool {
     /// [`PalPoolBuilder::grain`] pins the per-block floor and disables
     /// both the wake floor and the oversubscription rule (a pinned pool
     /// forks on tiny inputs — that is what tests pin closed forms with);
-    /// [`PalPoolBuilder::no_adaptive_grain`] restores the legacy fixed
-    /// `4·p` blocking exactly.
+    /// `grain(1)` is exactly the legacy fixed `4·p` blocking.
     ///
     /// The policy is a pure function of `(len, p, configuration)` — never
     /// of the observed schedule — so a primitive's fork count (`blocks −
@@ -1096,8 +1094,7 @@ impl PalPoolBuilder {
     /// least `min_grain` elements each, with the default policy's wake
     /// floor ([`WAKE_GRAIN`](crate::policy::WAKE_GRAIN)) and steal-informed
     /// `8·p` oversubscription rule both disabled.  `min_grain = 1` is
-    /// exactly the legacy fixed-`4p` blocking (see
-    /// [`no_adaptive_grain`](PalPoolBuilder::no_adaptive_grain)).
+    /// exactly the legacy fixed-`4p` blocking.
     ///
     /// Pinning makes [`chunk_count`](PalPool::chunk_count) — and hence
     /// every primitive's fork count — a closed-form function of `(len,
@@ -1108,14 +1105,6 @@ impl PalPoolBuilder {
             min: min_grain.max(1),
         };
         self
-    }
-
-    /// Restore the legacy fixed-`4p` blocking: no wake or cost-model floor
-    /// for small inputs, no steal-informed oversubscription.  Equivalent to
-    /// [`grain(1)`](PalPoolBuilder::grain); kept as a named escape hatch
-    /// for ablations and before/after benchmarks.
-    pub fn no_adaptive_grain(self) -> Self {
-        self.grain(1)
     }
 
     /// Enable execution tracing: record every fork, spawn, elision,
@@ -1444,12 +1433,8 @@ mod tests {
         assert_eq!(pinned.chunk_count(1 << 20), 16);
         assert_eq!(pinned.chunk_count(128), 2);
 
-        // Legacy escape hatch: exactly the old fixed-4p blocking.
-        let legacy = PalPool::builder()
-            .processors(4)
-            .no_adaptive_grain()
-            .build()
-            .unwrap();
+        // Grain 1: exactly the old fixed-4p blocking.
+        let legacy = PalPool::builder().processors(4).grain(1).build().unwrap();
         assert_eq!(legacy.chunk_count(10), 10);
         assert_eq!(legacy.chunk_count(100), 16);
         assert_eq!(legacy.chunk_count(1 << 20), 16);

@@ -1128,11 +1128,7 @@ mod tests {
         pool.scan(&input, 0, |a, b| a + b);
         assert_metrics_consistent(pool.metrics(), 0);
 
-        let legacy = PalPool::builder()
-            .processors(4)
-            .no_adaptive_grain()
-            .build()
-            .unwrap();
+        let legacy = PalPool::builder().processors(4).grain(1).build().unwrap();
         assert_eq!(legacy.chunk_count(100), 16);
         legacy.scan(&input, 0, |a, b| a + b);
         assert_metrics_consistent(legacy.metrics(), 2 * 15);

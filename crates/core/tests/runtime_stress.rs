@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use lopram_core::{
-    assert_metrics_consistent, run_cancellable, CancelReason, CancelToken, PalPool, ThrottledPool,
+    assert_metrics_consistent, run_cancellable, CancelReason, CancelToken, PalPool, SeqExecutor,
     TraceConfig,
 };
 
@@ -506,9 +506,9 @@ fn deadline_blown_job_stops_and_generous_deadline_completes() {
     }
 }
 
-/// Both runtimes agree with the sequential result under repeated
-/// contention — §3.2's "the algorithm must execute properly for any value
-/// of p", exercised across scheduler implementations.
+/// The pool agrees with the sequential executor under repeated contention,
+/// with and without the α·log p cutoff — §3.2's "the algorithm must execute
+/// properly for any value of p".
 #[test]
 fn schedulers_agree_under_stress() {
     let data: Vec<u64> = (0..2048).collect();
@@ -523,17 +523,15 @@ fn schedulers_agree_under_stress() {
         a + b
     }
 
+    assert_eq!(sum(&SeqExecutor, &data), expected);
     let pal = PalPool::new(3).unwrap();
-    let throttled = ThrottledPool::new(3).unwrap();
+    let raw = PalPool::builder()
+        .processors(3)
+        .no_cutoff()
+        .build()
+        .unwrap();
     for i in 0..repeat(100) {
         assert_eq!(sum(&pal, &data), expected, "PalPool iteration {i}");
-        assert_eq!(
-            sum(&throttled, &data),
-            expected,
-            "ThrottledPool iteration {i}"
-        );
+        assert_eq!(sum(&raw, &data), expected, "no-cutoff iteration {i}");
     }
-    // And the ablation gap is structural, not incidental: the eager
-    // scheduler never migrated anything.
-    assert_eq!(throttled.metrics().steals(), 0);
 }

@@ -18,8 +18,7 @@
 //!
 //! All parallel entry points are generic over
 //! [`Executor`](lopram_core::Executor), so the same code runs sequentially
-//! (`SeqExecutor`), on the pal-thread pool (`PalPool`) or on the throttled
-//! ablation pool.
+//! (`SeqExecutor`) or on the pal-thread pool (`PalPool`).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -24,13 +24,13 @@
 //!   ([`bfs::bfs_par`]: sparse levels top-down by scan/pack, dense levels
 //!   bottom-up in one pass) and its sequential twin ([`bfs::bfs_seq`]),
 //!   which switches by the same rule ([`bfs::is_dense_level`]);
-//! * [`cc`] — connected components by parallel label propagation
-//!   ([`cc::components_label_prop`]) and tree hooking
-//!   ([`cc::components_hook`]), twin [`cc::components_seq`];
+//! * [`cc`] — the connected-components twin [`cc::components_seq`], the
+//!   partition-and-fuse kernel [`cc::components_partitioned`] and
+//!   [`cc::component_count`];
 //! * [`uf`] — work-efficient connected components by sampled concurrent
 //!   union-find ([`uf::components_union_find`]): CAS hooking, path
-//!   splitting, Afforest-style edge sampling — constant blocked passes
-//!   where the [`cc`] kernels pay O(diameter) rounds;
+//!   splitting, Afforest-style edge sampling — a constant number of
+//!   blocked passes regardless of diameter;
 //! * [`kernels`] — degree histogram (via
 //!   [`reduce_by_index`](lopram_core::PalPool::reduce_by_index)) and
 //!   ordered triangle count, with twins;
@@ -64,10 +64,7 @@ pub use csr::CsrGraph;
 /// Convenience prelude re-exporting the items most users need.
 pub mod prelude {
     pub use crate::bfs::{bfs_par, bfs_partitioned, bfs_seq, is_dense_level, levels, UNREACHED};
-    pub use crate::cc::{
-        component_count, components_hook, components_label_prop, components_partitioned,
-        components_seq,
-    };
+    pub use crate::cc::{component_count, components_partitioned, components_seq};
     pub use crate::csr::CsrGraph;
     pub use crate::fuse::{fuse, FusionNode};
     pub use crate::gen::{binary_tree, gnm, gnm_streamed, grid, path, path_permuted, star};

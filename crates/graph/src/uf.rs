@@ -1,14 +1,14 @@
 //! Work-efficient connected components: concurrent union-find with
 //! CAS-based hooking, path splitting, and Afforest-style sampling.
 //!
-//! The round-synchronous kernels in [`cc`](crate::cc) pay O(diameter)
-//! blocked passes — a path graph forces `n − 1` rounds of label
-//! propagation.  This module implements the sampled concurrent
-//! union-find of Dhulipala–Blelloch–Shun (ConnectIt / Afforest,
-//! arXiv 1805.05208) on the same blocked primitives, so the pass count
-//! is a **constant** (`sample_edges + 1` index passes plus one blocked
-//! flatten) regardless of diameter, and the fork count stays an exact,
-//! schedule-independent closed form ([`union_find_forks`]).
+//! A round-synchronous kernel (label propagation, Shiloach–Vishkin
+//! hooking) pays O(diameter) or O(log n) blocked passes — a path graph
+//! forces `n − 1` rounds of label propagation.  This module implements
+//! the sampled concurrent union-find of Dhulipala–Blelloch–Shun
+//! (ConnectIt / Afforest, arXiv 1805.05208) on the blocked primitives,
+//! so the pass count is a **constant** (`sample_edges + 1` index passes
+//! plus one blocked flatten) regardless of diameter, and the fork count
+//! stays an exact, schedule-independent closed form ([`union_find_forks`]).
 //!
 //! The three phases:
 //!
@@ -223,8 +223,7 @@ fn finish_phase(
 ///
 /// Exactly [`union_find_forks`] forks — constant passes regardless of
 /// graph diameter, which is what makes this kernel work-efficient where
-/// [`components_label_prop`](crate::cc::components_label_prop) pays
-/// O(diameter) rounds.
+/// label propagation pays O(diameter) rounds.
 pub fn components_union_find(graph: &CsrGraph, pool: &PalPool) -> Vec<usize> {
     components_union_find_with(graph, pool, &UnionFindConfig::default())
 }

@@ -11,9 +11,7 @@ use std::time::Duration;
 
 use lopram_core::{run_cancellable, CancelReason, CancelToken, PalPool};
 use lopram_graph::bfs::{bfs_par, bfs_seq};
-use lopram_graph::cc::{
-    components_hook, components_label_prop, components_partitioned, components_seq,
-};
+use lopram_graph::cc::{components_partitioned, components_seq};
 use lopram_graph::uf::components_union_find;
 use lopram_graph::{gen, CsrGraph};
 
@@ -21,9 +19,7 @@ use lopram_graph::{gen, CsrGraph};
 type CcKernel = fn(&CsrGraph, &PalPool) -> Vec<usize>;
 
 /// Every parallel CC kernel, each run under `run_cancellable` below.
-const CC_KERNELS: [(&str, CcKernel); 4] = [
-    ("hook", components_hook),
-    ("label_prop", components_label_prop),
+const CC_KERNELS: [(&str, CcKernel); 2] = [
     ("union_find", components_union_find),
     ("partitioned", |g, pool| components_partitioned(g, pool, 2)),
 ];
@@ -40,7 +36,7 @@ fn live_token_changes_nothing() {
             "p = {p}"
         );
         assert_eq!(
-            run_cancellable(&token, || components_hook(&g, &pool)).as_deref(),
+            run_cancellable(&token, || components_union_find(&g, &pool)).as_deref(),
             Ok(components_seq(&g).as_slice()),
             "p = {p}"
         );
@@ -97,7 +93,7 @@ fn cancelled_kernel_leaves_the_arena_warm() {
             run_cancellable(&live, || bfs_par(&g, &pool, 0)).as_ref(),
             Ok(&expected)
         );
-        let labels = run_cancellable(&live, || components_hook(&g, &pool)).unwrap();
+        let labels = run_cancellable(&live, || components_union_find(&g, &pool)).unwrap();
         assert_eq!(labels, components_seq(&g));
     }
     let warm = pool.workspace().stats().grown_bytes;
@@ -112,7 +108,7 @@ fn cancelled_kernel_leaves_the_arena_warm() {
             "iteration {i}"
         );
         assert_eq!(
-            run_cancellable(&fired, || components_hook(&g, &pool)),
+            run_cancellable(&fired, || components_union_find(&g, &pool)),
             Err(CancelReason::Cancelled),
             "iteration {i}"
         );

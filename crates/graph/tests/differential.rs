@@ -15,9 +15,8 @@
 //! graphs and on multi-component ones.
 //!
 //! Random graphs this small never clear the default pool's wake floor, so
-//! two plain tests add inputs that fork: the kernels on four fixed shapes,
-//! one of them wide enough that its passes split, and the exact fork count
-//! of label propagation on a path.
+//! a plain test adds inputs that fork: the kernels on four fixed shapes,
+//! one of them wide enough that its passes split.
 
 use std::collections::VecDeque;
 
@@ -102,10 +101,10 @@ fn kernels_match_their_twins_on_shapes_that_fork() {
         for p in P_SWEEP {
             let pool = PalPool::new(p).unwrap();
             assert_eq!(bfs_par(g, &pool, 0), dist, "bfs, {shape}, p = {p}");
-            let label_prop = components_label_prop(g, &pool);
-            assert_eq!(label_prop, labels, "label propagation, {shape}, p = {p}");
-            let hook = components_hook(g, &pool);
-            assert_eq!(hook, labels, "tree hooking, {shape}, p = {p}");
+            let union_find = components_union_find(g, &pool);
+            assert_eq!(union_find, labels, "union-find, {shape}, p = {p}");
+            let partitioned = components_partitioned(g, &pool, 4);
+            assert_eq!(partitioned, labels, "partitioned CC, {shape}, p = {p}");
             assert_eq!(
                 degree_histogram(g, &pool),
                 hist,
@@ -132,17 +131,6 @@ fn kernels_match_their_twins_on_shapes_that_fork() {
             }
         }
     }
-}
-
-#[test]
-fn label_propagation_on_a_path_forks_two_sweeps_at_p1() {
-    // At p = 1 the elided spawns run in creation (ascending-index) order,
-    // so label propagation on a path converges in exactly two sweeps (one
-    // propagating, one confirming the fixpoint) of 4 chunk spawns each.
-    let g = path(64);
-    let pool = PalPool::new(1).unwrap();
-    assert_eq!(components_label_prop(&g, &pool), components_seq(&g));
-    assert_metrics_consistent(pool.metrics(), 2 * 4);
 }
 
 proptest! {
@@ -193,15 +181,15 @@ proptest! {
         let expected = components_seq(&g);
         for p in P_SWEEP {
             let pool = PalPool::new(p).unwrap();
-            let prop_labels = components_label_prop(&g, &pool);
-            let hook_labels = components_hook(&g, &pool);
-            // All three algorithms label components by their minimum
-            // vertex id, so the comparison is exact…
-            prop_assert_eq!(&prop_labels, &expected, "label propagation, p = {}", p);
-            prop_assert_eq!(&hook_labels, &expected, "tree hooking, p = {}", p);
+            let uf_labels = components_union_find(&g, &pool);
+            let fused_labels = components_partitioned(&g, &pool, 2);
+            // Every kernel labels components by their minimum vertex id,
+            // so the comparison is exact…
+            prop_assert_eq!(&uf_labels, &expected, "union-find, p = {}", p);
+            prop_assert_eq!(&fused_labels, &expected, "partitioned CC, p = {}", p);
             // …and a fortiori up to relabelling (the weaker contract a
             // future variant without the min-id guarantee must keep).
-            prop_assert_eq!(normalize(&hook_labels), normalize(&expected));
+            prop_assert_eq!(normalize(&uf_labels), normalize(&expected));
             // The component count is invariant under relabelling.
             prop_assert_eq!(
                 component_count(&normalize(&expected)),

@@ -121,7 +121,7 @@ fn flat_and_partitioned_kernels_agree() {
     let g = gnm(300, 1200, 29);
     let pool = PalPool::new(4).unwrap();
     let flat_dist = bfs_par(&g, &pool, 0);
-    let flat_labels = components_hook(&g, &pool);
+    let flat_labels = components_union_find(&g, &pool);
     for parts in PARTS_SWEEP {
         assert_eq!(bfs_partitioned(&g, &pool, 0, parts), flat_dist);
         assert_eq!(components_partitioned(&g, &pool, parts), flat_labels);

@@ -74,20 +74,13 @@ fn tracing_is_an_observer_for_graph_kernels() {
             components_union_find(&graph, &traced),
             "p = {p}: tracing changed CC output"
         );
-        // Fork totals are compared only over kernels whose fork counts are
-        // exact closed forms of the input (BFS, union-find) …
+        // Both kernels' fork counts are exact closed forms of the input,
+        // so tracing must leave the totals untouched.
         let mp = plain.metrics().snapshot();
         let mt = traced.metrics().snapshot();
         assert!(mp.forks() > 0, "p = {p}: the kernels forked");
         assert_eq!(mp.forks(), mt.forks(), "p = {p}: tracing changed forks");
         assert_eq!(mp.elided, mt.elided, "p = {p}: tracing changed elisions");
-        // … tree hooking's round count depends on the schedule at p > 1,
-        // so for it tracing is held to the output alone.
-        assert_eq!(
-            components_hook(&graph, &plain),
-            components_hook(&graph, &traced),
-            "p = {p}: tracing changed hook-CC output"
-        );
     }
 }
 

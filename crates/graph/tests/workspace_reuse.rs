@@ -83,14 +83,8 @@ fn cc_label_buffers_reuse_the_arena() {
         for (grain, pool) in pools(p) {
             assert_steady_state(
                 &pool,
-                &format!("cc-labelprop/p{p}/{grain}"),
-                || components_label_prop(&g, &pool),
-                &expected,
-            );
-            assert_steady_state(
-                &pool,
-                &format!("cc-hook/p{p}/{grain}"),
-                || components_hook(&g, &pool),
+                &format!("cc-union-find/p{p}/{grain}"),
+                || components_union_find(&g, &pool),
                 &expected,
             );
         }

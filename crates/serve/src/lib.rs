@@ -60,6 +60,7 @@
 pub mod fault;
 pub mod job;
 pub mod service;
+mod tokens;
 
 pub use fault::{Fault, FaultPlan};
 pub use job::{JobContext, JobError, JobReport, JobSpec, JobTicket, SubmitError};

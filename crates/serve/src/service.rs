@@ -8,12 +8,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lopram_core::runtime::{Permit, ProcessorTokens};
 use lopram_core::{run_cancellable, CancelToken, ChaosConfig, MetricsSnapshot, PalPool, SelfHeal};
 use parking_lot::{Condvar, Mutex};
 
 use crate::fault::{Fault, FaultPlan};
 use crate::job::{JobError, JobFn, JobReport, JobSpec, JobTicket, SubmitError, TicketState};
+use crate::tokens::{Permit, ProcessorTokens};
 
 /// Service configuration.  All limits are hard: the queue never grows
 /// past `queue_capacity`, a tenant never holds more than `tenant_budget`

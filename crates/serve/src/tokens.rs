@@ -1,62 +1,51 @@
-//! Processor tokens: the bounded-degree admission control of the *eager*
-//! pal-thread scheduler.
+//! Budget tokens: the per-tenant admission control of the job service.
 //!
-//! Only the [`ThrottledPool`](crate::ThrottledPool) ablation uses these
-//! tokens (spawn-or-inline decided once, at creation); they are its
-//! *policy*, while the shared work-stealing runtime is its transport.  The
-//! default [`PalPool`](crate::PalPool) does not use them: its admission
-//! control is the work-stealing runtime itself — `p` persistent workers, so
-//! at most `p` pal-threads execute concurrently, with pending forks queued
-//! rather than folded away (and forks below the α·log p cutoff depth never
-//! created at all).
+//! Each tenant owns one [`ProcessorTokens`] budget; a dispatched job holds
+//! its cost in [`Permit`]s for its whole run.  Acquisition is the §3.1
+//! throttle's non-blocking rule — a job that cannot get its tokens now
+//! stays queued instead of waiting on them.  The pool itself needs no
+//! tokens: its admission control is the work-stealing runtime (`p`
+//! persistent workers, pending forks queued until a processor frees up).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// A counting semaphore over "extra processors".
+/// A non-blocking counting semaphore: one tenant's budget.
 ///
-/// A LoPRAM with `p` processors hands `p − 1` tokens to the pool (the thread
-/// that calls into the pool is itself the remaining processor).  Acquisition
-/// never blocks: if no token is available the pal-thread is executed inline
-/// by its parent, which is precisely the scheduler rule of §3.1.
+/// Acquisition never blocks: if no token is free the caller is told so at
+/// once and decides what to do instead — the dispatcher leaves the job
+/// queued, as §3.1 leaves a pal-thread denied a processor pending.
 #[derive(Debug)]
-pub struct ProcessorTokens {
+pub(crate) struct ProcessorTokens {
     free: AtomicUsize,
     total: usize,
-    /// High-water mark of simultaneously acquired tokens, for tests.
-    peak_in_use: AtomicUsize,
 }
 
 impl ProcessorTokens {
-    /// Create a token pool with `extra` tokens (i.e. for `extra + 1` processors).
-    pub fn new(extra: usize) -> Arc<Self> {
+    /// Create a budget of `total` tokens.
+    pub(crate) fn new(total: usize) -> Arc<Self> {
         Arc::new(ProcessorTokens {
-            free: AtomicUsize::new(extra),
-            total: extra,
-            peak_in_use: AtomicUsize::new(0),
+            free: AtomicUsize::new(total),
+            total,
         })
     }
 
-    /// Total number of tokens managed by this pool.
-    pub fn total(&self) -> usize {
+    /// Total number of tokens in this budget.
+    pub(crate) fn total(&self) -> usize {
         self.total
     }
 
     /// Number of tokens currently free.
-    pub fn free(&self) -> usize {
+    #[cfg(test)]
+    fn free(&self) -> usize {
         self.free.load(Ordering::Acquire)
-    }
-
-    /// Largest number of tokens ever simultaneously in use.
-    pub fn peak_in_use(&self) -> usize {
-        self.peak_in_use.load(Ordering::Relaxed)
     }
 
     /// Try to acquire a token without blocking.
     ///
     /// Returns a `Permit` that releases the token when dropped (including
-    /// on panic), or `None` if every processor is busy.
-    pub fn try_acquire(self: &Arc<Self>) -> Option<Permit> {
+    /// on panic), or `None` if every token is held.
+    pub(crate) fn try_acquire(self: &Arc<Self>) -> Option<Permit> {
         let mut cur = self.free.load(Ordering::Acquire);
         loop {
             if cur == 0 {
@@ -67,8 +56,6 @@ impl ProcessorTokens {
                 .compare_exchange_weak(cur, cur - 1, Ordering::AcqRel, Ordering::Acquire)
             {
                 Ok(_) => {
-                    let in_use = self.total - (cur - 1);
-                    self.peak_in_use.fetch_max(in_use, Ordering::Relaxed);
                     return Some(Permit {
                         tokens: Arc::clone(self),
                     });
@@ -83,9 +70,9 @@ impl ProcessorTokens {
     }
 }
 
-/// RAII guard for one processor token.
+/// RAII guard for one token.
 #[derive(Debug)]
-pub struct Permit {
+pub(crate) struct Permit {
     tokens: Arc<ProcessorTokens>,
 }
 
@@ -120,19 +107,6 @@ mod tests {
         assert!(t.try_acquire().is_none());
         assert_eq!(t.free(), 0);
         assert_eq!(t.total(), 0);
-    }
-
-    #[test]
-    fn peak_tracks_high_water_mark() {
-        let t = ProcessorTokens::new(3);
-        let a = t.try_acquire().unwrap();
-        let b = t.try_acquire().unwrap();
-        assert_eq!(t.peak_in_use(), 2);
-        drop(a);
-        drop(b);
-        let _c = t.try_acquire().unwrap();
-        // Peak stays at its maximum even after tokens are released.
-        assert_eq!(t.peak_in_use(), 2);
     }
 
     #[test]

@@ -76,9 +76,10 @@ fn main() {
         m.forks(),
     );
 
-    // Connected components agree across all three algorithms too.
-    let labels = components_label_prop(&g, &pool);
+    // Connected components: union-find and the partition-and-fuse kernel
+    // both reproduce the sequential twin.
+    let labels = components_union_find(&g, &pool);
     assert_eq!(labels, components_seq(&g));
-    assert_eq!(labels, components_hook(&g, &pool));
+    assert_eq!(labels, components_partitioned(&g, &pool, p));
     println!("components: {}", component_count(&labels));
 }

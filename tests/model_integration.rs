@@ -4,7 +4,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use lopram::core::{palthreads, processors_for, PalPool, ProcessorPolicy, SerCell, ThrottledPool};
+use lopram::core::{palthreads, processors_for, PalPool, ProcessorPolicy, SeqExecutor, SerCell};
 use lopram::sim::CrewMemory;
 
 #[test]
@@ -77,9 +77,8 @@ fn both_runtimes_compute_identical_results() {
     let data: Vec<u64> = (0..50_000).collect();
     let expected: u64 = data.iter().sum();
     let pal = PalPool::new(4).unwrap();
-    let throttled = ThrottledPool::new(4).unwrap();
+    assert_eq!(tree_sum(&SeqExecutor, &data), expected);
     assert_eq!(tree_sum(&pal, &data), expected);
-    assert_eq!(tree_sum(&throttled, &data), expected);
 }
 
 #[test]
