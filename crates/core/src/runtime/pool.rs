@@ -461,11 +461,10 @@ impl PalPool {
     /// This is per-*call* attribution over the pool-global counters, not
     /// isolation: the window is only attributable to `f` when no other
     /// computation uses the pool concurrently (the single-client case
-    /// every current caller — kernels metering their own phases — is in).
-    /// Scoped deltas nest: an outer scope's delta includes every inner
-    /// scope's.  `lopram-graph` uses this to attribute the partition
-    /// pass, the per-partition local kernels and the fusion tree of its
-    /// partitioned kernels separately.
+    /// every current caller — a test holding one kernel call to its exact
+    /// fork closed form, such as `lopram-graph`'s `union_find_forks` — is
+    /// in).  Scoped deltas nest: an outer scope's delta includes every
+    /// inner scope's.
     pub fn scoped_metrics<R>(&self, f: impl FnOnce() -> R) -> (R, MetricsSnapshot) {
         let before = self.metrics().snapshot();
         let result = f();

@@ -64,8 +64,6 @@ use lopram_core::runtime::cancel;
 use lopram_core::PalPool;
 
 use crate::csr::CsrGraph;
-use crate::fuse::{fuse, FusionNode};
-use crate::partition::PartitionPlan;
 
 /// Distance label of a vertex no BFS level reached.
 pub const UNREACHED: usize = usize::MAX;
@@ -322,184 +320,6 @@ fn is_thin_level(pool: &PalPool, frontier_len: usize, frontier_arcs: usize) -> b
     !pool.is_tracing()
         && pool.chunk_count(frontier_len) == 1
         && (frontier_arcs == 0 || pool.chunk_count(frontier_arcs) == 1)
-}
-
-/// Per-partition level state of the partitioned BFS: the current and the
-/// upcoming frontier, both arena-backed (capacities recorded at take so
-/// check-in can account growth).
-struct BfsPart {
-    frontier: Vec<usize>,
-    frontier_cap: usize,
-    next: Vec<usize>,
-    next_cap: usize,
-}
-
-/// Partitioned level-synchronous BFS: plans a `parts`-way
-/// [`PartitionPlan`] and runs [`bfs_partitioned_with`] on it.  Output is
-/// identical to [`bfs_seq`] (and hence [`bfs_par`]) for every processor
-/// and partition count.
-///
-/// Exact fork cost, schedule-independent:
-/// [`plan_forks`](crate::partition::plan_forks) for the plan plus
-/// `(levels + 1) · (parts − 1)` for the solve — one
-/// [`fuse`] tree per frontier round, where `levels` is
-/// [`levels`]`(&dist)` (the source's eccentricity).
-///
-/// # Panics
-///
-/// Panics if `src` is not a vertex of `graph` or `parts == 0`.
-pub fn bfs_partitioned(graph: &CsrGraph, pool: &PalPool, src: usize, parts: usize) -> Vec<usize> {
-    let plan = PartitionPlan::new(graph, pool, parts);
-    bfs_partitioned_with(graph, pool, &plan, src)
-}
-
-/// [`bfs_partitioned`] on a pre-built plan (amortize one plan over many
-/// sources).
-///
-/// Per frontier round, one fusion tree (`parts − 1` forks, no blocked
-/// passes):
-///
-/// * **leaf** — partition `k` drains its frontier with *plain* reads and
-///   writes on its exclusive distance slice (the fusion tree's ownership
-///   discipline replaces [`bfs_par`]'s compare-and-swap): an unreached
-///   local neighbour is claimed into `next`; a neighbour across a cut
-///   arc goes to an arena-backed outbox.
-/// * **merge** — frontier handoff across cut edges: each side's outbox
-///   entries owned by the other side are claimed there (first claim
-///   wins, later duplicates see the written level) and pushed onto the
-///   owner partition's `next`; entries leaving the subtree stay in the
-///   surviving outbox.  The root's outbox is structurally empty.
-///
-/// Claims happen exactly once per vertex at its BFS level, so the result
-/// is deterministic — identical to [`bfs_seq`] — and the steady-state
-/// round allocates nothing: distances, frontiers and outboxes all come
-/// from the pool's [`Workspace`](lopram_core::Workspace) arena.
-///
-/// # Panics
-///
-/// Panics if `src` is not a vertex of `graph` or the plan's vertex count
-/// disagrees with the graph's.
-pub fn bfs_partitioned_with(
-    graph: &CsrGraph,
-    pool: &PalPool,
-    plan: &PartitionPlan<'_>,
-    src: usize,
-) -> Vec<usize> {
-    let n = graph.vertices();
-    assert!(src < n, "source {src} out of range");
-    assert_eq!(plan.vertices(), n, "plan was built for a different graph");
-    let ws = pool.workspace();
-    let cuts = plan.cuts();
-    let parts = plan.parts();
-
-    let mut dist = ws.checkout::<usize>();
-    dist.resize(n, UNREACHED);
-    dist[src] = 0;
-
-    let mut state: Vec<BfsPart> = (0..parts)
-        .map(|_| {
-            let frontier = ws.take_buffer::<usize>();
-            let frontier_cap = frontier.capacity();
-            let next = ws.take_buffer::<usize>();
-            let next_cap = next.capacity();
-            BfsPart {
-                frontier,
-                frontier_cap,
-                next,
-                next_cap,
-            }
-        })
-        .collect();
-    state[plan.owner(src)].frontier.push(src);
-
-    let mut level = 0usize;
-    while state.iter().any(|s| !s.frontier.is_empty()) {
-        level += 1;
-        let escaped = fuse(
-            pool,
-            cuts,
-            &mut dist,
-            &mut state,
-            &|node: FusionNode<'_, usize, BfsPart>| {
-                let FusionNode {
-                    vertices,
-                    data,
-                    state,
-                    ..
-                } = node;
-                let BfsPart { frontier, next, .. } = &mut state[0];
-                let mut out = ws.checkout::<usize>();
-                for &v in frontier.iter() {
-                    for &u in graph.neighbors(v) {
-                        if vertices.contains(&u) {
-                            let d = &mut data[u - vertices.start];
-                            if *d == UNREACHED {
-                                *d = level;
-                                next.push(u);
-                            }
-                        } else {
-                            out.push(u);
-                        }
-                    }
-                }
-                out
-            },
-            &|node, mut out, other| {
-                let FusionNode {
-                    parts,
-                    vertices,
-                    data,
-                    state,
-                } = node;
-                // A child's outbox never names vertices of that child's
-                // own subtree, so anything inside this node's range came
-                // from the opposite side: claim it here, at the lowest
-                // common ancestor of the cut edge.
-                let mut claim = |u: usize, state: &mut [BfsPart]| {
-                    let d = &mut data[u - vertices.start];
-                    if *d == UNREACHED {
-                        *d = level;
-                        let k = cuts.partition_point(|&c| c <= u) - 1;
-                        state[k - parts.start].next.push(u);
-                    }
-                };
-                let mut kept = 0;
-                for i in 0..out.len() {
-                    let u = out[i];
-                    if vertices.contains(&u) {
-                        claim(u, state);
-                    } else {
-                        out[kept] = u;
-                        kept += 1;
-                    }
-                }
-                out.truncate(kept);
-                for &u in other.iter() {
-                    if vertices.contains(&u) {
-                        claim(u, state);
-                    } else {
-                        out.push(u);
-                    }
-                }
-                // `other` drops here and returns to the arena.
-                out
-            },
-        );
-        debug_assert!(escaped.is_empty(), "the root outbox owns every vertex");
-        drop(escaped);
-        for s in &mut state {
-            s.frontier.clear();
-            std::mem::swap(&mut s.frontier, &mut s.next);
-            std::mem::swap(&mut s.frontier_cap, &mut s.next_cap);
-        }
-    }
-
-    let result = dist.as_slice().to_vec();
-    for s in state {
-        ws.put_buffer(s.frontier, s.frontier_cap);
-        ws.put_buffer(s.next, s.next_cap);
-    }
-    result
 }
 
 /// Eccentricity of `src` (the number of BFS levels): the largest finite

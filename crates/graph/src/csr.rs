@@ -65,8 +65,8 @@ impl CsrGraph {
     /// scatter through a cursor array — so peak extra memory is `O(n)`
     /// beyond the final CSR arrays, versus the `O(m)` edge list plus
     /// `O(2m)` sort buffer of [`from_undirected_edges`](Self::from_undirected_edges).  That is what
-    /// lets the partition benches reach ~10⁶ edges without blowing up the
-    /// arena-resident working set.
+    /// lets the benchmark and the million-edge tests build ~10⁶-edge graphs
+    /// without holding an edge list.
     ///
     /// Output is *identical* to `from_undirected_edges` on the collected
     /// stream: self-loops dropped, duplicates collapsed, per-vertex

@@ -136,8 +136,8 @@ pub fn gnm(n: usize, m: usize, seed: u64) -> CsrGraph {
 /// `O(n)` instead of the `O(m)` edge vector plus `O(2m)` sort buffer —
 /// the Feistel edge sampler is `O(1)` state, which is what keeps the
 /// whole build `O(n)` at 10⁶–10⁷ edges.  Produces a graph *identical*
-/// to `gnm(n, m, seed)` (same clamping contract) — the partition and CC
-/// benches use this to reach million-edge graphs.
+/// to `gnm(n, m, seed)` (same clamping contract) — the benchmark's
+/// `batch-large` graph and the million-edge CC tests are built this way.
 pub fn gnm_streamed(n: usize, m: usize, seed: u64) -> CsrGraph {
     CsrGraph::from_undirected_edges_streamed(n, move || gnm_edges(n, m, seed))
 }

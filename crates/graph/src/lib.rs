@@ -24,8 +24,7 @@
 //!   ([`bfs::bfs_par`]: sparse levels top-down by scan/pack, dense levels
 //!   bottom-up in one pass) and its sequential twin ([`bfs::bfs_seq`]),
 //!   which switches by the same rule ([`bfs::is_dense_level`]);
-//! * [`cc`] — the connected-components twin [`cc::components_seq`], the
-//!   partition-and-fuse kernel [`cc::components_partitioned`] and
+//! * [`cc`] — the connected-components twin [`cc::components_seq`] and
 //!   [`cc::component_count`];
 //! * [`uf`] — work-efficient connected components by sampled concurrent
 //!   union-find ([`uf::components_union_find`]): CAS hooking, path
@@ -33,13 +32,7 @@
 //!   blocked passes regardless of diameter;
 //! * [`kernels`] — degree histogram (via
 //!   [`reduce_by_index`](lopram_core::PalPool::reduce_by_index)) and
-//!   ordered triangle count, with twins;
-//! * [`partition`] / [`fuse`] — the **partition-and-fuse execution
-//!   engine**: degree-balanced contiguous vertex partitions with explicit
-//!   cut-arc sets ([`partition::PartitionPlan`]), and a balanced binary
-//!   fusion tree ([`fuse::fuse`]) that runs kernels locally per partition
-//!   and merges boundary state pairwise — used by
-//!   [`bfs::bfs_partitioned`] and [`cc::components_partitioned`].
+//!   ordered triangle count, with twins.
 //!
 //! Every parallel kernel has a sequential twin producing bit-identical
 //! output for any processor count; `tests/differential.rs` checks that
@@ -53,25 +46,21 @@
 pub mod bfs;
 pub mod cc;
 pub mod csr;
-pub mod fuse;
 pub mod gen;
 pub mod kernels;
-pub mod partition;
 pub mod uf;
 
 pub use csr::CsrGraph;
 
 /// Convenience prelude re-exporting the items most users need.
 pub mod prelude {
-    pub use crate::bfs::{bfs_par, bfs_partitioned, bfs_seq, is_dense_level, levels, UNREACHED};
-    pub use crate::cc::{component_count, components_partitioned, components_seq};
+    pub use crate::bfs::{bfs_par, bfs_seq, is_dense_level, levels, UNREACHED};
+    pub use crate::cc::{component_count, components_seq};
     pub use crate::csr::CsrGraph;
-    pub use crate::fuse::{fuse, FusionNode};
     pub use crate::gen::{binary_tree, gnm, gnm_streamed, grid, path, path_permuted, star};
     pub use crate::kernels::{
         degree_histogram, degree_histogram_seq, triangle_count, triangle_count_seq,
     };
-    pub use crate::partition::{plan_forks, PartitionPlan};
     pub use crate::uf::{
         components_union_find, components_union_find_with, union_find_forks, UnionFindConfig,
     };

@@ -15,10 +15,7 @@
 //!   either side of the wake floor — all scratch comes from the arena;
 //! * a warm `bfs_par` allocates the vector it returns and nothing else —
 //!   far inside one per level — through thin, fat and dense levels and a
-//!   rebuilt frontier; the level buffers are the arena's;
-//! * a warm `bfs_partitioned_with` allocates its result and its
-//!   per-partition table — under one per two levels — at
-//!   `parts ∈ {1, 2, 4}` (outboxes and frontiers are the arena's too).
+//!   rebuilt frontier; the level buffers are the arena's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -26,7 +23,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use lopram_core::policy::WAKE_GRAIN;
 use lopram_core::PalPool;
-use lopram_graph::bfs::bfs_partitioned_with;
 use lopram_graph::prelude::*;
 
 /// Allocation events (alloc + realloc, all threads) since process start.
@@ -104,7 +100,7 @@ fn warm_steady_state_allocation_counts() {
         assert_eq!(packed.len(), input.iter().filter(|x| keep(0, x)).count());
     }
 
-    // -- BFS, flat and partitioned -----------------------------------------
+    // -- BFS ---------------------------------------------------------------
     // 2^17 arcs, so a level is dense above ~6.5 k frontier vertices + arcs:
     // three sparse levels, two dense ones, a sparse last one (its frontier
     // list rebuilt).  On the default pool every pass is one block; on the
@@ -130,8 +126,7 @@ fn warm_steady_state_allocation_counts() {
             .any(|l| !dense(l) && pinned.chunk_count(l.1) > 1),
         "no level was fat"
     );
-    // Deep enough that the exact counts below sit inside "one per level"
-    // (flat) and "one per two levels" (partitioned).
+    // Deep enough that the exact count below sits inside "one per level".
     assert!(levels(&expected) >= 3);
     for (grain, pool) in [("default", &pool), ("grain64", &pinned)] {
         for _ in 0..2 {
@@ -147,18 +142,4 @@ fn warm_steady_state_allocation_counts() {
         );
     }
     assert!(pinned.metrics().forks() > 0);
-    for parts in [1, 2, 4] {
-        let plan = PartitionPlan::new(&graph, &pool, parts);
-        for _ in 0..2 {
-            assert_eq!(bfs_partitioned_with(&graph, &pool, &plan, 0), expected);
-        }
-        let partitioned = allocs(|| {
-            black_box(bfs_partitioned_with(&graph, &pool, &plan, 0));
-        });
-        assert_eq!(
-            partitioned, 2,
-            "warm bfs_partitioned_with allocates its result and its \
-             per-partition table, nothing else (parts = {parts})"
-        );
-    }
 }

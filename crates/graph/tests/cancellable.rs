@@ -11,18 +11,9 @@ use std::time::Duration;
 
 use lopram_core::{run_cancellable, CancelReason, CancelToken, PalPool};
 use lopram_graph::bfs::{bfs_par, bfs_seq};
-use lopram_graph::cc::{components_partitioned, components_seq};
+use lopram_graph::cc::components_seq;
+use lopram_graph::gen;
 use lopram_graph::uf::components_union_find;
-use lopram_graph::{gen, CsrGraph};
-
-/// A parallel CC kernel behind one signature.
-type CcKernel = fn(&CsrGraph, &PalPool) -> Vec<usize>;
-
-/// Every parallel CC kernel, each run under `run_cancellable` below.
-const CC_KERNELS: [(&str, CcKernel); 2] = [
-    ("union_find", components_union_find),
-    ("partitioned", |g, pool| components_partitioned(g, pool, 2)),
-];
 
 #[test]
 fn live_token_changes_nothing() {
@@ -55,26 +46,20 @@ fn fired_token_stops_both_kernels() {
         run_cancellable(&cancelled, || bfs_par(&g, &pool, 0)),
         Err(CancelReason::Cancelled)
     );
-    for (name, kernel) in CC_KERNELS {
-        assert_eq!(
-            run_cancellable(&cancelled, || kernel(&g, &pool)),
-            Err(CancelReason::Cancelled),
-            "{name}"
-        );
-    }
+    assert_eq!(
+        run_cancellable(&cancelled, || components_union_find(&g, &pool)),
+        Err(CancelReason::Cancelled)
+    );
 
     let expired = CancelToken::with_deadline(Duration::ZERO);
     assert_eq!(
         run_cancellable(&expired, || bfs_par(&g, &pool, 0)),
         Err(CancelReason::DeadlineExceeded)
     );
-    for (name, kernel) in CC_KERNELS {
-        assert_eq!(
-            run_cancellable(&expired, || kernel(&g, &pool)),
-            Err(CancelReason::DeadlineExceeded),
-            "{name}"
-        );
-    }
+    assert_eq!(
+        run_cancellable(&expired, || components_union_find(&g, &pool)),
+        Err(CancelReason::DeadlineExceeded)
+    );
 }
 
 #[test]

@@ -30,7 +30,7 @@ fn pools(p: usize) -> [(&'static str, PalPool); 2] {
 /// missed checkouts.  At `p > 1` concurrent checkouts shuffle same-typed
 /// shelf buffers between roles schedule-dependently; capacities are
 /// monotone, so the shuffle converges — but not in a fixed number of
-/// rounds (same contract as the partitioned-kernel suite).
+/// rounds (ARCHITECTURE.md, "Arena lifecycle").
 fn assert_steady_state<R: PartialEq + std::fmt::Debug>(
     pool: &PalPool,
     label: &str,
