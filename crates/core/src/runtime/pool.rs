@@ -266,15 +266,15 @@ fn worker_id(slot: Option<usize>) -> u16 {
 /// two-way [`join`](PalPool::join) (the paper's `palthreads { a; b; }`), the
 /// multi-way [`scope`](PalPool::scope) used by the dynamic-programming
 /// schedulers, and the data-parallel helpers
-/// [`for_each_index`](PalPool::for_each_index) /
-/// [`map_reduce`](PalPool::map_reduce) used for parallel merging (Eq. 5) and
-/// wavefront execution.
+/// [`for_each_index`](PalPool::for_each_index) (wavefront execution) and
+/// the blocked passes ([`scan`](PalPool::scan), [`pack`](PalPool::pack),
+/// [`map_reduce`](PalPool::map_reduce), …), each a balanced `join` tree.
 #[derive(Debug)]
 pub struct PalPool {
     processors: usize,
     pool: rayon::ThreadPool,
     metrics: RunMetrics,
-    /// Identity for the thread-local depth counter (see [`PAL_DEPTH`]).
+    /// Identity for the thread-local pal-thread context (see [`PAL_CTX`]).
     id: u64,
     /// Recursion depth at which forks stop creating scheduler jobs
     /// (`⌈α·log₂ p⌉`); the sentinel [`CUTOFF_DISABLED`] disables the
@@ -775,10 +775,9 @@ impl PalPool {
     /// Apply `f` to every index in `range`, splitting the range into chunks
     /// executed by pal-threads.
     ///
-    /// This is the primitive behind parallel merging (Eq. 5) and the
-    /// wavefront dynamic-programming executor: within one antichain every
-    /// cell is independent, so indices can be processed by up to `p`
-    /// processors.
+    /// This is the primitive behind the wavefront dynamic-programming
+    /// executor: within one antichain every cell is independent, so indices
+    /// can be processed by up to `p` processors.
     pub fn for_each_index<F>(&self, range: Range<usize>, f: F)
     where
         F: Fn(usize) + Sync,
@@ -802,49 +801,6 @@ impl PalPool {
                 start = end;
             }
         });
-    }
-
-    /// Map every index in `range` through `map` and fold the results with
-    /// `reduce`, starting from `identity` in every chunk.
-    ///
-    /// `reduce` must be associative for the result to be independent of the
-    /// chunking (the usual data-parallel contract).
-    pub fn map_reduce<T, M, R>(&self, range: Range<usize>, identity: T, map: M, reduce: R) -> T
-    where
-        T: Send + Clone,
-        M: Fn(usize) -> T + Sync,
-        R: Fn(T, T) -> T + Sync + Send,
-    {
-        let len = range.end.saturating_sub(range.start);
-        if len == 0 {
-            return identity;
-        }
-        let chunks = self.index_chunk_count(len);
-        let chunk_size = len.div_ceil(chunks);
-        let partials: Mutex<Vec<T>> = Mutex::new(Vec::with_capacity(chunks));
-        self.scope(|scope| {
-            let map = &map;
-            let reduce = &reduce;
-            let partials = &partials;
-            let mut start = range.start;
-            while start < range.end {
-                let end = (start + chunk_size).min(range.end);
-                let seed = identity.clone();
-                scope.spawn(move || {
-                    let mut acc = seed;
-                    for i in start..end {
-                        acc = reduce(acc, map(i));
-                    }
-                    partials.lock().push(acc);
-                });
-                start = end;
-            }
-        });
-        let mut acc = identity;
-        for part in partials.into_inner() {
-            acc = reduce(acc, part);
-        }
-        acc
     }
 
     /// Block count for the blocked data-parallel primitives on a
@@ -887,9 +843,10 @@ impl PalPool {
     /// [`map_reduce`](PalPool::map_reduce)): the legacy `4·p` clamped to
     /// `[1, len]`, with no element-cost floor — one index may hide
     /// arbitrary work, so the element cost model behind
-    /// [`chunk_count`](PalPool::chunk_count) does not apply.  Their
-    /// fixed-size chunking (`len.div_ceil(chunks)` per chunk) may produce
-    /// fewer chunks than this bound.
+    /// [`chunk_count`](PalPool::chunk_count) does not apply.
+    /// `map_reduce` folds exactly this many balanced blocks;
+    /// `for_each_index`'s fixed-size chunking (`len.div_ceil(chunks)` per
+    /// chunk) may produce fewer.
     pub fn index_chunk_count(&self, len: usize) -> usize {
         (self.processors * 4).clamp(1, len)
     }

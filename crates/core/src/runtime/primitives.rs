@@ -2,8 +2,9 @@
 //! ([`scan`](PalPool::scan)), filtering ([`pack`](PalPool::pack)), CSR-style
 //! expansion ([`expand`](PalPool::expand)), index-space map
 //! ([`map_collect`](PalPool::map_collect)), one value per block
-//! ([`map_blocks_in`](PalPool::map_blocks_in)) and histogram-style
-//! reduction ([`reduce_by_index`](PalPool::reduce_by_index)).
+//! ([`map_blocks_in`](PalPool::map_blocks_in)), ordered reduction
+//! ([`map_reduce`](PalPool::map_reduce)) and histogram-style reduction
+//! ([`reduce_by_index`](PalPool::reduce_by_index)).
 //!
 //! Irregular workloads — frontier BFS, connected components, and the other
 //! graph kernels in `lopram-graph` — are built from exactly two primitives,
@@ -70,12 +71,16 @@
 //! | [`map_collect`](PalPool::map_collect) / [`map_collect_in`](PalPool::map_collect_in) | `C − 1` | 0 |
 //! | [`map_blocks_in`](PalPool::map_blocks_in) | `C − 1` | 0 |
 //! | [`reduce_by_index`](PalPool::reduce_by_index) | `C − 1` | 0 |
+//! | [`map_reduce`](PalPool::map_reduce)² | `C − 1`, `C` = [`index_chunk_count`](PalPool::index_chunk_count)`(len)` | `C − 1` (no wake floor) |
 //! | [`scan`](PalPool::scan) / [`scan_in`](PalPool::scan_in) / [`scan_copy`](PalPool::scan_copy) | `2·(C − 1)` | 0 |
 //! | [`pack`](PalPool::pack) / [`pack_in`](PalPool::pack_in) | `2·(C − 1)` (`C − 1` when nothing survives) | 0 |
 //! | [`expand`](PalPool::expand) / [`expand_in`](PalPool::expand_in) | `2·(C − 1)` (block sums + write pass) | 0 |
 //!
+//! ² Its per-index cost is an opaque closure, so it blocks by the fixed
+//! `4·p` bound rather than by the pass policy, and records no `Pass` event.
+//!
 //! `len` is what each primitive blocks over: the input slice for
-//! scan/pack, the index range for map_collect/map_blocks_in/reduce_by_index, and
+//! scan/pack, the index range for map_collect/map_blocks_in/reduce_by_index/map_reduce, and
 //! `sizes.len()` — the number of *regions*, not of output slots — for
 //! expand (see the limit noted on [`expand_in`](PalPool::expand_in)).
 //!
@@ -86,13 +91,13 @@
 //!
 //! When the pool's execution tracer is on
 //! ([`PalPoolBuilder::trace`](super::PalPoolBuilder::trace)), every
-//! parallel pass of the table above additionally records one
-//! [`Pass`](super::TraceEvent::Pass) event carrying its `(len, chunks)` —
-//! that is what lets the `lopram-sim` replayer recount a pass's `C − 1`
+//! parallel pass of the table above except `map_reduce` additionally records
+//! one [`Pass`](super::TraceEvent::Pass) event carrying its `(len, chunks)`
+//! — that is what lets the `lopram-sim` replayer recount a pass's `C − 1`
 //! forks under a different `(p, grain)` without re-running the workload.
 //! ([`for_each_index`](PalPool::for_each_index) and
 //! [`map_reduce`](PalPool::map_reduce) are not pass-recorded: their
-//! chunking is cost-opaque, so the replayer treats their spawns
+//! chunking is cost-opaque, so the replayer treats their spawns and forks
 //! as-recorded.)
 
 use std::ops::Range;
@@ -540,6 +545,38 @@ impl PalPool {
             let at = |c| range.start + block_start(len, chunks, c);
             slot[0] = f(at(c)..at(c + 1));
         });
+    }
+
+    /// Map every index in `range` through `map` and fold the results with
+    /// `reduce`, in index order, starting from `identity`.
+    ///
+    /// Each of the [`index_chunk_count`](PalPool::index_chunk_count)`(len)`
+    /// balanced blocks folds its indices into its own slot of a partials
+    /// buffer, and the partials are then folded in block order, so
+    /// `reduce` needs only to be associative — not commutative — for the
+    /// result to equal the sequential left fold (`identity` must be its
+    /// identity).  The blocking is cost-opaque like
+    /// [`for_each_index`](PalPool::for_each_index)'s, so no `Pass` event
+    /// is recorded.
+    ///
+    /// Costs `C − 1` forks for `C = index_chunk_count(len)` blocks.
+    pub fn map_reduce<T, M, R>(&self, range: Range<usize>, identity: T, map: M, reduce: R) -> T
+    where
+        T: Send + Clone,
+        M: Fn(usize) -> T + Sync,
+        R: Fn(T, T) -> T + Sync + Send,
+    {
+        let len = range.end.saturating_sub(range.start);
+        if len == 0 {
+            return identity;
+        }
+        let chunks = self.index_chunk_count(len);
+        let mut partials = vec![identity.clone(); chunks];
+        self.blocked_balanced_mut(&mut partials, chunks, |c, slot| {
+            let at = |c| range.start + block_start(len, chunks, c);
+            slot[0] = (at(c)..at(c + 1)).fold(slot[0].clone(), |acc, i| reduce(acc, map(i)));
+        });
+        partials.into_iter().fold(identity, &reduce)
     }
 
     /// Bucketed reduction over an index range: `map(i)` names a bucket and

@@ -197,6 +197,32 @@ fn concurrent_mixed_primitives_share_one_pool() {
     });
 }
 
+/// `map_reduce` folds its blocks in index order, whichever block finishes
+/// first: a concatenation (associative, not commutative) must come back as
+/// `0..n` on every repeat, for `index_chunk_count(n) − 1` forks.
+#[test]
+fn map_reduce_folds_in_index_order_under_contention() {
+    let n = 4096;
+    let expected: Vec<usize> = (0..n).collect();
+    let concat = |mut a: Vec<usize>, b: Vec<usize>| {
+        a.extend(b);
+        a
+    };
+    for p in [2usize, 4] {
+        let pool = PalPool::new(p).unwrap();
+        let forks = pool.index_chunk_count(n) as u64 - 1;
+        for round in 0..repeat(100) {
+            let (got, m) =
+                pool.scoped_metrics(|| pool.map_reduce(0..n, Vec::new(), |i| vec![i], concat));
+            assert!(
+                got == expected,
+                "p = {p}, iteration {round}: out of index order"
+            );
+            assert_eq!(m.forks(), forks, "p = {p}, iteration {round}");
+        }
+    }
+}
+
 /// A panic inside a primitive's map/predicate unwinds out of the primitive
 /// and leaves the pool fully reusable — no lost workers, no stuck blocks,
 /// no poisoned deques — matching the `join` panic contract the primitives

@@ -21,8 +21,8 @@ use lopram_core::Executor;
 pub enum CrossMergeMode {
     /// The parent accumulates all cross pairs itself (Theorem 1, case 3).
     Sequential,
-    /// The cross pairs are accumulated by pal-threads over index chunks
-    /// (the Eq. 5 refinement).
+    /// The cross pairs are accumulated by a `join` tree over halves of the
+    /// left segment (the Eq. 5 refinement).
     Parallel,
 }
 
@@ -83,7 +83,7 @@ fn recurse<E: Executor>(
     // The deliberately quadratic merge: accumulate every cross pair.
     let cross = match mode {
         CrossMergeMode::Sequential => cross_pairs_sequential(left, right),
-        CrossMergeMode::Parallel => cross_pairs_parallel(exec, left, right),
+        CrossMergeMode::Parallel => cross_pairs_parallel(exec, left, right, grain),
     };
     CrossResult {
         pair_sum: l.pair_sum + r.pair_sum + cross,
@@ -102,20 +102,18 @@ fn cross_pairs_sequential(left: &[i64], right: &[i64]) -> i128 {
     acc
 }
 
-fn cross_pairs_parallel<E: Executor>(exec: &E, left: &[i64], right: &[i64]) -> i128 {
-    // One row of the cross product per index; the per-row partial sum is
-    // folded into a shared accumulator.  The lock is taken once per row, so
-    // its cost is negligible next to the Θ(|right|) inner loop.
-    let acc = parking_lot::Mutex::new(0i128);
-    exec.for_each_index(0..left.len(), |i| {
-        let x = left[i] as i128;
-        let mut local = 0i128;
-        for &y in right {
-            local += x * y as i128;
-        }
-        *acc.lock() += local;
-    });
-    acc.into_inner()
+/// The Eq. 5 merge: halve `left` with pal-threads down to `grain` rows and
+/// add the exact `i128` halves, so the sum is the sequential merge's.
+fn cross_pairs_parallel<E: Executor>(exec: &E, left: &[i64], right: &[i64], grain: usize) -> i128 {
+    if left.len() <= grain {
+        return cross_pairs_sequential(left, right);
+    }
+    let (lo, hi) = left.split_at(left.len() / 2);
+    let (a, b) = exec.join(
+        || cross_pairs_parallel(exec, lo, right, grain),
+        || cross_pairs_parallel(exec, hi, right, grain),
+    );
+    a + b
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 //! # lopram-dnc
 //!
-//! The divide-and-conquer half of the paper's §4: a generic framework plus a
-//! suite of classic algorithms, each available in a sequential version and in
-//! the "straightforward parallelization" the paper analyses — recursive calls
-//! become pal-threads, nothing else changes.  Which Master-theorem case an
+//! The divide-and-conquer half of the paper's §4: a suite of classic
+//! algorithms, each available in a sequential version and in the
+//! "straightforward parallelization" the paper analyses — recursive calls
+//! become pal-threads, a plain [`join`](lopram_core::Executor::join) tree
+//! per node, nothing else changes.  Which Master-theorem case an
 //! algorithm falls into determines the speedup the paper's Theorem 1
 //! promises; the algorithms here are chosen to cover all three cases:
 //!
@@ -25,22 +26,20 @@
 
 pub mod case3;
 pub mod closest_pair;
-pub mod framework;
 pub mod karatsuba;
 pub mod matrix;
 pub mod max_subarray;
 pub mod mergesort;
 pub mod polymul;
 pub mod quicksort;
+pub mod strassen;
 
-pub use framework::{solve, solve_sequential, DncProblem, DncRun};
 pub use matrix::Matrix;
 
 /// Convenience prelude for the divide-and-conquer crate.
 pub mod prelude {
     pub use crate::case3::{cross_product_sum, cross_product_sum_seq, CrossMergeMode};
     pub use crate::closest_pair::{closest_pair, closest_pair_seq, Point};
-    pub use crate::framework::{solve, solve_sequential, DncProblem, DncRun};
     pub use crate::karatsuba::{karatsuba_mul, karatsuba_mul_seq, schoolbook_mul};
     pub use crate::matrix::Matrix;
     pub use crate::max_subarray::{max_subarray, max_subarray_seq};
@@ -49,5 +48,3 @@ pub mod prelude {
     pub use crate::quicksort::{quick_sort, quick_sort_seq};
     pub use crate::strassen::{strassen_mul, strassen_mul_seq};
 }
-
-pub mod strassen;

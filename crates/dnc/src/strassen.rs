@@ -3,12 +3,13 @@
 //! Strassen's identity reduces one `n × n` product to seven half-size
 //! products and `Θ(n²)` additions: `T(n) = 7T(n/2) + Θ(n²)`, case 1
 //! (`n^{log₂7} ≈ n^{2.81}` dominates), so Theorem 1 promises `O(T(n)/p)`.
-//! The seven recursive products are created as pal-threads.  The classical
-//! eight-product blocked recursion (`8T(n/2) + Θ(n²)`, also case 1) is
-//! provided as well, to compare both against the naive `Θ(n³)` baseline.
+//! The seven recursive products are created as pal-threads at every level,
+//! one fixed `join` tree of six forks per node.  A product with `L` levels
+//! above the base case has `(7^L − 1)/6` such nodes, so it forks `7^L − 1`
+//! times (342 for `64 × 64` at grain 8); the pool's `⌈α·log₂ p⌉` cutoff
+//! alone decides which of those forks reach the scheduler.
 
 use lopram_core::Executor;
-use parking_lot::Mutex;
 
 use crate::matrix::Matrix;
 
@@ -58,131 +59,40 @@ fn strassen_rec<E: Executor>(exec: &E, a: &Matrix, b: &Matrix, grain: usize) -> 
     let b12 = b.quadrant(0, 1);
     let b21 = b.quadrant(1, 0);
     let b22 = b.quadrant(1, 1);
+    let mul = |l: &Matrix, r: &Matrix| strassen_rec(exec, l, r, grain);
 
-    // The seven Strassen products, each as a pal-thread.
-    let tasks: Vec<Box<dyn Fn() -> Matrix + Send + Sync>> = vec![
-        Box::new({
-            let (l, r) = (&a11 + &a22, &b11 + &b22);
-            let exec_n = grain;
-            move || strassen_clone(&l, &r, exec_n)
-        }),
-        Box::new({
-            let (l, r) = (&a21 + &a22, b11.clone());
-            move || strassen_clone(&l, &r, grain)
-        }),
-        Box::new({
-            let (l, r) = (a11.clone(), &b12 - &b22);
-            move || strassen_clone(&l, &r, grain)
-        }),
-        Box::new({
-            let (l, r) = (a22.clone(), &b21 - &b11);
-            move || strassen_clone(&l, &r, grain)
-        }),
-        Box::new({
-            let (l, r) = (&a11 + &a12, b22.clone());
-            move || strassen_clone(&l, &r, grain)
-        }),
-        Box::new({
-            let (l, r) = (&a21 - &a11, &b11 + &b12);
-            move || strassen_clone(&l, &r, grain)
-        }),
-        Box::new({
-            let (l, r) = (&a12 - &a22, &b21 + &b22);
-            move || strassen_clone(&l, &r, grain)
-        }),
-    ];
-    let products = run_tasks(exec, &tasks);
-    let [m1, m2, m3, m4, m5, m6, m7]: [Matrix; 7] =
-        products.try_into().expect("exactly seven products");
+    // palthreads { m1; …; m7 }: one fixed join tree, six forks.  Each
+    // pal-thread forms its own operand sums; the pool's cutoff decides how
+    // deep the forks go.
+    let (((m1, m2), (m3, m4)), ((m5, m6), m7)) = exec.join(
+        || {
+            exec.join(
+                || {
+                    exec.join(
+                        || mul(&(&a11 + &a22), &(&b11 + &b22)),
+                        || mul(&(&a21 + &a22), &b11),
+                    )
+                },
+                || exec.join(|| mul(&a11, &(&b12 - &b22)), || mul(&a22, &(&b21 - &b11))),
+            )
+        },
+        || {
+            exec.join(
+                || {
+                    exec.join(
+                        || mul(&(&a11 + &a12), &b22),
+                        || mul(&(&a21 - &a11), &(&b11 + &b12)),
+                    )
+                },
+                || mul(&(&a12 - &a22), &(&b21 + &b22)),
+            )
+        },
+    );
 
     let c11 = &(&(&m1 + &m4) - &m5) + &m7;
     let c12 = &m3 + &m5;
     let c21 = &m2 + &m4;
     let c22 = &(&(&m1 - &m2) + &m3) + &m6;
-    Matrix::from_quadrants(&c11, &c12, &c21, &c22)
-}
-
-// Helper used inside the boxed tasks: a sequential Strassen recursion.  The
-// pal-threads are created one level at a time (the seven products of the
-// current level), which is already enough to occupy p = O(log n) processors;
-// deeper levels run sequentially exactly as the paper's scheduler would.
-fn strassen_clone(a: &Matrix, b: &Matrix, grain: usize) -> Matrix {
-    strassen_rec(&lopram_core::SeqExecutor, a, b, grain)
-}
-
-fn run_tasks<E: Executor>(
-    exec: &E,
-    tasks: &[Box<dyn Fn() -> Matrix + Send + Sync>],
-) -> Vec<Matrix> {
-    let slots: Vec<Mutex<Option<Matrix>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
-    run_range(exec, tasks, &slots, 0, tasks.len());
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("task executed"))
-        .collect()
-}
-
-fn run_range<E: Executor>(
-    exec: &E,
-    tasks: &[Box<dyn Fn() -> Matrix + Send + Sync>],
-    slots: &[Mutex<Option<Matrix>>],
-    lo: usize,
-    hi: usize,
-) {
-    if hi - lo == 1 {
-        *slots[lo].lock() = Some(tasks[lo]());
-        return;
-    }
-    let mid = lo + (hi - lo) / 2;
-    exec.join(
-        || run_range(exec, tasks, slots, lo, mid),
-        || run_range(exec, tasks, slots, mid, hi),
-    );
-}
-
-/// Pal-thread blocked multiplication with all eight quadrant products
-/// (`T(n) = 8T(n/2) + Θ(n²)`), the non-Strassen divide-and-conquer baseline.
-pub fn blocked_mul<E: Executor>(exec: &E, a: &Matrix, b: &Matrix, grain: usize) -> Matrix {
-    assert_eq!(a.size(), b.size(), "matrix sizes must match");
-    let n = a.size();
-    if n == 0 {
-        return Matrix::zeros(0);
-    }
-    let padded = n.next_power_of_two();
-    if padded != n {
-        return blocked_rec(exec, &a.padded(padded), &b.padded(padded), grain.max(1)).truncated(n);
-    }
-    blocked_rec(exec, a, b, grain.max(1))
-}
-
-fn blocked_rec<E: Executor>(exec: &E, a: &Matrix, b: &Matrix, grain: usize) -> Matrix {
-    let n = a.size();
-    if n <= grain || !n.is_multiple_of(2) {
-        return a.naive_mul(b);
-    }
-    let a11 = a.quadrant(0, 0);
-    let a12 = a.quadrant(0, 1);
-    let a21 = a.quadrant(1, 0);
-    let a22 = a.quadrant(1, 1);
-    let b11 = b.quadrant(0, 0);
-    let b12 = b.quadrant(0, 1);
-    let b21 = b.quadrant(1, 0);
-    let b22 = b.quadrant(1, 1);
-
-    let ((c11, c12), (c21, c22)) = exec.join(
-        || {
-            exec.join(
-                || &blocked_rec(exec, &a11, &b11, grain) + &blocked_rec(exec, &a12, &b21, grain),
-                || &blocked_rec(exec, &a11, &b12, grain) + &blocked_rec(exec, &a12, &b22, grain),
-            )
-        },
-        || {
-            exec.join(
-                || &blocked_rec(exec, &a21, &b11, grain) + &blocked_rec(exec, &a22, &b21, grain),
-                || &blocked_rec(exec, &a21, &b12, grain) + &blocked_rec(exec, &a22, &b22, grain),
-            )
-        },
-    );
     Matrix::from_quadrants(&c11, &c12, &c21, &c22)
 }
 
@@ -232,24 +142,27 @@ mod tests {
     }
 
     #[test]
-    fn blocked_mul_matches_naive() {
-        let pool = PalPool::new(4).unwrap();
-        let a = random_matrix(32, 11);
-        let b = random_matrix(32, 12);
-        let expected = a.naive_mul(&b);
-        let got = blocked_mul(&pool, &a, &b, 8);
-        assert!(got.max_abs_diff(&expected) < 1e-8);
-    }
-
-    #[test]
     fn results_identical_for_any_p() {
         let a = random_matrix(48, 21);
         let b = random_matrix(48, 22);
         let expected = a.naive_mul(&b);
+        let seq = strassen_mul_with_grain(&SeqExecutor, &a, &b, 8);
         for p in [1usize, 2, 4, 7] {
             let pool = PalPool::new(p).unwrap();
             let got = strassen_mul_with_grain(&pool, &a, &b, 8);
             assert!(got.max_abs_diff(&expected) < 1e-6, "p = {p}");
+            assert_eq!(got.max_abs_diff(&seq), 0.0, "p = {p}: bits differ");
+        }
+        // Six forks at every one of the 1 + 7 + 49 nodes above grain 8,
+        // whatever the pool elides.
+        let a = random_matrix(64, 23);
+        let b = random_matrix(64, 24);
+        let seq = strassen_mul_with_grain(&SeqExecutor, &a, &b, 8);
+        for p in [1usize, 2, 4] {
+            let pool = PalPool::new(p).unwrap();
+            let (got, m) = pool.scoped_metrics(|| strassen_mul_with_grain(&pool, &a, &b, 8));
+            assert_eq!(m.forks(), 6 * (1 + 7 + 49), "p = {p}");
+            assert_eq!(got.max_abs_diff(&seq), 0.0, "p = {p}: bits differ");
         }
     }
 

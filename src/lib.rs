@@ -13,8 +13,8 @@
 //!   (CREW memory, pal-thread scheduler, execution-tree traces);
 //! * [`analysis`] — the sequential and parallel Master
 //!   theorems, recurrence evaluators and DAG/antichain toolkit;
-//! * [`dnc`] — the divide-and-conquer framework and algorithm
-//!   suite (§4.1);
+//! * [`dnc`] — the divide-and-conquer algorithm suite (§4.1), one
+//!   `join` tree per recursive call;
 //! * [`dp`] — the dynamic-programming framework, Algorithm 1
 //!   scheduler, wavefront executor and parallel memoization (§4.2–4.6);
 //! * [`graph`] — irregular graph workloads (CSR graphs,
@@ -47,11 +47,6 @@ pub use lopram_sim as sim;
 
 /// Convenience prelude pulling in the most commonly used items from every
 /// sub-crate.
-///
-/// The divide-and-conquer framework entry points (`lopram_dnc::solve`,
-/// `lopram_dnc::solve_sequential`) are re-exported under the names
-/// [`solve_dnc`](prelude::solve_dnc) / [`solve_dnc_sequential`](prelude::solve_dnc_sequential)
-/// to avoid clashing with the dynamic-programming solvers of the same name.
 pub mod prelude {
     pub use lopram_analysis::prelude::*;
     pub use lopram_core::prelude::*;
@@ -59,9 +54,8 @@ pub mod prelude {
         closest_pair, closest_pair_seq, cross_product_sum, cross_product_sum_seq, karatsuba_mul,
         karatsuba_mul_seq, max_subarray, max_subarray_seq, merge_sort, merge_sort_parallel_merge,
         merge_sort_seq, polymul_four_way, polymul_seq, quick_sort, quick_sort_seq, schoolbook_mul,
-        strassen_mul, strassen_mul_seq, CrossMergeMode, DncProblem, DncRun, Matrix, Point,
+        strassen_mul, strassen_mul_seq, CrossMergeMode, Matrix, Point,
     };
-    pub use lopram_dnc::{solve as solve_dnc, solve_sequential as solve_dnc_sequential};
     pub use lopram_dp::prelude::*;
     pub use lopram_sim::prelude::*;
 }

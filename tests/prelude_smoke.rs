@@ -1,7 +1,7 @@
 //! Smoke test for the umbrella crate's manifest wiring: every sub-crate must
-//! be reachable through `lopram::prelude` (and the `solve_dnc` renames must
-//! keep pointing at the divide-and-conquer framework).  A failure here means
-//! a workspace manifest or re-export regressed, not an algorithm.
+//! be reachable through `lopram::prelude`, and `solve_sequential` must name
+//! the dynamic-programming solver.  A failure here means a workspace
+//! manifest or re-export regressed, not an algorithm.
 
 use lopram::prelude::*;
 
@@ -37,51 +37,4 @@ fn prelude_reexports_resolve_across_every_subcrate() {
     let tree = TaskTree::divide_and_conquer(1 << 6, 2, 2, 1, &costs);
     let sim = TreeSimulator::new(&tree).run(2);
     assert!(sim.makespan > 0);
-}
-
-#[test]
-fn dnc_framework_renames_avoid_dp_name_clash() {
-    // `solve_dnc`/`solve_dnc_sequential` are the renamed dnc framework entry
-    // points; `solve_sequential` (no suffix) must stay the dp solver.
-    struct SumProblem;
-
-    impl DncProblem for SumProblem {
-        type Input = Vec<u64>;
-        type Output = u64;
-
-        fn size(&self, input: &Vec<u64>) -> usize {
-            input.len()
-        }
-
-        fn is_base(&self, input: &Vec<u64>) -> bool {
-            input.len() <= 4
-        }
-
-        fn solve_base(&self, input: Vec<u64>) -> u64 {
-            input.iter().sum()
-        }
-
-        fn divide(&self, input: Vec<u64>) -> Vec<Vec<u64>> {
-            let mid = input.len() / 2;
-            let (lo, hi) = input.split_at(mid);
-            vec![lo.to_vec(), hi.to_vec()]
-        }
-
-        fn merge(&self, _size: usize, outputs: Vec<u64>) -> u64 {
-            outputs.iter().sum()
-        }
-
-        fn recurrence(&self) -> Recurrence {
-            Recurrence::new(2, 2, Growth::constant(1.0))
-        }
-    }
-
-    let data: Vec<u64> = (0..64).collect();
-    let expected: u64 = data.iter().sum();
-    assert_eq!(solve_dnc_sequential(&SumProblem, data.clone()), expected);
-
-    let pool = PalPool::new(2).expect("two processors");
-    let stats = DncRun::new();
-    assert_eq!(solve_dnc(&SumProblem, &pool, data, &stats), expected);
-    assert!(stats.total_nodes() > 0);
 }
