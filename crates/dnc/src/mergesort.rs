@@ -13,6 +13,16 @@
 //! cheaper to sort than a processor is to wake ([`SEQ_CUTOFF`]); the
 //! explicit-grain entry points fork all the way down to the grain they are
 //! given.
+//!
+//! Two sequential merges serve them.  Every sort but
+//! `merge_sort_parallel_merge` — the sequential twin `merge_sort_seq`
+//! included, which is the very code the kernel runs below the cutoff —
+//! splits at `n / 2`, sorts leaves of at most four elements (four with a
+//! stable sorting network, fewer by insertion), and merges each level with
+//! a private bidirectional merge that fills the output from both ends at
+//! once.  [`merge_into`] merges runs of any lengths from the front only;
+//! [`merge_parallel`] cuts its runs unevenly and merges its pieces with it.
+//! Both merges are branch-free and stable.
 
 use lopram_core::Executor;
 
@@ -27,13 +37,14 @@ pub const DEFAULT_GRAIN: usize = 64;
 /// below it.
 ///
 /// A fork from a non-worker thread costs one wake/park round trip
-/// (≈ 47 µs on the 2-CPU benchmark container, see
-/// `lopram_core::policy::WAKE_GRAIN`); sorting 8192 random `i64`s
-/// sequentially takes 0.28–0.33 ms ≈ 6–7 wakes (0.41–0.50 ms before the
-/// merge went branch-free, same machine), still a piece for which handing
-/// half of it to another processor wins.  Measured on the benchmark's
-/// `batch-fine-pN` (p = 2): each sort of 2048 paid ≈ 50 µs of wake on
-/// ≈ 90 µs of sorting, `dnc.mergesort_vs_seq` 1.69 → 1.00 with the cutoff.
+/// (≈ 47 µs on a 2-CPU Xeon, see `lopram_core::policy::WAKE_GRAIN`);
+/// sorting 8192 random `i64`s sequentially takes 0.17–0.20 ms ≈ 4 wakes
+/// (0.31–0.34 ms with a front-only merge and 16-element insertion-sort
+/// leaves, 0.41–0.50 ms before the merge went branch-free, same machine),
+/// still a piece for which handing half of it to another processor wins.
+/// Measured on the benchmark's `batch-fine-pN` (p = 2): each sort of 2048
+/// paid ≈ 50 µs of wake on ≈ 90 µs of sorting, `dnc.mergesort_vs_seq`
+/// 1.69 → 1.00 with the cutoff.
 pub const SEQ_CUTOFF: usize = 8192;
 
 /// Sequential mergesort (the `T_1` baseline).
@@ -44,14 +55,13 @@ pub fn merge_sort_seq<T: Ord + Copy>(data: &mut [T]) {
 
 /// Sorts the contents of `data` into `temp` (`into_temp`) or back into
 /// `data`.  The buffers ping-pong: the children leave their runs in the
-/// buffer this level merges *from*, so no level copies back.
+/// buffer this level merges *from*, so no level copies back.  The
+/// recursion splits at `n / 2` down to leaves of at most four elements,
+/// which is what [`merge_halves`] needs.
 fn msort_seq<T: Ord + Copy>(data: &mut [T], temp: &mut [T], into_temp: bool) {
     let n = data.len();
-    if n <= 16 {
-        insertion_sort(data);
-        if into_temp {
-            temp.copy_from_slice(data);
-        }
+    if n <= 4 {
+        sort_leaf(data, temp, into_temp);
         return;
     }
     let mid = n / 2;
@@ -62,8 +72,65 @@ fn msort_seq<T: Ord + Copy>(data: &mut [T], temp: &mut [T], into_temp: bool) {
         msort_seq(dr, tr, !into_temp);
     }
     let (src, dst) = ping_pong(data, temp, into_temp);
-    let (left, right) = src.split_at(mid);
-    merge_into(left, right, dst);
+    merge_halves(src, dst);
+}
+
+/// Sorts a leaf of at most four elements into the buffer the ping-pong
+/// asks for: four go through [`sort4`] on the stack and are written once,
+/// fewer are insertion-sorted in place (and copied if they must end in
+/// `temp`).
+fn sort_leaf<T: Ord + Copy>(data: &mut [T], temp: &mut [T], into_temp: bool) {
+    if let Ok(&four) = <&[T; 4]>::try_from(&*data) {
+        let dst = if into_temp { temp } else { data };
+        dst.copy_from_slice(&sort4(four));
+    } else {
+        insertion_sort(data);
+        if into_temp {
+            temp.copy_from_slice(data);
+        }
+    }
+}
+
+/// Stable branch-free sorting network for four elements: five
+/// comparisons, each feeding index selects rather than branches.
+///
+/// Sort the pairs `(v[0], v[1])` and `(v[2], v[3])`; the smaller of their
+/// minima is the minimum and the larger of their maxima the maximum.  The
+/// two elements left over are ordered by one last comparison, and a tie
+/// keeps them in input order because the left one always came from the
+/// earlier position.
+fn sort4<T: Ord + Copy>(v: [T; 4]) -> [T; 4] {
+    let c1 = v[1] < v[0];
+    let c2 = v[3] < v[2];
+    let (a, b) = (usize::from(c1), usize::from(!c1));
+    let (c, d) = (2 + usize::from(c2), 2 + usize::from(!c2));
+    // a ≤ b and c ≤ d, stably.  Of the minima a and c the left one wins a
+    // tie, of the maxima b and d the right one.
+    let c3 = v[c] < v[a];
+    let c4 = v[d] < v[b];
+    let min = select(c3, c, a);
+    let max = select(c4, b, d);
+    // The two elements that are neither, in input order:
+    //   c3 c4 | min max left right
+    //    0  0 |  a   d   b    c
+    //    0  1 |  a   b   c    d
+    //    1  0 |  c   d   a    b
+    //    1  1 |  c   b   a    d
+    let left = select(c3, a, select(c4, c, b));
+    let right = select(c4, d, select(c3, b, c));
+    let c5 = v[right] < v[left];
+    let lo = select(c5, right, left);
+    let hi = select(c5, left, right);
+    [v[min], v[lo], v[hi], v[max]]
+}
+
+/// `if c { t } else { f }` on indices, which compiles to a select.
+fn select(c: bool, t: usize, f: usize) -> usize {
+    if c {
+        t
+    } else {
+        f
+    }
 }
 
 /// `(src, dst)` of a level's merge: the children sorted into the buffer
@@ -146,11 +213,11 @@ fn msort_par<T, E>(
         );
     }
     let (src, dst) = ping_pong(data, temp, into_temp);
-    let (left, right) = src.split_at(mid);
     if parallel_merge {
+        let (left, right) = src.split_at(mid);
         merge_parallel(exec, left, right, dst, grain);
     } else {
-        merge_into(left, right, dst);
+        merge_halves(src, dst);
     }
 }
 
@@ -158,7 +225,11 @@ fn msort_par<T, E>(
 /// keys the left run's element comes first.
 ///
 /// Branch-free: the comparison becomes an index increment and a select,
-/// so random keys cost no mispredicted branch per element.
+/// so random keys cost no mispredicted branch per element.  It takes runs
+/// of any lengths: [`merge_parallel`] cuts them unevenly and merges its
+/// pieces here, so [`merge_sort_parallel_merge`] uses it at every level.
+/// The other sorts split at `n / 2` and merge with a private bidirectional
+/// merge that needs that split and runs two dependency chains at once.
 pub fn merge_into<T: Ord + Copy>(left: &[T], right: &[T], out: &mut [T]) {
     debug_assert!(out.len() >= left.len() + right.len());
     let (mut i, mut j, mut k) = (0, 0, 0);
@@ -175,6 +246,50 @@ pub fn merge_into<T: Ord + Copy>(left: &[T], right: &[T], out: &mut [T]) {
     out[k..k + left.len()].copy_from_slice(left);
     k += left.len();
     out[k..k + right.len()].copy_from_slice(right);
+}
+
+/// Merge the sorted runs `src[..n / 2]` and `src[n / 2..]` into `dst`
+/// from both ends at once.  Stable, branch-free, and `dst.len()` must be
+/// `n = src.len()`.
+///
+/// Each of the `n / 2` iterations makes a front step, which writes the
+/// smaller head to `dst[k]` (a tie takes the left run), and a back step,
+/// which writes the larger tail to `dst[n − 1 − k]` (a tie takes the right
+/// run).  The two steps are independent dependency chains, and for odd `n`
+/// the one element left over is the middle one.
+///
+/// The caller's split at `n / 2` is the condition this needs: the left
+/// run then holds `n / 2` elements and the right run at least as many, so
+/// after `k < n / 2` steps from one end neither run is used up from that
+/// end, and the loop needs no exhaustion test and no tail copy.  Every
+/// read stays inside its run whatever `Ord` does; only sorted runs and a
+/// consistent total order make the two ends meet in a sorted permutation.
+fn merge_halves<T: Ord + Copy>(src: &[T], dst: &mut [T]) {
+    debug_assert_eq!(src.len(), dst.len());
+    let (left, right) = src.split_at(src.len() / 2);
+    debug_assert!(left.is_sorted() && right.is_sorted(), "runs split at n / 2");
+    let (mut l, mut r) = (0, 0);
+    // One past the last element of each run not yet taken from the back.
+    let (mut le, mut re) = (left.len(), right.len());
+    let (front, back) = dst.split_at_mut(left.len());
+    for (f, b) in front.iter_mut().zip(back.iter_mut().rev()) {
+        // Strictly less: a front tie takes the left run.
+        let (x, y) = (left[l], right[r]);
+        let take_right = y < x;
+        *f = if take_right { y } else { x };
+        r += usize::from(take_right);
+        l += usize::from(!take_right);
+
+        // Strictly less: a back tie takes the right run.
+        let (x, y) = (left[le - 1], right[re - 1]);
+        let take_left = y < x;
+        *b = if take_left { x } else { y };
+        le -= usize::from(take_left);
+        re -= usize::from(!take_left);
+    }
+    if back.len() > front.len() {
+        back[0] = if l < le { left[l] } else { right[r] };
+    }
 }
 
 /// Merge two sorted runs into `out`, splitting the work across pal-threads:
@@ -209,7 +324,8 @@ where
     );
 }
 
-fn insertion_sort<T: Ord + Copy>(data: &mut [T]) {
+/// Sorts a short slice in place; stable.
+pub(crate) fn insertion_sort<T: Ord + Copy>(data: &mut [T]) {
     for i in 1..data.len() {
         let key = data[i];
         let mut j = i;
@@ -372,11 +488,12 @@ mod tests {
         }
     }
 
-    fn random_records(n: usize, seed: u64) -> Vec<Rec> {
+    /// `n` records with random keys below `keys`, tagged by position.
+    fn random_records(n: usize, seed: u64, keys: u8) -> Vec<Rec> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n as u32)
             .map(|tag| Rec {
-                key: rng.gen_range(0..64u8),
+                key: rng.gen_range(0..keys),
                 tag,
             })
             .collect()
@@ -389,8 +506,10 @@ mod tests {
 
     #[test]
     fn every_sort_and_merge_is_stable() {
-        for n in [SEQ_CUTOFF - 1, SEQ_CUTOFF + 1, 4 * SEQ_CUTOFF + 3] {
-            let input = random_records(n, n as u64);
+        let leaves = 1..=9;
+        let large = [16, 17, SEQ_CUTOFF - 1, SEQ_CUTOFF + 1, 4 * SEQ_CUTOFF + 3];
+        for n in leaves.chain(large) {
+            let input = random_records(n, n as u64, 64);
             let mut expected = input.clone();
             expected.sort_by_key(|r| r.key);
             let expected = pairs(&expected);
@@ -421,6 +540,34 @@ mod tests {
                     assert_eq!(pairs(&v), expected, "{name}, n = {n}, p = {p}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn sort4_is_a_stable_sort_of_every_key_pattern() {
+        for pattern in 0..4u32.pow(4) {
+            let v: [Rec; 4] = std::array::from_fn(|tag| Rec {
+                key: (pattern >> (2 * tag) & 3) as u8,
+                tag: tag as u32,
+            });
+            let mut expected = v;
+            expected.sort_by_key(|r| r.key);
+            assert_eq!(pairs(&sort4(v)), pairs(&expected), "{:?}", pairs(&v));
+        }
+    }
+
+    #[test]
+    fn merge_halves_equals_merge_into_at_every_length() {
+        for n in 0..=600 {
+            let mut src = random_records(n, n as u64, 7);
+            src[..n / 2].sort_by_key(|r| r.key);
+            src[n / 2..].sort_by_key(|r| r.key);
+            let (left, right) = src.split_at(n / 2);
+            let mut expected = src.clone();
+            merge_into(left, right, &mut expected);
+            let mut out = src.clone();
+            merge_halves(&src, &mut out);
+            assert_eq!(pairs(&out), pairs(&expected), "n = {n}");
         }
     }
 

@@ -7,6 +7,8 @@
 
 use lopram_core::Executor;
 
+use crate::mergesort::insertion_sort;
+
 /// Size below which recursion switches to insertion sort.
 pub const DEFAULT_GRAIN: usize = 64;
 
@@ -91,18 +93,6 @@ fn partition<T: Ord + Copy>(data: &mut [T]) -> (usize, usize) {
         }
     }
     (lt, gt)
-}
-
-fn insertion_sort<T: Ord + Copy>(data: &mut [T]) {
-    for i in 1..data.len() {
-        let key = data[i];
-        let mut j = i;
-        while j > 0 && data[j - 1] > key {
-            data[j] = data[j - 1];
-            j -= 1;
-        }
-        data[j] = key;
-    }
 }
 
 #[cfg(test)]

@@ -8,8 +8,9 @@
 //! beside this one would be counted into its windows.
 //!
 //! * `merge_sort_seq` and `merge_sort` allocate their one temp buffer and
-//!   nothing else — the ping-pong recursion never copies through a fresh
-//!   vector;
+//!   nothing else, on an even and an odd length — the ping-pong recursion
+//!   never copies through a fresh vector, and the four-element network
+//!   leaf sorts on the stack;
 //! * `karatsuba_mul` allocates its result and its one scratch slab, on
 //!   equal and on unequal lengths (an empty high half on the way down);
 //! * `karatsuba_mul` on 4096 coefficients at the default grain of 32 forks
@@ -113,27 +114,31 @@ fn dnc_kernels_allocate_their_buffers_and_nothing_else() {
     let pool = PalPool::new(1).unwrap();
 
     // -- mergesort: the temp buffer ------------------------------------------
-    let input = words(1 << 16, 7);
-    let mut expected = input.clone();
-    expected.sort_unstable();
-    let mut v = input.clone();
-    merge_sort(&pool, &mut v);
-    assert_eq!(v, expected);
+    // The odd length puts 2- and 3-element leaves beside the 4-element ones.
+    for n in [1 << 16, (1 << 16) + 3] {
+        let input = words(n, 7);
+        let mut expected = input.clone();
+        expected.sort_unstable();
+        let mut v = input.clone();
+        merge_sort(&pool, &mut v);
+        assert_eq!(v, expected);
 
-    let mut v = input.clone();
-    assert_eq!(allocs(|| merge_sort_seq(&mut v)), 1, "merge_sort_seq");
-    assert_eq!(v, expected);
-    let mut v = input.clone();
-    let seq = allocs(|| merge_sort(&SeqExecutor, &mut v));
-    assert_eq!(seq, 1, "merge_sort on SeqExecutor");
-    assert_eq!(v, expected);
-    let mut v = input.clone();
-    assert_eq!(
-        allocs(|| merge_sort(&pool, &mut v)),
-        1,
-        "merge_sort on p = 1"
-    );
-    assert_eq!(v, expected);
+        let mut v = input.clone();
+        assert_eq!(
+            allocs(|| merge_sort_seq(&mut v)),
+            1,
+            "merge_sort_seq, n = {n}"
+        );
+        assert_eq!(v, expected);
+        let mut v = input.clone();
+        let seq = allocs(|| merge_sort(&SeqExecutor, &mut v));
+        assert_eq!(seq, 1, "merge_sort on SeqExecutor, n = {n}");
+        assert_eq!(v, expected);
+        let mut v = input.clone();
+        let par = allocs(|| merge_sort(&pool, &mut v));
+        assert_eq!(par, 1, "merge_sort on p = 1, n = {n}");
+        assert_eq!(v, expected);
+    }
 
     // -- Karatsuba: result + scratch -----------------------------------------
     for (la, lb) in [(4096, 4096), (1000, 3000)] {
