@@ -19,7 +19,8 @@
 //!   the paper (§3.2) plus fixed and machine-width policies for experiments;
 //! * [`PalPool`] — a bounded work-stealing fork/join runtime implementing
 //!   the pal-thread semantics of §3.1, pending-thread migration included
-//!   ([`PalPool::join`], [`PalPool::scope`], [`palthreads!`]), plus the
+//!   ([`PalPool::join`] — the one fork primitive — and [`palthreads!`],
+//!   its nested-join form for more than two pal-threads), plus the
 //!   blocked data-parallel primitives irregular workloads are built from
 //!   ([`PalPool::scan`], [`PalPool::pack`], [`PalPool::expand`],
 //!   [`PalPool::reduce_by_index`] plus the allocation-free `_in` variants
@@ -48,8 +49,8 @@ pub use metrics::{assert_metrics_consistent, MetricsSnapshot, RunMetrics, Speedu
 pub use policy::{processors_for, ProcessorPolicy};
 pub use runtime::{
     run_cancellable, CancelReason, CancelToken, ChaosConfig, DagTrace, PalPool, PalPoolBuilder,
-    PalScope, PoolHealth, Scan, SelfHeal, TraceConfig, TraceEvent, TraceSummary, Workspace,
-    WorkspaceGuard, WorkspaceStats,
+    PoolHealth, Scan, SelfHeal, TraceConfig, TraceEvent, TraceSummary, Workspace, WorkspaceGuard,
+    WorkspaceStats,
 };
 pub use sercell::SerCell;
 
@@ -60,7 +61,7 @@ pub mod prelude {
     pub use crate::policy::{processors_for, ProcessorPolicy};
     pub use crate::runtime::{
         run_cancellable, CancelReason, CancelToken, ChaosConfig, DagTrace, PalPool, PalPoolBuilder,
-        PalScope, PoolHealth, Scan, SelfHeal, TraceConfig, Workspace,
+        PoolHealth, Scan, SelfHeal, TraceConfig, Workspace,
     };
     pub use crate::sercell::SerCell;
 }

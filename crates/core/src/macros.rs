@@ -3,11 +3,14 @@
 /// Run a block of statements as pal-threads, mirroring the paper's
 /// `palthreads { … }` C extension (§3.1).
 ///
-/// Each expression in the block becomes a child pal-thread of the current
-/// thread, created in the order written.  The macro waits for all children
-/// before it returns (the paper's implicit wait); use
-/// [`PalPool::scope`](crate::PalPool::scope) directly when the `nowait`
-/// behaviour is needed.
+/// Each block becomes a child pal-thread of the current thread, created in
+/// the order written.  `k` blocks expand to `k − 1` nested
+/// [`Executor::join`] calls — the same expansion as [`pal_join!`], so the
+/// macro works with any executor and inherits the α·log p sequential
+/// cutoff; on a one-processor pool the blocks run in the order written.
+/// The macro waits for all children before it returns (the paper's
+/// implicit wait).  There is no `nowait` form: every fork in the runtime
+/// is a `join`.
 ///
 /// ```
 /// use lopram_core::{palthreads, PalPool};
@@ -24,15 +27,22 @@
 /// });
 /// assert_eq!(counter.load(Ordering::SeqCst), 111);
 /// ```
+///
+/// [`Executor::join`]: crate::Executor::join
+/// [`pal_join!`]: crate::pal_join
 #[macro_export]
 macro_rules! palthreads {
-    ($pool:expr => $($body:block),+ $(,)?) => {{
-        let __pal_pool: &$crate::PalPool = &$pool;
-        __pal_pool.scope(|__pal_scope| {
-            $(
-                __pal_scope.spawn(|| $body);
-            )+
-        });
+    ($exec:expr => $body:block $(,)?) => {{
+        let _ = &$exec;
+        $body;
+    }};
+    ($exec:expr => $first:block, $($rest:block),+ $(,)?) => {{
+        let __pal_exec = &$exec;
+        $crate::Executor::join(
+            __pal_exec,
+            || $first,
+            || $crate::palthreads!(__pal_exec => $($rest),+),
+        );
     }};
 }
 
@@ -102,6 +112,9 @@ mod tests {
             order.lock().push(3);
         });
         assert_eq!(*order.lock(), vec![1, 2, 3]);
+        // Three blocks are two nested joins, both elided at cutoff 0.
+        assert_eq!(pool.metrics().elided(), 2);
+        assert_eq!(pool.metrics().spawned() + pool.metrics().inlined(), 0);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! A [`CancelToken`] is a shared flag (plus an optional deadline) that a
 //! running computation polls at its natural yield points — every
-//! [`PalPool::join`](super::PalPool::join) /
-//! [`PalScope::spawn`](super::PalScope::spawn) fork boundary and every
-//! blocked-pass chunk boundary of the data-parallel primitives.  When the
+//! [`PalPool::join`](super::PalPool::join) fork boundary and every block
+//! boundary of the data-parallel primitives and
+//! [`for_each_index`](super::PalPool::for_each_index).  When the
 //! token fires, the poll unwinds the computation with a private payload
 //! ([`CancelUnwind`]) that rides the pool's existing panic-propagation
 //! machinery: every in-flight pal-thread of the computation unwinds at its
@@ -75,7 +75,7 @@ impl std::fmt::Display for CancelReason {
 /// It deliberately does **not** go through `panic!`, so the global panic
 /// hook never prints a backtrace for a routine cancellation; the payload
 /// still propagates through `catch_unwind`-based machinery (the pool's
-/// join/scope panic plumbing) exactly like a panic payload would.
+/// join panic plumbing) exactly like a panic payload would.
 /// [`run_cancellable`] downcasts it back at the computation's entry
 /// point; an escaping `CancelUnwind` outside a cancellable region means a
 /// checkpoint fired with no [`run_cancellable`] frame below it — a bug in

@@ -39,7 +39,7 @@ pub mod trace;
 mod workspace;
 
 pub use cancel::{run_cancellable, CancelReason, CancelToken};
-pub use pool::{PalPool, PalPoolBuilder, PalScope};
+pub use pool::{PalPool, PalPoolBuilder};
 // Runtime health and chaos-injection types, defined by the work-stealing
 // runtime shim and surfaced through `PalPool::health` /
 // `PalPoolBuilder::chaos`.

@@ -37,8 +37,11 @@
 //! therefore tracks the pal-thread recursion depth in a thread-local
 //! counter (carried across steals, so a migrated subtree keeps its depth)
 //! and, once the depth reaches `⌈α·log₂ p⌉` ([`cutoff_levels`]), runs
-//! [`join`](PalPool::join) and [`PalScope::spawn`] as plain sequential
-//! calls: no job, no latch, no scheduler at all.  Each elided fork is
+//! [`join`](PalPool::join) as a plain sequential call: no job, no latch,
+//! no scheduler at all.  `join` is the pool's one fork primitive — every
+//! multi-way fork ([`for_each_index`](PalPool::for_each_index), the
+//! blocked primitives, [`palthreads!`](crate::palthreads)) is a balanced
+//! tree of them — so the cutoff throttles everything.  Each elided fork is
 //! counted in [`RunMetrics::elided`], so
 //! `spawned + inlined + elided` still accounts for every creation point.
 //!
@@ -49,7 +52,6 @@
 //! runtime).
 
 use std::cell::Cell;
-use std::ops::Range;
 
 use parking_lot::Mutex;
 
@@ -263,9 +265,8 @@ fn worker_id(slot: Option<usize>) -> u16 {
 /// A LoPRAM processor pool with `p` processors.
 ///
 /// All parallelism in the algorithm crates flows through this type: the
-/// two-way [`join`](PalPool::join) (the paper's `palthreads { a; b; }`), the
-/// multi-way [`scope`](PalPool::scope) used by the dynamic-programming
-/// schedulers, and the data-parallel helpers
+/// two-way [`join`](PalPool::join) (the paper's `palthreads { a; b; }`) and
+/// the data-parallel helpers built from it:
 /// [`for_each_index`](PalPool::for_each_index) (wavefront execution) and
 /// the blocked passes ([`scan`](PalPool::scan), [`pack`](PalPool::pack),
 /// [`map_reduce`](PalPool::map_reduce), …), each a balanced `join` tree.
@@ -446,7 +447,7 @@ impl PalPool {
     /// which freed up after their creation; `inlined` counts pal-threads
     /// popped back and executed by their creator.  The counters are pulled
     /// from the work-stealing runtime on every call, so they reflect all
-    /// joins and scopes completed so far.
+    /// joins completed so far.
     pub fn metrics(&self) -> &RunMetrics {
         self.sync_metrics();
         &self.metrics
@@ -477,10 +478,12 @@ impl PalPool {
     /// only what accumulated since the previous sync.
     ///
     /// Attribution: a stolen fork was granted a processor *and* migrated
-    /// (`spawned` + `steals`); a pal-thread injected from outside the pool
-    /// always runs on a pool processor (`spawned`) but never migrated
-    /// between processors — its creator was not one — so it does not count
-    /// as a steal; an inlined fork is `inlined`.
+    /// (`spawned` + `steals`); an inlined fork is `inlined`.  The runtime's
+    /// `injected` counter covers only the forks a dying worker drained into
+    /// the injector (the `install` trampoline is not counted): such a fork
+    /// runs on another processor (`spawned`), but it was handed over by
+    /// the death protocol rather than taken by a thief, so it is not a
+    /// steal.
     fn sync_metrics(&self) {
         use std::sync::atomic::Ordering;
         // Read the stats *after* taking the lock: two concurrent syncs
@@ -710,8 +713,8 @@ impl PalPool {
     }
 
     /// `true` when this pool was built with
-    /// [`PalPoolBuilder::trace`] — every join, spawn and blocked pass is
-    /// being recorded.
+    /// [`PalPoolBuilder::trace`] — every join and blocked pass is being
+    /// recorded.
     pub fn is_tracing(&self) -> bool {
         self.trace.is_some()
     }
@@ -751,56 +754,6 @@ impl PalPool {
                 },
             );
         }
-    }
-
-    /// Open a pal-thread scope: `f` may spawn any number of pal-threads via
-    /// [`PalScope::spawn`]; the scope waits for all of them before returning.
-    ///
-    /// This is the multi-way generalisation of [`join`](PalPool::join) used
-    /// by the dynamic-programming executors (Algorithm 1 creates one
-    /// pal-thread per ready DAG vertex).
-    pub fn scope<'env, R>(
-        &'env self,
-        f: impl for<'scope> FnOnce(&PalScope<'scope, 'env>) -> R,
-    ) -> R {
-        self.pool.in_place_scope(|s| {
-            let pal = PalScope {
-                scope: s,
-                pool: self,
-            };
-            f(&pal)
-        })
-    }
-
-    /// Apply `f` to every index in `range`, splitting the range into chunks
-    /// executed by pal-threads.
-    ///
-    /// This is the primitive behind the wavefront dynamic-programming
-    /// executor: within one antichain every cell is independent, so indices
-    /// can be processed by up to `p` processors.
-    pub fn for_each_index<F>(&self, range: Range<usize>, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        let len = range.end.saturating_sub(range.start);
-        if len == 0 {
-            return;
-        }
-        let chunks = self.index_chunk_count(len);
-        let chunk_size = len.div_ceil(chunks);
-        self.scope(|scope| {
-            let f = &f;
-            let mut start = range.start;
-            while start < range.end {
-                let end = (start + chunk_size).min(range.end);
-                scope.spawn(move || {
-                    for i in start..end {
-                        f(i);
-                    }
-                });
-                start = end;
-            }
-        });
     }
 
     /// Block count for the blocked data-parallel primitives on a
@@ -844,137 +797,9 @@ impl PalPool {
     /// `[1, len]`, with no element-cost floor — one index may hide
     /// arbitrary work, so the element cost model behind
     /// [`chunk_count`](PalPool::chunk_count) does not apply.
-    /// `map_reduce` folds exactly this many balanced blocks;
-    /// `for_each_index`'s fixed-size chunking (`len.div_ceil(chunks)` per
-    /// chunk) may produce fewer.
+    /// Both run exactly this many balanced blocks, `C − 1` forks.
     pub fn index_chunk_count(&self, len: usize) -> usize {
         (self.processors * 4).clamp(1, len)
-    }
-}
-
-/// A scope in which pal-threads can be spawned; see [`PalPool::scope`].
-pub struct PalScope<'scope, 'env: 'scope> {
-    scope: &'scope rayon::Scope<'env>,
-    pool: &'env PalPool,
-}
-
-impl<'scope, 'env> PalScope<'scope, 'env> {
-    /// Create a pal-thread running `f`.
-    ///
-    /// Above the cutoff depth, the pal-thread is placed in the pending set
-    /// (a worker deque or the pool's injector) and executed as soon as a
-    /// processor is available.  An *idle* processor picks up pending
-    /// pal-threads oldest-first — the order-consistent-with-creation rule
-    /// of §3.1 — while a creator draining its own remaining spawns takes
-    /// the newest first (the standard work-stealing LIFO fast path; the
-    /// literal creation-order rule for that case lives in the `lopram-sim`
-    /// crate).  Whether the pal-thread counted as `spawned` (ran on another
-    /// processor) or `inlined` (executed by its creator) is recorded by the
-    /// runtime at activation time and visible through [`PalPool::metrics`].
-    ///
-    /// At recursion depth `⌈α·log₂ p⌉` and below the spawn is elided: `f`
-    /// runs immediately, inline, in creation order — no scheduler job is
-    /// created (see [`RunMetrics::elided`]).  One observable difference to
-    /// a scheduled spawn: a panic in an elided `f` unwinds out of the
-    /// scope *body* right away (later statements of the body don't run),
-    /// whereas a scheduled task's panic is stashed and rethrown from the
-    /// scope entry point after all sibling tasks finished.  Already-spawned
-    /// siblings complete in both cases.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce() + Send + 'env,
-    {
-        cancel::checkpoint();
-        let id = self.pool.id;
-        let depth = current_depth(id);
-        let elide = depth >= self.pool.cutoff.load(std::sync::atomic::Ordering::Relaxed);
-        if let Some(trace) = &self.pool.trace {
-            return self.spawn_traced(trace, f, depth, elide);
-        }
-        if elide {
-            self.pool.metrics.record_elided();
-            f();
-            return;
-        }
-        let child = depth + 1;
-        // Same ambient-token rule as the scheduled join children: the
-        // spawner's token (or its absence) travels with the pal-thread.
-        let token = cancel::ambient();
-        self.scope
-            .spawn(move |_| cancel::with_ambient(token, || with_depth(id, child, f)));
-    }
-
-    /// The recording twin of [`spawn`](PalScope::spawn): one `Spawn`
-    /// event at the call site (whose worker — the spawner — is
-    /// authoritative for steal classification) and `Enter`/`Exit` stamps
-    /// around a scheduled child.
-    fn spawn_traced<F>(&self, trace: &'env TraceState, f: F, depth: usize, elide: bool)
-    where
-        F: FnOnce() + Send + 'env,
-    {
-        let pool = self.pool;
-        let id = pool.id;
-        let parent = current_node(id);
-        let ts = tick_clock(id, 0);
-        let node = trace.alloc_node();
-        let slot = pool.worker_slot();
-        trace.record(
-            slot,
-            TraceEvent::Spawn {
-                ts,
-                worker: worker_id(slot),
-                parent,
-                child: node,
-                depth: depth as u32,
-                elided: elide,
-            },
-        );
-        let child = depth + 1;
-        if elide {
-            pool.metrics.record_elided();
-            let ((), end) = with_task(id, child, node, ts, f);
-            merge_clock(id, end);
-            return;
-        }
-        let token = cancel::ambient();
-        self.scope.spawn(move |_| {
-            cancel::with_ambient(token, || {
-                with_task(id, child, node, ts, || {
-                    let slot = pool.worker_slot();
-                    let w = worker_id(slot);
-                    trace.record(
-                        slot,
-                        TraceEvent::Enter {
-                            ts: tick_clock(id, 0),
-                            worker: w,
-                            node,
-                        },
-                    );
-                    f();
-                    trace.record(
-                        slot,
-                        TraceEvent::Exit {
-                            ts: tick_clock(id, 0),
-                            worker: w,
-                            node,
-                        },
-                    );
-                });
-            });
-        });
-    }
-
-    /// Number of processors of the owning pool.
-    pub fn processors(&self) -> usize {
-        self.pool.processors
-    }
-}
-
-impl std::fmt::Debug for PalScope<'_, '_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PalScope")
-            .field("processors", &self.pool.processors)
-            .finish_non_exhaustive()
     }
 }
 
@@ -1198,36 +1023,6 @@ mod tests {
     }
 
     #[test]
-    fn scope_runs_all_spawned_threads() {
-        let pool = PalPool::new(3).unwrap();
-        let counter = AtomicUsize::new(0);
-        pool.scope(|s| {
-            for _ in 0..64 {
-                s.spawn(|| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 64);
-    }
-
-    #[test]
-    fn scope_spawn_can_borrow_environment() {
-        let pool = PalPool::new(2).unwrap();
-        let data = [1u64, 2, 3, 4];
-        let total = AtomicUsize::new(0);
-        pool.scope(|s| {
-            for chunk in data.chunks(2) {
-                let total = &total;
-                s.spawn(move || {
-                    total.fetch_add(chunk.iter().sum::<u64>() as usize, Ordering::SeqCst);
-                });
-            }
-        });
-        assert_eq!(total.load(Ordering::SeqCst), 10);
-    }
-
-    #[test]
     fn for_each_index_covers_every_index_exactly_once() {
         let pool = PalPool::new(4).unwrap();
         let hits: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
@@ -1265,24 +1060,23 @@ mod tests {
 
     #[test]
     fn metrics_account_for_every_pal_thread() {
-        // One join fork + two scope spawns = three pal-threads; each one is
-        // either granted its own processor (spawned/stolen) or folded into
-        // its creator (inlined) — never lost, never double-counted.
+        // One join fork + a three-block index pass (two forks) = three
+        // pal-threads; each one is either granted its own processor
+        // (spawned/stolen) or folded into its creator (inlined) — never
+        // lost, never double-counted.
         let pool = PalPool::new(2).unwrap();
         let before = {
             let m = pool.metrics();
             m.spawned() + m.inlined()
         };
         pool.join(|| (), || ());
-        pool.scope(|s| {
-            s.spawn(|| ());
-            s.spawn(|| ());
-        });
+        assert_eq!(pool.index_chunk_count(3), 3);
+        pool.for_each_index(0..3, |_| ());
         let m = pool.metrics();
         assert_eq!(m.spawned() + m.inlined(), before + 3);
         // A pal-thread is spawned by migrating (a steal) or by being
-        // injected from outside the pool; it can never have more steals
-        // than spawns.
+        // drained off a dying worker; it can never have more steals than
+        // spawns.
         assert!(m.steals() <= m.spawned());
     }
 
@@ -1301,26 +1095,6 @@ mod tests {
         assert_eq!(m.spawned(), 0, "elided forks never reach the scheduler");
         assert_eq!(m.inlined(), 0, "elided forks never reach the scheduler");
         assert_eq!(m.elided(), 2);
-    }
-
-    #[test]
-    fn single_processor_scope_elides_spawns_in_creation_order() {
-        // Same throttle on the multi-way construct: a one-processor scope
-        // runs its pal-threads inline, immediately, in creation order —
-        // without creating the eight injector jobs it used to.
-        let pool = PalPool::new(1).unwrap();
-        let order = parking_lot::Mutex::new(Vec::new());
-        pool.scope(|s| {
-            for i in 0..8 {
-                let order = &order;
-                s.spawn(move || order.lock().push(i));
-            }
-        });
-        assert_eq!(*order.lock(), (0..8).collect::<Vec<_>>());
-        let m = pool.metrics();
-        assert_eq!(m.steals(), 0, "a one-processor pool cannot migrate work");
-        assert_eq!(m.spawned(), 0, "elided spawns never reach the scheduler");
-        assert_eq!(m.elided(), 8);
     }
 
     #[test]
@@ -1495,29 +1269,6 @@ mod tests {
         pool.join(|| (), || ());
         let again = pool.take_trace().unwrap();
         assert_eq!(again.summary().forks, 1);
-    }
-
-    #[test]
-    fn traced_scope_classifies_injected_spawns() {
-        // Spawns issued from the external thread are injected, not stolen.
-        let pool = PalPool::builder()
-            .processors(2)
-            .no_cutoff()
-            .trace(TraceConfig::default())
-            .build()
-            .unwrap();
-        pool.scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| ());
-            }
-        });
-        let m = pool.metrics().snapshot();
-        let s = pool.take_trace().unwrap().summary();
-        assert_eq!(s.forks, 8);
-        assert_eq!(s.injected + s.steals, s.spawned);
-        assert_eq!(s.spawned, m.spawned);
-        assert_eq!(s.inlined, m.inlined);
-        assert_eq!(s.steals, m.steals);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! ([`scan`](PalPool::scan)), filtering ([`pack`](PalPool::pack)), CSR-style
 //! expansion ([`expand`](PalPool::expand)), index-space map
 //! ([`map_collect`](PalPool::map_collect)), one value per block
-//! ([`map_blocks_in`](PalPool::map_blocks_in)), ordered reduction
+//! ([`map_blocks_in`](PalPool::map_blocks_in)), index-space loop
+//! ([`for_each_index`](PalPool::for_each_index)), ordered reduction
 //! ([`map_reduce`](PalPool::map_reduce)) and histogram-style reduction
 //! ([`reduce_by_index`](PalPool::reduce_by_index)).
 //!
@@ -71,16 +72,18 @@
 //! | [`map_collect`](PalPool::map_collect) / [`map_collect_in`](PalPool::map_collect_in) | `C − 1` | 0 |
 //! | [`map_blocks_in`](PalPool::map_blocks_in) | `C − 1` | 0 |
 //! | [`reduce_by_index`](PalPool::reduce_by_index) | `C − 1` | 0 |
+//! | [`for_each_index`](PalPool::for_each_index)² | `C − 1`, `C` = [`index_chunk_count`](PalPool::index_chunk_count)`(len)` | `C − 1` (no wake floor) |
 //! | [`map_reduce`](PalPool::map_reduce)² | `C − 1`, `C` = [`index_chunk_count`](PalPool::index_chunk_count)`(len)` | `C − 1` (no wake floor) |
 //! | [`scan`](PalPool::scan) / [`scan_in`](PalPool::scan_in) / [`scan_copy`](PalPool::scan_copy) | `2·(C − 1)` | 0 |
 //! | [`pack`](PalPool::pack) / [`pack_in`](PalPool::pack_in) | `2·(C − 1)` (`C − 1` when nothing survives) | 0 |
 //! | [`expand`](PalPool::expand) / [`expand_in`](PalPool::expand_in) | `2·(C − 1)` (block sums + write pass) | 0 |
 //!
-//! ² Its per-index cost is an opaque closure, so it blocks by the fixed
-//! `4·p` bound rather than by the pass policy, and records no `Pass` event.
+//! ² The per-index cost is an opaque closure, so these block by the fixed
+//! `4·p` bound rather than by the pass policy, and record no `Pass` event.
 //!
 //! `len` is what each primitive blocks over: the input slice for
-//! scan/pack, the index range for map_collect/map_blocks_in/reduce_by_index/map_reduce, and
+//! scan/pack, the index range for map_collect/map_blocks_in/reduce_by_index/
+//! for_each_index/map_reduce, and
 //! `sizes.len()` — the number of *regions*, not of output slots — for
 //! expand (see the limit noted on [`expand_in`](PalPool::expand_in)).
 //!
@@ -91,14 +94,13 @@
 //!
 //! When the pool's execution tracer is on
 //! ([`PalPoolBuilder::trace`](super::PalPoolBuilder::trace)), every
-//! parallel pass of the table above except `map_reduce` additionally records
-//! one [`Pass`](super::TraceEvent::Pass) event carrying its `(len, chunks)`
-//! — that is what lets the `lopram-sim` replayer recount a pass's `C − 1`
-//! forks under a different `(p, grain)` without re-running the workload.
-//! ([`for_each_index`](PalPool::for_each_index) and
-//! [`map_reduce`](PalPool::map_reduce) are not pass-recorded: their
-//! chunking is cost-opaque, so the replayer treats their spawns and forks
-//! as-recorded.)
+//! parallel pass of the table above except `for_each_index` and
+//! `map_reduce` additionally records one [`Pass`](super::TraceEvent::Pass)
+//! event carrying its `(len, chunks)` — that is what lets the `lopram-sim`
+//! replayer recount a pass's `C − 1` forks under a different `(p, grain)`
+//! without re-running the workload.  (The two index helpers are not
+//! pass-recorded: their chunking is cost-opaque, so the replayer treats
+//! their forks as-recorded.)
 
 use std::ops::Range;
 
@@ -544,6 +546,35 @@ impl PalPool {
         self.blocked_balanced_mut(out, chunks, |c, slot| {
             let at = |c| range.start + block_start(len, chunks, c);
             slot[0] = f(at(c)..at(c + 1));
+        });
+    }
+
+    /// Apply `f` to every index in `range`, split into
+    /// [`index_chunk_count`](PalPool::index_chunk_count)`(len)` balanced
+    /// blocks (block `c` covers `c·len/C .. (c+1)·len/C` past
+    /// `range.start`) run as pal-threads of one balanced `join` tree.
+    ///
+    /// This is the primitive behind the wavefront dynamic-programming
+    /// executor: within one antichain every cell is independent, so indices
+    /// can be processed by up to `p` processors.  Costs exactly `C − 1`
+    /// forks and allocates nothing.  Every block runs even when another
+    /// panics; the leftmost panic propagates once all blocks finished.  On
+    /// a one-processor pool every fork is elided and the blocks run in
+    /// index order on the caller.
+    pub fn for_each_index<F>(&self, range: Range<usize>, f: F)
+    where
+        F: Fn(usize) + Sync,
+    {
+        let len = range.end.saturating_sub(range.start);
+        if len == 0 {
+            return;
+        }
+        let chunks = self.index_chunk_count(len);
+        // One zero-sized slot per block: the balanced block tree wants a
+        // slice to split, and a `Vec<()>` never allocates.
+        self.blocked_balanced_mut(&mut vec![(); chunks], chunks, |c, _| {
+            let at = |c| range.start + block_start(len, chunks, c);
+            (at(c)..at(c + 1)).for_each(&f);
         });
     }
 

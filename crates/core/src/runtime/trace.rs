@@ -36,7 +36,6 @@
 //! | event | emitted at | meaning |
 //! |-------|-----------|---------|
 //! | [`Fork`](TraceEvent::Fork)   | `join` call site | two children created (or elided) |
-//! | [`Spawn`](TraceEvent::Spawn) | `scope.spawn` call site | one child created (or elided) |
 //! | [`Enter`](TraceEvent::Enter) | scheduled child starts | which worker activated it |
 //! | [`Exit`](TraceEvent::Exit)   | scheduled child returns | completion stamp |
 //! | [`Pass`](TraceEvent::Pass)   | blocked primitive pass | `(len, chunks)` of one parallel pass |
@@ -73,7 +72,7 @@ pub const TRACE_FORMAT_VERSION: u32 = 1;
 pub const EXTERNAL_WORKER: u16 = u16::MAX;
 
 /// Node id of the implicit root: the external calling context that every
-/// top-level fork or spawn hangs off.  Never allocated to a pal-thread.
+/// top-level fork hangs off.  Never allocated to a pal-thread.
 pub const ROOT_NODE: u32 = 0;
 
 const WORDS_PER_EVENT: usize = 4;
@@ -129,28 +128,6 @@ pub enum TraceEvent {
         /// both children ran as plain sequential calls, no `Enter`/`Exit`.
         elided: bool,
     },
-    /// A one-way spawn: a [`PalScope::spawn`](super::PalScope::spawn)
-    /// call site created `child` under `parent`.
-    Spawn {
-        /// Logical timestamp at the call site.
-        ts: u64,
-        /// Worker that executed the call site — the *spawner* — or
-        /// [`EXTERNAL_WORKER`].  Unlike [`Fork`](TraceEvent::Fork), this
-        /// worker is authoritative for steal classification: a spawned
-        /// child is stolen iff its `Enter` worker differs from a
-        /// non-external spawner.
-        worker: u16,
-        /// Node id of the spawning pal-thread ([`ROOT_NODE`] for the
-        /// scope body running outside any pal-thread).
-        parent: u32,
-        /// Node id of the created pal-thread.
-        child: u32,
-        /// Recursion depth of the call site.
-        depth: u32,
-        /// `true` when the spawn was elided (ran inline, no
-        /// `Enter`/`Exit`).
-        elided: bool,
-    },
     /// A scheduled pal-thread began executing on a worker.
     Enter {
         /// Logical timestamp on the executing thread.
@@ -189,7 +166,6 @@ pub enum TraceEvent {
 }
 
 const KIND_FORK: u64 = 1;
-const KIND_SPAWN: u64 = 2;
 const KIND_ENTER: u64 = 3;
 const KIND_EXIT: u64 = 4;
 const KIND_PASS: u64 = 5;
@@ -200,7 +176,6 @@ impl TraceEvent {
     pub fn ts(&self) -> u64 {
         match *self {
             TraceEvent::Fork { ts, .. }
-            | TraceEvent::Spawn { ts, .. }
             | TraceEvent::Enter { ts, .. }
             | TraceEvent::Exit { ts, .. }
             | TraceEvent::Pass { ts, .. } => ts,
@@ -211,7 +186,6 @@ impl TraceEvent {
     pub fn worker(&self) -> u16 {
         match *self {
             TraceEvent::Fork { worker, .. }
-            | TraceEvent::Spawn { worker, .. }
             | TraceEvent::Enter { worker, .. }
             | TraceEvent::Exit { worker, .. }
             | TraceEvent::Pass { worker, .. } => worker,
@@ -239,24 +213,6 @@ impl TraceEvent {
                 ((left as u64) << 32) | right as u64,
                 meta(
                     KIND_FORK,
-                    worker,
-                    if elided { FLAG_ELIDED } else { 0 },
-                    depth,
-                ),
-                parent as u64,
-            ],
-            TraceEvent::Spawn {
-                ts,
-                worker,
-                parent,
-                child,
-                depth,
-                elided,
-            } => [
-                ts,
-                (child as u64) << 32,
-                meta(
-                    KIND_SPAWN,
                     worker,
                     if elided { FLAG_ELIDED } else { 0 },
                     depth,
@@ -295,14 +251,6 @@ impl TraceEvent {
                 parent: w[3] as u32,
                 left: id_a,
                 right: id_b,
-                depth: aux,
-                elided: flags & FLAG_ELIDED != 0,
-            }),
-            KIND_SPAWN => Some(TraceEvent::Spawn {
-                ts,
-                worker,
-                parent: w[3] as u32,
-                child: id_a,
                 depth: aux,
                 elided: flags & FLAG_ELIDED != 0,
             }),
@@ -440,12 +388,6 @@ impl TraceState {
         (base, base.wrapping_add(1))
     }
 
-    /// Allocate an id for a spawned child.
-    #[inline]
-    pub(super) fn alloc_node(&self) -> u32 {
-        self.next_node.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// Record one event from worker `slot` (`None` for external threads).
     #[inline]
     pub(super) fn record(&self, slot: Option<usize>, ev: TraceEvent) {
@@ -532,7 +474,6 @@ impl DagTrace {
             .iter()
             .map(|ev| match *ev {
                 TraceEvent::Fork { right, .. } => right,
-                TraceEvent::Spawn { child, .. } => child,
                 TraceEvent::Enter { node, .. } | TraceEvent::Exit { node, .. } => node,
                 TraceEvent::Pass { .. } => 0,
             })
@@ -581,34 +522,6 @@ impl DagTrace {
                         }
                     }
                 }
-                TraceEvent::Spawn {
-                    worker,
-                    child,
-                    elided,
-                    ..
-                } => {
-                    s.forks += 1;
-                    if elided {
-                        s.elided += 1;
-                    } else {
-                        s.scheduled += 1;
-                        if worker == EXTERNAL_WORKER {
-                            // Injected from outside the pool: always runs
-                            // on a worker, but nothing migrated.
-                            s.spawned += 1;
-                            s.injected += 1;
-                        } else {
-                            match enter_worker(child) {
-                                Some(w) if w == worker => s.inlined += 1,
-                                Some(_) => {
-                                    s.spawned += 1;
-                                    s.steals += 1;
-                                }
-                                None => s.unclassified += 1,
-                            }
-                        }
-                    }
-                }
                 TraceEvent::Pass { chunks, .. } => {
                     s.passes += 1;
                     s.pass_forks += u64::from(chunks.saturating_sub(1));
@@ -629,7 +542,6 @@ impl DagTrace {
     /// dropped 0
     /// events 123                   # exactly this many event lines follow
     /// F <ts> <worker> <parent> <left> <right> <depth> <elided 0|1>
-    /// S <ts> <worker> <parent> <child> <depth> <elided 0|1>
     /// B <ts> <worker> <node>       # Enter ("begin")
     /// E <ts> <worker> <node>       # Exit
     /// P <ts> <worker> <len> <chunks>
@@ -657,17 +569,6 @@ impl DagTrace {
                     elided,
                 } => out.push_str(&format!(
                     "F {ts} {worker} {parent} {left} {right} {depth} {}\n",
-                    elided as u8
-                )),
-                TraceEvent::Spawn {
-                    ts,
-                    worker,
-                    parent,
-                    child,
-                    depth,
-                    elided,
-                } => out.push_str(&format!(
-                    "S {ts} {worker} {parent} {child} {depth} {}\n",
                     elided as u8
                 )),
                 TraceEvent::Enter { ts, worker, node } => {
@@ -758,14 +659,6 @@ impl DagTrace {
                     depth: field("depth")? as u32,
                     elided: field("elided")? != 0,
                 },
-                "S" => TraceEvent::Spawn {
-                    ts: field("ts")?,
-                    worker: field("worker")? as u16,
-                    parent: field("parent")? as u32,
-                    child: field("child")? as u32,
-                    depth: field("depth")? as u32,
-                    elided: field("elided")? != 0,
-                },
                 "B" => TraceEvent::Enter {
                     ts: field("ts")?,
                     worker: field("worker")? as u16,
@@ -804,8 +697,7 @@ impl DagTrace {
 /// [`DagTrace::summary`]; field names match [`RunMetrics`](crate::RunMetrics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceSummary {
-    /// Total creation points: `Fork` + `Spawn` events
-    /// (`= elided + scheduled`).
+    /// Total creation points: `Fork` events (`= elided + scheduled`).
     pub forks: u64,
     /// Creation points elided by the `⌈α·log₂ p⌉` throttle.
     pub elided: u64,
@@ -813,14 +705,13 @@ pub struct TraceSummary {
     /// (`= spawned + inlined + unclassified`).
     pub scheduled: u64,
     /// Scheduled pal-threads granted a processor other than their
-    /// creator's activation (`= steals + injected`).
+    /// creator's activation (`= steals`: every scheduled child is either
+    /// stolen or popped back by its creator).
     pub spawned: u64,
     /// Scheduled pal-threads executed by their creator.
     pub inlined: u64,
     /// Spawned pal-threads that migrated between pool workers.
     pub steals: u64,
-    /// Spawned pal-threads injected by external (non-worker) threads.
-    pub injected: u64,
     /// Scheduled creation points whose children's `Enter` events are
     /// missing (dropped events or in-flight work); zero on a complete
     /// trace of a quiesced pool.
@@ -912,6 +803,11 @@ mod tests {
         // event line inside the count is not.
         let bad = text.replace("F 1 65535 0 1 2 0 0", "F 1 65535 0 1");
         assert!(DagTrace::from_text(&bad).is_err());
+        // The retired one-way spawn line (`S <ts> <worker> <parent>
+        // <child> <depth> <elided>`) is no longer part of the vocabulary.
+        let spawn = text.replace("F 1 65535 0 1 2 0 0", "S 1 65535 0 1 0 0");
+        let err = DagTrace::from_text(&spawn).unwrap_err().to_string();
+        assert!(err.contains("unknown event tag"), "{err}");
     }
 
     #[test]
@@ -954,14 +850,6 @@ mod tests {
                 right: u32::MAX,
                 depth: 31,
                 elided: true,
-            },
-            TraceEvent::Spawn {
-                ts: 0,
-                worker: 3,
-                parent: ROOT_NODE,
-                child: 9,
-                depth: 0,
-                elided: false,
             },
             TraceEvent::Enter {
                 ts: 5,

@@ -125,22 +125,21 @@ fn results_agree_for_all_cutoff_configurations() {
     }
 }
 
-/// Scope spawns obey the same throttle: below the cutoff they run inline,
-/// immediately, in creation order, without creating scheduler jobs.
+/// A multi-way fork obeys the same throttle: below the cutoff the blocks
+/// of a `for_each_index` join tree run inline, immediately, in index
+/// (creation) order, without creating scheduler jobs.
 #[test]
 fn scope_spawns_below_cutoff_run_inline_in_creation_order() {
     let pool = PalPool::new(1).unwrap();
     let order = std::sync::Mutex::new(Vec::new());
-    pool.scope(|s| {
-        for i in 0..16 {
-            let order = &order;
-            s.spawn(move || order.lock().unwrap().push(i));
-        }
-    });
+    pool.for_each_index(0..16, |i| order.lock().unwrap().push(i));
     assert_eq!(*order.lock().unwrap(), (0..16).collect::<Vec<_>>());
     let m = pool.metrics();
     assert_eq!(m.spawned(), 0);
-    assert_eq!(m.elided(), 16);
+    assert_eq!(m.inlined(), 0);
+    // p = 1 ⇒ 4 blocks of 4 indices: three forks, every one elided.
+    assert_eq!(pool.index_chunk_count(16), 4);
+    assert_eq!(m.elided(), 3);
 }
 
 /// Elided joins keep the scheduled path's panic contract: `b` executes
@@ -193,7 +192,7 @@ fn cutoff_depth_is_tracked_per_pool() {
     assert_eq!(m.spawned() + m.inlined(), 1);
 }
 
-/// Nested scopes inside a join subtree inherit the subtree's depth: once
+/// Index passes inside a join subtree inherit the subtree's depth: once
 /// the recursion is past the cutoff, `for_each_index` and friends stop
 /// creating jobs too.
 #[test]
@@ -213,14 +212,12 @@ fn data_parallel_helpers_inherit_the_depth() {
     );
     assert_eq!(hits.load(Ordering::Relaxed), 100);
     let m = pool.metrics();
-    // One scheduled fork (the outer join's b); every chunk spawn of the
-    // inner for_each_index was elided.
+    // One scheduled fork (the outer join's b); every fork of the inner
+    // for_each_index join tree was elided.
     assert_eq!(m.spawned() + m.inlined(), 1);
-    assert!(m.elided() > 0, "inner chunk spawns must be elided");
-    // 1 outer join + one spawn per for_each_index chunk, all accounted
-    // (for_each_index uses fixed-size chunks over the index bound — not
-    // the primitives' adaptive chunk_count — so index_chunk_count is only
-    // an upper bound on its spawn count; recompute the exact split).
-    let chunk_size = 100usize.div_ceil(pool.index_chunk_count(100));
-    assert_metrics_consistent(m, 1 + 100usize.div_ceil(chunk_size) as u64);
+    let index_forks = pool.index_chunk_count(100) as u64 - 1;
+    assert_eq!(m.elided(), index_forks, "inner index forks must be elided");
+    // 1 outer join + `index_chunk_count(100) − 1` index forks, all
+    // accounted.
+    assert_metrics_consistent(m, 1 + index_forks);
 }

@@ -49,23 +49,25 @@ fn nested_join_stress() {
     );
 }
 
-/// Scopes under contention: all spawned pal-threads run exactly once per
-/// iteration, including nested spawns from within tasks.
+/// Index passes under contention: every block of a `for_each_index` join
+/// tree runs exactly once per iteration, including passes nested inside a
+/// block, and each pass costs exactly `C − 1` forks.
 #[test]
 fn scope_stress() {
     let pool = PalPool::new(4).unwrap();
+    let (outer, inner) = (pool.index_chunk_count(16), pool.index_chunk_count(4));
+    assert_eq!((outer, inner), (16, 4));
     for i in 0..repeat(100) {
         let counter = AtomicUsize::new(0);
-        pool.scope(|s| {
-            for _ in 0..16 {
-                let counter = &counter;
-                s.spawn(move || {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                });
-            }
+        pool.for_each_index(0..16, |_| {
+            pool.for_each_index(0..4, |_| {
+                counter.fetch_add(1, Ordering::SeqCst);
+            });
         });
-        assert_eq!(counter.load(Ordering::SeqCst), 16, "iteration {i}");
+        assert_eq!(counter.load(Ordering::SeqCst), 64, "iteration {i}");
     }
+    let forks_per_iteration = (outer - 1) + 16 * (inner - 1);
+    assert_metrics_consistent(pool.metrics(), (forks_per_iteration * repeat(100)) as u64);
 }
 
 /// Panic propagation under contention: a panicking child must unwind out of
@@ -91,24 +93,32 @@ fn panic_propagation_stress() {
     }
 }
 
-/// Panics inside scope tasks propagate from the scope entry point after all
-/// siblings ran, across many repetitions.
+/// Panics inside `for_each_index` blocks: every other block still runs,
+/// and the first (leftmost) panic propagates once all blocks finished,
+/// across many repetitions.
 #[test]
 fn scope_panic_stress() {
     let pool = PalPool::new(2).unwrap();
+    // One index per block, so a panicking index takes no sibling with it.
+    assert_eq!(pool.index_chunk_count(8), 8);
     for i in 0..repeat(100) {
         let ran = AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                s.spawn(|| panic!("task failed"));
-                let ran = &ran;
-                s.spawn(move || {
+            pool.for_each_index(0..8, |k| match k {
+                3 => panic!("block 3 failed"),
+                6 => panic!("block 6 failed"),
+                _ => {
                     ran.fetch_add(1, Ordering::SeqCst);
-                });
+                }
             });
         }));
-        assert!(result.is_err(), "iteration {i}");
-        assert_eq!(ran.load(Ordering::SeqCst), 1, "iteration {i}: sibling ran");
+        let payload = result.expect_err("a block panic must propagate");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"block 3 failed"),
+            "iteration {i}: the first panic wins"
+        );
+        assert_eq!(ran.load(Ordering::SeqCst), 6, "iteration {i}: siblings ran");
     }
 }
 

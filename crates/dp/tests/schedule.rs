@@ -434,9 +434,10 @@ fn repeated_dependencies_are_counted_like_any_other() {
     }
 }
 
-/// Spawns of one `for_each_index` over `len` indices on `pool`.
-fn index_spawns(pool: &PalPool, len: usize) -> u64 {
-    len.div_ceil(len.div_ceil(pool.index_chunk_count(len))) as u64
+/// Forks of one `for_each_index` over `len` indices on `pool`: a balanced
+/// `join` tree over `index_chunk_count(len)` blocks.
+fn index_forks(pool: &PalPool, len: usize) -> u64 {
+    pool.index_chunk_count(len) as u64 - 1
 }
 
 #[test]
@@ -465,7 +466,7 @@ fn a_level_forks_only_when_the_pool_says_its_weight_repays_it() {
             .iter()
             .map(|level| pinned.chunk_count(weight(level)).min(level.len()))
             .filter(|&blocks| blocks > 1)
-            .map(|blocks| index_spawns(&pinned, blocks))
+            .map(|blocks| index_forks(&pinned, blocks))
             .sum();
         assert!(predicted > 0, "no level of the table splits at grain 64");
         for run in 1..=2 {

@@ -241,16 +241,14 @@ pub fn components_union_find_with(
 /// The exact, schedule-independent fork count of a
 /// [`components_union_find_with`] run on `pool` over a graph with
 /// `vertices` vertices and `sample_edges` sampling passes:
-/// `(sample_edges + 1)` index passes (each
-/// `⌈len / ⌈len / index_chunk_count⌉⌉` spawns) plus one blocked flatten
-/// (`chunk_count − 1` forks).  The giant-root estimate is sequential and
-/// contributes zero.
+/// `(sample_edges + 1)` index passes (each `index_chunk_count − 1` forks)
+/// plus one blocked flatten (`chunk_count − 1` forks).  The giant-root
+/// estimate is sequential and contributes zero.
 pub fn union_find_forks(pool: &PalPool, vertices: usize, sample_edges: usize) -> u64 {
     if vertices == 0 {
         return 0;
     }
-    let chunk_size = vertices.div_ceil(pool.index_chunk_count(vertices));
-    let index_pass = vertices.div_ceil(chunk_size) as u64;
+    let index_pass = pool.index_chunk_count(vertices) as u64 - 1;
     (sample_edges as u64 + 1) * index_pass + (pool.chunk_count(vertices) as u64 - 1)
 }
 

@@ -1,12 +1,13 @@
 //! Heap-allocation counts of the warm steady state, under a counting
 //! global allocator.
 //!
-//! Everything runs on `p = 1` pools, where no fork ever leaves the calling
-//! thread and the count is therefore the code's alone — deterministic, not
-//! a sample of a schedule (at `p > 1` every granted spawn adds one heap
-//! job, by design).  One `#[test]` on purpose: the counter is
-//! process-global, and a second test running beside this one would be
-//! counted into its windows.
+//! No runtime path allocates per fork at any `p`: a fork's job, result slot
+//! and latch live on the forking frame whether or not it is stolen, and
+//! every multi-way fork is a `join` tree.  So a count is the code's alone
+//! — deterministic, not a sample of a schedule — on `p = 1` and `p = 2`
+//! pools alike.  One `#[test]` on purpose: the counter is process-global,
+//! and a second test running beside this one would be counted into its
+//! windows.
 //!
 //! * a fork nobody steals allocates **nothing** — the job lives on the
 //!   forking frame, the latch inline (a `.no_cutoff()` pool, so every fork
@@ -15,7 +16,10 @@
 //!   either side of the wake floor — all scratch comes from the arena;
 //! * a warm `bfs_par` allocates the vector it returns and nothing else —
 //!   far inside one per level — through thin, fat and dense levels and a
-//!   rebuilt frontier; the level buffers are the arena's.
+//!   rebuilt frontier; the level buffers are the arena's;
+//! * a warm `components_union_find` allocates the label vector it returns
+//!   and nothing else, at `p = 1` and `p = 2`: its index passes are `join`
+//!   trees and its parent forest is the arena's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -53,6 +57,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Wait for threads this test does not measure to go quiet: a freshly
+/// built pool's workers allocate their thread-local state as they start
+/// (a `p = 1` pool elides every fork, so nothing else waits for them),
+/// and the harness thread files the test's bookkeeping just after
+/// spawning it.  The counter is process-global and would see both.
+fn settle() {
+    std::thread::sleep(std::time::Duration::from_millis(20));
+}
+
 /// Allocation events during `f`.
 fn allocs(f: impl FnOnce()) -> u64 {
     let before = EVENTS.load(Ordering::Relaxed);
@@ -77,12 +90,15 @@ fn warm_steady_state_allocation_counts() {
         .build()
         .unwrap();
     join_tree(&raw, 4);
+    settle();
     let in_tree = allocs(|| assert_eq!(black_box(join_tree(&raw, 14)), 1 << 14));
     assert_eq!(raw.metrics().inlined(), (1 << 4) - 1 + (1 << 14) - 1);
     assert_eq!(in_tree, 0, "2^14 - 1 popped-back forks");
 
     // -- scan and pack, below and above the wake floor ---------------------
     let pool = PalPool::new(1).unwrap();
+    let pinned = PalPool::builder().processors(1).grain(64).build().unwrap();
+    settle();
     let keep = |_: usize, x: &usize| x.is_multiple_of(3);
     for n in [1000, 2 * WAKE_GRAIN] {
         let input: Vec<usize> = (0..n).map(|i| (i * 2_654_435_761) % 1009).collect();
@@ -108,7 +124,6 @@ fn warm_steady_state_allocation_counts() {
     // the scan/pack pipeline.
     let graph = gnm(1 << 13, 1 << 16, 42);
     let expected = bfs_seq(&graph, 0);
-    let pinned = PalPool::builder().processors(1).grain(64).build().unwrap();
     let mut profile = vec![(0, 0); levels(&expected) + 1];
     for (v, &d) in expected
         .iter()
@@ -142,4 +157,31 @@ fn warm_steady_state_allocation_counts() {
         );
     }
     assert!(pinned.metrics().forks() > 0);
+
+    // -- union-find CC, at p = 1 and p = 2 -----------------------------------
+    // 2^16 vertices: at or above the wake floor, so on every pool below the
+    // index passes and the flatten fork.
+    let graph = gnm(1 << 16, 1 << 18, 7);
+    let expected = components_seq(&graph);
+    for p in [1, 2] {
+        let default = PalPool::new(p).unwrap();
+        let pinned = PalPool::builder().processors(p).grain(64).build().unwrap();
+        settle();
+        for (grain, pool) in [("default", &default), ("grain64", &pinned)] {
+            for _ in 0..2 {
+                assert_eq!(components_union_find(&graph, pool), expected, "{grain}");
+            }
+            for call in 0..3 {
+                let cc = allocs(|| {
+                    black_box(components_union_find(&graph, pool));
+                });
+                assert_eq!(
+                    cc, 1,
+                    "warm components_union_find allocates its labels, nothing else \
+                     (p = {p}, {grain}, call {call})"
+                );
+            }
+            assert!(pool.metrics().forks() > 0, "p = {p}, {grain}");
+        }
+    }
 }

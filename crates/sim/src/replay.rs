@@ -1,8 +1,8 @@
 //! Deterministic replay of captured [`DagTrace`]s.
 //!
 //! `lopram-core`'s tracer (see `lopram_core::runtime::trace`) records the
-//! *structure* of a real pal-thread execution — every fork/spawn call site
-//! with its recursion depth, plus one `Pass` event per blocked data-parallel
+//! *structure* of a real pal-thread execution — every fork call site with
+//! its recursion depth, plus one `Pass` event per blocked data-parallel
 //! pass with the element count it covered.  That structure is
 //! schedule-independent: which call sites execute is a property of the
 //! program and its input, not of how the OS interleaved the workers.  This
@@ -205,12 +205,9 @@ impl TraceReplay {
                 .trace
                 .events
                 .iter()
-                .filter(|ev| match **ev {
-                    TraceEvent::Fork { depth, .. } | TraceEvent::Spawn { depth, .. } => {
-                        depth as usize >= cutoff
-                    }
-                    _ => false,
-                })
+                .filter(
+                    |ev| matches!(**ev, TraceEvent::Fork { depth, .. } if depth as usize >= cutoff),
+                )
                 .count() as u64;
             // A pathological capture (passes issued below the cutoff) can
             // recount `forks` below the recorded elided total; keep the
@@ -253,56 +250,27 @@ impl TraceReplay {
         // sorted by ts), plus each child's creating-event depth.
         let mut children: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
         let mut created: BTreeMap<u32, Creation> = BTreeMap::new();
-        // Top-level phases: a root-level Fork is its own barrier phase; a
-        // run of root-level Spawns uninterrupted by a Fork or a Pass is one
-        // concurrent phase (one scope / one blocked pass).
+        // Top-level phases: every root-level Fork is its own barrier phase.
         let mut phases: Vec<Vec<u32>> = Vec::new();
-        let mut spawn_group: Vec<u32> = Vec::new();
         for ev in &self.trace.events {
-            match *ev {
-                TraceEvent::Fork {
-                    parent,
-                    left,
-                    right,
-                    depth,
-                    ..
-                } => {
-                    created.insert(left, Creation { depth });
-                    created.insert(right, Creation { depth });
-                    if parent == ROOT_NODE {
-                        if !spawn_group.is_empty() {
-                            phases.push(std::mem::take(&mut spawn_group));
-                        }
-                        phases.push(vec![left, right]);
-                    } else {
-                        let kids = children.entry(parent).or_default();
-                        kids.push(left);
-                        kids.push(right);
-                    }
+            if let TraceEvent::Fork {
+                parent,
+                left,
+                right,
+                depth,
+                ..
+            } = *ev
+            {
+                created.insert(left, Creation { depth });
+                created.insert(right, Creation { depth });
+                if parent == ROOT_NODE {
+                    phases.push(vec![left, right]);
+                } else {
+                    let kids = children.entry(parent).or_default();
+                    kids.push(left);
+                    kids.push(right);
                 }
-                TraceEvent::Spawn {
-                    parent,
-                    child,
-                    depth,
-                    ..
-                } => {
-                    created.insert(child, Creation { depth });
-                    if parent == ROOT_NODE {
-                        spawn_group.push(child);
-                    } else {
-                        children.entry(parent).or_default().push(child);
-                    }
-                }
-                TraceEvent::Pass { .. } => {
-                    if !spawn_group.is_empty() {
-                        phases.push(std::mem::take(&mut spawn_group));
-                    }
-                }
-                TraceEvent::Enter { .. } | TraceEvent::Exit { .. } => {}
             }
-        }
-        if !spawn_group.is_empty() {
-            phases.push(spawn_group);
         }
 
         let mut makespan = 0u64;

@@ -22,12 +22,13 @@
 //!   fork prediction must stay exact;
 //! * a **DP wavefront** (`EditDistance` under `solve_wavefront`, on
 //!   `.grain(1)` pools so that its levels fork at all) — its forks are
-//!   `for_each_index` scope spawns, which the replayer carries *as
-//!   recorded*.  Spawn counts are a pure function of `(level widths, p)` but
-//!   `p`-*dependent* (`index_chunk_count`), so replay exactness holds at
+//!   the `join` trees of `for_each_index`, which records no `Pass`
+//!   event, so the replayer carries them *as recorded*.  Their count is a
+//!   pure function of `(level widths, p)` but `p`-*dependent*
+//!   (`index_chunk_count − 1` per level), so replay exactness holds at
 //!   the capture configuration (and against a fresh pool at the capture
 //!   `p`), while cross-`p` prediction is deliberately out of contract
-//!   for spawn-based workloads and excluded here.
+//!   for index-pass workloads and excluded here.
 
 use lopram_core::policy::WAKE_GRAIN;
 use lopram_core::{DagTrace, PalPool, TraceConfig};
@@ -296,12 +297,12 @@ proptest! {
     // A DP wavefront (edit distance on `.grain(1)` pools, where every
     // antidiagonal of two or more cells is forked — a default pool runs
     // levels this light as plain loops and would record nothing): every
-    // fork is a `for_each_index` scope spawn the replayer carries as
-    // recorded.  Spawn counts are pure in (level widths, p) but
+    // fork is in a `for_each_index` join tree the replayer carries as
+    // recorded.  Those counts are pure in (level widths, p) but
     // p-dependent, so the contract here is capture fidelity, identity
     // replay, steal-free p = 1, and fork exactness against a fresh pool at
     // the *capture* p — cross-p prediction is out of contract for
-    // spawn-based workloads (see module docs).
+    // index-pass workloads (see module docs).
     #[test]
     fn dp_wavefront_replay_is_exact_at_capture_config(
         len in 2usize..24,
@@ -323,7 +324,7 @@ proptest! {
 
             let replay = TraceReplay::from_trace(trace);
             let recorded = replay.recorded();
-            prop_assert!(recorded.forks > 0, "nothing spawned at p = {}", p);
+            prop_assert!(recorded.forks > 0, "nothing forked at p = {}", p);
             let same = replay.predict(p, 2.0, ReplayGrain::Fixed(1));
             prop_assert!(same.at_capture_config, "p = {}", p);
             prop_assert_eq!(same.forks, recorded.forks, "identity forks, p = {}", p);
@@ -333,8 +334,8 @@ proptest! {
             prop_assert_eq!(one.scheduled, 0u64, "p = {}", p);
             prop_assert_eq!(one.elided, one.forks, "p = {}", p);
             // Replay exactness against a fresh measured pool at the
-            // capture configuration: spawn counts are deterministic at
-            // fixed p.
+            // capture configuration: index-pass fork counts are
+            // deterministic at fixed p.
             let fresh = pinned().build().unwrap();
             let fresh_solution = solve_wavefront(&problem, &fresh);
             prop_assert_eq!(fresh_solution.goal, expected);

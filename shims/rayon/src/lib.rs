@@ -1,9 +1,10 @@
 //! Minimal, API-compatible shim for the subset of [`rayon`] this workspace
-//! uses — [`ThreadPool`] (via [`ThreadPoolBuilder`]) with [`ThreadPool::join`],
-//! [`ThreadPool::install`] and [`ThreadPool::in_place_scope`], plus the free
-//! [`join`] function — implemented as a genuine bounded **work-stealing**
-//! runtime (the build container has no network access, so the real crate
-//! cannot be fetched).
+//! uses — [`ThreadPool`] (via [`ThreadPoolBuilder`]) with [`ThreadPool::join`]
+//! and [`ThreadPool::install`], plus the free [`join`] function — implemented
+//! as a genuine bounded **work-stealing** runtime (the build container has no
+//! network access, so the real crate cannot be fetched).  `join` is the one
+//! fork primitive: every multi-way fork above this crate is a tree of
+//! `join`s.
 //!
 //! # Scheduling rule
 //!
@@ -30,13 +31,12 @@
 //!   own deque.  If the popped task is `b` (nobody stole it), `b` runs
 //!   inline without ever touching its latch — the un-stolen fork costs a
 //!   push, a pop and two pointer compares on top of a plain call.  If the
-//!   pop returns another pending task this worker created (a scope task
-//!   spawned during `a`, or an older fork of an enclosing join once `b`
-//!   migrated), the worker executes it (it is that task's creator, so this
-//!   is still the §3.1 run-inline rule).  Once the deque is empty, `b` was
-//!   stolen: the
-//!   worker does not park — it executes other pending tasks while polling
-//!   `b`'s latch, so a blocked parent is still a useful processor.
+//!   pop returns another pending task this worker created (an older fork
+//!   of an enclosing join, once `b` migrated), the worker executes it (it
+//!   is that task's creator, so this is still the §3.1 run-inline rule).
+//!   Once the deque is empty, `b` was stolen: the worker does not park — it
+//!   executes other pending tasks while polling `b`'s latch, so a blocked
+//!   parent is still a useful processor.
 //!
 //! # Sleeping and waking
 //!
@@ -78,24 +78,24 @@
 //! under [`SelfHeal::Degrade`], the external caller executes injected
 //! work itself as a last resort rather than hang.
 //!
-//! Calls from threads that are not pool workers (`install`, `join`, the end
-//! of `in_place_scope`) ship the work into the pool and block the calling
-//! thread; the `num_threads` workers are therefore the *only* processors,
-//! which is what lets `PalPool` in `lopram-core` model a LoPRAM with exactly
-//! `p` processors.
+//! Calls from threads that are not pool workers (`install`, `join`) ship
+//! the work into the pool and block the calling thread; the `num_threads`
+//! workers are therefore the *only* processors, which is what lets `PalPool`
+//! in `lopram-core` model a LoPRAM with exactly `p` processors.
 //!
 //! The pool counts every completed task in [`PoolStats`]: `stolen` (taken
 //! from another worker's deque — the task migrated to a processor that
 //! freed up), `inlined` (popped back and executed by the thread that
-//! created it), and `injected` (shipped in from a non-worker thread, whose
-//! creator is not a processor, so neither label applies).  `lopram-core`
-//! forwards these to its `RunMetrics` so experiments can observe the
-//! paper's Figure 2 cutoff on the real pool.
+//! created it), and `injected` (taken from the shared injector: a fork a
+//! dying worker drained there, whose creator is gone, so neither label
+//! applies; the `install` trampoline that carries external calls in is not
+//! counted).  `lopram-core` forwards these to its `RunMetrics` so
+//! experiments can observe the paper's Figure 2 cutoff on the real pool.
 //!
 //! Guarantees relied on by the workspace:
 //!
 //! * at most `num_threads` tasks of a pool execute concurrently;
-//! * `join`/scopes block until every forked task finished, so borrowing the
+//! * `join` blocks until both forked tasks finished, so borrowing the
 //!   enclosing stack is safe;
 //! * panics in forked tasks propagate to the forking caller;
 //! * a pool with one thread degenerates to sequential execution in creation
@@ -105,12 +105,9 @@
 
 pub mod deque;
 
-use std::any::Any;
 use std::cell::{RefCell, UnsafeCell};
 use std::collections::VecDeque;
 use std::fmt;
-use std::marker::PhantomData;
-use std::mem;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::ptr;
 use std::rc::Rc;
@@ -389,15 +386,6 @@ impl WakeLatch {
         }
     }
 
-    /// Safe wrapper for latches in reference-counted memory ([`ScopeState`]),
-    /// where the pointee cannot be freed mid-call.
-    fn set(&self) {
-        #[allow(unsafe_code)]
-        unsafe {
-            WakeLatch::set_raw(self)
-        };
-    }
-
     /// Block until set — for non-worker threads, which normally do not
     /// execute pool work.  The owner's unpark token makes the
     /// set-before-park race benign; the park is additionally bounded by
@@ -432,9 +420,8 @@ impl WakeLatch {
 
 /// A type-erased pointer to a pending task.
 ///
-/// `data` points either at a `StackJob` on the creator's stack (kept alive
-/// because the creator blocks until the job's latch is set) or at a leaked
-/// [`HeapJob`] box (reclaimed by `execute_heap`).
+/// `data` points at a `StackJob` on the creator's stack, kept alive because
+/// the creator blocks until the job's latch is set (or runs the job itself).
 struct JobRef {
     data: *const (),
     execute_fn: unsafe fn(*const ()),
@@ -443,9 +430,9 @@ struct JobRef {
     counted: bool,
 }
 
-// SAFETY: a JobRef is only ever executed once, and the pointed-to job is
-// kept alive until its completion latch is set (StackJob) or owns itself
-// (HeapJob).  The closures inside are `Send` by the public API bounds.
+// SAFETY: a JobRef is only ever executed once, and the pointed-to StackJob
+// is kept alive until its completion latch is set.  The closures inside
+// are `Send` by the public API bounds.
 #[allow(unsafe_code)]
 unsafe impl Send for JobRef {}
 
@@ -528,28 +515,6 @@ where
     WakeLatch::set_raw(&raw const (*job).latch);
 }
 
-/// A scope task: boxed closure plus the shared scope state it reports to.
-struct HeapJob {
-    task: Box<dyn FnOnce(&Scope<'static>) + Send>,
-    state: Arc<ScopeState>,
-}
-
-/// Execute (and reclaim) a leaked [`HeapJob`].
-#[allow(unsafe_code)]
-unsafe fn execute_heap(data: *const ()) {
-    let job = Box::from_raw(data.cast::<HeapJob>().cast_mut());
-    let state = Arc::clone(&job.state);
-    let task = job.task;
-    let scope = Scope::<'static> {
-        state: Arc::clone(&state),
-        _marker: PhantomData,
-    };
-    if let Err(payload) = catch_unwind(AssertUnwindSafe(move || task(&scope))) {
-        state.stash_panic(payload);
-    }
-    state.task_finished();
-}
-
 // ---------------------------------------------------------------------------
 // Registry: the shared state of one pool — stealers, injector, sleep bitmap.
 // ---------------------------------------------------------------------------
@@ -564,9 +529,10 @@ enum TaskSource {
     /// Taken from another worker's deque: a genuine steal — the task
     /// migrated to a processor that freed up after its creation.
     Theft,
-    /// Taken from the shared injector: work shipped into the pool by a
-    /// non-worker thread.  The creator is not a processor, so this is
-    /// neither an inline execution nor a worker-to-worker migration.
+    /// Taken from the shared injector: an `install` trampoline shipped in
+    /// by a non-worker thread (not counted), or a fork a dying worker
+    /// drained there.  Neither an inline execution nor a worker-to-worker
+    /// migration.
     Injector,
 }
 
@@ -591,7 +557,7 @@ struct Registry {
     stolen: AtomicU64,
     /// Tasks popped back and executed by the thread that created them.
     inlined: AtomicU64,
-    /// Tasks taken from the injector (created outside the pool).
+    /// Counted tasks taken from the injector (forks a dying worker drained).
     injected: AtomicU64,
     /// Deliberate wake-ups that found no task to run (another worker got
     /// there first).
@@ -749,8 +715,8 @@ impl Registry {
 
     /// Execute a job, attributing it in the pool statistics.
     ///
-    /// Never unwinds: every job type catches its own panic and reports it
-    /// through its latch or scope, so helping loops survive task failures.
+    /// Never unwinds: a job catches its own panic and reports it through
+    /// its result slot, so helping loops survive task failures.
     #[allow(unsafe_code)]
     fn execute(&self, job: JobRef, source: TaskSource) {
         if job.counted {
@@ -1015,14 +981,12 @@ where
 
     let result_a = catch_unwind(AssertUnwindSafe(oper_a));
 
-    // Everything in our deque was pushed by this thread: join forks pop in
-    // LIFO stack discipline (each consumed by its own join before `a`
-    // returns), but scope tasks spawned during `a` into a still-open scope
-    // may remain, sitting *newer* than `b`.  So a pop here yields `b`
-    // itself, one of those pending scope tasks, or — once `b` migrated —
-    // an older pending fork of an enclosing join on this very stack.  All
-    // of them are ours to execute; only `b` (matched by pointer identity)
-    // takes the latch-free inline path.
+    // Everything in our deque was pushed by this thread, and join forks pop
+    // in LIFO stack discipline (each consumed by its own join before `a`
+    // returns).  So a pop here yields `b` itself or — once `b` migrated —
+    // an older pending fork of an enclosing join on this very stack.  Both
+    // are ours to execute; only `b` (matched by pointer identity) takes the
+    // latch-free inline path.
     let mut b_ran_inline = false;
     loop {
         match ctx.worker.pop() {
@@ -1039,9 +1003,8 @@ where
                 b_ran_inline = true;
                 break;
             }
-            // Another pending task we created (a scope task spawned during
-            // `a`, or an older fork of an enclosing join): running it here
-            // is the same §3.1 "no free processor ⇒ creator runs it" rule.
+            // An older pending fork of an enclosing join we created: running
+            // it here is the same §3.1 "no free processor ⇒ creator runs it" rule.
             Some(job) => ctx.registry.execute(job, TaskSource::Own),
             // b migrated to (or is executing on) another processor.
             None => break,
@@ -1173,10 +1136,12 @@ pub struct PoolStats {
     /// Pending tasks popped back and executed by the thread that created
     /// them (the fork was never taken by anyone else).
     pub inlined: u64,
-    /// Pending tasks taken from the shared injector: created by a
-    /// non-worker thread and executed by some pool worker.  Not a
-    /// migration (the creator was never a processor), so these are kept
-    /// apart from `stolen`.
+    /// Pending forks taken from the shared injector.  The only counted
+    /// tasks that reach the injector are the forks a dying worker drains
+    /// into it (the `install` trampoline that carries an external call in
+    /// is not a pal-thread and is not counted), so this stays zero unless
+    /// a worker died.  Kept apart from `stolen`: the creator is gone, so
+    /// the task neither migrated nor ran inline.
     pub injected: u64,
     /// Deliberate worker wake-ups that found no pending task (the task was
     /// claimed by another processor first).  With one-sleeper-per-push
@@ -1261,16 +1226,6 @@ impl ThreadPool {
         R: Send,
     {
         install_in(&self.registry, op)
-    }
-
-    /// Open a scope on the calling thread in which tasks can be spawned
-    /// onto this pool; the scope returns only after every spawned task has
-    /// finished.
-    pub fn in_place_scope<'scope, OP, R>(&self, op: OP) -> R
-    where
-        OP: FnOnce(&Scope<'scope>) -> R,
-    {
-        scope_in(Arc::clone(&self.registry), op)
     }
 }
 
@@ -1397,123 +1352,6 @@ impl fmt::Display for ThreadPoolBuildError {
 
 impl std::error::Error for ThreadPoolBuildError {}
 
-// ---------------------------------------------------------------------------
-// Scope
-// ---------------------------------------------------------------------------
-
-/// Shared state of one scope: the pool it spawns into, the count of
-/// unfinished tasks (plus one guard for the scope body), and the first panic
-/// observed in a spawned task.
-struct ScopeState {
-    registry: Arc<Registry>,
-    pending: AtomicUsize,
-    latch: WakeLatch,
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-}
-
-impl ScopeState {
-    fn stash_panic(&self, payload: Box<dyn Any + Send>) {
-        lock(&self.panic).get_or_insert(payload);
-    }
-
-    fn task_finished(&self) {
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.latch.set();
-        }
-    }
-}
-
-/// A scope in which tasks borrowing `'scope` data can be spawned — the shim
-/// of `rayon::Scope`.
-pub struct Scope<'scope> {
-    state: Arc<ScopeState>,
-    // Invariant in 'scope, like the real crate.
-    _marker: PhantomData<&'scope mut &'scope ()>,
-}
-
-impl<'scope> Scope<'scope> {
-    /// Spawn a pending task into the pool: onto this worker's own deque when
-    /// called from a pool worker, onto the shared injector otherwise.  The
-    /// task stays pending until a processor picks it up — idle processors
-    /// take pending tasks oldest-first, while a creator draining its own
-    /// leftovers at scope end takes the newest first (LIFO).  The enclosing
-    /// scope waits for it, and a panic in it propagates from the scope
-    /// entry point after all sibling tasks finished.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce(&Scope<'scope>) + Send + 'scope,
-    {
-        self.state.pending.fetch_add(1, Ordering::AcqRel);
-        let task: Box<dyn FnOnce(&Scope<'scope>) + Send + 'scope> = Box::new(f);
-        // SAFETY: the scope entry point waits for `pending` to reach zero
-        // before returning (even when the scope body panics), so the task
-        // cannot outlive the `'scope` data it borrows.  `Scope<'scope>` and
-        // `Scope<'static>` differ only in a PhantomData lifetime.
-        #[allow(unsafe_code)]
-        let task: Box<dyn FnOnce(&Scope<'static>) + Send + 'static> =
-            unsafe { mem::transmute(task) };
-        let job = Box::new(HeapJob {
-            task,
-            state: Arc::clone(&self.state),
-        });
-        let job_ref = JobRef {
-            data: (Box::into_raw(job) as *const HeapJob).cast::<()>(),
-            execute_fn: execute_heap,
-            counted: true,
-        };
-        match current_worker_in(&self.state.registry) {
-            Some(ctx) => {
-                ctx.worker.push(job_ref);
-                ctx.registry.notify_one();
-            }
-            None => self.state.registry.inject(job_ref),
-        }
-    }
-}
-
-impl fmt::Debug for Scope<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Scope").finish_non_exhaustive()
-    }
-}
-
-fn scope_in<'scope, OP, R>(registry: Arc<Registry>, op: OP) -> R
-where
-    OP: FnOnce(&Scope<'scope>) -> R,
-{
-    let state = Arc::new(ScopeState {
-        registry,
-        // One guard for the scope body itself, so the latch cannot fire
-        // while the body is still spawning.
-        pending: AtomicUsize::new(1),
-        latch: WakeLatch::new(),
-        panic: Mutex::new(None),
-    });
-    let scope = Scope {
-        state: Arc::clone(&state),
-        _marker: PhantomData,
-    };
-    let result = catch_unwind(AssertUnwindSafe(|| op(&scope)));
-    // Body done (or unwound): release its guard, then wait for every
-    // spawned task — they may borrow 'scope data, so this must happen even
-    // when the body panicked.
-    state.task_finished();
-    match current_worker_in(&state.registry) {
-        Some(ctx) => ctx.wait_help(&state.latch),
-        None => state.latch.wait_supervised(&state.registry),
-    }
-    let stashed = lock(&state.panic).take();
-    match result {
-        Err(payload) => resume_unwind(payload),
-        Ok(value) => {
-            if let Some(payload) = stashed {
-                resume_unwind(payload);
-            }
-            value
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1617,28 +1455,6 @@ mod tests {
     }
 
     #[test]
-    fn external_scope_spawns_count_as_injected_not_stolen() {
-        // Regression: a one-worker pool cannot migrate anything, so scope
-        // tasks shipped in from the outside must not be attributed as
-        // steals (they are `injected`: their creator is not a processor).
-        let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        let counter = AtomicUsize::new(0);
-        pool.in_place_scope(|s| {
-            for _ in 0..8 {
-                let counter = &counter;
-                s.spawn(move |_| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 8);
-        let stats = pool.stats();
-        assert_eq!(stats.stolen, 0);
-        assert_eq!(stats.inlined, 0);
-        assert_eq!(stats.injected, 8);
-    }
-
-    #[test]
     fn deep_unbalanced_recursion_grows_the_deque() {
         // Each level parks one pending fork and recurses in `a`, so a
         // 1-worker pool accumulates `depth` pending tasks on a single deque
@@ -1706,67 +1522,6 @@ mod tests {
         }));
         assert!(result.is_err());
         assert_eq!(pool.join(|| 1, || 2), (1, 2));
-    }
-
-    #[test]
-    fn scope_runs_all_tasks_and_borrows_stack() {
-        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
-        let counter = AtomicUsize::new(0);
-        pool.in_place_scope(|s| {
-            for _ in 0..50 {
-                let counter = &counter;
-                s.spawn(move |_| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 50);
-    }
-
-    #[test]
-    fn scope_tasks_can_spawn_nested_tasks() {
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let counter = AtomicUsize::new(0);
-        pool.in_place_scope(|s| {
-            let counter = &counter;
-            s.spawn(move |inner| {
-                counter.fetch_add(1, Ordering::SeqCst);
-                inner.spawn(move |_| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                });
-            });
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn single_thread_scope_runs_inline_in_creation_order() {
-        let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        let order = Mutex::new(Vec::new());
-        pool.in_place_scope(|s| {
-            for i in 0..10 {
-                let order = &order;
-                s.spawn(move |_| order.lock().unwrap().push(i));
-            }
-        });
-        assert_eq!(*order.lock().unwrap(), (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn scope_task_panic_propagates_after_joining_all() {
-        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
-        let ran = AtomicUsize::new(0);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.in_place_scope(|s| {
-                s.spawn(|_| panic!("task failed"));
-                let ran = &ran;
-                s.spawn(move |_| {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                });
-            });
-        }));
-        assert!(result.is_err());
-        assert_eq!(ran.load(Ordering::SeqCst), 1, "sibling task still ran");
     }
 
     #[test]
@@ -1969,16 +1724,6 @@ mod tests {
         wait_health(&pool, "the only worker dead", |h| h.alive_workers == 0);
         assert_eq!(pool.join(|| 1, || 2), (1, 2));
         assert_eq!(pool.install(|| 7), 7);
-        let counter = AtomicUsize::new(0);
-        pool.in_place_scope(|s| {
-            for _ in 0..16 {
-                let counter = &counter;
-                s.spawn(move |_| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 16);
         let health = pool.health();
         assert_eq!(health.alive_workers, 0);
         assert_eq!(health.killed, 1);
