@@ -37,9 +37,11 @@
 //! recipe: a steady-state BFS level runs scan, pack and the candidate
 //! expansion without touching the allocator at all.
 //!
-//! `pack` is fused: the survivor counts are scanned **in place** inside
-//! one small arena buffer that doubles as the output boundaries, so no
-//! per-element flag vector and no offset vector ever materializes, and
+//! `pack` is fused and branch-free: the survivor counts are scanned **in
+//! place** inside one small arena buffer that doubles as the output
+//! boundaries, so no per-element flag vector and no offset vector ever
+//! materializes, and its scatter stores every element at a cursor that
+//! only survivors advance, so a random predicate mispredicts nothing.
 //! `expand` reduces the degree scan to per-block sums (only block *start*
 //! offsets are needed — the full element-wise prefix vector of the old
 //! three-pass formulation is gone).  For `Copy` elements,
@@ -135,6 +137,27 @@ fn prepare_slots<T: Clone>(buf: &mut Vec<T>, len: usize, fill: impl FnOnce() -> 
     if buf.len() < len {
         buf.resize(len, fill());
     }
+}
+
+/// Branch-free compaction of `block` (whose first element is input index
+/// `lo`) into `region`: every element is written at the cursor and only a
+/// survivor advances it, so an unpredictable `keep` costs no mispredicted
+/// branch.  Stops when `region` is full or `block` is spent and returns
+/// `(written, consumed)`: the survivors placed and the elements asked.
+/// The loop condition bounds both indices, so neither access is checked.
+#[inline]
+fn compact<T, F>(block: &[T], lo: usize, keep: &F, region: &mut [T]) -> (usize, usize)
+where
+    T: Copy,
+    F: Fn(usize, &T) -> bool,
+{
+    let (mut k, mut i) = (0, 0);
+    while k < region.len() && i < block.len() {
+        region[k] = block[i];
+        k += usize::from(keep(lo + i, &block[i]));
+        i += 1;
+    }
+    (k, i)
 }
 
 impl PalPool {
@@ -291,16 +314,24 @@ impl PalPool {
     /// Keep exactly the elements for which `keep(index, &element)` is true,
     /// in their original order (parallel filter / stream compaction).
     ///
-    /// Fused count+scatter pipeline: per-block survivor counts land in one
-    /// small arena buffer, are exclusive-scanned **in place** into the
-    /// output boundaries, and each block then re-filters straight into its
-    /// disjoint region of the output — no per-element flag vector, no
-    /// offset vector, no intermediate compaction buffer.  `keep` is called
-    /// **twice** per element (once to count, once to write) and must
-    /// therefore be pure.  A one-block pack (`C = 1` — every input below
-    /// [`WAKE_GRAIN`](crate::policy::WAKE_GRAIN) on a default pool) has
-    /// no boundaries to compute and filters in a single sweep, calling
-    /// `keep` once per element.
+    /// Fused, branch-free count+scatter pipeline: per-block survivor
+    /// counts land in one small arena buffer, are exclusive-scanned **in
+    /// place** into the output boundaries, and each block then re-filters
+    /// straight into its disjoint region of the output — no per-element
+    /// flag vector, no offset vector, no intermediate compaction buffer.
+    /// The scatter has no data-dependent branch: every element is stored
+    /// at the output cursor and only a survivor advances it, so a random
+    /// predicate costs no branch mispredicts.  That unconditional store is
+    /// why `T` is `Copy` (a plain store, never a clone and a drop).
+    /// `keep` is called **twice** per element (once to count, once to
+    /// write) and must therefore be pure; a write pass that disagrees with
+    /// the count panics with "keep must be pure".  A one-block pack
+    /// (`C = 1` — every input below
+    /// [`WAKE_GRAIN`](crate::policy::WAKE_GRAIN) on a default pool) has no
+    /// boundaries to compute and compacts in a single sweep, calling
+    /// `keep` once per element; it stores into `input.len()` slots before
+    /// truncating to the survivors, so the output's capacity grows to the
+    /// input length, not the survivor count.
     ///
     /// Allocates only the returned vector ([`pack_in`](PalPool::pack_in)
     /// doesn't even do that).  Costs `2·(C − 1)` forks for `C` blocks,
@@ -308,7 +339,7 @@ impl PalPool {
     /// the write pass is skipped).
     pub fn pack<T, F>(&self, input: &[T], keep: F) -> Vec<T>
     where
-        T: Clone + Send + Sync + 'static,
+        T: Copy + Send + Sync + 'static,
         F: Fn(usize, &T) -> bool + Sync,
     {
         let mut out = Vec::new();
@@ -323,7 +354,7 @@ impl PalPool {
     /// [`pack`](PalPool::pack).
     pub fn pack_in<T, F>(&self, input: &[T], keep: F, out: &mut Vec<T>)
     where
-        T: Clone + Send + Sync + 'static,
+        T: Copy + Send + Sync + 'static,
         F: Fn(usize, &T) -> bool + Sync,
     {
         let n = input.len();
@@ -333,21 +364,16 @@ impl PalPool {
         }
         let chunks = self.chunk_count(n);
         if chunks == 1 {
-            // One block has no boundaries to agree on: push survivors
-            // straight into `out` in one sweep.  Same output and the same
-            // `Pass` events as the count+scatter pipeline below (two, or
-            // one when nothing survives), so a replay recounts it alike.
+            // One block has no boundaries to agree on: compact straight
+            // into `out` in one sweep.  Same output and the same `Pass`
+            // events as the count+scatter pipeline below (two, or one when
+            // nothing survives), so a replay recounts it alike.
             self.trace_pass(n, 1);
             super::cancel::checkpoint();
-            out.clear();
-            out.extend(
-                input
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, x)| keep(*i, x))
-                    .map(|(_, x)| x.clone()),
-            );
-            if !out.is_empty() {
+            prepare_slots(out, n, || input[0]);
+            let (written, _) = compact(input, 0, &keep, out);
+            out.truncate(written);
+            if written > 0 {
                 self.trace_pass(n, 1);
             }
             return;
@@ -380,18 +406,25 @@ impl PalPool {
             return;
         }
 
-        // Pass 2: re-filter each block into its disjoint output region.
-        prepare_slots(out, total, || input[0].clone());
+        // Pass 2: compact each block into its disjoint output region, which
+        // holds exactly the block's counted survivors.  The block's tail
+        // past a full region is still asked, so `keep` runs once per
+        // element here too, and a predicate that answers differently than
+        // it did in pass 1 — more survivors or fewer — fails the assert.
+        prepare_slots(out, total, || input[0]);
         self.trace_pass(n, chunks);
         self.blocked_uneven_mut(out, &bounds, |c, region| {
             let lo = block_start(n, chunks, c);
-            let mut slots = region.iter_mut();
-            for (i, x) in input[lo..block_start(n, chunks, c + 1)].iter().enumerate() {
-                if keep(lo + i, x) {
-                    *slots.next().expect("keep must be pure: count == write") = x.clone();
-                }
-            }
-            assert!(slots.next().is_none(), "keep must be pure: count == write");
+            let block = &input[lo..block_start(n, chunks, c + 1)];
+            let (written, consumed) = compact(block, lo, &keep, region);
+            let tail_kept = block[consumed..]
+                .iter()
+                .enumerate()
+                .any(|(i, x)| keep(lo + consumed + i, x));
+            assert!(
+                written == region.len() && !tail_kept,
+                "keep must be pure: count == write"
+            );
         });
     }
 
@@ -433,7 +466,7 @@ impl PalPool {
     /// sends every dense level bottom-up instead of through here, but a
     /// sparse level can still be this shape: a 4 k-vertex frontier with
     /// 64 k arcs expands on one thread.  Slot-weighted blocking is still
-    /// open (ROADMAP item 4(b)).
+    /// open (ROADMAP item 3(b)).
     pub fn expand_in<T, F>(&self, sizes: &[usize], fill: T, write: F, out: &mut Vec<T>)
     where
         T: Clone + Send + Sync + 'static,
@@ -904,6 +937,21 @@ mod tests {
         }
     }
 
+    /// SplitMix64: a seeded stream of well-mixed words, so a parity
+    /// predicate over it is unpredictable to a branch predictor.
+    fn splitmix(n: usize, seed: u64) -> Vec<u64> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            })
+            .collect()
+    }
+
     #[test]
     fn pack_matches_sequential_filter() {
         let input: Vec<i64> = (0..777).map(|i| (i * 31) % 97).collect();
@@ -911,6 +959,79 @@ mod tests {
         for p in [1, 2, 4] {
             for pool in pools(p) {
                 assert_eq!(pool.pack(&input, |_, x| x % 3 == 0), expected, "p = {p}");
+            }
+        }
+
+        // Random parity across the wake floor, and survivors only at the
+        // edges of the pool's own blocks: each block's first index, each
+        // block's last index, and block 0 alone.
+        let n = WAKE_GRAIN + 1;
+        let input = splitmix(n, 37);
+        let filter = |keep: &dyn Fn(usize, &u64) -> bool| -> Vec<u64> {
+            input
+                .iter()
+                .enumerate()
+                .filter(|&(i, x)| keep(i, x))
+                .map(|(_, &x)| x)
+                .collect()
+        };
+        for p in [1, 2, 4] {
+            for pool in pools(p) {
+                let chunks = pool.chunk_count(n);
+                let starts: Vec<usize> = (0..=chunks).map(|c| block_start(n, chunks, c)).collect();
+                let parity = |_: usize, x: &u64| x & 1 == 0;
+                let first = |i: usize, _: &u64| starts[..chunks].binary_search(&i).is_ok();
+                let last = |i: usize, _: &u64| starts[1..].binary_search(&(i + 1)).is_ok();
+                let block0 = |i: usize, _: &u64| i < starts[1];
+                assert_eq!(pool.pack(&input, parity), filter(&parity), "p = {p}");
+                assert_eq!(pool.pack(&input, first), filter(&first), "p = {p}");
+                assert_eq!(pool.pack(&input, last), filter(&last), "p = {p}");
+                assert_eq!(pool.pack(&input, block0), filter(&block0), "p = {p}");
+            }
+        }
+    }
+
+    #[test]
+    fn pack_rejects_an_impure_keep_in_either_direction() {
+        // A predicate that answers differently on its second call, once
+        // keeping more on the write pass and once keeping fewer, trips
+        // the count == write assert; the pool then packs correctly.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let input: Vec<u32> = (0..1000).collect();
+        let n = input.len();
+        for p in [1, 2] {
+            let pool = PalPool::builder().processors(p).grain(64).build().unwrap();
+            assert!(pool.chunk_count(n) > 1, "the blocked path");
+            for write_keeps_more in [true, false] {
+                let calls = AtomicUsize::new(0);
+                let keep = |_: usize, x: &u32| {
+                    let counting = calls.fetch_add(1, Ordering::Relaxed) < n;
+                    if counting == write_keeps_more {
+                        x.is_multiple_of(3)
+                    } else {
+                        x.is_multiple_of(2)
+                    }
+                };
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    pool.pack(&input, keep)
+                }))
+                .expect_err("an impure keep must panic");
+                let msg = err
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| err.downcast_ref::<String>().cloned())
+                    .unwrap_or_default();
+                assert!(msg.contains("keep must be pure"), "p = {p}: {msg:?}");
+                let expected: Vec<u32> = input
+                    .iter()
+                    .copied()
+                    .filter(|x| x.is_multiple_of(5))
+                    .collect();
+                assert_eq!(
+                    pool.pack(&input, |_, x| x.is_multiple_of(5)),
+                    expected,
+                    "p = {p}"
+                );
             }
         }
     }
