@@ -49,7 +49,7 @@ pub use metrics::{assert_metrics_consistent, MetricsSnapshot, RunMetrics, Speedu
 pub use policy::{processors_for, ProcessorPolicy};
 pub use runtime::{
     run_cancellable, CancelReason, CancelToken, ChaosConfig, DagTrace, PalPool, PalPoolBuilder,
-    PoolHealth, Scan, SelfHeal, TraceConfig, TraceEvent, TraceSummary, Workspace, WorkspaceGuard,
+    PoolHealth, Scan, TraceConfig, TraceEvent, TraceSummary, Workspace, WorkspaceGuard,
     WorkspaceStats,
 };
 pub use sercell::SerCell;
@@ -61,7 +61,7 @@ pub mod prelude {
     pub use crate::policy::{processors_for, ProcessorPolicy};
     pub use crate::runtime::{
         run_cancellable, CancelReason, CancelToken, ChaosConfig, DagTrace, PalPool, PalPoolBuilder,
-        PoolHealth, Scan, SelfHeal, TraceConfig, Workspace,
+        PoolHealth, Scan, TraceConfig, Workspace,
     };
     pub use crate::sercell::SerCell;
 }

@@ -47,13 +47,6 @@ pub struct RunMetrics {
     /// once a steady-state workload has warmed the arena — the
     /// allocation-free property the reuse tests assert.
     pub arena_bytes: AtomicU64,
-    /// Pool workers killed by a scheduler fault (chaos injection), folded
-    /// in from the runtime's health counters by
-    /// [`PalPool::health`](crate::PalPool::health) /
-    /// [`PalPool::metrics`](crate::PalPool::metrics).
-    pub workers_killed: AtomicU64,
-    /// Dead pool workers respawned by the self-healing supervisor.
-    pub workers_respawned: AtomicU64,
     /// Total abstract work units reported by the algorithm (optional).
     pub work: AtomicU64,
 }
@@ -121,16 +114,6 @@ impl RunMetrics {
         self.arena_bytes.load(Ordering::Relaxed)
     }
 
-    /// Pool workers killed by a scheduler fault so far.
-    pub fn workers_killed(&self) -> u64 {
-        self.workers_killed.load(Ordering::Relaxed)
-    }
-
-    /// Dead pool workers respawned by the supervisor so far.
-    pub fn workers_respawned(&self) -> u64 {
-        self.workers_respawned.load(Ordering::Relaxed)
-    }
-
     /// Total abstract work recorded so far.
     pub fn work(&self) -> u64 {
         self.work.load(Ordering::Relaxed)
@@ -144,8 +127,6 @@ impl RunMetrics {
         self.elided.store(0, Ordering::Relaxed);
         self.arena_hits.store(0, Ordering::Relaxed);
         self.arena_bytes.store(0, Ordering::Relaxed);
-        self.workers_killed.store(0, Ordering::Relaxed);
-        self.workers_respawned.store(0, Ordering::Relaxed);
         self.work.store(0, Ordering::Relaxed);
     }
 
@@ -166,8 +147,6 @@ impl RunMetrics {
             elided: self.elided(),
             arena_hits: self.arena_hits(),
             arena_bytes: self.arena_bytes(),
-            workers_killed: self.workers_killed(),
-            workers_respawned: self.workers_respawned(),
             work: self.work(),
         }
     }
@@ -188,10 +167,6 @@ pub struct MetricsSnapshot {
     pub arena_hits: u64,
     /// Cumulative workspace-arena buffer growth in bytes.
     pub arena_bytes: u64,
-    /// Pool workers killed by a scheduler fault (chaos injection).
-    pub workers_killed: u64,
-    /// Dead pool workers respawned by the self-healing supervisor.
-    pub workers_respawned: u64,
     /// Abstract work units.
     pub work: u64,
 }
@@ -220,8 +195,6 @@ impl MetricsSnapshot {
             elided: self.elided - earlier.elided,
             arena_hits: self.arena_hits - earlier.arena_hits,
             arena_bytes: self.arena_bytes.wrapping_sub(earlier.arena_bytes),
-            workers_killed: self.workers_killed - earlier.workers_killed,
-            workers_respawned: self.workers_respawned - earlier.workers_respawned,
             work: self.work - earlier.work,
         }
     }
@@ -230,13 +203,14 @@ impl MetricsSnapshot {
 /// Assert the full fork-accounting invariant of a pal-thread run: every one
 /// of the `expected_forks` creation points is accounted exactly once as
 /// `spawned`, `inlined` or `elided`, and migrations never exceed grants
-/// (`steals <= spawned` — a pal-thread migrates by being stolen, and every
-/// steal is a grant, but injected pal-threads are granted without
-/// migrating).
+/// (`steals <= spawned`).  On a [`PalPool`](crate::PalPool) a fork is
+/// granted a processor only by being stolen, so the two are equal there;
+/// the check stays `<=` so a counter fed from elsewhere can grant without
+/// migrating.
 ///
 /// The fork count of a pal-thread computation is a property of the program
-/// structure alone — which `join`/`spawn` call sites execute — not of the
-/// schedule, so tests can assert it exactly even on a racy host.  Used by
+/// structure alone — which `join` calls execute — not of the schedule, so
+/// tests can assert it exactly even on a racy host.  Used by
 /// `runtime_cutoff.rs`, `runtime_migration.rs` and the `lopram-graph`
 /// differential suite in place of ad-hoc counter arithmetic.
 #[track_caller]
@@ -309,8 +283,6 @@ mod tests {
         m.record_elided();
         m.arena_hits.fetch_add(4, Ordering::Relaxed);
         m.arena_bytes.fetch_add(512, Ordering::Relaxed);
-        m.workers_killed.fetch_add(1, Ordering::Relaxed);
-        m.workers_respawned.fetch_add(1, Ordering::Relaxed);
         m.record_work(100);
         assert_eq!(m.spawned(), 2);
         assert_eq!(m.inlined(), 1);
@@ -318,8 +290,6 @@ mod tests {
         assert_eq!(m.elided(), 3);
         assert_eq!(m.arena_hits(), 4);
         assert_eq!(m.arena_bytes(), 512);
-        assert_eq!(m.workers_killed(), 1);
-        assert_eq!(m.workers_respawned(), 1);
         assert_eq!(m.work(), 100);
         let snap = m.snapshot();
         assert_eq!(
@@ -331,8 +301,6 @@ mod tests {
                 elided: 3,
                 arena_hits: 4,
                 arena_bytes: 512,
-                workers_killed: 1,
-                workers_respawned: 1,
                 work: 100
             }
         );
@@ -349,8 +317,6 @@ mod tests {
             elided: 10,
             arena_hits: 3,
             arena_bytes: 1024,
-            workers_killed: 0,
-            workers_respawned: 0,
             work: 7,
         };
         let later = MetricsSnapshot {
@@ -360,8 +326,6 @@ mod tests {
             elided: 30,
             arena_hits: 8,
             arena_bytes: 512, // two's-complement net can go down
-            workers_killed: 1,
-            workers_respawned: 1,
             work: 7,
         };
         let delta = later.delta_since(&earlier);
@@ -372,8 +336,6 @@ mod tests {
         assert_eq!(delta.forks(), 26);
         assert_eq!(delta.arena_hits, 5);
         assert_eq!(delta.arena_bytes as i64, -512);
-        assert_eq!(delta.workers_killed, 1);
-        assert_eq!(delta.workers_respawned, 1);
         assert_eq!(delta.work, 0);
         // Identical snapshots delta to zero.
         assert_eq!(later.delta_since(&later), MetricsSnapshot::default());

@@ -41,11 +41,16 @@ pub const DEFAULT_STEAL_GRAIN: usize = 4096;
 ///
 /// A pass called from outside the pool's workers that forks at all pays one
 /// inject → wake a parked worker → park the caller → wake the caller round
-/// trip: `runtime.install_roundtrip_us` ≈ 47 µs on the 2-CPU container the
-/// benchmark runs on (45–55 µs; the cross-CPU park/unpark alone is 35 µs),
-/// against `core.scan_ns_per_elem` ≈ 1.2 ns — the wake buys nothing until
-/// the pass carries ≈ 40 k elements, and at `p = 2` a split saves at most
-/// half the work.  `1 << 15` is that break-even rounded to a power of two.
+/// trip.  The floor was sized when `runtime.install_roundtrip_us` read
+/// ≈ 47 µs on the 2-CPU container the benchmark runs on (45–55 µs; the
+/// cross-CPU park/unpark alone was 35 µs), against `core.scan_ns_per_elem`
+/// ≈ 1.2 ns — the wake bought nothing until the pass carried ≈ 40 k
+/// elements, and at `p = 2` a split saves at most half the work.
+/// `1 << 15` is that break-even rounded to a power of two.  Re-read on
+/// 2026-10-17 (30 traced benchmark runs per side of an A/B pair, same
+/// container): median 16 µs, quartiles 14–17 µs, range 8–23 µs, which
+/// puts the break-even near 13 k elements; moving the floor is a
+/// measured change of its own.
 /// Measured on the benchmark's `batch-fine-pN` (p = 2, digests checked):
 /// a 1024-element scan from a non-worker thread,
 /// `core.scan_small_us_per_call`, 114 µs → 0.5 µs; with the thin BFS level

@@ -44,6 +44,6 @@ pub use pool::{PalPool, PalPoolBuilder};
 // runtime shim and surfaced through `PalPool::health` /
 // `PalPoolBuilder::chaos`.
 pub use primitives::Scan;
-pub use rayon::{ChaosConfig, PoolHealth, SelfHeal};
+pub use rayon::{ChaosConfig, PoolHealth};
 pub use trace::{DagTrace, TraceConfig, TraceEvent, TraceSummary};
 pub use workspace::{Workspace, WorkspaceGuard, WorkspaceStats};

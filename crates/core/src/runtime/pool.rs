@@ -44,6 +44,9 @@
 //! tree of them — so the cutoff throttles everything.  Each elided fork is
 //! counted in [`RunMetrics::elided`], so
 //! `spawned + inlined + elided` still accounts for every creation point.
+//! A pool keeps its `p` processors for its whole life — a runtime worker
+//! leaves its loop only when the pool is dropped — so the cutoff is
+//! computed once, at build time, and `join` reads it as a plain field.
 //!
 //! The default `α = 2` keeps twice the exact binary cutoff depth, leaving
 //! pending pal-threads for migration even on unbalanced trees; tune it with
@@ -279,13 +282,8 @@ pub struct PalPool {
     id: u64,
     /// Recursion depth at which forks stop creating scheduler jobs
     /// (`⌈α·log₂ p⌉`); the sentinel [`CUTOFF_DISABLED`] disables the
-    /// throttle.  Atomic because [`health`](PalPool::health) recomputes it
-    /// for the *effective* processor count when workers die or respawn.
-    cutoff: std::sync::atomic::AtomicUsize,
-    /// The throttle headroom the pool was built with; `None` when the
-    /// throttle is disabled.  Kept so a degraded pool can recompute
-    /// `⌈α·log₂ p_alive⌉`.
-    alpha: Option<f64>,
+    /// throttle.
+    cutoff: usize,
     /// Blocking policy for the data-parallel primitives.
     grain: Grain,
     /// Reusable scratch arena for the blocked primitives and the kernels
@@ -320,21 +318,19 @@ impl PalPool {
             Grain::Adaptive,
             None,
             rayon::ChaosConfig::default(),
-            rayon::SelfHeal::default(),
         )
     }
 
     /// Create a pool with exactly `p` processors, an explicit throttle
     /// (`Some(alpha)` applies the `⌈α·log₂ p⌉` cutoff, `None` disables it),
     /// an explicit blocking policy, an optional execution tracer and the
-    /// runtime's chaos/self-healing configuration.
+    /// runtime's chaos configuration.
     fn with_cutoff(
         p: usize,
         alpha: Option<f64>,
         grain: Grain,
         trace: Option<TraceConfig>,
         chaos: rayon::ChaosConfig,
-        self_heal: rayon::SelfHeal,
     ) -> Result<Self> {
         if p == 0 {
             return Err(Error::ZeroProcessors);
@@ -343,7 +339,6 @@ impl PalPool {
             .num_threads(p)
             .thread_name(|i| format!("lopram-proc-{i}"))
             .chaos(chaos)
-            .self_heal(self_heal)
             .build()
             .map_err(|e| Error::InvalidInput(format!("failed to build thread pool: {e}")))?;
         let workspace = Workspace::new();
@@ -355,10 +350,7 @@ impl PalPool {
             pool,
             metrics: RunMetrics::new(),
             id: POOL_IDS.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            cutoff: std::sync::atomic::AtomicUsize::new(
-                alpha.map_or(CUTOFF_DISABLED, |a| cutoff_levels(a, p)),
-            ),
-            alpha,
+            cutoff: alpha.map_or(CUTOFF_DISABLED, |a| cutoff_levels(a, p)),
             grain,
             workspace,
             trace,
@@ -399,35 +391,15 @@ impl PalPool {
     ///
     /// With the default `α = 2` this is `⌈2·log₂ p⌉`; a one-processor pool
     /// reports `Some(0)` — every fork elided.
-    ///
-    /// The value follows the pool's *effective* width: after
-    /// [`health`](PalPool::health) observes dead (or respawned) workers it
-    /// recomputes `⌈α·log₂ p_alive⌉`, keeping the §3.1 throttle optimal at
-    /// the degraded processor count.
     pub fn cutoff_depth(&self) -> Option<usize> {
-        match self.cutoff.load(std::sync::atomic::Ordering::Relaxed) {
-            CUTOFF_DISABLED => None,
-            depth => Some(depth),
-        }
+        (self.cutoff != CUTOFF_DISABLED).then_some(self.cutoff)
     }
 
-    /// Snapshot the runtime's worker liveness and heartbeats, fold any
-    /// kill/respawn counters into [`metrics`](PalPool::metrics), and
-    /// re-throttle: the `⌈α·log₂ p⌉` cutoff is recomputed for the number
-    /// of workers actually alive (Theorem 1 is parameterized by p, so a
-    /// degraded pool should be optimal-at-`p_alive`, not hang at the old
-    /// width).  Respawns restore the original cutoff the same way.
+    /// Snapshot the runtime's per-worker heartbeats;
+    /// [`PoolHealth::stalled`](rayon::PoolHealth::stalled) names the
+    /// processors wedged inside one job.
     pub fn health(&self) -> rayon::PoolHealth {
-        let health = self.pool.health();
-        self.sync_metrics();
-        if let Some(alpha) = self.alpha {
-            let effective = health.alive_workers.max(1);
-            self.cutoff.store(
-                cutoff_levels(alpha, effective),
-                std::sync::atomic::Ordering::Relaxed,
-            );
-        }
-        health
+        self.pool.health()
     }
 
     /// The pool's scratch arena: reusable, grow-only typed buffers the
@@ -473,17 +445,12 @@ impl PalPool {
         (result, after.delta_since(&before))
     }
 
-    /// Fold the runtime's stolen/inlined/injected counters and the
-    /// workspace arena's hit/growth counters into `self.metrics`, adding
-    /// only what accumulated since the previous sync.
+    /// Fold the runtime's stolen/inlined counters and the workspace
+    /// arena's hit/growth counters into `self.metrics`, adding only what
+    /// accumulated since the previous sync.
     ///
     /// Attribution: a stolen fork was granted a processor *and* migrated
-    /// (`spawned` + `steals`); an inlined fork is `inlined`.  The runtime's
-    /// `injected` counter covers only the forks a dying worker drained into
-    /// the injector (the `install` trampoline is not counted): such a fork
-    /// runs on another processor (`spawned`), but it was handed over by
-    /// the death protocol rather than taken by a thief, so it is not a
-    /// steal.
+    /// (`spawned` + `steals`); an inlined fork is `inlined`.
     fn sync_metrics(&self) {
         use std::sync::atomic::Ordering;
         // Read the stats *after* taking the lock: two concurrent syncs
@@ -494,9 +461,6 @@ impl PalPool {
         let arena = self.workspace.stats();
         let stolen = now.stolen - last.pool.stolen;
         let inlined = now.inlined - last.pool.inlined;
-        let injected = now.injected - last.pool.injected;
-        let killed = now.killed - last.pool.killed;
-        let respawned = now.respawned - last.pool.respawned;
         let arena_hits = arena.hits - last.arena_hits;
         // Wrapping: grown_bytes is a signed (two's-complement) net, so it
         // can transiently decrease; the wrapped delta re-nets correctly
@@ -506,17 +470,9 @@ impl PalPool {
         last.arena_hits = arena.hits;
         last.arena_bytes = arena.grown_bytes;
         drop(last);
-        self.metrics
-            .spawned
-            .fetch_add(stolen + injected, Ordering::Relaxed);
+        self.metrics.spawned.fetch_add(stolen, Ordering::Relaxed);
         self.metrics.steals.fetch_add(stolen, Ordering::Relaxed);
         self.metrics.inlined.fetch_add(inlined, Ordering::Relaxed);
-        self.metrics
-            .workers_killed
-            .fetch_add(killed, Ordering::Relaxed);
-        self.metrics
-            .workers_respawned
-            .fetch_add(respawned, Ordering::Relaxed);
         self.metrics
             .arena_hits
             .fetch_add(arena_hits, Ordering::Relaxed);
@@ -566,9 +522,7 @@ impl PalPool {
     {
         cancel::checkpoint();
         let depth = current_depth(self.id);
-        // Relaxed: the cutoff is a scheduling hint; a fork racing a
-        // degraded-width recompute may use either width, both correct.
-        let elide = depth >= self.cutoff.load(std::sync::atomic::Ordering::Relaxed);
+        let elide = depth >= self.cutoff;
         if let Some(trace) = &self.trace {
             return self.join_traced(trace, a, b, depth, elide);
         }
@@ -818,8 +772,6 @@ pub struct PalPoolBuilder {
     trace: Option<TraceConfig>,
     /// Deterministic scheduler-fault injection (none by default).
     chaos: rayon::ChaosConfig,
-    /// Dead-worker recovery policy.
-    self_heal: rayon::SelfHeal,
 }
 
 impl Default for PalPoolBuilder {
@@ -832,7 +784,6 @@ impl Default for PalPoolBuilder {
             grain: Grain::Adaptive,
             trace: None,
             chaos: rayon::ChaosConfig::default(),
-            self_heal: rayon::SelfHeal::default(),
         }
     }
 }
@@ -899,19 +850,10 @@ impl PalPoolBuilder {
     }
 
     /// Inject deterministic scheduler faults into the runtime backing
-    /// this pool — kill a worker, drop/delay a wake-up, force steal
-    /// retries; see [`rayon::ChaosConfig`].  Off by default.
+    /// this pool — drop/delay a wake-up, force steal retries; see
+    /// [`rayon::ChaosConfig`].  Off by default.
     pub fn chaos(mut self, chaos: rayon::ChaosConfig) -> Self {
         self.chaos = chaos;
-        self
-    }
-
-    /// Dead-worker recovery policy ([`rayon::SelfHeal`]): respawn a
-    /// replacement (the default) or degrade to the surviving workers —
-    /// with [`PalPool::health`] re-throttling the cutoff to the effective
-    /// width.
-    pub fn self_heal(mut self, self_heal: rayon::SelfHeal) -> Self {
-        self.self_heal = self_heal;
         self
     }
 
@@ -933,14 +875,7 @@ impl PalPoolBuilder {
                 });
             }
         }
-        PalPool::with_cutoff(
-            p,
-            self.alpha,
-            self.grain,
-            self.trace,
-            self.chaos,
-            self.self_heal,
-        )
+        PalPool::with_cutoff(p, self.alpha, self.grain, self.trace, self.chaos)
     }
 }
 

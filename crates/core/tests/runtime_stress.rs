@@ -10,8 +10,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use lopram_core::{
-    assert_metrics_consistent, run_cancellable, CancelReason, CancelToken, PalPool, SeqExecutor,
-    TraceConfig,
+    assert_metrics_consistent, run_cancellable, CancelReason, CancelToken, ChaosConfig, PalPool,
+    SeqExecutor, TraceConfig,
 };
 
 fn repeat(default: usize) -> usize {
@@ -569,5 +569,36 @@ fn schedulers_agree_under_stress() {
     for i in 0..repeat(100) {
         assert_eq!(sum(&pal, &data), expected, "PalPool iteration {i}");
         assert_eq!(sum(&raw, &data), expected, "no-cutoff iteration {i}");
+    }
+}
+
+/// Differential under scheduler chaos: the same join tree on a clean pool
+/// and on seeded-chaos pools (dropped and delayed wake-ups, forced steal
+/// retries) — bit-identical results and exact fork accounting.  A fresh
+/// pool per repetition, so every seed's faults fire again each time.
+#[test]
+fn seeded_chaos_does_not_change_results_or_fork_accounting() {
+    fn sum(pool: &PalPool, data: &[u64]) -> u64 {
+        if data.len() <= 8 {
+            return data.iter().sum();
+        }
+        let (lo, hi) = data.split_at(data.len() / 2);
+        let (a, b) = pool.join(|| sum(pool, lo), || sum(pool, hi));
+        a + b
+    }
+
+    // 2048 elements with a leaf of 8: 2048 / 8 − 1 = 255 joins.
+    let data: Vec<u64> = (0..2048).collect();
+    let expected = sum(&PalPool::new(2).unwrap(), &data);
+    for i in 0..repeat(100) {
+        for seed in [3u64, 11, 29] {
+            let pool = PalPool::builder()
+                .processors(2)
+                .chaos(ChaosConfig::seeded(seed))
+                .build()
+                .unwrap();
+            assert_eq!(sum(&pool, &data), expected, "seed {seed} iteration {i}");
+            assert_metrics_consistent(pool.metrics(), 255);
+        }
     }
 }

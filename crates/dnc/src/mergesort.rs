@@ -37,7 +37,8 @@ pub const DEFAULT_GRAIN: usize = 64;
 /// below it.
 ///
 /// A fork from a non-worker thread costs one wake/park round trip
-/// (≈ 47 µs on a 2-CPU Xeon, see `lopram_core::policy::WAKE_GRAIN`);
+/// (≈ 47 µs on a 2-CPU Xeon when this cutoff was sized; re-read at a
+/// median of 16 µs on 2026-10-17, see `lopram_core::policy::WAKE_GRAIN`);
 /// sorting 8192 random `i64`s sequentially takes 0.17–0.20 ms ≈ 4 wakes
 /// (0.31–0.34 ms with a front-only merge and 16-element insertion-sort
 /// leaves, 0.41–0.50 ms before the merge went branch-free, same machine),

@@ -187,16 +187,6 @@ pub enum SubmitError {
     },
     /// The service is shutting down and accepts no new work.
     ShutDown,
-    /// The shared pool has degraded below the configured
-    /// [`min_alive_processors`](crate::ServeConfig::min_alive_processors)
-    /// floor: new work is shed while already-queued work keeps
-    /// draining on the surviving processors.
-    Degraded {
-        /// Processors currently alive in the shared pool.
-        alive: usize,
-        /// The configured admission floor.
-        floor: usize,
-    },
 }
 
 impl fmt::Display for SubmitError {
@@ -210,12 +200,6 @@ impl fmt::Display for SubmitError {
                 write!(f, "job cost {cost} exceeds tenant budget {budget}")
             }
             SubmitError::ShutDown => write!(f, "service is shut down"),
-            SubmitError::Degraded { alive, floor } => {
-                write!(
-                    f,
-                    "pool degraded: {alive} alive processors below floor {floor}"
-                )
-            }
         }
     }
 }

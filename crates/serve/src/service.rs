@@ -1,5 +1,9 @@
 //! The job service: bounded admission, per-tenant budgets, round-robin
 //! dispatch, and the executor loop that isolates every failure mode.
+//!
+//! Every failure mode is a job's own — a panic, a cancel, a deadline.
+//! The shared pool keeps all of its processors for its whole life, so
+//! admission never consults its health.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -8,7 +12,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lopram_core::{run_cancellable, CancelToken, ChaosConfig, MetricsSnapshot, PalPool, SelfHeal};
+use lopram_core::{run_cancellable, CancelToken, ChaosConfig, MetricsSnapshot, PalPool};
 use parking_lot::{Condvar, Mutex};
 
 use crate::fault::{Fault, FaultPlan};
@@ -48,18 +52,10 @@ pub struct ServeConfig {
     /// cancellation the client did not request).  The default allows no
     /// retries; [`JobSpec::retries`] overrides the count per job.
     pub retry: RetryPolicy,
-    /// Admission floor on the shared pool's alive processors: when a
-    /// health probe sees fewer alive workers than this, `submit` sheds
-    /// with [`SubmitError::Degraded`] while queued work keeps draining.
-    /// `0` (the default) disables the check.
-    pub min_alive_processors: usize,
-    /// Scheduler-level chaos injected into the shared pool (worker
-    /// kills, dropped wakeups, forced steal retries) — deterministic in
-    /// its seed, used by the robustness suites.
+    /// Scheduler-level chaos injected into the shared pool (dropped and
+    /// delayed wake-ups, forced steal retries) — deterministic in its
+    /// seed, used by the robustness suites.
     pub chaos: ChaosConfig,
-    /// What the pool does about a chaos-killed worker: respawn it
-    /// (default) or degrade to the survivors.
-    pub self_heal: SelfHeal,
 }
 
 impl Default for ServeConfig {
@@ -73,9 +69,7 @@ impl Default for ServeConfig {
             default_deadline: None,
             fault_plan: FaultPlan::none(),
             retry: RetryPolicy::default(),
-            min_alive_processors: 0,
             chaos: ChaosConfig::none(),
-            self_heal: SelfHeal::default(),
         }
     }
 }
@@ -183,7 +177,6 @@ struct Counters {
     deadline_exceeded: AtomicU64,
     queue_peak: AtomicUsize,
     retries: AtomicU64,
-    shed_degraded: AtomicU64,
 }
 
 struct Shared {
@@ -204,8 +197,6 @@ struct Shared {
     /// Per-tenant admission quota: `ceil(queue_capacity / tenants)`.
     tenant_quota: usize,
     retry: RetryPolicy,
-    /// Admission floor on alive processors; 0 disables the check.
-    min_alive: usize,
 }
 
 /// Point-in-time service statistics.
@@ -228,9 +219,6 @@ pub struct ServiceStats {
     /// Retry re-dispatches issued (each counts one re-enqueue; a job
     /// retried twice contributes 2).
     pub retries: u64,
-    /// Submissions shed with [`SubmitError::Degraded`] because the pool
-    /// was below the configured alive-processor floor.
-    pub shed_degraded: u64,
     /// `Ok`-completions per tenant, indexed by tenant id.
     pub per_tenant_completed: Vec<u64>,
 }
@@ -292,7 +280,6 @@ impl JobService {
         let pool = PalPool::builder()
             .processors(config.processors)
             .chaos(config.chaos)
-            .self_heal(config.self_heal)
             .build()
             .expect("pool construction");
         let tenants = (0..config.tenants)
@@ -320,7 +307,6 @@ impl JobService {
             queue_capacity: config.queue_capacity,
             tenant_quota: config.queue_capacity.div_ceil(config.tenants),
             retry: config.retry,
-            min_alive: config.min_alive_processors,
         });
         let workers = (0..config.executors)
             .map(|i| {
@@ -351,21 +337,6 @@ impl JobService {
                 cost: spec.cost,
                 budget,
             });
-        }
-        // Graceful degradation: probing health here also drives the
-        // pool's supervision, so a service under submit load detects
-        // (and, under `SelfHeal::Respawn`, heals) dead workers without a
-        // dedicated watchdog thread.  Shedding happens *before* the
-        // queue lock — queued work keeps draining on the survivors.
-        if sh.min_alive > 0 {
-            let alive = sh.pool.health().alive_workers;
-            if alive < sh.min_alive {
-                sh.counters.shed_degraded.fetch_add(1, Ordering::Relaxed);
-                return Err(SubmitError::Degraded {
-                    alive,
-                    floor: sh.min_alive,
-                });
-            }
         }
         let mut st = sh.state.lock();
         if st.shutdown {
@@ -435,7 +406,6 @@ impl JobService {
             deadline_exceeded: c.deadline_exceeded.load(Ordering::Relaxed),
             queue_peak: c.queue_peak.load(Ordering::Relaxed),
             retries: c.retries.load(Ordering::Relaxed),
-            shed_degraded: c.shed_degraded.load(Ordering::Relaxed),
             per_tenant_completed: self
                 .shared
                 .tenants
@@ -450,9 +420,8 @@ impl JobService {
         self.shared.pool.processors()
     }
 
-    /// Probe the shared pool's health (which also drives its
-    /// supervision: under [`SelfHeal::Respawn`] a dead worker observed
-    /// here is respawned).
+    /// Snapshot the shared pool's per-worker heartbeats; see
+    /// [`PoolHealth::stalled`](lopram_core::PoolHealth::stalled).
     pub fn health(&self) -> lopram_core::PoolHealth {
         self.shared.pool.health()
     }

@@ -1,4 +1,4 @@
-//! Retry-with-backoff and graceful-degradation acceptance suite:
+//! Retry-with-backoff acceptance suite:
 //!
 //! (a) a panic- or cancel-faulted job is re-dispatched with a clean
 //!     token and no fault, and its retried digest is **bit-identical**
@@ -6,20 +6,19 @@
 //! (b) retries exhaust to the terminal error with exact attempt
 //!     accounting, and client cancels are verdicts, never retried;
 //! (c) backoff is a pure function of `(seed, job, attempt)`;
-//! (d) a pool degraded below the configured floor sheds new submissions
-//!     with [`SubmitError::Degraded`] while admitted work drains, and
-//!     `shutdown()` still drains the queue on the survivors.
+//! (d) scheduler chaos (dropped and delayed wake-ups, forced steal
+//!     retries) costs latency, never a digest.
 
 use std::error::Error;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use lopram_core::policy::WAKE_GRAIN;
-use lopram_core::{ChaosConfig, PoolHealth, SelfHeal};
+use lopram_core::ChaosConfig;
 use lopram_serve::{
     Fault, FaultPlan, JobContext, JobError, JobReport, JobService, JobSpec, RetryPolicy,
-    ServeConfig, ServiceStats, SubmitError,
+    ServeConfig, ServiceStats,
 };
 
 /// Stress multiplier: `LOPRAM_TEST_REPEAT=20` (CI chaos-stress job)
@@ -238,22 +237,20 @@ fn faulted_third(count: u64, round: u64) -> FaultPlan {
 
 /// One round of seeded traffic — `count` [`job_body`] jobs over three
 /// tenants, two executors and a two-processor pool — under a fault plan
-/// and a scheduler-chaos mix: every report in submission order, the
-/// service totals, and the pool health the watchdog settled on.
+/// and a scheduler-chaos mix: every report in submission order, and the
+/// service totals.
 fn run_traffic(
     count: u64,
     plan: FaultPlan,
     retries: u32,
     chaos: ChaosConfig,
-    self_heal: SelfHeal,
-) -> (Vec<JobReport>, ServiceStats, PoolHealth) {
+) -> (Vec<JobReport>, ServiceStats) {
     let service = JobService::start(ServeConfig {
         tenants: 3,
         tenant_budget: 2,
         executors: 2,
         queue_capacity: count as usize,
         chaos,
-        self_heal,
         ..retrying_config(plan, retries)
     });
     let tickets: Vec<_> = (0..count)
@@ -263,51 +260,8 @@ fn run_traffic(
                 .expect("capacity sized to count")
         })
         .collect();
-    if chaos.kill_worker.is_some() {
-        provoke_kill(&service);
-    }
     let reports = tickets.into_iter().map(|t| t.wait()).collect();
-    let (killed, _, alive) = settled_health(chaos, self_heal);
-    let health = wait_health(&service, killed, alive);
-    (reports, service.shutdown(), health)
-}
-
-/// The watchdog's books once a round under `chaos` has drained on the
-/// two-processor pool: `(killed, respawned, alive_workers)`.
-fn settled_health(chaos: ChaosConfig, self_heal: SelfHeal) -> (u64, u64, usize) {
-    match (chaos.kill_worker, self_heal) {
-        (None, _) => (0, 0, 2),
-        (Some(_), SelfHeal::Respawn) => (1, 1, 2),
-        (Some(_), SelfHeal::Degrade) => (1, 0, 1),
-    }
-}
-
-/// Make sure the chaos victim runs the task that kills it while the
-/// traffic is still in flight: fork on the shared pool, the first child
-/// lingering (bounded, so a fork elided by a degraded cutoff cannot
-/// wedge) until the second — pending in that worker's deque — has been
-/// started by the *other* worker, until health reports the death.
-fn provoke_kill(service: &JobService) {
-    let begun = Instant::now();
-    while service.health().killed == 0 {
-        assert!(
-            begun.elapsed() < Duration::from_secs(10),
-            "the chaos victim never ran a task; last {:?}",
-            service.health()
-        );
-        let started = AtomicBool::new(false);
-        let forked = Instant::now();
-        service.pool().join(
-            || {
-                while !started.load(Ordering::Acquire)
-                    && forked.elapsed() < Duration::from_millis(1)
-                {
-                    std::thread::yield_now();
-                }
-            },
-            || started.store(true, Ordering::Release),
-        );
-    }
+    (reports, service.shutdown())
 }
 
 #[test]
@@ -317,11 +271,7 @@ fn retried_traffic_digests_match_a_clean_run() {
     // Ok with the digest of the fault-free run, faulted ones with
     // attempts > 1.
     let count = 30u64;
-    let quiet = |plan, retries| {
-        let (reports, stats, _) =
-            run_traffic(count, plan, retries, ChaosConfig::none(), SelfHeal::Respawn);
-        (reports, stats)
-    };
+    let quiet = |plan, retries| run_traffic(count, plan, retries, ChaosConfig::none());
     for round in 0..repeat() {
         let plan = faulted_third(count, round);
         let (clean, _) = quiet(FaultPlan::none(), 0);
@@ -342,52 +292,26 @@ fn retried_traffic_digests_match_a_clean_run() {
 
 #[test]
 fn traffic_digests_survive_every_scheduler_chaos_mix() {
-    // The same differential with the scheduler itself under attack: a
-    // worker killed mid-traffic and respawned, killed and degraded
-    // around, killed while a third of the jobs fault and retry, wake-ups
-    // dropped and delayed, every steal forced through retry rounds.
-    // Chaos may cost latency, never a result: every job Ok with the clean
-    // run's digest, a retry only where a fault was planned, and the
-    // watchdog's books showing exactly the kill and the heal configured.
+    // The same differential with the scheduler itself under attack:
+    // wake-ups dropped and delayed, every steal forced through retry
+    // rounds, and both at once while a third of the jobs fault and
+    // retry.  Chaos may cost latency, never a result: every job Ok with
+    // the clean run's digest, and a retry only where a fault was planned.
     let count = 30u64;
-    let (clean, _, health) = run_traffic(
-        count,
-        FaultPlan::none(),
-        0,
-        ChaosConfig::none(),
-        SelfHeal::Respawn,
-    );
+    let (clean, _) = run_traffic(count, FaultPlan::none(), 0, ChaosConfig::none());
     assert!(clean.iter().all(|c| c.outcome.is_ok()));
-    assert_eq!((health.killed, health.alive_workers), (0, 2));
 
-    let kill = ChaosConfig::none().kill(1, 1);
     let wakeups = ChaosConfig::none().drop_wakeup(1).delay_wakeup(2);
     let steals = ChaosConfig::none().force_steal_retries(3);
+    let both = wakeups.force_steal_retries(3);
     for round in 0..repeat() {
         let mixes = [
-            ("kill-respawn", kill, SelfHeal::Respawn, FaultPlan::none()),
-            ("kill-degrade", kill, SelfHeal::Degrade, FaultPlan::none()),
-            (
-                "faults-retried",
-                kill,
-                SelfHeal::Respawn,
-                faulted_third(count, round),
-            ),
-            (
-                "dropped-wakeups",
-                wakeups,
-                SelfHeal::Respawn,
-                FaultPlan::none(),
-            ),
-            (
-                "steal-retries",
-                steals,
-                SelfHeal::Respawn,
-                FaultPlan::none(),
-            ),
+            ("faults-retried", both, faulted_third(count, round)),
+            ("dropped-wakeups", wakeups, FaultPlan::none()),
+            ("steal-retries", steals, FaultPlan::none()),
         ];
-        for (mix, chaos, self_heal, plan) in mixes {
-            let (reports, stats, health) = run_traffic(count, plan.clone(), 2, chaos, self_heal);
+        for (mix, chaos, plan) in mixes {
+            let (reports, stats) = run_traffic(count, plan.clone(), 2, chaos);
             for (c, r) in clean.iter().zip(&reports) {
                 assert_eq!(r.outcome, c.outcome, "{mix}: job {} round {round}", c.job);
                 assert_eq!(
@@ -400,116 +324,7 @@ fn traffic_digests_survive_every_scheduler_chaos_mix() {
             }
             assert_eq!(stats.completed, count, "{mix} round {round}");
             assert_eq!(stats.retries, plan.len() as u64, "{mix} round {round}");
-            assert_eq!(
-                (health.killed, health.respawned, health.alive_workers),
-                settled_health(chaos, self_heal),
-                "{mix} round {round}"
-            );
         }
-    }
-}
-
-/// Poll the service's pool health (each probe is a supervision pass)
-/// until it shows `killed` deaths and `alive` live workers, failing
-/// after 10s.
-fn wait_health(service: &JobService, killed: u64, alive: usize) -> PoolHealth {
-    let start = Instant::now();
-    loop {
-        let health = service.health();
-        if health.killed == killed && health.alive_workers == alive {
-            return health;
-        }
-        assert!(
-            start.elapsed() < Duration::from_secs(10),
-            "pool never reached {killed} killed / {alive} alive; last {health:?}"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
-#[test]
-fn degraded_pool_sheds_submissions_while_admitted_work_drains() {
-    // Worker 1 dies after its first task; no respawn.  The trigger job
-    // (first in the one executor's FIFO) holds until everything behind it
-    // is admitted against a healthy pool, then makes one fork that is
-    // certain to migrate: the first child keeps its processor until the
-    // second has started, and the second — pending in that processor's
-    // deque — can only be started by the *other* worker stealing it.
-    // Whichever worker ran the join, worker 1 executed a task and dies.
-    let service = JobService::start(ServeConfig {
-        processors: 2,
-        executors: 1,
-        queue_capacity: 32,
-        chaos: ChaosConfig::none().kill(1, 1),
-        self_heal: SelfHeal::Degrade,
-        min_alive_processors: 2,
-        ..ServeConfig::default()
-    });
-    let release = Arc::new(AtomicBool::new(false));
-    let gate = Arc::clone(&release);
-    let trigger = service
-        .submit(JobSpec::new(0, move |cx| {
-            while !gate.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-            let started = AtomicBool::new(false);
-            cx.pool().join(
-                || {
-                    while !started.load(Ordering::Acquire) {
-                        std::thread::yield_now();
-                    }
-                },
-                || started.store(true, Ordering::Release),
-            );
-            0
-        }))
-        .expect("healthy pool admits");
-    let tickets: Vec<_> = (0..6)
-        .map(|i| {
-            service
-                .submit(JobSpec::new(0, job_body(i)))
-                .expect("healthy pool admits")
-        })
-        .collect();
-    release.store(true, Ordering::Release);
-    assert_eq!(trigger.wait().outcome, Ok(0));
-    // Admitted work — scans on both sides of the wake floor — drains to
-    // completion on the survivor after the kill fired.
-    for t in tickets {
-        assert!(t.wait().outcome.is_ok());
-    }
-    wait_health(&service, 1, 1);
-    // Below the floor: new work is shed with the live numbers.
-    match service.submit(JobSpec::new(0, job_body(99))) {
-        Err(SubmitError::Degraded { alive, floor }) => {
-            assert_eq!((alive, floor), (1, 2));
-        }
-        other => panic!("expected Degraded, got {other:?}"),
-    }
-    let stats = service.shutdown();
-    assert_eq!(stats.shed_degraded, 1);
-    assert_eq!(stats.completed, 7);
-}
-
-#[test]
-fn shutdown_drains_the_queue_under_a_chaos_kill() {
-    // Satellite: graceful shutdown must drain every queued job even
-    // while the pool is degrading underneath the executors.
-    let service = JobService::start(ServeConfig {
-        processors: 2,
-        executors: 1,
-        queue_capacity: 32,
-        chaos: ChaosConfig::none().kill(1, 1),
-        self_heal: SelfHeal::Degrade,
-        ..ServeConfig::default()
-    });
-    let tickets: Vec<_> = (0..8)
-        .map(|i| service.submit(JobSpec::new(0, job_body(i))).unwrap())
-        .collect();
-    let stats = service.shutdown();
-    assert_eq!(stats.completed, 8, "shutdown drained every queued job");
-    for t in tickets {
-        assert!(t.try_report().expect("drained").outcome.is_ok());
     }
 }
 
@@ -525,7 +340,6 @@ fn fairness_ratio_edge_cases() {
         deadline_exceeded: 0,
         queue_peak: 0,
         retries: 0,
-        shed_degraded: 0,
         per_tenant_completed: per_tenant,
     };
     // Nothing finished at all: perfectly fair by definition.

@@ -53,44 +53,39 @@
 //! first) increments the `spurious_wakeups` counter in [`PoolStats`].
 //! Completion latches unpark their single owner thread directly.
 //!
-//! # Health, chaos and self-healing
+//! # Health and chaos
+//!
+//! The pool has a fixed number of processors, as the LoPRAM does: a worker
+//! leaves its loop only when the pool is dropped.  Every job runs under
+//! `catch_unwind` and its panic travels to the joiner, so user code cannot
+//! take a worker down with it.
 //!
 //! Every worker bumps a per-worker **heartbeat** (milliseconds since pool
 //! start) at the top of its loop and around parks; [`ThreadPool::health`]
-//! snapshots them into a [`PoolHealth`] together with the alive/dead state
-//! of each worker.  Deterministic scheduler-level faults can be injected
-//! with a [`ChaosConfig`] on the builder: kill a chosen worker between
-//! jobs (its loop exits cooperatively), drop or delay a chosen wakeup
-//! notification, or force extra steal-retry rounds — the *rule* deciding
-//! where each fault fires is a pure function of the configuration (and,
-//! via [`ChaosConfig::seeded`], of one seed), so a failure replays exactly
-//! under the same schedule.  A dead worker first drains its own deque into
-//! the injector (no pending task is ever stranded) and parks its deque's
-//! owner end in the registry.  Recovery is governed by [`SelfHeal`]:
-//! either a **supervisor** path — run from idle workers and from external
-//! waiters — respawns a replacement thread onto the same index and deque,
-//! or the pool **degrades**: the dead worker's sleep bit stays clear, it
-//! is excluded as a steal victim, and `alive_workers` shrinks so callers
-//! (e.g. `PalPool` in `lopram-core`) can recompute the §3.1 cutoff for
-//! the effective processor count.  External latch waits are bounded by
-//! `IDLE_POLL` and supervise between parks, so `join`/`install` complete
-//! (no infinite park) even after a chaos kill; with *every* worker dead
-//! under [`SelfHeal::Degrade`], the external caller executes injected
-//! work itself as a last resort rather than hang.
+//! snapshots them into a [`PoolHealth`], whose [`PoolHealth::stalled`]
+//! names the workers wedged in user code.  Deterministic scheduler-level
+//! faults can be injected with a [`ChaosConfig`] on the builder: drop or
+//! delay a chosen wake-up notification, or force extra steal-retry rounds
+//! — the *rule* deciding where each fault fires is a pure function of the
+//! configuration (and, via [`ChaosConfig::seeded`], of one seed), so a
+//! failure replays exactly under the same schedule.  Every park — a
+//! worker's and an external caller's latch wait alike — is bounded by
+//! `IDLE_POLL`, so a lost or dropped wake-up costs latency, never
+//! liveness.
 //!
 //! Calls from threads that are not pool workers (`install`, `join`) ship
 //! the work into the pool and block the calling thread; the `num_threads`
 //! workers are therefore the *only* processors, which is what lets `PalPool`
 //! in `lopram-core` model a LoPRAM with exactly `p` processors.
 //!
-//! The pool counts every completed task in [`PoolStats`]: `stolen` (taken
+//! The pool counts every completed fork in [`PoolStats`]: `stolen` (taken
 //! from another worker's deque — the task migrated to a processor that
-//! freed up), `inlined` (popped back and executed by the thread that
-//! created it), and `injected` (taken from the shared injector: a fork a
-//! dying worker drained there, whose creator is gone, so neither label
-//! applies; the `install` trampoline that carries external calls in is not
-//! counted).  `lopram-core` forwards these to its `RunMetrics` so
-//! experiments can observe the paper's Figure 2 cutoff on the real pool.
+//! freed up) or `inlined` (popped back and executed by the thread that
+//! created it).  The only job that travels through the shared injector is
+//! the `install` trampoline that carries an external call in; it is not a
+//! fork and is not counted.  `lopram-core` forwards these to its
+//! `RunMetrics` so experiments can observe the paper's Figure 2 cutoff on
+//! the real pool.
 //!
 //! Guarantees relied on by the workspace:
 //!
@@ -120,7 +115,7 @@ use deque::Steal;
 
 /// How long an idle or latch-waiting thread parks before re-polling the
 /// deques when no wake-up arrives.  All parks — worker *and* external — are
-/// bounded by this, so a lost wake-up (or a dead notifier) costs latency,
+/// bounded by this, so a lost (or chaos-dropped) wake-up costs latency,
 /// never a deadlock.
 const IDLE_POLL: Duration = Duration::from_micros(500);
 
@@ -190,7 +185,7 @@ impl SleepSet {
 }
 
 // ---------------------------------------------------------------------------
-// Chaos, self-healing and health: deterministic scheduler faults + recovery.
+// Chaos and health: deterministic scheduler faults and heartbeats.
 // ---------------------------------------------------------------------------
 
 /// Deterministic scheduler-fault injection, set on
@@ -198,17 +193,12 @@ impl SleepSet {
 /// function of this configuration — no clock, no RNG at fire time — so the
 /// same config over the same schedule fires the same faults.  (Which
 /// schedule *occurs* still depends on real thread interleaving; the
-/// determinism contract is about the rule, not the interleaving.)
+/// determinism contract is about the rule, not the interleaving.)  Every
+/// fault costs latency, never a result: no worker ever stops.
 ///
 /// The default configuration fires nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChaosConfig {
-    /// Kill this worker: its loop exits cooperatively between jobs (after
-    /// draining its deque into the injector, so no pending task is lost).
-    pub kill_worker: Option<usize>,
-    /// The kill fires once the chosen worker has executed at least this
-    /// many tasks in its first incarnation (0 = first idle moment).
-    pub kill_after_tasks: u64,
     /// Drop the n-th deliberate wake-up (1-based; 0 = never): the claimed
     /// sleeper is *not* unparked.  Safe by construction — worker parks are
     /// bounded by `IDLE_POLL`, so the victim recovers on its next poll; the
@@ -230,30 +220,20 @@ impl ChaosConfig {
 
     /// Derive a full fault mix from one seed — a pure function (splitmix64
     /// over the seed), so a seed observed to break something replays
-    /// exactly.  Always kills one worker; wake-up faults and steal retries
-    /// vary with the seed.
-    pub fn seeded(seed: u64, threads: usize) -> Self {
+    /// exactly.  Always drops one wake-up and delays one; the steal-retry
+    /// rounds (0–3) vary with the seed.
+    pub fn seeded(seed: u64) -> Self {
         fn mix(mut z: u64) -> u64 {
             z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             z ^ (z >> 31)
         }
-        let threads = threads.max(1);
         ChaosConfig {
-            kill_worker: Some(mix(seed) as usize % threads),
-            kill_after_tasks: mix(seed ^ 1) % 64,
             drop_wakeup_nth: 1 + mix(seed ^ 2) % 32,
             delay_wakeup_nth: 1 + mix(seed ^ 3) % 32,
             steal_retries: (mix(seed ^ 4) % 4) as u32,
         }
-    }
-
-    /// Kill worker `index` after it executed `after_tasks` tasks.
-    pub fn kill(mut self, index: usize, after_tasks: u64) -> Self {
-        self.kill_worker = Some(index);
-        self.kill_after_tasks = after_tasks;
-        self
     }
 
     /// Drop the `nth` (1-based) deliberate wake-up notification.
@@ -280,34 +260,12 @@ impl ChaosConfig {
     }
 }
 
-/// What the pool does about a dead worker; see
-/// [`ThreadPoolBuilder::self_heal`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SelfHeal {
-    /// Supervisors (idle workers and external waiters) respawn a
-    /// replacement thread onto the dead worker's index and deque.
-    #[default]
-    Respawn,
-    /// The worker stays dead and the pool degrades: its sleep bit stays
-    /// clear, it is excluded as a steal victim, and
-    /// [`PoolHealth::alive_workers`] shrinks so callers can re-throttle
-    /// for the effective processor count.
-    Degrade,
-}
-
-/// A point-in-time liveness snapshot of a pool; see [`ThreadPool::health`].
+/// A point-in-time heartbeat snapshot of a pool; see
+/// [`ThreadPool::health`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolHealth {
-    /// Worker slots the pool was built with (`num_threads`).
+    /// Workers the pool was built with (`num_threads`).
     pub workers: usize,
-    /// Workers currently alive (spawned and not killed).
-    pub alive_workers: usize,
-    /// Total worker deaths over the pool's lifetime.
-    pub killed: u64,
-    /// Total respawns over the pool's lifetime.
-    pub respawned: u64,
-    /// Per-worker liveness, indexed by worker slot.
-    pub alive: Vec<bool>,
     /// Per-worker last heartbeat, in milliseconds since the pool started.
     /// A worker beats at the top of its loop and around every park.
     pub last_beat_ms: Vec<u64>,
@@ -317,25 +275,14 @@ pub struct PoolHealth {
 }
 
 impl PoolHealth {
-    /// `true` when at least one worker slot is dead.
-    pub fn is_degraded(&self) -> bool {
-        self.alive_workers < self.workers
-    }
-
-    /// Indices of dead worker slots.
-    pub fn dead_workers(&self) -> Vec<usize> {
-        (0..self.workers).filter(|&i| !self.alive[i]).collect()
-    }
-
-    /// Indices of *alive* workers whose last heartbeat is older than
-    /// `threshold` — likely wedged in user code (a dead worker is reported
-    /// by [`PoolHealth::dead_workers`], not here).
+    /// Indices of workers whose last heartbeat is older than `threshold` —
+    /// likely wedged in user code.  An idle worker beats at least once per
+    /// `IDLE_POLL`, so a threshold well above that names only workers stuck
+    /// inside one job (or descheduled by the host).
     pub fn stalled(&self, threshold: Duration) -> Vec<usize> {
         let threshold_ms = threshold.as_millis() as u64;
         (0..self.workers)
-            .filter(|&i| {
-                self.alive[i] && self.now_ms.saturating_sub(self.last_beat_ms[i]) > threshold_ms
-            })
+            .filter(|&i| self.now_ms.saturating_sub(self.last_beat_ms[i]) > threshold_ms)
             .collect()
     }
 }
@@ -377,6 +324,10 @@ impl WakeLatch {
     /// cloned out *first* and nothing behind `this` is touched afterwards.
     #[allow(unsafe_code)]
     unsafe fn set_raw(this: *const WakeLatch) {
+        // SAFETY: the caller guarantees `this` is live until the store
+        // below, and nothing behind it is read after the store.  Exercised
+        // on every stolen fork: `idle_worker_steals_pending_fork`, and
+        // `nested_join_stress` in `lopram-core`'s `runtime_stress.rs`.
         let owner = (*this).owner.clone();
         (*this).state.store(1, Ordering::Release);
         // Self-unparks (setting a job one's own latch while inlining an
@@ -386,29 +337,12 @@ impl WakeLatch {
         }
     }
 
-    /// Block until set — for non-worker threads, which normally do not
-    /// execute pool work.  The owner's unpark token makes the
-    /// set-before-park race benign; the park is additionally bounded by
-    /// `IDLE_POLL` with a supervision pass per wake, so the wait completes
-    /// even when the worker that should set the latch died: under
-    /// [`SelfHeal::Respawn`] the waiter itself respawns the replacement,
-    /// and under [`SelfHeal::Degrade`] with *every* worker dead the waiter
-    /// executes injected work directly — a documented degenerate
-    /// sequential mode — rather than park forever.
-    fn wait_supervised(&self, registry: &Arc<Registry>) {
+    /// Block until set — for non-worker threads, which are not processors
+    /// and execute no pool work.  The owner's unpark token makes the
+    /// set-before-park race benign; the park is bounded by `IDLE_POLL` all
+    /// the same, like every park in the pool.
+    fn wait(&self) {
         while !self.probe() {
-            registry.supervise();
-            if registry.alive_count.load(Ordering::Relaxed) == 0
-                && !registry.terminate.load(Ordering::Acquire)
-            {
-                // No processor is left and none is coming back: last
-                // resort, the caller becomes the processor.
-                let job = lock(&registry.injector).pop_front();
-                if let Some(job) = job {
-                    registry.execute(job, TaskSource::Injector);
-                    continue;
-                }
-            }
             thread::park_timeout(IDLE_POLL);
         }
     }
@@ -425,14 +359,13 @@ impl WakeLatch {
 struct JobRef {
     data: *const (),
     execute_fn: unsafe fn(*const ()),
-    /// Whether this job is a pal-thread for [`PoolStats`] accounting.
-    /// Internal wrappers (e.g. the `install` trampoline) are not counted.
-    counted: bool,
 }
 
 // SAFETY: a JobRef is only ever executed once, and the pointed-to StackJob
 // is kept alive until its completion latch is set.  The closures inside
-// are `Send` by the public API bounds.
+// are `Send` by the public API bounds.  Every cross-thread hand-over —
+// a steal (`idle_worker_steals_pending_fork`) and an `install` through the
+// injector (`install_bounds_the_free_join`) — is tested.
 #[allow(unsafe_code)]
 unsafe impl Send for JobRef {}
 
@@ -459,11 +392,10 @@ where
         }
     }
 
-    fn as_job_ref(&self, counted: bool) -> JobRef {
+    fn as_job_ref(&self) -> JobRef {
         JobRef {
             data: (self as *const Self).cast::<()>(),
             execute_fn: execute_stack::<F, R>,
-            counted,
         }
     }
 
@@ -475,6 +407,9 @@ where
     /// [`JobRef`] back so no other thread can execute it.
     #[allow(unsafe_code)]
     unsafe fn run_inline(&self) {
+        // SAFETY: the caller popped the only JobRef to this job, so this
+        // thread has exclusive access to `func` and `result`.  Pinned by
+        // `deep_unbalanced_recursion_grows_the_deque` (300 inline runs).
         let func = (*self.func.get())
             .take()
             .expect("job executed exactly once");
@@ -491,6 +426,9 @@ where
     /// necessary happens-before edge.
     #[allow(unsafe_code)]
     unsafe fn take_result(&self) -> thread::Result<R> {
+        // SAFETY: the job finished and nothing else touches `result` any
+        // more (the caller's contract); the panic paths of
+        // `pool_join_propagates_child_panic_and_stays_usable` read it too.
         (*self.result.get())
             .take()
             .expect("job executed exactly once")
@@ -505,6 +443,11 @@ unsafe fn execute_stack<F, R>(data: *const ())
 where
     F: FnOnce() -> R,
 {
+    // SAFETY: `data` came from `StackJob::as_job_ref` for this very `F`
+    // and `R`, the creator keeps the job alive until the latch is set, and
+    // the JobRef was taken from exactly one queue, so this is its only
+    // execution.  Pinned by `idle_worker_steals_pending_fork` (a steal)
+    // and `install_bounds_the_free_join` (an injected trampoline).
     let job = data.cast::<StackJob<F, R>>();
     let func = (*(*job).func.get())
         .take()
@@ -529,10 +472,8 @@ enum TaskSource {
     /// Taken from another worker's deque: a genuine steal — the task
     /// migrated to a processor that freed up after its creation.
     Theft,
-    /// Taken from the shared injector: an `install` trampoline shipped in
-    /// by a non-worker thread (not counted), or a fork a dying worker
-    /// drained there.  Neither an inline execution nor a worker-to-worker
-    /// migration.
+    /// Taken from the shared injector: the `install` trampoline a
+    /// non-worker thread shipped in.  Not a fork, so not counted.
     Injector,
 }
 
@@ -548,17 +489,14 @@ struct Registry {
     /// Bit `i` set ⇔ worker `i` announced it is parking.  Pushers claim one
     /// bit and unpark exactly that worker.
     sleep: SleepSet,
-    /// Unpark handles of the workers, set by each (re)spawned incarnation
-    /// and cleared on death.  Mutexed (not `OnceLock`) so a respawn can
-    /// install the replacement thread's handle.
-    handles: Vec<Mutex<Option<Thread>>>,
+    /// Unpark handles of the workers, each set once by its worker before
+    /// the worker first announces a park.
+    handles: Vec<OnceLock<Thread>>,
     terminate: AtomicBool,
     /// Tasks stolen from another worker's deque (migrations).
     stolen: AtomicU64,
     /// Tasks popped back and executed by the thread that created them.
     inlined: AtomicU64,
-    /// Counted tasks taken from the injector (forks a dying worker drained).
-    injected: AtomicU64,
     /// Deliberate wake-ups that found no task to run (another worker got
     /// there first).
     spurious: AtomicU64,
@@ -568,21 +506,7 @@ struct Registry {
     /// last loop top / park boundary.  Relaxed — a watchdog reading, not a
     /// synchronization edge.
     beats: Vec<AtomicU64>,
-    /// Per-worker liveness.  A dying worker drains its deque and parks it
-    /// in `orphans` *before* clearing its flag, so a cleared flag implies
-    /// no task is stranded behind it.
-    alive: Vec<AtomicBool>,
-    alive_count: AtomicUsize,
-    killed: AtomicU64,
-    respawned: AtomicU64,
-    /// Owner ends of dead workers' deques, parked here by the death
-    /// protocol; `take()`-ing a slot is a supervisor's claim to respawn
-    /// that worker (at most one replacement per death).
-    orphans: Vec<Mutex<Option<deque::Worker<JobRef>>>>,
-    /// Join handles of respawned workers, reaped by `ThreadPool::drop`.
-    extra_handles: Mutex<Vec<thread::JoinHandle<()>>>,
     chaos: ChaosConfig,
-    self_heal: SelfHeal,
     /// Sequence number of deliberate wake-ups, driving the chaos
     /// drop/delay-nth rules.  Only advanced while chaos is active.
     wakeup_seq: AtomicU64,
@@ -649,7 +573,7 @@ impl Registry {
     }
 
     fn unpark_worker(&self, index: usize) {
-        if let Some(thread) = &*lock(&self.handles[index]) {
+        if let Some(thread) = self.handles[index].get() {
             thread.unpark();
         }
     }
@@ -659,51 +583,10 @@ impl Registry {
         self.notify_one();
     }
 
-    /// Supervisor pass: respawn dead workers (under [`SelfHeal::Respawn`]).
-    /// Run from idle workers before parking and from external waiters
-    /// between bounded parks, so detection needs no dedicated watchdog
-    /// thread.  The fast path — nobody dead — is two relaxed loads.
-    fn supervise(self: &Arc<Self>) {
-        if self.alive_count.load(Ordering::Relaxed) == self.threads
-            || self.terminate.load(Ordering::Acquire)
-            || self.self_heal != SelfHeal::Respawn
-        {
-            return;
-        }
-        for index in 0..self.threads {
-            if self.alive[index].load(Ordering::Acquire) {
-                continue;
-            }
-            // Taking the orphaned deque is the claim: exactly one
-            // supervisor respawns each death.
-            let Some(worker) = lock(&self.orphans[index]).take() else {
-                continue;
-            };
-            let generation = self.respawned.fetch_add(1, Ordering::Relaxed) + 1;
-            self.alive[index].store(true, Ordering::Release);
-            self.alive_count.fetch_add(1, Ordering::Relaxed);
-            let registry = Arc::clone(self);
-            let handle = thread::Builder::new()
-                .name(format!("rayon-respawn-{index}-g{generation}"))
-                .spawn(move || worker_main(registry, index, worker, generation))
-                .expect("failed to respawn pool worker thread");
-            lock(&self.extra_handles).push(handle);
-        }
-    }
-
-    /// Snapshot the per-worker heartbeats and liveness; see
-    /// [`ThreadPool::health`].
+    /// Snapshot the per-worker heartbeats; see [`ThreadPool::health`].
     fn health(&self) -> PoolHealth {
         PoolHealth {
             workers: self.threads,
-            alive_workers: self.alive_count.load(Ordering::Relaxed),
-            killed: self.killed.load(Ordering::Relaxed),
-            respawned: self.respawned.load(Ordering::Relaxed),
-            alive: self
-                .alive
-                .iter()
-                .map(|a| a.load(Ordering::Relaxed))
-                .collect(),
             last_beat_ms: self
                 .beats
                 .iter()
@@ -719,14 +602,22 @@ impl Registry {
     /// its result slot, so helping loops survive task failures.
     #[allow(unsafe_code)]
     fn execute(&self, job: JobRef, source: TaskSource) {
-        if job.counted {
-            let counter = match source {
-                TaskSource::Own => &self.inlined,
-                TaskSource::Theft => &self.stolen,
-                TaskSource::Injector => &self.injected,
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
+        match source {
+            TaskSource::Own => {
+                self.inlined.fetch_add(1, Ordering::Relaxed);
+            }
+            TaskSource::Theft => {
+                self.stolen.fetch_add(1, Ordering::Relaxed);
+            }
+            // The `install` trampoline is not a fork.
+            TaskSource::Injector => {}
         }
+        // SAFETY: `job` was just taken from a deque or the injector, which
+        // hand each JobRef to exactly one taker, and its creator blocks
+        // until the latch is set — `execute_stack`'s contract.  The exact
+        // fork counts of `spurious_wakeups_are_counted_not_hidden` (1023)
+        // and `seeded_chaos_pool_completes_fork_trees_exactly` (511) show
+        // every job ran once.
         unsafe { (job.execute_fn)(job.data) }
     }
 }
@@ -741,9 +632,7 @@ impl WorkerCtx {
     /// Take one pending task.  Priority: own deque bottom (newest — the
     /// cache-warm fast path for popping one's own fork back), then the
     /// injector front, then the other workers' tops — i.e. thieves always
-    /// take the **oldest** pending task of a victim first.  Dead workers
-    /// are skipped as victims (their deques were drained into the injector
-    /// by the death protocol, so nothing hides behind them).
+    /// take the **oldest** pending task of a victim first.
     fn find_job(&self) -> Option<(JobRef, TaskSource)> {
         if let Some(job) = self.worker.pop() {
             return Some((job, TaskSource::Own));
@@ -753,9 +642,6 @@ impl WorkerCtx {
         }
         for offset in 1..self.registry.threads {
             let victim = (self.index + offset) % self.registry.threads;
-            if !self.registry.alive[victim].load(Ordering::Acquire) {
-                continue;
-            }
             if self.registry.chaos.steal_retries != 0 {
                 // Chaos: behave as if the victim reported `Steal::Retry`
                 // this many times before the real attempt.
@@ -781,13 +667,9 @@ impl WorkerCtx {
     /// Announce this worker in the sleep bitmap, re-check the queues, and
     /// park (bounded by `IDLE_POLL`).  Returns `true` when the wake was a
     /// deliberate notification (our bit was claimed by someone else).
-    ///
-    /// Doubles as the pool's supervision point: an idle worker about to
-    /// park first checks for dead siblings to respawn.
     fn park_idle(&self) -> bool {
         let registry = &self.registry;
         self.beat();
-        registry.supervise();
         registry.sleep.announce(self.index);
         // Dekker re-check: a task pushed before our bit became visible was
         // notified to nobody; look once more before actually sleeping.
@@ -822,55 +704,12 @@ impl WorkerCtx {
     }
 }
 
-/// Cooperative worker death (chaos kill): make every pending task of this
-/// worker reachable again, park the deque for a possible respawn, and only
-/// then publish the death.  Ordering matters — by the time `alive[index]`
-/// reads `false`, the deque is empty, so thieves skipping a dead victim can
-/// never strand a task.
-fn worker_die(ctx: Rc<WorkerCtx>) {
-    let registry = Arc::clone(&ctx.registry);
-    let index = ctx.index;
-    // 1. Drain the deque into the injector, preserving creation order.
-    let mut drained = Vec::new();
-    while let Some(job) = ctx.worker.pop() {
-        drained.push(job);
-    }
-    if !drained.is_empty() {
-        let mut injector = lock(&registry.injector);
-        // Popped newest-first; reverse back to oldest-first (§3.1 order).
-        injector.extend(drained.into_iter().rev());
-    }
-    // 2. Recover the deque's owner end and park it for a supervisor.
-    WORKER.with(|w| *w.borrow_mut() = None);
-    let worker = match Rc::try_unwrap(ctx) {
-        Ok(ctx) => ctx.worker,
-        Err(_) => unreachable!("worker ctx has no clones between jobs"),
-    };
-    *lock(&registry.orphans[index]) = Some(worker);
-    // 3. Publish the death.
-    *lock(&registry.handles[index]) = None;
-    registry.sleep.retract(index);
-    registry.alive[index].store(false, Ordering::Release);
-    registry.alive_count.fetch_sub(1, Ordering::Relaxed);
-    registry.killed.fetch_add(1, Ordering::Relaxed);
-    // 4. Wake a sibling so drained work (and supervision) happens promptly.
-    registry.notify_one();
-}
-
-fn worker_main(
-    registry: Arc<Registry>,
-    index: usize,
-    worker: deque::Worker<JobRef>,
-    generation: u64,
-) {
-    *lock(&registry.handles[index]) = Some(thread::current());
-    let kill_at = match registry.chaos.kill_worker {
-        // Only the first incarnation is killable, else a respawned worker
-        // would just die again forever.
-        Some(victim) if victim == index && generation == 0 => Some(registry.chaos.kill_after_tasks),
-        _ => None,
-    };
-    let mut executed: u64 = 0;
+/// A worker's loop: run pending tasks, park when there are none, and
+/// return only once the pool is dropped.
+fn worker_main(registry: Arc<Registry>, index: usize, worker: deque::Worker<JobRef>) {
+    registry.handles[index]
+        .set(thread::current())
+        .expect("each worker sets its own handle once");
     let ctx = Rc::new(WorkerCtx {
         registry,
         index,
@@ -883,14 +722,9 @@ fn worker_main(
         if ctx.registry.terminate.load(Ordering::Acquire) {
             break;
         }
-        if kill_at.is_some_and(|at| executed >= at) {
-            worker_die(ctx);
-            return;
-        }
         match ctx.find_job() {
             Some((job, source)) => {
                 notified = false;
-                executed += 1;
                 ctx.registry.execute(job, source);
             }
             None => {
@@ -911,7 +745,6 @@ fn build_registry(
     threads: usize,
     mut name_fn: Box<dyn FnMut(usize) -> String>,
     chaos: ChaosConfig,
-    self_heal: SelfHeal,
 ) -> (Arc<Registry>, Vec<thread::JoinHandle<()>>) {
     let mut owners = Vec::with_capacity(threads);
     let mut stealers = Vec::with_capacity(threads);
@@ -925,22 +758,14 @@ fn build_registry(
         stealers,
         injector: Mutex::new(VecDeque::new()),
         sleep: SleepSet::new(threads),
-        handles: (0..threads).map(|_| Mutex::new(None)).collect(),
+        handles: (0..threads).map(|_| OnceLock::new()).collect(),
         terminate: AtomicBool::new(false),
         stolen: AtomicU64::new(0),
         inlined: AtomicU64::new(0),
-        injected: AtomicU64::new(0),
         spurious: AtomicU64::new(0),
         epoch: Instant::now(),
         beats: (0..threads).map(|_| AtomicU64::new(0)).collect(),
-        alive: (0..threads).map(|_| AtomicBool::new(true)).collect(),
-        alive_count: AtomicUsize::new(threads),
-        killed: AtomicU64::new(0),
-        respawned: AtomicU64::new(0),
-        orphans: (0..threads).map(|_| Mutex::new(None)).collect(),
-        extra_handles: Mutex::new(Vec::new()),
         chaos,
-        self_heal,
         wakeup_seq: AtomicU64::new(0),
         dropped_wakeups: AtomicU64::new(0),
         delayed_wakeups: AtomicU64::new(0),
@@ -953,7 +778,7 @@ fn build_registry(
             let registry = Arc::clone(&registry);
             thread::Builder::new()
                 .name(name_fn(index))
-                .spawn(move || worker_main(registry, index, worker, 0))
+                .spawn(move || worker_main(registry, index, worker))
                 .expect("failed to spawn pool worker thread")
         })
         .collect();
@@ -974,7 +799,7 @@ where
     RB: Send,
 {
     let job_b = StackJob::new(oper_b);
-    let job_ref = job_b.as_job_ref(true);
+    let job_ref = job_b.as_job_ref();
     let b_data = job_ref.data;
     ctx.worker.push(job_ref);
     ctx.registry.notify_one();
@@ -993,9 +818,11 @@ where
             Some(job) if ptr::eq(job.data, b_data) => {
                 // Nobody freed up in time: the creating processor runs b
                 // itself, synchronously — no latch, no wake-up.
-                if job.counted {
-                    ctx.registry.inlined.fetch_add(1, Ordering::Relaxed);
-                }
+                ctx.registry.inlined.fetch_add(1, Ordering::Relaxed);
+                // SAFETY: we are `job_b`'s creator and just popped its only
+                // JobRef (matched by pointer), so no thief can run it.
+                // Pinned by `deep_unbalanced_recursion_grows_the_deque` and
+                // `stats_split_between_stolen_and_inlined`.
                 #[allow(unsafe_code)]
                 unsafe {
                     job_b.run_inline()
@@ -1018,7 +845,8 @@ where
 
     // SAFETY: b has run to completion on some thread (inline above, or latch
     // observed set), with a release/acquire edge ordering its result write
-    // before us.
+    // before us.  Pinned on both paths by `idle_worker_steals_pending_fork`
+    // (stolen) and `pool_join_propagates_child_panic_and_stays_usable`.
     #[allow(unsafe_code)]
     let result_b = unsafe { job_b.take_result() };
 
@@ -1040,11 +868,12 @@ where
         return op();
     }
     let job = StackJob::new(op);
-    // The trampoline itself is not a pal-thread; don't count it.
-    registry.inject(job.as_job_ref(false));
-    // Non-workers are not processors: park (supervised) instead of stealing.
-    job.latch.wait_supervised(registry);
-    // SAFETY: latch set ⇒ the job ran and wrote its result.
+    registry.inject(job.as_job_ref());
+    // Non-workers are not processors: park instead of stealing.
+    job.latch.wait();
+    // SAFETY: latch set ⇒ the job ran and wrote its result, ordered before
+    // us by the latch's release/acquire pair.  Pinned by
+    // `install_bounds_the_free_join` and `nested_pools_do_not_interfere`.
     #[allow(unsafe_code)]
     match unsafe { job.take_result() } {
         Ok(result) => result,
@@ -1062,22 +891,8 @@ where
     match current_worker_in(registry) {
         Some(ctx) => join_worker(&ctx, oper_a, oper_b),
         None => install_in(registry, move || {
-            match current_worker_in(registry) {
-                Some(ctx) => join_worker(&ctx, oper_a, oper_b),
-                // Every worker is dead (degraded pool): the trampoline ran
-                // on the external caller itself, which cannot fork — run
-                // both closures sequentially.  `b`'s panic is surfaced only
-                // if `a` did not panic, matching `join_worker`'s order.
-                None => {
-                    let result_a = catch_unwind(AssertUnwindSafe(oper_a));
-                    let result_b = catch_unwind(AssertUnwindSafe(oper_b));
-                    match (result_a, result_b) {
-                        (Ok(ra), Ok(rb)) => (ra, rb),
-                        (Err(payload), _) => resume_unwind(payload),
-                        (_, Err(payload)) => resume_unwind(payload),
-                    }
-                }
-            }
+            let ctx = current_worker_in(registry).expect("the install trampoline runs on a worker");
+            join_worker(&ctx, oper_a, oper_b)
         }),
     }
 }
@@ -1092,7 +907,6 @@ fn global_registry() -> &'static Arc<Registry> {
             default_parallelism(),
             Box::new(|i| format!("rayon-global-{i}")),
             ChaosConfig::default(),
-            SelfHeal::default(),
         );
         drop(handles);
         registry
@@ -1127,6 +941,12 @@ where
 // ---------------------------------------------------------------------------
 
 /// Scheduling counters of a [`ThreadPool`]; see [`ThreadPool::stats`].
+///
+/// Every completed fork is counted exactly once, as `stolen` or
+/// `inlined`: a fork's pending half is only ever pushed onto its creator's
+/// deque, so it is either popped back by the creator or taken by a thief.
+/// The `install` trampoline that carries an external call in goes through
+/// the shared injector instead; it is not a fork and is not counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Pending tasks taken from another worker's deque — each is one
@@ -1136,22 +956,11 @@ pub struct PoolStats {
     /// Pending tasks popped back and executed by the thread that created
     /// them (the fork was never taken by anyone else).
     pub inlined: u64,
-    /// Pending forks taken from the shared injector.  The only counted
-    /// tasks that reach the injector are the forks a dying worker drains
-    /// into it (the `install` trampoline that carries an external call in
-    /// is not a pal-thread and is not counted), so this stays zero unless
-    /// a worker died.  Kept apart from `stolen`: the creator is gone, so
-    /// the task neither migrated nor ran inline.
-    pub injected: u64,
     /// Deliberate worker wake-ups that found no pending task (the task was
     /// claimed by another processor first).  With one-sleeper-per-push
     /// waking this stays near zero; the old `notify_all` herd would have
     /// counted nearly `p − 1` of these per fork.
     pub spurious_wakeups: u64,
-    /// Workers killed by a chaos fault (see [`ChaosConfig::kill`]).
-    pub killed: u64,
-    /// Dead workers respawned by a supervisor (see [`SelfHeal::Respawn`]).
-    pub respawned: u64,
     /// Deliberate wake-up notifications dropped by a chaos fault.
     pub dropped_wakeups: u64,
     /// Deliberate wake-up notifications delayed by a chaos fault.
@@ -1185,21 +994,16 @@ impl ThreadPool {
         PoolStats {
             stolen: self.registry.stolen.load(Ordering::Relaxed),
             inlined: self.registry.inlined.load(Ordering::Relaxed),
-            injected: self.registry.injected.load(Ordering::Relaxed),
             spurious_wakeups: self.registry.spurious.load(Ordering::Relaxed),
-            killed: self.registry.killed.load(Ordering::Relaxed),
-            respawned: self.registry.respawned.load(Ordering::Relaxed),
             dropped_wakeups: self.registry.dropped_wakeups.load(Ordering::Relaxed),
             delayed_wakeups: self.registry.delayed_wakeups.load(Ordering::Relaxed),
             forced_steal_retries: self.registry.forced_steal_retries.load(Ordering::Relaxed),
         }
     }
 
-    /// Snapshot of this pool's worker liveness and heartbeats.  Also runs a
-    /// supervision pass first, so merely *observing* health of a
-    /// [`SelfHeal::Respawn`] pool kicks off pending respawns.
+    /// Snapshot of this pool's worker heartbeats; see
+    /// [`PoolHealth::stalled`].
     pub fn health(&self) -> PoolHealth {
-        self.registry.supervise();
         self.registry.health()
     }
 
@@ -1236,25 +1040,12 @@ impl Drop for ThreadPool {
         // the flag promptly (parked or not, IDLE_POLL bounds the wait).
         self.registry.terminate.store(true, Ordering::Release);
         for handle in &self.registry.handles {
-            if let Some(thread) = &*lock(handle) {
+            if let Some(thread) = handle.get() {
                 thread.unpark();
             }
         }
         for handle in self.handles.drain(..) {
             let _ = handle.join();
-        }
-        // Reap respawned workers too.  Loop: joining one could in principle
-        // race with a final supervise() pushing another (it cannot once
-        // `terminate` is set, but the loop makes that independent of
-        // supervise()'s internals).
-        loop {
-            let drained: Vec<_> = lock(&self.registry.extra_handles).drain(..).collect();
-            if drained.is_empty() {
-                break;
-            }
-            for handle in drained {
-                let _ = handle.join();
-            }
         }
     }
 }
@@ -1268,15 +1059,13 @@ impl fmt::Debug for ThreadPool {
 }
 
 /// Builder for [`ThreadPool`] — the shim of `rayon::ThreadPoolBuilder`.
-/// The chaos/self-healing knobs ([`ThreadPoolBuilder::chaos`],
-/// [`ThreadPoolBuilder::self_heal`]) are extensions of this shim, not part
-/// of the real crate's API.
+/// The chaos knob ([`ThreadPoolBuilder::chaos`]) is an extension of this
+/// shim, not part of the real crate's API.
 #[derive(Default)]
 pub struct ThreadPoolBuilder {
     num_threads: usize,
     thread_name: Option<Box<dyn FnMut(usize) -> String>>,
     chaos: ChaosConfig,
-    self_heal: SelfHeal,
 }
 
 impl ThreadPoolBuilder {
@@ -1293,8 +1082,7 @@ impl ThreadPoolBuilder {
     }
 
     /// Name the persistent worker threads (applied at build time; workers
-    /// are created once, not per fork).  Respawned replacements synthesize
-    /// their own `rayon-respawn-{index}-g{generation}` names.
+    /// are created once, not per fork).
     pub fn thread_name<F>(mut self, name_fn: F) -> Self
     where
         F: FnMut(usize) -> String + 'static,
@@ -1309,13 +1097,6 @@ impl ThreadPoolBuilder {
         self
     }
 
-    /// What to do about dead workers; see [`SelfHeal`].  Defaults to
-    /// [`SelfHeal::Respawn`].
-    pub fn self_heal(mut self, self_heal: SelfHeal) -> Self {
-        self.self_heal = self_heal;
-        self
-    }
-
     /// Build the pool, spawning its persistent workers.  Never fails in
     /// this shim; the `Result` mirrors the real crate's signature.
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
@@ -1327,7 +1108,7 @@ impl ThreadPoolBuilder {
         let name_fn = self
             .thread_name
             .unwrap_or_else(|| Box::new(|i| format!("rayon-worker-{i}")));
-        let (registry, handles) = build_registry(threads, name_fn, self.chaos, self.self_heal);
+        let (registry, handles) = build_registry(threads, name_fn, self.chaos);
         Ok(ThreadPool { registry, handles })
     }
 }
@@ -1451,7 +1232,6 @@ mod tests {
         // One worker: forks are always popped back by their creator.
         assert_eq!(stats.stolen, 0);
         assert_eq!(stats.inlined, 2);
-        assert_eq!(stats.injected, 0);
     }
 
     #[test]
@@ -1610,12 +1390,12 @@ mod tests {
 
     #[test]
     fn chaos_seeded_is_a_pure_function_of_the_seed() {
-        let a = ChaosConfig::seeded(42, 4);
-        let b = ChaosConfig::seeded(42, 4);
+        let a = ChaosConfig::seeded(42);
+        let b = ChaosConfig::seeded(42);
         assert_eq!(a, b);
         assert!(a.is_active());
-        assert!(a.kill_worker.unwrap() < 4);
         assert!(a.drop_wakeup_nth >= 1 && a.delay_wakeup_nth >= 1);
+        assert!(a.steal_retries < 4);
         assert!(!ChaosConfig::none().is_active());
     }
 
@@ -1625,108 +1405,56 @@ mod tests {
         pool.join(|| 1, || 2);
         let health = pool.health();
         assert_eq!(health.workers, 2);
-        assert_eq!(health.alive_workers, 2);
-        assert!(!health.is_degraded());
-        assert_eq!(health.dead_workers(), Vec::<usize>::new());
-        assert_eq!(health.killed, 0);
+        assert_eq!(health.last_beat_ms.len(), 2);
         // Workers beat at least every IDLE_POLL; nothing can be stalled by
         // a generous threshold.
         assert_eq!(health.stalled(Duration::from_secs(30)), Vec::<usize>::new());
     }
 
-    /// Poll `pool.health()` until `ok` holds, failing after 10s.
-    fn wait_health(pool: &ThreadPool, what: &str, ok: impl Fn(&PoolHealth) -> bool) -> PoolHealth {
-        let start = Instant::now();
-        loop {
-            let health = pool.health();
-            if ok(&health) {
-                return health;
-            }
-            assert!(
-                start.elapsed() < Duration::from_secs(10),
-                "pool health never reached: {what}; last {health:?}"
-            );
-            thread::sleep(Duration::from_millis(1));
-        }
-    }
-
     #[test]
-    fn chaos_kill_is_healed_by_respawn() {
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(2)
-            .chaos(ChaosConfig::none().kill(1, 0))
-            .self_heal(SelfHeal::Respawn)
-            .build()
-            .unwrap();
-        // The kill fires at worker 1's first loop top; joins must still
-        // complete (liveness) with correct results.
-        fn sum(pool: &ThreadPool, data: &[u64]) -> u64 {
-            if data.len() <= 4 {
-                return data.iter().sum();
-            }
-            let (lo, hi) = data.split_at(data.len() / 2);
-            let (a, b) = pool.join(|| sum(pool, lo), || sum(pool, hi));
-            a + b
-        }
-        let data: Vec<u64> = (0..512).collect();
-        assert_eq!(pool.install(|| sum(&pool, &data)), 511 * 512 / 2);
-        let health = wait_health(&pool, "respawned back to 2 alive", |h| {
-            h.alive_workers == 2 && h.killed == 1
+    fn stalled_reports_a_worker_wedged_in_a_job() {
+        // A job that never returns to the worker loop stops its worker's
+        // heartbeat; `stalled` must name that worker.  The idle worker may
+        // be named too (a 2-CPU host can deschedule it past the
+        // threshold), so only membership is asserted.
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let wedged = AtomicUsize::new(usize::MAX);
+        let release = AtomicBool::new(false);
+        let reported = thread::scope(|s| {
+            s.spawn(|| {
+                pool.install(|| {
+                    wedged.store(pool.current_thread_index().unwrap(), Ordering::Release);
+                    while !release.load(Ordering::Acquire) {
+                        thread::sleep(Duration::from_millis(1));
+                    }
+                })
+            });
+            let start = Instant::now();
+            let reported = loop {
+                let index = wedged.load(Ordering::Acquire);
+                if index != usize::MAX
+                    && pool
+                        .health()
+                        .stalled(Duration::from_millis(50))
+                        .contains(&index)
+                {
+                    break Some(index);
+                }
+                if start.elapsed() > Duration::from_secs(10) {
+                    break None;
+                }
+                thread::sleep(Duration::from_millis(5));
+            };
+            release.store(true, Ordering::Release);
+            reported
         });
-        assert!(health.respawned >= 1);
-        assert!(!health.is_degraded());
-        let stats = pool.stats();
-        assert_eq!(stats.killed, 1);
-        assert!(stats.respawned >= 1);
-        // Still fully usable afterwards (and Drop reaps the respawned
-        // thread without hanging).
-        assert_eq!(pool.join(|| 1, || 2), (1, 2));
-    }
-
-    #[test]
-    fn chaos_kill_degrades_without_stranding_work() {
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(2)
-            .chaos(ChaosConfig::none().kill(1, 0))
-            .self_heal(SelfHeal::Degrade)
-            .build()
-            .unwrap();
-        fn sum(pool: &ThreadPool, data: &[u64]) -> u64 {
-            if data.len() <= 4 {
-                return data.iter().sum();
-            }
-            let (lo, hi) = data.split_at(data.len() / 2);
-            let (a, b) = pool.join(|| sum(pool, lo), || sum(pool, hi));
-            a + b
-        }
-        let data: Vec<u64> = (0..512).collect();
-        assert_eq!(pool.install(|| sum(&pool, &data)), 511 * 512 / 2);
-        let health = wait_health(&pool, "degraded to 1 alive", |h| {
-            h.alive_workers == 1 && h.killed == 1
-        });
-        assert!(health.is_degraded());
-        assert_eq!(health.dead_workers(), vec![1]);
-        assert_eq!(health.respawned, 0);
-        // The surviving worker keeps serving.
-        assert_eq!(pool.join(|| 1, || 2), (1, 2));
-    }
-
-    #[test]
-    fn fully_dead_degraded_pool_falls_back_to_caller_execution() {
-        // p = 1, the only worker killed, no respawn: the external caller
-        // must complete the join itself instead of parking forever.
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(1)
-            .chaos(ChaosConfig::none().kill(0, 0))
-            .self_heal(SelfHeal::Degrade)
-            .build()
-            .unwrap();
-        wait_health(&pool, "the only worker dead", |h| h.alive_workers == 0);
-        assert_eq!(pool.join(|| 1, || 2), (1, 2));
-        assert_eq!(pool.install(|| 7), 7);
-        let health = pool.health();
-        assert_eq!(health.alive_workers, 0);
-        assert_eq!(health.killed, 1);
+        let index = wedged.load(Ordering::Acquire);
+        assert!(index < 2, "the wedged job never started");
+        assert_eq!(
+            reported,
+            Some(index),
+            "worker {index} was never reported stalled"
+        );
     }
 
     #[test]
@@ -1783,14 +1511,13 @@ mod tests {
 
     #[test]
     fn seeded_chaos_pool_completes_fork_trees_exactly() {
-        // The acceptance shape: a full seeded fault mix (kill + wake-up
-        // faults + steal retries) and the pool still completes the tree
-        // with exact fork accounting.
+        // The acceptance shape: a full seeded fault mix (wake-up faults +
+        // steal retries) and the pool still completes the tree with exact
+        // fork accounting.
         for seed in [7u64, 19, 42] {
             let pool = ThreadPoolBuilder::new()
                 .num_threads(3)
-                .chaos(ChaosConfig::seeded(seed, 3))
-                .self_heal(SelfHeal::Respawn)
+                .chaos(ChaosConfig::seeded(seed))
                 .build()
                 .unwrap();
             fn fanout(pool: &ThreadPool, depth: usize) -> u64 {
