@@ -23,12 +23,11 @@
 //!   its nested-join form for more than two pal-threads), plus the
 //!   blocked data-parallel primitives irregular workloads are built from
 //!   ([`PalPool::scan`], [`PalPool::pack`], [`PalPool::expand`],
-//!   [`PalPool::reduce_by_index`] plus the allocation-free `_in` variants
+//!   [`PalPool::for_each_index`] plus the allocation-free `_in` variants
 //!   — see `runtime::primitives`) and the [`Workspace`] scratch arena
 //!   that makes their steady state allocation-free;
 //! * [`Executor`] — an abstraction over sequential and pal-thread execution
 //!   used by the divide-and-conquer and dynamic-programming crates;
-//! * [`SerCell`] — the paper's transparently *serialized shared variable*;
 //! * [`metrics`] — work / spawn accounting.
 
 #![warn(missing_docs)]
@@ -39,7 +38,6 @@ pub mod executor;
 pub mod metrics;
 pub mod policy;
 pub mod runtime;
-pub mod sercell;
 
 mod macros;
 
@@ -52,7 +50,6 @@ pub use runtime::{
     PoolHealth, Scan, TraceConfig, TraceEvent, TraceSummary, Workspace, WorkspaceGuard,
     WorkspaceStats,
 };
-pub use sercell::SerCell;
 
 /// Convenience prelude re-exporting the items almost every user needs.
 pub mod prelude {
@@ -63,5 +60,4 @@ pub mod prelude {
         run_cancellable, CancelReason, CancelToken, ChaosConfig, DagTrace, PalPool, PalPoolBuilder,
         PoolHealth, Scan, TraceConfig, Workspace,
     };
-    pub use crate::sercell::SerCell;
 }

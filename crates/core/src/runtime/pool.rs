@@ -272,7 +272,7 @@ fn worker_id(slot: Option<usize>) -> u16 {
 /// the data-parallel helpers built from it:
 /// [`for_each_index`](PalPool::for_each_index) (wavefront execution) and
 /// the blocked passes ([`scan`](PalPool::scan), [`pack`](PalPool::pack),
-/// [`map_reduce`](PalPool::map_reduce), …), each a balanced `join` tree.
+/// [`expand`](PalPool::expand), …), each a balanced `join` tree.
 #[derive(Debug)]
 pub struct PalPool {
     processors: usize,
@@ -731,10 +731,9 @@ impl PalPool {
     /// 1` per parallel pass over `chunk_count(len)` blocks with balanced
     /// boundaries `c·len/chunks`) stays exact and schedule-independent,
     /// and calling this method is all a test needs to predict it.
-    /// [`for_each_index`](PalPool::for_each_index) and
-    /// [`map_reduce`](PalPool::map_reduce) do **not** use this policy:
-    /// their per-index cost is an opaque closure (one index may be a
-    /// whole worker loop), so they keep the fixed `4·p` chunk bound of
+    /// [`for_each_index`](PalPool::for_each_index) does **not** use this
+    /// policy: its per-index cost is an opaque closure (one index may be a
+    /// whole worker loop), so it keeps the fixed `4·p` chunk bound of
     /// [`index_chunk_count`](PalPool::index_chunk_count).  A caller that
     /// *can* price its indices asks here first, through
     /// [`Executor::chunk_count`](crate::Executor::chunk_count), and hands
@@ -745,13 +744,12 @@ impl PalPool {
         self.grain.chunks(len, self.processors)
     }
 
-    /// Chunk-count bound for the index-space helpers
-    /// ([`for_each_index`](PalPool::for_each_index) /
-    /// [`map_reduce`](PalPool::map_reduce)): the legacy `4·p` clamped to
-    /// `[1, len]`, with no element-cost floor — one index may hide
-    /// arbitrary work, so the element cost model behind
+    /// Chunk-count bound for the index-space loop
+    /// [`for_each_index`](PalPool::for_each_index): the legacy `4·p`
+    /// clamped to `[1, len]`, with no element-cost floor — one index may
+    /// hide arbitrary work, so the element cost model behind
     /// [`chunk_count`](PalPool::chunk_count) does not apply.
-    /// Both run exactly this many balanced blocks, `C − 1` forks.
+    /// It runs exactly this many balanced blocks, `C − 1` forks.
     pub fn index_chunk_count(&self, len: usize) -> usize {
         (self.processors * 4).clamp(1, len)
     }
@@ -971,19 +969,6 @@ mod tests {
     fn for_each_index_empty_range_is_noop() {
         let pool = PalPool::new(4).unwrap();
         pool.for_each_index(5..5, |_| panic!("must not be called"));
-    }
-
-    #[test]
-    fn map_reduce_sums_range() {
-        let pool = PalPool::new(4).unwrap();
-        let total = pool.map_reduce(0..1001, 0u64, |i| i as u64, |a, b| a + b);
-        assert_eq!(total, 1000 * 1001 / 2);
-    }
-
-    #[test]
-    fn map_reduce_empty_range_returns_identity() {
-        let pool = PalPool::new(2).unwrap();
-        assert_eq!(pool.map_reduce(3..3, 42u64, |i| i as u64, |a, b| a + b), 42);
     }
 
     #[test]

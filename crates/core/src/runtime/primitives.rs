@@ -2,13 +2,11 @@
 //! ([`scan`](PalPool::scan)), filtering ([`pack`](PalPool::pack)), CSR-style
 //! expansion ([`expand`](PalPool::expand)), index-space map
 //! ([`map_collect`](PalPool::map_collect)), one value per block
-//! ([`map_blocks_in`](PalPool::map_blocks_in)), index-space loop
-//! ([`for_each_index`](PalPool::for_each_index)), ordered reduction
-//! ([`map_reduce`](PalPool::map_reduce)) and histogram-style reduction
-//! ([`reduce_by_index`](PalPool::reduce_by_index)).
+//! ([`map_blocks_in`](PalPool::map_blocks_in)) and index-space loop
+//! ([`for_each_index`](PalPool::for_each_index)).
 //!
-//! Irregular workloads — frontier BFS, connected components, and the other
-//! graph kernels in `lopram-graph` — are built from exactly two primitives,
+//! Irregular workloads — frontier BFS and connected components in
+//! `lopram-graph` — are built from exactly two primitives,
 //! scan and pack, in the style of Blelloch's prefix-sum framework and its
 //! modern incarnations (GBBS; Tithi et al.'s level-synchronous BFS with
 //! optimal prefix-sum).  On a LoPRAM those primitives fit the model
@@ -73,20 +71,17 @@
 //! |-----------|-------|------|
 //! | [`map_collect`](PalPool::map_collect) / [`map_collect_in`](PalPool::map_collect_in) | `C − 1` | 0 |
 //! | [`map_blocks_in`](PalPool::map_blocks_in) | `C − 1` | 0 |
-//! | [`reduce_by_index`](PalPool::reduce_by_index) | `C − 1` | 0 |
 //! | [`for_each_index`](PalPool::for_each_index)² | `C − 1`, `C` = [`index_chunk_count`](PalPool::index_chunk_count)`(len)` | `C − 1` (no wake floor) |
-//! | [`map_reduce`](PalPool::map_reduce)² | `C − 1`, `C` = [`index_chunk_count`](PalPool::index_chunk_count)`(len)` | `C − 1` (no wake floor) |
 //! | [`scan`](PalPool::scan) / [`scan_in`](PalPool::scan_in) / [`scan_copy`](PalPool::scan_copy) | `2·(C − 1)` | 0 |
 //! | [`pack`](PalPool::pack) / [`pack_in`](PalPool::pack_in) | `2·(C − 1)` (`C − 1` when nothing survives) | 0 |
 //! | [`expand`](PalPool::expand) / [`expand_in`](PalPool::expand_in) | `2·(C − 1)` (block sums + write pass) | 0 |
 //!
-//! ² The per-index cost is an opaque closure, so these block by the fixed
-//! `4·p` bound rather than by the pass policy, and record no `Pass` event.
+//! ² The per-index cost is an opaque closure, so it blocks by the fixed
+//! `4·p` bound rather than by the pass policy, and records no `Pass` event.
 //!
 //! `len` is what each primitive blocks over: the input slice for
-//! scan/pack, the index range for map_collect/map_blocks_in/reduce_by_index/
-//! for_each_index/map_reduce, and
-//! `sizes.len()` — the number of *regions*, not of output slots — for
+//! scan/pack, the index range for map_collect/map_blocks_in/for_each_index,
+//! and `sizes.len()` — the number of *regions*, not of output slots — for
 //! expand (see the limit noted on [`expand_in`](PalPool::expand_in)).
 //!
 //! The slices handed to worker blocks are produced by recursive
@@ -96,13 +91,13 @@
 //!
 //! When the pool's execution tracer is on
 //! ([`PalPoolBuilder::trace`](super::PalPoolBuilder::trace)), every
-//! parallel pass of the table above except `for_each_index` and
-//! `map_reduce` additionally records one [`Pass`](super::TraceEvent::Pass)
+//! parallel pass of the table above except `for_each_index` additionally
+//! records one [`Pass`](super::TraceEvent::Pass)
 //! event carrying its `(len, chunks)` — that is what lets the `lopram-sim`
 //! replayer recount a pass's `C − 1` forks under a different `(p, grain)`
-//! without re-running the workload.  (The two index helpers are not
-//! pass-recorded: their chunking is cost-opaque, so the replayer treats
-//! their forks as-recorded.)
+//! without re-running the workload.  (`for_each_index` is not
+//! pass-recorded: its chunking is cost-opaque, so the replayer treats its
+//! forks as-recorded.)
 
 use std::ops::Range;
 
@@ -611,128 +606,6 @@ impl PalPool {
         });
     }
 
-    /// Map every index in `range` through `map` and fold the results with
-    /// `reduce`, in index order, starting from `identity`.
-    ///
-    /// Each of the [`index_chunk_count`](PalPool::index_chunk_count)`(len)`
-    /// balanced blocks folds its indices into its own slot of a partials
-    /// buffer, and the partials are then folded in block order, so
-    /// `reduce` needs only to be associative — not commutative — for the
-    /// result to equal the sequential left fold (`identity` must be its
-    /// identity).  The blocking is cost-opaque like
-    /// [`for_each_index`](PalPool::for_each_index)'s, so no `Pass` event
-    /// is recorded.
-    ///
-    /// Costs `C − 1` forks for `C = index_chunk_count(len)` blocks.
-    pub fn map_reduce<T, M, R>(&self, range: Range<usize>, identity: T, map: M, reduce: R) -> T
-    where
-        T: Send + Clone,
-        M: Fn(usize) -> T + Sync,
-        R: Fn(T, T) -> T + Sync + Send,
-    {
-        let len = range.end.saturating_sub(range.start);
-        if len == 0 {
-            return identity;
-        }
-        let chunks = self.index_chunk_count(len);
-        let mut partials = vec![identity.clone(); chunks];
-        self.blocked_balanced_mut(&mut partials, chunks, |c, slot| {
-            let at = |c| range.start + block_start(len, chunks, c);
-            slot[0] = (at(c)..at(c + 1)).fold(slot[0].clone(), |acc, i| reduce(acc, map(i)));
-        });
-        partials.into_iter().fold(identity, &reduce)
-    }
-
-    /// Bucketed reduction over an index range: `map(i)` names a bucket and
-    /// a contribution, and every bucket's contributions are folded with
-    /// `reduce` starting from `identity` — a parallel histogram when the
-    /// contribution is `1`.
-    ///
-    /// Two arena-backed layouts, chosen by bucket density.  **Dense**
-    /// (`buckets` at most ~a block's length): one flat `C × buckets`
-    /// scratch buffer, each block folding into its own row, rows merged
-    /// sequentially at the end.  **Sparse** (`buckets` much larger than a
-    /// block — the regime where the old per-block `vec![identity;
-    /// buckets]` wasted `O(C · buckets)` work and memory on mostly-idle
-    /// buckets): each block records one `(bucket, value)` pair per index
-    /// and the pairs are folded sequentially in index order, so the
-    /// per-call footprint is `O(len)` regardless of the bucket count.
-    /// `reduce` must be associative and commutative for the result to be
-    /// independent of the blocking (both layouts then agree exactly).
-    ///
-    /// Costs `C − 1` forks for `C` blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `map` returns a bucket index `>= buckets`.
-    pub fn reduce_by_index<T, M, R>(
-        &self,
-        range: Range<usize>,
-        buckets: usize,
-        identity: T,
-        map: M,
-        reduce: R,
-    ) -> Vec<T>
-    where
-        T: Clone + Send + Sync + 'static,
-        M: Fn(usize) -> (usize, T) + Sync,
-        R: Fn(&T, &T) -> T + Sync,
-    {
-        let len = range.end.saturating_sub(range.start);
-        let mut out = vec![identity.clone(); buckets];
-        if len == 0 || buckets == 0 {
-            return out;
-        }
-        let chunks = self.chunk_count(len);
-        let block_span = len.div_ceil(chunks);
-        self.trace_pass(len, chunks);
-
-        let check = |bucket: usize| {
-            assert!(
-                bucket < buckets,
-                "reduce_by_index: bucket {bucket} out of range (buckets = {buckets})"
-            );
-        };
-
-        if buckets <= 2 * block_span {
-            // Dense: one row of buckets per block in a single flat arena
-            // buffer (row c = partials[c*buckets..(c+1)*buckets]).
-            let mut partials = self.workspace().checkout::<T>();
-            partials.resize(chunks * buckets, identity.clone());
-            self.blocked_balanced_mut(&mut partials, chunks, |c, row| {
-                let lo = range.start + block_start(len, chunks, c);
-                let hi = range.start + block_start(len, chunks, c + 1);
-                for i in lo..hi {
-                    let (bucket, value) = map(i);
-                    check(bucket);
-                    row[bucket] = reduce(&row[bucket], &value);
-                }
-            });
-            for row in partials.chunks_exact(buckets) {
-                for (acc, v) in out.iter_mut().zip(row) {
-                    *acc = reduce(acc, v);
-                }
-            }
-        } else {
-            // Sparse: one (bucket, contribution) pair per index, folded
-            // sequentially in index order.
-            let mut pairs = self.workspace().checkout::<(usize, T)>();
-            pairs.resize(len, (0, identity.clone()));
-            self.blocked_balanced_mut(&mut pairs, chunks, |c, slots| {
-                let lo = range.start + block_start(len, chunks, c);
-                for (k, slot) in slots.iter_mut().enumerate() {
-                    let (bucket, value) = map(lo + k);
-                    check(bucket);
-                    *slot = (bucket, value);
-                }
-            });
-            for (bucket, value) in pairs.iter() {
-                out[*bucket] = reduce(&out[*bucket], value);
-            }
-        }
-        out
-    }
-
     /// Run `f(block, slice)` for every one of `chunks` balanced blocks of
     /// `data` (block `c` spans `data[c·len/chunks .. (c+1)·len/chunks]`),
     /// splitting over pal-threads with a balanced binary
@@ -1208,60 +1081,6 @@ mod tests {
         let s = traced.take_trace().unwrap().summary();
         assert_eq!((s.passes, s.pass_forks), (1, out.len() as u64 - 1));
         assert_eq!(out.iter().sum::<usize>(), WAKE_GRAIN);
-    }
-
-    #[test]
-    fn reduce_by_index_builds_histograms() {
-        // Histogram of i % 5 over 0..1000: 200 in each bucket.
-        for p in [1, 2, 4] {
-            for pool in pools(p) {
-                let hist = pool.reduce_by_index(0..1000, 5, 0u64, |i| (i % 5, 1), |a, b| a + b);
-                assert_eq!(hist, vec![200; 5], "p = {p}");
-            }
-        }
-    }
-
-    #[test]
-    fn reduce_by_index_sparse_buckets_match_dense() {
-        // buckets >> block length forces the sparse (pair) layout; the
-        // dense layout is forced by pinning one block per element count.
-        for p in [1, 2, 4] {
-            for pool in pools(p) {
-                let sparse =
-                    pool.reduce_by_index(0..64, 100_000, 0u64, |i| (i * 1000, 1), |a, b| a + b);
-                assert_eq!(sparse.iter().sum::<u64>(), 64, "p = {p}");
-                for i in 0..64 {
-                    assert_eq!(sparse[i * 1000], 1, "p = {p}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn reduce_by_index_empty_range_and_zero_buckets() {
-        let pool = PalPool::new(2).unwrap();
-        assert_eq!(
-            pool.reduce_by_index(3..3, 4, 0u64, |_| (0, 1), |a, b| a + b),
-            vec![0; 4]
-        );
-        assert!(pool
-            .reduce_by_index(0..10, 0, 0u64, |_| (0, 1), |a, b| a + b)
-            .is_empty());
-    }
-
-    #[test]
-    fn reduce_by_index_rejects_out_of_range_buckets() {
-        let pool = PalPool::new(1).unwrap();
-        // Dense layout.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.reduce_by_index(0..10, 2, 0u64, |i| (i, 1), |a, b| a + b)
-        }));
-        assert!(result.is_err());
-        // Sparse layout.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.reduce_by_index(0..10, 1000, 0u64, |_| (1000, 1), |a, b| a + b)
-        }));
-        assert!(result.is_err());
     }
 
     #[test]

@@ -149,7 +149,7 @@ pub enum TraceEvent {
         node: u32,
     },
     /// One blocked data-parallel pass (scan/pack/expand/map_collect/
-    /// reduce_by_index) over `len` elements in `chunks` blocks — the
+    /// map_blocks_in) over `len` elements in `chunks` blocks — the
     /// replayer uses these to recount the pass's `chunks − 1` forks under
     /// a different `(p, grain)`.
     Pass {
@@ -636,48 +636,49 @@ impl DagTrace {
             .parse()
             .map_err(|_| bad("bad event count", text))?;
 
-        let mut events = Vec::with_capacity(count);
+        // Every event takes a line, so the lines left bound the count: a
+        // header claiming more than the input holds reserves no more.
+        let mut events = Vec::with_capacity(count.min(lines.clone().count()));
         for _ in 0..count {
             let line = lines
                 .next()
                 .ok_or_else(|| bad("missing event line", "<eof>"))?;
             let mut parts = line.split_ascii_whitespace();
             let tag = parts.next().ok_or_else(|| bad("empty event line", line))?;
-            let mut field = |_name: &str| -> Result<u64> {
-                parts
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| bad("bad event field", line))
-            };
+            let mut f = EventFields { parts, line };
             let ev = match tag {
                 "F" => TraceEvent::Fork {
-                    ts: field("ts")?,
-                    worker: field("worker")? as u16,
-                    parent: field("parent")? as u32,
-                    left: field("left")? as u32,
-                    right: field("right")? as u32,
-                    depth: field("depth")? as u32,
-                    elided: field("elided")? != 0,
+                    ts: f.next()?,
+                    worker: f.next()?,
+                    parent: f.next()?,
+                    left: f.next()?,
+                    right: f.next()?,
+                    depth: f.next()?,
+                    elided: match f.next::<u8>()? {
+                        0 => false,
+                        1 => true,
+                        _ => return Err(bad("bad elided flag", line)),
+                    },
                 },
                 "B" => TraceEvent::Enter {
-                    ts: field("ts")?,
-                    worker: field("worker")? as u16,
-                    node: field("node")? as u32,
+                    ts: f.next()?,
+                    worker: f.next()?,
+                    node: f.next()?,
                 },
                 "E" => TraceEvent::Exit {
-                    ts: field("ts")?,
-                    worker: field("worker")? as u16,
-                    node: field("node")? as u32,
+                    ts: f.next()?,
+                    worker: f.next()?,
+                    node: f.next()?,
                 },
                 "P" => TraceEvent::Pass {
-                    ts: field("ts")?,
-                    worker: field("worker")? as u16,
-                    len: field("len")?,
-                    chunks: field("chunks")? as u32,
+                    ts: f.next()?,
+                    worker: f.next()?,
+                    len: f.next()?,
+                    chunks: f.next()?,
                 },
                 _ => return Err(bad("unknown event tag", line)),
             };
-            if parts.next().is_some() {
+            if f.parts.next().is_some() {
                 return Err(bad("trailing event fields", line));
             }
             events.push(ev);
@@ -722,6 +723,27 @@ pub struct TraceSummary {
     /// blocked-primitive blocking, the part of `forks` that the replayer
     /// recounts under a different `(p, grain)`.
     pub pass_forks: u64,
+}
+
+/// The numeric fields of one [`DagTrace::from_text`] event line.
+struct EventFields<'a> {
+    parts: std::str::SplitAsciiWhitespace<'a>,
+    line: &'a str,
+}
+
+impl EventFields<'_> {
+    /// The next field, narrowed to the event's field type: a missing,
+    /// non-numeric or out-of-range field is an error, never a wrapped
+    /// value.
+    fn next<T: TryFrom<u64>>(&mut self) -> Result<T> {
+        self.parts
+            .next()
+            .and_then(|v| v.parse::<u64>().ok())
+            .and_then(|v| T::try_from(v).ok())
+            .ok_or_else(|| {
+                Error::InvalidInput(format!("dagtrace: bad event field: {:?}", self.line))
+            })
+    }
 }
 
 #[cfg(test)]
@@ -808,6 +830,23 @@ mod tests {
         let spawn = text.replace("F 1 65535 0 1 2 0 0", "S 1 65535 0 1 0 0");
         let err = DagTrace::from_text(&spawn).unwrap_err().to_string();
         assert!(err.contains("unknown event tag"), "{err}");
+        // The external worker (`u16::MAX`) is in range; one past it, a
+        // node id past `u32::MAX` and an `elided` flag other than 0/1
+        // are errors, not wrapped values.  A header that claims more
+        // events than the input holds is an error, not a huge reservation.
+        assert!(DagTrace::from_text(&text).is_ok());
+        for (from, to) in [
+            ("B 2 0 1", "B 2 65536 1"),
+            ("F 3 0 1 3 4 1 1", "F 3 0 4294967297 3 4 1 1"),
+            ("F 3 0 1 3 4 1 1", "F 3 0 1 3 4 1 2"),
+            ("events 7", "events 18446744073709551615"),
+        ] {
+            assert!(text.contains(from), "{from}");
+            assert!(
+                DagTrace::from_text(&text.replace(from, to)).is_err(),
+                "{to}"
+            );
+        }
     }
 
     #[test]

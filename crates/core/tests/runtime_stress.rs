@@ -179,16 +179,22 @@ fn concurrent_scans_share_one_pool() {
     assert!(m.steals() <= m.spawned());
 }
 
-/// Concurrent packs and reductions on one shared pool, mixed with joins —
+/// Concurrent packs and expansions on one shared pool, mixed with joins —
 /// the pattern graph kernels produce when several workloads share a
-/// processor pool.
+/// processor pool (a BFS level is a pack and an expansion).
 #[test]
 fn concurrent_mixed_primitives_share_one_pool() {
     let pool = PalPool::new(3).unwrap();
     let input: Vec<u64> = (0..1024).collect();
+    // Region `v` holds `v % 4` copies of `v`, as a CSR neighbour expansion.
+    let sizes: Vec<usize> = (0..1024).map(|v| v % 4).collect();
+    let expanded: Vec<u64> = (0..1024u64)
+        .flat_map(|v| std::iter::repeat_n(v, (v % 4) as usize))
+        .collect();
     std::thread::scope(|s| {
         let pool = &pool;
         let input = &input;
+        let (sizes, expanded) = (&sizes, &expanded);
         s.spawn(move || {
             for i in 0..repeat(100).div_ceil(4) {
                 let kept = pool.pack(input, |_, x| x % 3 == 0);
@@ -196,41 +202,16 @@ fn concurrent_mixed_primitives_share_one_pool() {
             }
         });
         s.spawn(move || {
+            let mut out = Vec::new();
             for i in 0..repeat(100).div_ceil(4) {
-                let hist = pool.reduce_by_index(0..1024, 4, 0u64, |v| (v % 4, 1), |a, b| a + b);
-                assert_eq!(hist, vec![256; 4], "iteration {i}");
+                pool.expand_in(sizes, 0u64, |v, region| region.fill(v as u64), &mut out);
+                assert!(out == *expanded, "iteration {i}");
             }
         });
         for i in 0..repeat(100).div_ceil(4) {
             assert_eq!(fib(pool, 10), 55, "iteration {i}");
         }
     });
-}
-
-/// `map_reduce` folds its blocks in index order, whichever block finishes
-/// first: a concatenation (associative, not commutative) must come back as
-/// `0..n` on every repeat, for `index_chunk_count(n) − 1` forks.
-#[test]
-fn map_reduce_folds_in_index_order_under_contention() {
-    let n = 4096;
-    let expected: Vec<usize> = (0..n).collect();
-    let concat = |mut a: Vec<usize>, b: Vec<usize>| {
-        a.extend(b);
-        a
-    };
-    for p in [2usize, 4] {
-        let pool = PalPool::new(p).unwrap();
-        let forks = pool.index_chunk_count(n) as u64 - 1;
-        for round in 0..repeat(100) {
-            let (got, m) =
-                pool.scoped_metrics(|| pool.map_reduce(0..n, Vec::new(), |i| vec![i], concat));
-            assert!(
-                got == expected,
-                "p = {p}, iteration {round}: out of index order"
-            );
-            assert_eq!(m.forks(), forks, "p = {p}, iteration {round}");
-        }
-    }
 }
 
 /// A panic inside a primitive's map/predicate unwinds out of the primitive

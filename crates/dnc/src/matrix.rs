@@ -1,8 +1,8 @@
-//! Dense square matrices used by the Strassen experiments.
+//! Dense square matrices.
 //!
 //! A deliberately small, self-contained matrix type: row-major `f64`
-//! storage, naive `Θ(n³)` multiplication as the oracle, and the
-//! quadrant-view helpers the divide-and-conquer multipliers need.
+//! storage, naive `Θ(n³)` multiplication, and the quadrant-view and
+//! padding helpers a divide-and-conquer multiplier needs.
 
 use std::ops::{Add, Sub};
 

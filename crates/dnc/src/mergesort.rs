@@ -4,33 +4,22 @@
 //! `m_sort`/`palthreads` listing: the two recursive calls become pal-threads
 //! and the merge runs sequentially in the parent, giving the case-2
 //! recurrence `T(n) = 2T(n/2) + n` and hence `T_p(n) = O(T(n)/p)`
-//! (Theorem 1).  `merge_sort_parallel_merge` additionally parallelises the
-//! merge itself by splitting around the median of the larger half, which is
-//! the ingredient the paper's Eq. 5 needs in general (for mergesort it only
-//! improves constants, since case 2 is already work-optimal).
+//! (Theorem 1).  Case 2 is already work-optimal, so the merge stays
+//! sequential; Eq. 5's parallel merge is witnessed by [`case3`](crate::case3).
 //!
 //! The default `merge_sort` stops creating pal-threads where a sub-array is
 //! cheaper to sort than a processor is to wake ([`SEQ_CUTOFF`]); the
-//! explicit-grain entry points fork all the way down to the grain they are
+//! explicit-grain entry point forks all the way down to the grain it is
 //! given.
 //!
-//! Two sequential merges serve them.  Every sort but
-//! `merge_sort_parallel_merge` — the sequential twin `merge_sort_seq`
-//! included, which is the very code the kernel runs below the cutoff —
-//! splits at `n / 2`, sorts leaves of at most four elements (four with a
-//! stable sorting network, fewer by insertion), and merges each level with
-//! a private bidirectional merge that fills the output from both ends at
-//! once.  [`merge_into`] merges runs of any lengths from the front only;
-//! [`merge_parallel`] cuts its runs unevenly and merges its pieces with it.
-//! Both merges are branch-free and stable.
+//! Every sort — the sequential twin `merge_sort_seq` included, which is
+//! the very code the kernel runs below the cutoff — splits at `n / 2`,
+//! sorts leaves of at most four elements (four with a stable sorting
+//! network, fewer by insertion), and merges each level with a private
+//! bidirectional merge that fills the output from both ends at once.  The
+//! merge is branch-free and stable.
 
 use lopram_core::Executor;
-
-/// Size at or below which [`merge_sort_parallel_merge`] stops creating
-/// pal-threads and sorts (or merges) sequentially.  The paper's model
-/// charges unit cost per element; on real hardware a small sequential
-/// grain avoids drowning in pal-thread bookkeeping.
-pub const DEFAULT_GRAIN: usize = 64;
 
 /// Sub-arrays shorter than this are sorted by the sequential mergesort on
 /// the thread that reached them — [`merge_sort`] creates no pal-thread
@@ -162,7 +151,7 @@ where
     E: Executor,
 {
     let mut temp = data.to_vec();
-    msort_par(exec, data, &mut temp, SEQ_CUTOFF - 1, false, false);
+    msort_par(exec, data, &mut temp, SEQ_CUTOFF - 1, false);
 }
 
 /// Pal-thread mergesort with an explicit sequential-cutoff grain: forks
@@ -173,28 +162,12 @@ where
     E: Executor,
 {
     let mut temp = data.to_vec();
-    msort_par(exec, data, &mut temp, grain.max(2), false, false);
-}
-
-/// Pal-thread mergesort whose merge phase is itself parallelised (Eq. 5).
-pub fn merge_sort_parallel_merge<T, E>(exec: &E, data: &mut [T])
-where
-    T: Ord + Copy + Send + Sync,
-    E: Executor,
-{
-    let mut temp = data.to_vec();
-    msort_par(exec, data, &mut temp, DEFAULT_GRAIN, true, false);
+    msort_par(exec, data, &mut temp, grain.max(2), false);
 }
 
 /// [`msort_seq`]'s ping-pong contract, with the two halves as pal-threads.
-fn msort_par<T, E>(
-    exec: &E,
-    data: &mut [T],
-    temp: &mut [T],
-    grain: usize,
-    parallel_merge: bool,
-    into_temp: bool,
-) where
+fn msort_par<T, E>(exec: &E, data: &mut [T], temp: &mut [T], grain: usize, into_temp: bool)
+where
     T: Ord + Copy + Send + Sync,
     E: Executor,
 {
@@ -209,44 +182,12 @@ fn msort_par<T, E>(
         let (tl, tr) = temp.split_at_mut(mid);
         // palthreads { m_sort(left); m_sort(right); }
         exec.join(
-            || msort_par(exec, dl, tl, grain, parallel_merge, !into_temp),
-            || msort_par(exec, dr, tr, grain, parallel_merge, !into_temp),
+            || msort_par(exec, dl, tl, grain, !into_temp),
+            || msort_par(exec, dr, tr, grain, !into_temp),
         );
     }
     let (src, dst) = ping_pong(data, temp, into_temp);
-    if parallel_merge {
-        let (left, right) = src.split_at(mid);
-        merge_parallel(exec, left, right, dst, grain);
-    } else {
-        merge_halves(src, dst);
-    }
-}
-
-/// Merge two sorted runs into `out` (sequentially).  Stable: on equal
-/// keys the left run's element comes first.
-///
-/// Branch-free: the comparison becomes an index increment and a select,
-/// so random keys cost no mispredicted branch per element.  It takes runs
-/// of any lengths: [`merge_parallel`] cuts them unevenly and merges its
-/// pieces here, so [`merge_sort_parallel_merge`] uses it at every level.
-/// The other sorts split at `n / 2` and merge with a private bidirectional
-/// merge that needs that split and runs two dependency chains at once.
-pub fn merge_into<T: Ord + Copy>(left: &[T], right: &[T], out: &mut [T]) {
-    debug_assert!(out.len() >= left.len() + right.len());
-    let (mut i, mut j, mut k) = (0, 0, 0);
-    while i < left.len() && j < right.len() {
-        let (a, b) = (left[i], right[j]);
-        // Strictly less: a tie takes from the left, which keeps it stable.
-        let take_right = b < a;
-        out[k] = if take_right { b } else { a };
-        j += usize::from(take_right);
-        i += usize::from(!take_right);
-        k += 1;
-    }
-    let (left, right) = (&left[i..], &right[j..]);
-    out[k..k + left.len()].copy_from_slice(left);
-    k += left.len();
-    out[k..k + right.len()].copy_from_slice(right);
+    merge_halves(src, dst);
 }
 
 /// Merge the sorted runs `src[..n / 2]` and `src[n / 2..]` into `dst`
@@ -293,40 +234,8 @@ fn merge_halves<T: Ord + Copy>(src: &[T], dst: &mut [T]) {
     }
 }
 
-/// Merge two sorted runs into `out`, splitting the work across pal-threads:
-/// the larger run is cut at its median, the smaller run is cut at the
-/// corresponding binary-search position, and the two halves are merged as
-/// independent pal-threads.
-pub fn merge_parallel<T, E>(exec: &E, left: &[T], right: &[T], out: &mut [T], grain: usize)
-where
-    T: Ord + Copy + Send + Sync,
-    E: Executor,
-{
-    let total = left.len() + right.len();
-    if total <= grain.max(2) || left.is_empty() || right.is_empty() {
-        merge_into(left, right, &mut out[..total]);
-        return;
-    }
-    // Cut the larger run at its midpoint and the smaller one by binary search.
-    let (l_split, r_split) = if left.len() >= right.len() {
-        let lm = left.len() / 2;
-        (lm, right.partition_point(|x| *x < left[lm]))
-    } else {
-        let rm = right.len() / 2;
-        (left.partition_point(|x| *x <= right[rm]), rm)
-    };
-    let cut = l_split + r_split;
-    let (left_lo, left_hi) = left.split_at(l_split);
-    let (right_lo, right_hi) = right.split_at(r_split);
-    let (out_lo, out_hi) = out.split_at_mut(cut);
-    exec.join(
-        || merge_parallel(exec, left_lo, right_lo, out_lo, grain),
-        || merge_parallel(exec, left_hi, right_hi, out_hi, grain),
-    );
-}
-
 /// Sorts a short slice in place; stable.
-pub(crate) fn insertion_sort<T: Ord + Copy>(data: &mut [T]) {
+fn insertion_sort<T: Ord + Copy>(data: &mut [T]) {
     for i in 1..data.len() {
         let key = data[i];
         let mut j = i;
@@ -344,6 +253,28 @@ mod tests {
     use lopram_core::{PalPool, SeqExecutor};
     use proptest::prelude::*;
     use rand::prelude::*;
+
+    /// Merges two sorted runs of any lengths into `out` from the front:
+    /// the oracle [`merge_halves`] and the stability test check against.
+    /// Stable: on equal keys the left run's element comes first.
+    fn merge_into<T: Ord + Copy>(left: &[T], right: &[T], out: &mut [T]) {
+        let (mut i, mut j, mut k) = (0, 0, 0);
+        while i < left.len() && j < right.len() {
+            // Strictly less: a tie takes from the left, which keeps it stable.
+            if right[j] < left[i] {
+                out[k] = right[j];
+                j += 1;
+            } else {
+                out[k] = left[i];
+                i += 1;
+            }
+            k += 1;
+        }
+        let (left, right) = (&left[i..], &right[j..]);
+        out[k..k + left.len()].copy_from_slice(left);
+        k += left.len();
+        out[k..k + right.len()].copy_from_slice(right);
+    }
 
     fn random_vec(n: usize, seed: u64) -> Vec<i64> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -400,16 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_merge_variant_sorts() {
-        let pool = PalPool::new(4).unwrap();
-        let mut v = random_vec(10_000, 99);
-        let mut expected = v.clone();
-        expected.sort();
-        merge_sort_parallel_merge(&pool, &mut v);
-        assert_eq!(v, expected);
-    }
-
-    #[test]
     fn works_on_sequential_executor() {
         let mut v = random_vec(500, 7);
         let mut expected = v.clone();
@@ -448,18 +369,6 @@ mod tests {
         assert_eq!(out, vec![1, 2, 3]);
         merge_into(&[1, 2, 3], &[], &mut out);
         assert_eq!(out, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn merge_parallel_equals_sequential_merge() {
-        let pool = PalPool::new(4).unwrap();
-        let left: Vec<i64> = (0..1000).map(|i| i * 2).collect();
-        let right: Vec<i64> = (0..800).map(|i| i * 3 + 1).collect();
-        let mut out_seq = vec![0i64; 1800];
-        let mut out_par = vec![0i64; 1800];
-        merge_into(&left, &right, &mut out_seq);
-        merge_parallel(&pool, &left, &right, &mut out_par, 32);
-        assert_eq!(out_seq, out_par);
     }
 
     /// A record ordered by `key` alone; `tag` tells equal keys apart.
@@ -529,15 +438,10 @@ mod tests {
 
             for p in [1usize, 2, 4] {
                 let pool = PalPool::new(p).unwrap();
-                let (mut a, mut b, mut c) = (input.clone(), input.clone(), input.clone());
+                let (mut a, mut b) = (input.clone(), input.clone());
                 merge_sort(&pool, &mut a);
                 merge_sort_with_grain(&pool, &mut b, 8);
-                merge_sort_parallel_merge(&pool, &mut c);
-                for (name, v) in [
-                    ("merge_sort", a),
-                    ("merge_sort_with_grain(8)", b),
-                    ("merge_sort_parallel_merge", c),
-                ] {
+                for (name, v) in [("merge_sort", a), ("merge_sort_with_grain(8)", b)] {
                     assert_eq!(pairs(&v), expected, "{name}, n = {n}, p = {p}");
                 }
             }
@@ -595,18 +499,6 @@ mod tests {
             expected.sort();
             merge_sort_with_grain(&pool, &mut v, 8);
             prop_assert_eq!(v, expected);
-        }
-
-        #[test]
-        fn prop_parallel_merge_merges(mut a in proptest::collection::vec(-500i64..500, 0..300),
-                                      mut b in proptest::collection::vec(-500i64..500, 0..300)) {
-            a.sort();
-            b.sort();
-            let mut expected: Vec<i64> = a.iter().chain(b.iter()).copied().collect();
-            expected.sort();
-            let mut out = vec![0i64; a.len() + b.len()];
-            merge_parallel(&SeqExecutor, &a, &b, &mut out, 4);
-            prop_assert_eq!(out, expected);
         }
     }
 }

@@ -10,8 +10,8 @@
 ///
 /// Every undirected edge `{u, v}` is stored as the two arcs `u → v` and
 /// `v → u`; self-loops are dropped and duplicate edges collapsed at
-/// construction.  Each vertex's neighbour slice is sorted ascending, which
-/// the triangle kernel relies on for merge-style intersections.
+/// construction.  Each vertex's neighbour slice is sorted ascending, so
+/// the layout depends on the edge set alone, not on the edge list's order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrGraph {
     /// `offsets[v]..offsets[v + 1]` indexes `targets` with `v`'s

@@ -29,10 +29,7 @@
 //! * [`uf`] — work-efficient connected components by sampled concurrent
 //!   union-find ([`uf::components_union_find`]): CAS hooking, path
 //!   splitting, Afforest-style edge sampling — a constant number of
-//!   blocked passes regardless of diameter;
-//! * [`kernels`] — degree histogram (via
-//!   [`reduce_by_index`](lopram_core::PalPool::reduce_by_index)) and
-//!   ordered triangle count, with twins.
+//!   blocked passes regardless of diameter.
 //!
 //! Every parallel kernel has a sequential twin producing bit-identical
 //! output for any processor count; `tests/differential.rs` checks that
@@ -47,7 +44,6 @@ pub mod bfs;
 pub mod cc;
 pub mod csr;
 pub mod gen;
-pub mod kernels;
 pub mod uf;
 
 pub use csr::CsrGraph;
@@ -58,9 +54,6 @@ pub mod prelude {
     pub use crate::cc::{component_count, components_seq};
     pub use crate::csr::CsrGraph;
     pub use crate::gen::{binary_tree, gnm, gnm_streamed, grid, path, path_permuted, star};
-    pub use crate::kernels::{
-        degree_histogram, degree_histogram_seq, triangle_count, triangle_count_seq,
-    };
     pub use crate::uf::{
         components_union_find, components_union_find_with, union_find_forks, UnionFindConfig,
     };

@@ -1,5 +1,5 @@
 //! Steady-state allocation tests for the graph kernels: after a first
-//! (warming) call, repeated BFS / CC / histogram runs on the same pool
+//! (warming) call, repeated BFS / union-find CC runs on the same pool
 //! must perform **zero** new workspace-arena growth — the pool-owned
 //! buffers are reused, not re-materialized — while outputs stay equal to
 //! the sequential twins.  Plus differential checks that the fused
@@ -13,8 +13,7 @@ use proptest::prelude::*;
 /// A default pool and a pinned-grain pool at `p`.  These graphs sit below
 /// the default policy's wake floor — every pass one block on the calling
 /// thread, BFS levels a plain loop — so the pinned pool is what drives the
-/// blocked, forking paths (and `reduce_by_index`'s sparse layout) to their
-/// steady state.
+/// blocked, forking paths to their steady state.
 fn pools(p: usize) -> [(&'static str, PalPool); 2] {
     [
         ("default", PalPool::new(p).unwrap()),
@@ -87,26 +86,6 @@ fn cc_label_buffers_reuse_the_arena() {
                 || components_union_find(&g, &pool),
                 &expected,
             );
-        }
-    }
-}
-
-#[test]
-fn histogram_scratch_reuses_the_arena() {
-    // A star graph has a huge max degree relative to the vertex blocks,
-    // forcing reduce_by_index's sparse layout; the grid forces the dense
-    // one.  Both must reach the zero-growth steady state.
-    for (name, g) in [("star", star(2000)), ("grid", grid(40, 50))] {
-        let expected = degree_histogram_seq(&g);
-        for p in [1, 2, 4] {
-            for (grain, pool) in pools(p) {
-                assert_steady_state(
-                    &pool,
-                    &format!("histogram/{name}/p{p}/{grain}"),
-                    || degree_histogram(&g, &pool),
-                    &expected,
-                );
-            }
         }
     }
 }

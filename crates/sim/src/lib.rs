@@ -4,7 +4,7 @@
 //! the paper.  Where `lopram-core` runs pal-threads on real cores, this crate
 //! models the abstract machine so that the *exact* quantities the theory
 //! speaks about — wall-clock steps `T_p(n)`, activation times of pal-threads,
-//! CREW memory conflicts — can be measured and compared against the
+//! greedy DAG makespans — can be measured and compared against the
 //! closed-form analysis (`lopram-analysis`) and against the figures of the
 //! paper.
 //!
@@ -15,8 +15,6 @@
 //!   the processor of their last-finishing child;
 //! * [`dagsim`] — a greedy `p`-processor schedule of a dependency DAG, the
 //!   machine model behind Algorithm 1 (§4.4);
-//! * [`memory`] — a CREW shared memory with conflict detection and the
-//!   paper's transparently serialized cells;
 //! * [`trace`] — execution-trace records and the ASCII rendering used to
 //!   regenerate Figure 1;
 //! * [`replay`] — deterministic replay of [`DagTrace`](lopram_core::DagTrace)
@@ -27,14 +25,12 @@
 #![deny(unsafe_code)]
 
 pub mod dagsim;
-pub mod memory;
 pub mod replay;
 pub mod schedule;
 pub mod trace;
 pub mod tree;
 
 pub use dagsim::{simulate_dag_schedule, DagSimResult};
-pub use memory::{AccessKind, CrewMemory, CrewViolation};
 pub use replay::{ReplayGrain, ReplayPrediction, TraceReplay};
 pub use schedule::{NodeRecord, SimResult, TreeSimulator};
 pub use trace::{render_activation_tree, render_figure1_snapshot, NodeSnapshotState};
@@ -43,7 +39,6 @@ pub use tree::{CostSpec, TaskTree, TreeNode};
 /// Convenience prelude for the simulator crate.
 pub mod prelude {
     pub use crate::dagsim::{simulate_dag_schedule, DagSimResult};
-    pub use crate::memory::CrewMemory;
     pub use crate::replay::{ReplayGrain, TraceReplay};
     pub use crate::schedule::{SimResult, TreeSimulator};
     pub use crate::trace::{render_activation_tree, render_figure1_snapshot};

@@ -10,16 +10,16 @@
 //! * [`core`] — the LoPRAM model, `p = O(log n)` processor
 //!   policy and the pal-thread runtime;
 //! * [`sim`] — a deterministic LoPRAM machine simulator
-//!   (CREW memory, pal-thread scheduler, execution-tree traces);
+//!   (pal-thread scheduler, execution-tree traces, trace replay);
 //! * [`analysis`] — the sequential and parallel Master
 //!   theorems, recurrence evaluators and DAG/antichain toolkit;
-//! * [`dnc`] — the divide-and-conquer algorithm suite (§4.1), one
-//!   `join` tree per recursive call;
+//! * [`dnc`] — one divide-and-conquer kernel per Master-theorem case
+//!   (§4.1), one `join` tree per recursive call;
 //! * [`dp`] — the dynamic-programming framework, Algorithm 1
 //!   scheduler, wavefront executor and parallel memoization (§4.2–4.6);
 //! * [`graph`] — irregular graph workloads (CSR graphs,
-//!   scan/pack-based frontier BFS, connected components, counting
-//!   kernels), each with a sequential twin for differential testing;
+//!   scan/pack-based frontier BFS, connected components), each with a
+//!   sequential twin for differential testing;
 //! * [`serve`] — a fault-tolerant multi-tenant job service over one
 //!   shared pal-thread pool: bounded admission with backpressure,
 //!   per-tenant §3.1 token budgets, deadlines with cooperative
@@ -51,10 +51,8 @@ pub mod prelude {
     pub use lopram_analysis::prelude::*;
     pub use lopram_core::prelude::*;
     pub use lopram_dnc::prelude::{
-        closest_pair, closest_pair_seq, cross_product_sum, cross_product_sum_seq, karatsuba_mul,
-        karatsuba_mul_seq, max_subarray, max_subarray_seq, merge_sort, merge_sort_parallel_merge,
-        merge_sort_seq, polymul_four_way, polymul_seq, quick_sort, quick_sort_seq, schoolbook_mul,
-        strassen_mul, strassen_mul_seq, CrossMergeMode, Matrix, Point,
+        cross_product_sum, cross_product_sum_seq, karatsuba_mul, karatsuba_mul_seq, merge_sort,
+        merge_sort_seq, schoolbook_mul, CrossMergeMode,
     };
     pub use lopram_dp::prelude::*;
     pub use lopram_sim::prelude::*;

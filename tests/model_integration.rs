@@ -1,11 +1,9 @@
-//! Integration tests for the model layer: processor policy, pal-thread
-//! runtime semantics, serialized cells and the CREW memory checker working
-//! together the way §3 of the paper describes.
+//! Integration tests for the model layer: processor policy and pal-thread
+//! runtime semantics working together the way §3 of the paper describes.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use lopram::core::{palthreads, processors_for, PalPool, ProcessorPolicy, SeqExecutor, SerCell};
-use lopram::sim::CrewMemory;
+use lopram::core::{palthreads, processors_for, PalPool, ProcessorPolicy, SeqExecutor};
 
 #[test]
 fn processor_policy_is_logarithmic_in_n() {
@@ -30,38 +28,6 @@ fn palthreads_macro_runs_children_and_waits() {
     });
     // The implicit wait of the palthreads block guarantees all children ran.
     assert_eq!(counter.load(Ordering::SeqCst), 7);
-}
-
-#[test]
-fn serialized_cells_make_concurrent_writers_well_defined() {
-    // §3: unserialized concurrent writes are undefined; SerCell is the
-    // transparently serialized variable.
-    let pool = PalPool::new(4).unwrap();
-    let cell = SerCell::new(0u64);
-    pool.for_each_index(0..10_000, |_| {
-        cell.update(|v| *v += 1);
-    });
-    assert_eq!(cell.get(), 10_000);
-}
-
-#[test]
-fn crew_memory_flags_concurrent_writes_but_not_concurrent_reads() {
-    let mut mem = CrewMemory::new(16);
-    // A wavefront-style step: every processor reads the same cell (legal) and
-    // writes its own cell (legal).
-    mem.write(0, 42);
-    assert!(mem.end_step().is_empty());
-    for i in 1..8 {
-        let _ = mem.read(0);
-        mem.write(i, i as i64);
-    }
-    assert!(mem.end_step().is_empty());
-    // Two processors writing the same cell in one step violate CREW.
-    mem.write(3, 1);
-    mem.write(3, 2);
-    let violations = mem.end_step();
-    assert_eq!(violations.len(), 1);
-    assert_eq!(violations[0].writers, 2);
 }
 
 #[test]
