@@ -7,13 +7,6 @@ use std::fmt;
 pub enum Error {
     /// A pool or machine was requested with zero processors.
     ZeroProcessors,
-    /// The requested processor count exceeds the configured hard cap.
-    TooManyProcessors {
-        /// Number of processors that was requested.
-        requested: usize,
-        /// Maximum number of processors permitted by the configuration.
-        limit: usize,
-    },
     /// An input did not satisfy a documented precondition.
     InvalidInput(String),
 }
@@ -22,10 +15,6 @@ impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Error::ZeroProcessors => write!(f, "a LoPRAM must have at least one processor"),
-            Error::TooManyProcessors { requested, limit } => write!(
-                f,
-                "requested {requested} processors but the configured limit is {limit}"
-            ),
             Error::InvalidInput(msg) => write!(f, "invalid input: {msg}"),
         }
     }
@@ -46,16 +35,6 @@ mod tests {
             Error::ZeroProcessors.to_string(),
             "a LoPRAM must have at least one processor"
         );
-    }
-
-    #[test]
-    fn display_too_many() {
-        let e = Error::TooManyProcessors {
-            requested: 9,
-            limit: 4,
-        };
-        assert!(e.to_string().contains("9"));
-        assert!(e.to_string().contains("4"));
     }
 
     #[test]

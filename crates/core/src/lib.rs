@@ -22,10 +22,11 @@
 //!   ([`PalPool::join`] — the one fork primitive — and [`palthreads!`],
 //!   its nested-join form for more than two pal-threads), plus the
 //!   blocked data-parallel primitives irregular workloads are built from
-//!   ([`PalPool::scan`], [`PalPool::pack`], [`PalPool::expand`],
-//!   [`PalPool::for_each_index`] plus the allocation-free `_in` variants
-//!   — see `runtime::primitives`) and the [`Workspace`] scratch arena
-//!   that makes their steady state allocation-free;
+//!   ([`PalPool::scan_copy_in`], [`PalPool::pack_in`],
+//!   [`PalPool::expand_in`], [`PalPool::for_each_index`] — one form each,
+//!   writing into caller buffers; see `runtime::primitives`) and the
+//!   [`Workspace`] scratch arena that makes their steady state
+//!   allocation-free;
 //! * [`Executor`] — an abstraction over sequential and pal-thread execution
 //!   used by the divide-and-conquer and dynamic-programming crates;
 //! * [`metrics`] — work / spawn accounting.
@@ -47,8 +48,7 @@ pub use metrics::{assert_metrics_consistent, MetricsSnapshot, RunMetrics, Speedu
 pub use policy::{processors_for, ProcessorPolicy};
 pub use runtime::{
     run_cancellable, CancelReason, CancelToken, ChaosConfig, DagTrace, PalPool, PalPoolBuilder,
-    PoolHealth, Scan, TraceConfig, TraceEvent, TraceSummary, Workspace, WorkspaceGuard,
-    WorkspaceStats,
+    PoolHealth, TraceConfig, TraceEvent, TraceSummary, Workspace, WorkspaceGuard, WorkspaceStats,
 };
 
 /// Convenience prelude re-exporting the items almost every user needs.
@@ -58,6 +58,6 @@ pub mod prelude {
     pub use crate::policy::{processors_for, ProcessorPolicy};
     pub use crate::runtime::{
         run_cancellable, CancelReason, CancelToken, ChaosConfig, DagTrace, PalPool, PalPoolBuilder,
-        PoolHealth, Scan, TraceConfig, Workspace,
+        PoolHealth, TraceConfig, Workspace,
     };
 }

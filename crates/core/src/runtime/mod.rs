@@ -43,7 +43,6 @@ pub use pool::{PalPool, PalPoolBuilder};
 // Runtime health and chaos-injection types, defined by the work-stealing
 // runtime shim and surfaced through `PalPool::health` /
 // `PalPoolBuilder::chaos`.
-pub use primitives::Scan;
 pub use rayon::{ChaosConfig, PoolHealth};
 pub use trace::{DagTrace, TraceConfig, TraceEvent, TraceSummary};
 pub use workspace::{Workspace, WorkspaceGuard, WorkspaceStats};

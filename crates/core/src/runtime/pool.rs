@@ -271,8 +271,9 @@ fn worker_id(slot: Option<usize>) -> u16 {
 /// two-way [`join`](PalPool::join) (the paper's `palthreads { a; b; }`) and
 /// the data-parallel helpers built from it:
 /// [`for_each_index`](PalPool::for_each_index) (wavefront execution) and
-/// the blocked passes ([`scan`](PalPool::scan), [`pack`](PalPool::pack),
-/// [`expand`](PalPool::expand), …), each a balanced `join` tree.
+/// the blocked passes ([`scan_copy_in`](PalPool::scan_copy_in),
+/// [`pack_in`](PalPool::pack_in), [`expand_in`](PalPool::expand_in), …),
+/// each a balanced `join` tree.
 #[derive(Debug)]
 pub struct PalPool {
     processors: usize,
@@ -369,11 +370,6 @@ impl PalPool {
     pub fn for_input_size(n: usize) -> Self {
         let p = ProcessorPolicy::LogN.processors(n);
         PalPool::new(p).expect("policy returns >= 1")
-    }
-
-    /// Create a pool sized by an explicit [`ProcessorPolicy`].
-    pub fn with_policy(n: usize, policy: ProcessorPolicy) -> Self {
-        PalPool::new(policy.processors(n)).expect("policy returns >= 1")
     }
 
     /// Start building a pool with non-default options.
@@ -755,13 +751,11 @@ impl PalPool {
     }
 }
 
-/// Builder for [`PalPool`] with explicit processor counts, policies, caps
-/// and the sequential-cutoff headroom `α`.
+/// Builder for [`PalPool`] with an explicit processor count and the
+/// sequential-cutoff headroom `α`.
 #[derive(Debug, Clone)]
 pub struct PalPoolBuilder {
     processors: Option<usize>,
-    policy: Option<(usize, ProcessorPolicy)>,
-    max_processors: Option<usize>,
     /// `Some(α)` applies the `⌈α·log₂ p⌉` throttle; `None` disables it.
     alpha: Option<f64>,
     /// Blocking policy for the data-parallel primitives.
@@ -776,8 +770,6 @@ impl Default for PalPoolBuilder {
     fn default() -> Self {
         PalPoolBuilder {
             processors: None,
-            policy: None,
-            max_processors: None,
             alpha: Some(DEFAULT_CUTOFF_ALPHA),
             grain: Grain::Adaptive,
             trace: None,
@@ -790,18 +782,6 @@ impl PalPoolBuilder {
     /// Use exactly `p` processors.
     pub fn processors(mut self, p: usize) -> Self {
         self.processors = Some(p);
-        self
-    }
-
-    /// Derive the processor count from `policy` applied to input size `n`.
-    pub fn policy(mut self, n: usize, policy: ProcessorPolicy) -> Self {
-        self.policy = Some((n, policy));
-        self
-    }
-
-    /// Enforce a hard upper bound on the processor count.
-    pub fn max_processors(mut self, limit: usize) -> Self {
-        self.max_processors = Some(limit);
         self
     }
 
@@ -857,21 +837,11 @@ impl PalPoolBuilder {
 
     /// Build the pool.
     pub fn build(self) -> Result<PalPool> {
-        let p = match (self.processors, self.policy) {
-            (Some(p), _) => p,
-            (None, Some((n, policy))) => policy.processors(n),
-            (None, None) => ProcessorPolicy::Available.processors(0),
-        };
+        let p = self
+            .processors
+            .unwrap_or_else(|| ProcessorPolicy::Available.processors(0));
         if p == 0 {
             return Err(Error::ZeroProcessors);
-        }
-        if let Some(limit) = self.max_processors {
-            if p > limit {
-                return Err(Error::TooManyProcessors {
-                    requested: p,
-                    limit,
-                });
-            }
         }
         PalPool::with_cutoff(p, self.alpha, self.grain, self.trace, self.chaos)
     }
@@ -1110,25 +1080,6 @@ mod tests {
     fn builder_respects_fixed_and_cap() {
         let pool = PalPool::builder().processors(3).build().unwrap();
         assert_eq!(pool.processors(), 3);
-
-        let err = PalPool::builder()
-            .processors(16)
-            .max_processors(8)
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            Error::TooManyProcessors {
-                requested: 16,
-                limit: 8
-            }
-        );
-
-        let pool = PalPool::builder()
-            .policy(1 << 6, ProcessorPolicy::LogN)
-            .build()
-            .unwrap();
-        assert!(pool.processors() >= 1);
     }
 
     #[test]
@@ -1200,16 +1151,12 @@ mod tests {
             .unwrap();
         let input: Vec<u64> = (0..100_000).collect();
         let chunks = pool.chunk_count(input.len()) as u64;
-        pool.scan_copy(&input, 0u64, |a, b| a + b);
+        pool.scan_copy_in(&input, 0u64, |a, b| a + b, &mut Vec::new());
         let m = pool.metrics().snapshot();
-        let trace = pool.take_trace().unwrap();
-        let s = trace.summary();
+        let s = pool.take_trace().unwrap().summary();
         assert_eq!(s.passes, 2, "scan is a two-pass primitive");
         assert_eq!(s.pass_forks, 2 * (chunks - 1));
         assert_eq!(s.forks, m.forks(), "every pass fork is also a Fork event");
-        // Serialization roundtrip on a real capture.
-        let text = trace.to_text();
-        assert_eq!(DagTrace::from_text(&text).unwrap(), trace);
     }
 
     #[test]
@@ -1221,9 +1168,10 @@ mod tests {
             .trace(TraceConfig::default())
             .build()
             .unwrap();
-        let a = plain.scan_copy(&input, 0u64, |a, b| a + b);
-        let b = traced.scan_copy(&input, 0u64, |a, b| a + b);
-        assert_eq!(a, b);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        let total_a = plain.scan_copy_in(&input, 0u64, |a, b| a + b, &mut a);
+        let total_b = traced.scan_copy_in(&input, 0u64, |a, b| a + b, &mut b);
+        assert_eq!((a, total_a), (b, total_b));
         let mp = plain.metrics().snapshot();
         let mt = traced.metrics().snapshot();
         assert_eq!(

@@ -1,9 +1,11 @@
 //! Blocked data-parallel primitives on the [`PalPool`]: prefix-sum
-//! ([`scan`](PalPool::scan)), filtering ([`pack`](PalPool::pack)), CSR-style
-//! expansion ([`expand`](PalPool::expand)), index-space map
-//! ([`map_collect`](PalPool::map_collect)), one value per block
+//! ([`scan_copy_in`](PalPool::scan_copy_in)), filtering
+//! ([`pack_in`](PalPool::pack_in)), CSR-style expansion
+//! ([`expand_in`](PalPool::expand_in)), index-space map
+//! ([`map_collect_in`](PalPool::map_collect_in)), one value per block
 //! ([`map_blocks_in`](PalPool::map_blocks_in)) and index-space loop
-//! ([`for_each_index`](PalPool::for_each_index)).
+//! ([`for_each_index`](PalPool::for_each_index)).  Each has exactly one
+//! form.
 //!
 //! Irregular workloads — frontier BFS and connected components in
 //! `lopram-graph` — are built from exactly two primitives,
@@ -19,33 +21,29 @@
 //! Every primitive routes its internal scratch — block sums, survivor
 //! counts, output boundaries — through the pool's [`Workspace`] arena
 //! (grow-only, reused across calls; see [`PalPool::workspace`]), and every
-//! `Vec`-returning primitive has an `_in`-suffixed twin
-//! ([`scan_in`](PalPool::scan_in), [`pack_in`](PalPool::pack_in),
-//! [`map_collect_in`](PalPool::map_collect_in),
-//! [`expand_in`](PalPool::expand_in), [`scan_copy_in`](PalPool::scan_copy_in))
-//! that writes into a **caller-provided buffer** instead of allocating the
-//! output.  The `_in` contract: on return the buffer holds exactly the
-//! result; its contents on entry are never read (retained slots are
-//! overwritten in place rather than re-initialized, so a steady-state
-//! call pays neither an allocation nor a clear+refill memset — only
-//! capacity carries over; if the operator panics mid-pass the buffer may
-//! be left with stale contents).  A caller that keeps the buffer (or
-//! checks it out of the workspace) therefore performs zero allocations
-//! per call once capacities are warm.  That is the GBBS
-//! recipe: a steady-state BFS level runs scan, pack and the candidate
-//! expansion without touching the allocator at all.
+//! primitive that produces a sequence writes it into a **caller-provided
+//! buffer** (the `_in` suffix) instead of allocating the output.  The
+//! `_in` contract: on return the buffer holds exactly the result; its
+//! contents on entry are never read (retained slots are overwritten in
+//! place rather than re-initialized, so a steady-state call pays neither
+//! an allocation nor a clear+refill memset — only capacity carries over;
+//! if the operator panics mid-pass the buffer may be left with stale
+//! contents).  `expand_in` is the one exception to the in-place rule: it
+//! clears the buffer first, because slots its `write` leaves untouched
+//! must hold `fill`.  A caller that keeps the buffer (or checks it out of
+//! the workspace) therefore performs zero allocations per call once
+//! capacities are warm.  That is the GBBS recipe: a steady-state BFS
+//! level runs scan, pack and the candidate expansion without touching the
+//! allocator at all.
 //!
-//! `pack` is fused and branch-free: the survivor counts are scanned **in
-//! place** inside one small arena buffer that doubles as the output
+//! `pack_in` is fused and branch-free: the survivor counts are scanned
+//! **in place** inside one small arena buffer that doubles as the output
 //! boundaries, so no per-element flag vector and no offset vector ever
 //! materializes, and its scatter stores every element at a cursor that
 //! only survivors advance, so a random predicate mispredicts nothing.
-//! `expand` reduces the degree scan to per-block sums (only block *start*
-//! offsets are needed — the full element-wise prefix vector of the old
-//! three-pass formulation is gone).  For `Copy` elements,
-//! [`scan_copy`](PalPool::scan_copy) replaces the general version's
-//! per-element `clone()` chains with by-value accumulation (memcpy-style
-//! writes, no `&T -> T` round trips).
+//! `expand_in` reduces the degree scan to per-block sums (only block
+//! *start* offsets are needed).  `scan_copy_in` takes `Copy` elements and
+//! moves them by value: memcpy-style writes, no `&T -> T` round trips.
 //!
 //! # Fork accounting
 //!
@@ -69,18 +67,18 @@
 //!
 //! | primitive | forks | below `WAKE_GRAIN` (default pool) |
 //! |-----------|-------|------|
-//! | [`map_collect`](PalPool::map_collect) / [`map_collect_in`](PalPool::map_collect_in) | `C − 1` | 0 |
+//! | [`scan_copy_in`](PalPool::scan_copy_in) | `2·(C − 1)` | 0 |
+//! | [`pack_in`](PalPool::pack_in) | `2·(C − 1)` (`C − 1` when nothing survives) | 0 |
+//! | [`expand_in`](PalPool::expand_in) | `2·(C − 1)` (block sums + write pass) | 0 |
+//! | [`map_collect_in`](PalPool::map_collect_in) | `C − 1` | 0 |
 //! | [`map_blocks_in`](PalPool::map_blocks_in) | `C − 1` | 0 |
 //! | [`for_each_index`](PalPool::for_each_index)² | `C − 1`, `C` = [`index_chunk_count`](PalPool::index_chunk_count)`(len)` | `C − 1` (no wake floor) |
-//! | [`scan`](PalPool::scan) / [`scan_in`](PalPool::scan_in) / [`scan_copy`](PalPool::scan_copy) | `2·(C − 1)` | 0 |
-//! | [`pack`](PalPool::pack) / [`pack_in`](PalPool::pack_in) | `2·(C − 1)` (`C − 1` when nothing survives) | 0 |
-//! | [`expand`](PalPool::expand) / [`expand_in`](PalPool::expand_in) | `2·(C − 1)` (block sums + write pass) | 0 |
 //!
 //! ² The per-index cost is an opaque closure, so it blocks by the fixed
 //! `4·p` bound rather than by the pass policy, and records no `Pass` event.
 //!
 //! `len` is what each primitive blocks over: the input slice for
-//! scan/pack, the index range for map_collect/map_blocks_in/for_each_index,
+//! scan/pack, the index range for map_collect_in/map_blocks_in/for_each_index,
 //! and `sizes.len()` — the number of *regions*, not of output slots — for
 //! expand (see the limit noted on [`expand_in`](PalPool::expand_in)).
 //!
@@ -102,17 +100,6 @@
 use std::ops::Range;
 
 use super::pool::PalPool;
-
-/// Result of an exclusive blocked [`scan`](PalPool::scan): the running
-/// prefix *before* each element, plus the reduction of the whole input.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Scan<T> {
-    /// `exclusive[i] = op(identity, input[0], …, input[i-1])`; in
-    /// particular `exclusive[0] == identity`.
-    pub exclusive: Vec<T>,
-    /// The reduction of the entire input — what `exclusive[n]` would be.
-    pub total: T,
-}
 
 /// Start of block `c` when `len` elements are split into `chunks` balanced
 /// blocks (sizes differ by at most one; every block non-empty because
@@ -157,111 +144,28 @@ where
 
 impl PalPool {
     /// Exclusive prefix scan of `input` under the associative operator
-    /// `op` with identity `identity`.
+    /// `op` with identity `identity`, into a caller-provided buffer: on
+    /// return `exclusive[i] = op(identity, input[0], …, input[i-1])` (so
+    /// `exclusive[0] == identity`), and the reduction of the whole input —
+    /// what `exclusive[n]` would be — is returned.
     ///
     /// Blocked two-pass algorithm: block reductions in parallel, a
     /// sequential exclusive scan over the `O(p)` block sums (in place, in
     /// an arena buffer), then parallel per-block prefix writes.  `op` must
     /// be associative (the usual scan contract); the result is then
-    /// independent of the blocking.
+    /// independent of the blocking.  Operator and accumulator move **by
+    /// value**, so the inner loops are plain register accumulation and
+    /// memcpy-style slot writes.
     ///
-    /// Allocates only the returned `exclusive` vector —
-    /// [`scan_in`](PalPool::scan_in) writes into a caller buffer instead,
-    /// and [`scan_copy`](PalPool::scan_copy) is the by-value fast path for
-    /// `Copy` elements.
+    /// All internal scratch is checked out of [`PalPool::workspace`], so
+    /// after the first call on a given input size neither the scratch nor
+    /// (given a warm `exclusive`) the output grows.
     ///
     /// Costs `2·(C − 1)` pal-thread forks for `C =
     /// `[`chunk_count`](PalPool::chunk_count)`(input.len())` blocks (zero
     /// on an empty input), all routed through [`join`](PalPool::join) and
     /// therefore subject to the sequential cutoff and counted in
     /// [`metrics`](PalPool::metrics).
-    pub fn scan<T, F>(&self, input: &[T], identity: T, op: F) -> Scan<T>
-    where
-        T: Clone + Send + Sync + 'static,
-        F: Fn(&T, &T) -> T + Sync,
-    {
-        let mut exclusive = Vec::new();
-        let total = self.scan_in(input, identity, op, &mut exclusive);
-        Scan { exclusive, total }
-    }
-
-    /// [`scan`](PalPool::scan) into a caller-provided buffer: `exclusive`
-    /// is cleared and refilled with the exclusive prefixes (its previous
-    /// contents are irrelevant, its capacity is reused), and the total
-    /// reduction is returned.
-    ///
-    /// Together with the workspace arena this makes repeated scans
-    /// allocation-free: all internal scratch is checked out of
-    /// [`PalPool::workspace`], so after the first call on a given input
-    /// size neither the scratch nor (given a warm `exclusive`) the output
-    /// grows.  Fork cost is identical to [`scan`](PalPool::scan).
-    pub fn scan_in<T, F>(&self, input: &[T], identity: T, op: F, exclusive: &mut Vec<T>) -> T
-    where
-        T: Clone + Send + Sync + 'static,
-        F: Fn(&T, &T) -> T + Sync,
-    {
-        let n = input.len();
-        if n == 0 {
-            exclusive.clear();
-            return identity;
-        }
-        let chunks = self.chunk_count(n);
-
-        // Pass 1 (upsweep): one reduction per block, in parallel, into an
-        // arena buffer.
-        let mut sums = self.workspace().checkout::<T>();
-        sums.resize(chunks, identity.clone());
-        self.trace_pass(n, chunks);
-        self.blocked_balanced_mut(&mut sums, chunks, |c, slot| {
-            let mut acc = identity.clone();
-            for x in &input[block_start(n, chunks, c)..block_start(n, chunks, c + 1)] {
-                acc = op(&acc, x);
-            }
-            slot[0] = acc;
-        });
-
-        // Sequential exclusive scan of the block sums, in place: sums[c]
-        // becomes the scanned offset of block c.
-        let mut acc = identity.clone();
-        for s in sums.iter_mut() {
-            let next = op(&acc, s);
-            *s = std::mem::replace(&mut acc, next);
-        }
-        let total = acc;
-
-        // Pass 2 (downsweep): each block writes its exclusive prefixes,
-        // seeded with the scanned block offset.
-        prepare_slots(exclusive, n, || identity);
-        let sums = &sums;
-        self.trace_pass(n, chunks);
-        self.blocked_balanced_mut(exclusive, chunks, |c, out| {
-            let mut acc = sums[c].clone();
-            for (slot, x) in out.iter_mut().zip(&input[block_start(n, chunks, c)..]) {
-                *slot = acc.clone();
-                acc = op(&acc, x);
-            }
-        });
-        total
-    }
-
-    /// The `Copy` fast path of [`scan`](PalPool::scan): operator and
-    /// accumulator move **by value**, so the inner loops are plain
-    /// register accumulation and memcpy-style slot writes — no `clone()`
-    /// chain, no `&T -> T` round trip per element.
-    ///
-    /// Same contract and fork cost as [`scan`](PalPool::scan).
-    pub fn scan_copy<T, F>(&self, input: &[T], identity: T, op: F) -> Scan<T>
-    where
-        T: Copy + Send + Sync + 'static,
-        F: Fn(T, T) -> T + Sync,
-    {
-        let mut exclusive = Vec::new();
-        let total = self.scan_copy_in(input, identity, op, &mut exclusive);
-        Scan { exclusive, total }
-    }
-
-    /// [`scan_copy`](PalPool::scan_copy) into a caller-provided buffer
-    /// (same clear-and-refill contract as [`scan_in`](PalPool::scan_in)).
     pub fn scan_copy_in<T, F>(&self, input: &[T], identity: T, op: F, exclusive: &mut Vec<T>) -> T
     where
         T: Copy + Send + Sync + 'static,
@@ -307,7 +211,10 @@ impl PalPool {
     }
 
     /// Keep exactly the elements for which `keep(index, &element)` is true,
-    /// in their original order (parallel filter / stream compaction).
+    /// in their original order (parallel filter / stream compaction), into
+    /// a caller-provided buffer: `out` ends up holding exactly the
+    /// survivors (capacity reused), which makes repeated packs — e.g. the
+    /// frontier compaction of every BFS level — allocation-free once warm.
     ///
     /// Fused, branch-free count+scatter pipeline: per-block survivor
     /// counts land in one small arena buffer, are exclusive-scanned **in
@@ -328,25 +235,9 @@ impl PalPool {
     /// truncating to the survivors, so the output's capacity grows to the
     /// input length, not the survivor count.
     ///
-    /// Allocates only the returned vector ([`pack_in`](PalPool::pack_in)
-    /// doesn't even do that).  Costs `2·(C − 1)` forks for `C` blocks,
-    /// like [`scan`](PalPool::scan) (`C − 1` when no element survives —
-    /// the write pass is skipped).
-    pub fn pack<T, F>(&self, input: &[T], keep: F) -> Vec<T>
-    where
-        T: Copy + Send + Sync + 'static,
-        F: Fn(usize, &T) -> bool + Sync,
-    {
-        let mut out = Vec::new();
-        self.pack_in(input, keep, &mut out);
-        out
-    }
-
-    /// [`pack`](PalPool::pack) into a caller-provided buffer: `out` is
-    /// cleared and refilled with the survivors (capacity reused), making
-    /// repeated packs — e.g. the frontier compaction of every BFS level —
-    /// fully allocation-free once warm.  Fork cost is identical to
-    /// [`pack`](PalPool::pack).
+    /// Costs `2·(C − 1)` forks for `C` blocks, like
+    /// [`scan_copy_in`](PalPool::scan_copy_in) (`C − 1` when no element
+    /// survives — the write pass is skipped).
     pub fn pack_in<T, F>(&self, input: &[T], keep: F, out: &mut Vec<T>)
     where
         T: Copy + Send + Sync + 'static,
@@ -423,8 +314,9 @@ impl PalPool {
         });
     }
 
-    /// CSR-style expansion: allocate `sizes.iter().sum()` output slots and
-    /// hand each index `i` a mutable slice of `sizes[i]` consecutive slots
+    /// CSR-style expansion into a caller-provided buffer: `out` is cleared
+    /// and refilled with `sizes.iter().sum()` slots (capacity reused), and
+    /// each index `i` gets a mutable slice of `sizes[i]` consecutive slots
     /// (in index order) to fill via `write(i, slice)`.
     ///
     /// This is the scan-based "edge map" building block of frontier BFS:
@@ -433,26 +325,14 @@ impl PalPool {
     /// fused: only per-block sums are computed and scanned in place in an
     /// arena buffer (the write pass walks each block sequentially, so
     /// per-element offsets are never materialized).  Slots `write` leaves
-    /// untouched keep the `fill` value.  Unlike [`pack`](PalPool::pack)'s
+    /// untouched hold the `fill` value, never a stale one from the
+    /// buffer's previous contents.  Unlike [`pack_in`](PalPool::pack_in)'s
     /// predicate, `write` is called exactly once per index, so it may have
     /// side effects.
     ///
     /// Costs `2·(C − 1)` forks for `C =
     /// `[`chunk_count`](PalPool::chunk_count)`(sizes.len())` blocks: block
     /// sums plus one write pass.
-    pub fn expand<T, F>(&self, sizes: &[usize], fill: T, write: F) -> Vec<T>
-    where
-        T: Clone + Send + Sync + 'static,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        let mut out = Vec::new();
-        self.expand_in(sizes, fill, write, &mut out);
-        out
-    }
-
-    /// [`expand`](PalPool::expand) into a caller-provided buffer (cleared
-    /// and refilled; capacity reused).  Fork cost is identical to
-    /// [`expand`](PalPool::expand).
     ///
     /// **Known limit.**  The blocking is keyed on `sizes.len()`, not on the
     /// number of output slots, so on a default pool fewer than
@@ -509,23 +389,11 @@ impl PalPool {
     }
 
     /// Apply `map` to every index in `range` and collect the results in
-    /// order — the `Vec`-producing companion of
+    /// order into a caller-provided buffer (capacity reused) — the
+    /// `Vec`-producing companion of
     /// [`for_each_index`](PalPool::for_each_index).
     ///
     /// Costs `C − 1` forks for `C` blocks (a single parallel pass).
-    pub fn map_collect<T, F>(&self, range: Range<usize>, map: F) -> Vec<T>
-    where
-        T: Clone + Default + Send + Sync + 'static,
-        F: Fn(usize) -> T + Sync,
-    {
-        let mut out = Vec::new();
-        self.map_collect_in(range, map, &mut out);
-        out
-    }
-
-    /// [`map_collect`](PalPool::map_collect) into a caller-provided buffer
-    /// (cleared and refilled; capacity reused).  Fork cost is identical to
-    /// [`map_collect`](PalPool::map_collect).
     pub fn map_collect_in<T, F>(&self, range: Range<usize>, map: F, out: &mut Vec<T>)
     where
         T: Clone + Default + Send + Sync + 'static,
@@ -712,6 +580,17 @@ mod tests {
         ]
     }
 
+    /// [`PalPool::pack_in`] into a fresh buffer, for one-line asserts.
+    fn pack<T, F>(pool: &PalPool, input: &[T], keep: F) -> Vec<T>
+    where
+        T: Copy + Send + Sync + 'static,
+        F: Fn(usize, &T) -> bool + Sync,
+    {
+        let mut out = Vec::new();
+        pool.pack_in(input, keep, &mut out);
+        out
+    }
+
     fn seq_exclusive_scan(input: &[i64]) -> (Vec<i64>, i64) {
         let mut acc = 0;
         let prefix = input
@@ -731,21 +610,10 @@ mod tests {
         let (expected, expected_total) = seq_exclusive_scan(&input);
         for p in [1, 2, 4] {
             for pool in pools(p) {
-                let scan = pool.scan(&input, 0i64, |a, b| a + b);
-                assert_eq!(scan.exclusive, expected, "p = {p}");
-                assert_eq!(scan.total, expected_total, "p = {p}");
-            }
-        }
-    }
-
-    #[test]
-    fn scan_copy_matches_general_scan() {
-        let input: Vec<i64> = (0..2000).map(|i| (i * 31) % 257 - 128).collect();
-        for p in [1, 2, 4] {
-            for pool in pools(p) {
-                let general = pool.scan(&input, 0i64, |a, b| a + b);
-                let copy = pool.scan_copy(&input, 0i64, |a, b| a + b);
-                assert_eq!(copy, general, "p = {p}");
+                let mut exclusive = Vec::new();
+                let total = pool.scan_copy_in(&input, 0i64, |a, b| a + b, &mut exclusive);
+                assert_eq!(exclusive, expected, "p = {p}");
+                assert_eq!(total, expected_total, "p = {p}");
             }
         }
     }
@@ -760,8 +628,14 @@ mod tests {
         };
         let expected: Vec<u64> = expected.into_iter().map(|x| x as u64).collect();
 
-        let mut buf = vec![99u64; 3]; // stale contents must be irrelevant
-        let total = pool.scan_in(&input, 0u64, |a, b| a + b, &mut buf);
+        // Stale contents must be irrelevant, whether the buffer is shorter
+        // than the output (grown) or longer (truncated).
+        let mut long = vec![99u64; input.len() + 100];
+        let total = pool.scan_copy_in(&input, 0u64, |a, b| a + b, &mut long);
+        assert_eq!(long, expected);
+        assert_eq!(total, 1499 * 1500 / 2);
+        let mut buf = vec![99u64; 3];
+        let total = pool.scan_copy_in(&input, 0u64, |a, b| a + b, &mut buf);
         assert_eq!(buf, expected);
         assert_eq!(total, 1499 * 1500 / 2);
 
@@ -779,13 +653,14 @@ mod tests {
     #[test]
     fn scan_handles_empty_and_tiny_inputs() {
         let pool = PalPool::new(4).unwrap();
-        let empty = pool.scan(&[] as &[i64], 7, |a, b| a + b);
-        assert!(empty.exclusive.is_empty());
-        assert_eq!(empty.total, 7);
+        let mut exclusive = vec![3i64; 2];
+        let total = pool.scan_copy_in(&[], 7, |a, b| a + b, &mut exclusive);
+        assert!(exclusive.is_empty());
+        assert_eq!(total, 7);
 
-        let one = pool.scan(&[5i64], 0, |a, b| a + b);
-        assert_eq!(one.exclusive, vec![0]);
-        assert_eq!(one.total, 5);
+        let total = pool.scan_copy_in(&[5i64], 0, |a, b| a + b, &mut exclusive);
+        assert_eq!(exclusive, vec![0]);
+        assert_eq!(total, 5);
     }
 
     #[test]
@@ -793,9 +668,10 @@ mod tests {
         // A non-sum associative operator: running maximum.
         let input = [3i64, 1, 4, 1, 5, 9, 2, 6];
         let pool = PalPool::new(2).unwrap();
-        let scan = pool.scan(&input, i64::MIN, |a, b| *a.max(b));
-        assert_eq!(scan.exclusive, vec![i64::MIN, 3, 3, 4, 4, 5, 9, 9]);
-        assert_eq!(scan.total, 9);
+        let mut exclusive = Vec::new();
+        let total = pool.scan_copy_in(&input, i64::MIN, i64::max, &mut exclusive);
+        assert_eq!(exclusive, vec![i64::MIN, 3, 3, 4, 4, 5, 9, 9]);
+        assert_eq!(total, 9);
     }
 
     #[test]
@@ -805,7 +681,7 @@ mod tests {
             let pool = PalPool::new(p).unwrap();
             let chunks = pool.chunk_count(input.len()) as u64;
             assert!(chunks >= 4 * p as u64, "at the wake floor a pass splits");
-            pool.scan(&input, 0u64, |a, b| a + b);
+            pool.scan_copy_in(&input, 0u64, |a, b| a + b, &mut Vec::new());
             assert_metrics_consistent(pool.metrics(), 2 * (chunks - 1));
         }
     }
@@ -831,7 +707,7 @@ mod tests {
         let expected: Vec<i64> = input.iter().copied().filter(|x| x % 3 == 0).collect();
         for p in [1, 2, 4] {
             for pool in pools(p) {
-                assert_eq!(pool.pack(&input, |_, x| x % 3 == 0), expected, "p = {p}");
+                assert_eq!(pack(&pool, &input, |_, x| x % 3 == 0), expected, "p = {p}");
             }
         }
 
@@ -856,10 +732,10 @@ mod tests {
                 let first = |i: usize, _: &u64| starts[..chunks].binary_search(&i).is_ok();
                 let last = |i: usize, _: &u64| starts[1..].binary_search(&(i + 1)).is_ok();
                 let block0 = |i: usize, _: &u64| i < starts[1];
-                assert_eq!(pool.pack(&input, parity), filter(&parity), "p = {p}");
-                assert_eq!(pool.pack(&input, first), filter(&first), "p = {p}");
-                assert_eq!(pool.pack(&input, last), filter(&last), "p = {p}");
-                assert_eq!(pool.pack(&input, block0), filter(&block0), "p = {p}");
+                assert_eq!(pack(&pool, &input, parity), filter(&parity), "p = {p}");
+                assert_eq!(pack(&pool, &input, first), filter(&first), "p = {p}");
+                assert_eq!(pack(&pool, &input, last), filter(&last), "p = {p}");
+                assert_eq!(pack(&pool, &input, block0), filter(&block0), "p = {p}");
             }
         }
     }
@@ -886,7 +762,7 @@ mod tests {
                     }
                 };
                 let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    pool.pack(&input, keep)
+                    pack(&pool, &input, keep)
                 }))
                 .expect_err("an impure keep must panic");
                 let msg = err
@@ -901,7 +777,7 @@ mod tests {
                     .filter(|x| x.is_multiple_of(5))
                     .collect();
                 assert_eq!(
-                    pool.pack(&input, |_, x| x.is_multiple_of(5)),
+                    pack(&pool, &input, |_, x| x.is_multiple_of(5)),
                     expected,
                     "p = {p}"
                 );
@@ -913,7 +789,7 @@ mod tests {
     fn pack_predicate_sees_original_indices() {
         let input = vec![10u64; 100];
         for pool in pools(4) {
-            let kept = pool.pack(&input, |i, _| i % 7 == 0);
+            let kept = pack(&pool, &input, |i, _| i % 7 == 0);
             assert_eq!(kept.len(), 15);
         }
     }
@@ -922,9 +798,9 @@ mod tests {
     fn pack_keep_all_and_keep_none() {
         let input: Vec<u32> = (0..257).collect();
         for pool in pools(4) {
-            assert_eq!(pool.pack(&input, |_, _| true), input);
-            assert!(pool.pack(&input, |_, _| false).is_empty());
-            assert!(pool.pack(&[] as &[u32], |_, _| true).is_empty());
+            assert_eq!(pack(&pool, &input, |_, _| true), input);
+            assert!(pack(&pool, &input, |_, _| false).is_empty());
+            assert!(pack(&pool, &[] as &[u32], |_, _| true).is_empty());
         }
     }
 
@@ -957,11 +833,11 @@ mod tests {
         let pool = PalPool::new(2).unwrap();
         let chunks = pool.chunk_count(input.len()) as u64;
         assert_eq!(chunks, 8);
-        pool.pack(&input, |_, x| x % 2 == 0);
+        pack(&pool, &input, |_, x| x % 2 == 0);
         assert_metrics_consistent(pool.metrics(), 2 * (chunks - 1));
         // Nothing survives: the write pass is skipped.
         let before = pool.metrics().forks();
-        assert!(pool.pack(&input, |_, _| false).is_empty());
+        assert!(pack(&pool, &input, |_, _| false).is_empty());
         assert_eq!(pool.metrics().forks() - before, chunks - 1);
     }
 
@@ -979,10 +855,10 @@ mod tests {
             calls.fetch_add(1, Ordering::Relaxed);
             x % 3 == 1
         };
-        let swept = default.pack(&input, keep);
+        let swept = pack(&default, &input, keep);
         assert_eq!(calls.swap(0, Ordering::Relaxed), input.len());
         assert_eq!(default.metrics().forks(), 0);
-        let blocked = pinned.pack(&input, keep);
+        let blocked = pack(&pinned, &input, keep);
         assert_eq!(calls.load(Ordering::Relaxed), 2 * input.len());
         assert_eq!(swept, blocked);
     }
@@ -991,11 +867,13 @@ mod tests {
     fn expand_writes_each_region_once() {
         let sizes = [3usize, 0, 2, 5, 0, 1];
         let pool = PalPool::new(2).unwrap();
-        let out = pool.expand(&sizes, usize::MAX, |i, region| {
+        let mut out = Vec::new();
+        let write = |i: usize, region: &mut [usize]| {
             for (k, slot) in region.iter_mut().enumerate() {
                 *slot = i * 10 + k;
             }
-        });
+        };
+        pool.expand_in(&sizes, usize::MAX, write, &mut out);
         assert_eq!(out, vec![0, 1, 2, 20, 21, 30, 31, 32, 33, 34, 50]);
     }
 
@@ -1004,8 +882,32 @@ mod tests {
         let sizes = [2usize, 2];
         let pool = PalPool::new(2).unwrap();
         // Only write the first slot of each region.
-        let out = pool.expand(&sizes, 9u8, |i, region| region[0] = i as u8);
+        let mut out = Vec::new();
+        pool.expand_in(&sizes, 9u8, |i, region| region[0] = i as u8, &mut out);
         assert_eq!(out, vec![0, 9, 1, 9]);
+
+        // A reused buffer's stale values never show through an untouched
+        // slot, whether the buffer is longer or shorter than the output,
+        // on the one-block and the blocked path alike.
+        let sizes: Vec<usize> = (0..300).map(|i| i % 4).collect();
+        let total: usize = sizes.iter().sum();
+        let expected: Vec<u32> = (0..300u32)
+            .flat_map(|i| (0..i % 4).map(move |k| if k == 0 { i } else { 9 }))
+            .collect();
+        for p in [1, 2, 4] {
+            for pool in pools(p) {
+                for stale_len in [total + 5, total / 2] {
+                    let mut out = vec![7u32; stale_len];
+                    let write = |i: usize, region: &mut [u32]| {
+                        if let Some(first) = region.first_mut() {
+                            *first = i as u32;
+                        }
+                    };
+                    pool.expand_in(&sizes, 9u32, write, &mut out);
+                    assert_eq!(out, expected, "p = {p}, stale length {stale_len}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1017,7 +919,8 @@ mod tests {
             let pool = PalPool::new(p).unwrap();
             let chunks = pool.chunk_count(sizes.len()) as u64;
             assert!(chunks >= 4 * p as u64);
-            let out = pool.expand(&sizes, 0usize, |i, region| region.fill(i));
+            let mut out = Vec::new();
+            pool.expand_in(&sizes, 0usize, |i, region| region.fill(i), &mut out);
             assert_eq!(out.len(), sizes.iter().sum::<usize>());
             assert_metrics_consistent(pool.metrics(), 2 * (chunks - 1));
         }
@@ -1027,13 +930,16 @@ mod tests {
     fn map_collect_matches_direct_map() {
         for p in [1, 2, 4] {
             for pool in pools(p) {
-                let out = pool.map_collect(10..500, |i| i * i);
+                let mut out = Vec::new();
+                pool.map_collect_in(10..500, |i| i * i, &mut out);
                 let expected: Vec<usize> = (10..500).map(|i| i * i).collect();
                 assert_eq!(out, expected, "p = {p}");
             }
         }
         let pool = PalPool::new(2).unwrap();
-        assert!(pool.map_collect(5..5, |i| i).is_empty());
+        let mut out = vec![1usize];
+        pool.map_collect_in(5..5, |i| i, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -1090,8 +996,8 @@ mod tests {
         let pool = PalPool::new(1).unwrap();
         let n = WAKE_GRAIN as u64;
         let input: Vec<u64> = (0..n).collect();
-        let scan = pool.scan(&input, 0, |a, b| a + b);
-        assert_eq!(scan.total, (n - 1) * n / 2);
+        let total = pool.scan_copy_in(&input, 0, |a, b| a + b, &mut Vec::new());
+        assert_eq!(total, (n - 1) * n / 2);
         let m = pool.metrics();
         assert_eq!(m.spawned(), 0);
         assert_eq!(m.inlined(), 0);
@@ -1133,12 +1039,12 @@ mod tests {
         let pool = PalPool::new(4).unwrap();
         assert_eq!(pool.chunk_count(100), 1);
         let input: Vec<u64> = (0..100).collect();
-        pool.scan(&input, 0, |a, b| a + b);
+        pool.scan_copy_in(&input, 0, |a, b| a + b, &mut Vec::new());
         assert_metrics_consistent(pool.metrics(), 0);
 
         let legacy = PalPool::builder().processors(4).grain(1).build().unwrap();
         assert_eq!(legacy.chunk_count(100), 16);
-        legacy.scan(&input, 0, |a, b| a + b);
+        legacy.scan_copy_in(&input, 0, |a, b| a + b, &mut Vec::new());
         assert_metrics_consistent(legacy.metrics(), 2 * 15);
     }
 }

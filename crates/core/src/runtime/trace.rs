@@ -47,25 +47,12 @@
 //! the sibling always runs on the thread that pushed the pending child.
 //! [`DagTrace::summary`] performs exactly that reconstruction, and the
 //! property suites assert it reproduces the pool's `RunMetrics` totals.
-//!
-//! # Serialized format
-//!
-//! [`DagTrace::to_text`] emits a stable, versioned, line-oriented text
-//! format (documented on the method and in `ARCHITECTURE.md`) that
-//! [`DagTrace::from_text`] parses back losslessly; traces can be written
-//! to disk by one process and replayed by another, including across
-//! future format versions (the header names the version).
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
 use super::workspace::Workspace;
-use crate::error::{Error, Result};
-
-/// Version number written into (and required from) the serialized trace
-/// format; bump on any change to the event vocabulary or encoding.
-pub const TRACE_FORMAT_VERSION: u32 = 1;
 
 /// Worker id recorded for events emitted by threads that are not workers
 /// of the traced pool (the external caller driving the computation).
@@ -417,7 +404,6 @@ impl TraceState {
         // same-stamp events from one worker keep their log order.
         events.sort_by_key(|ev| ev.ts());
         DagTrace {
-            version: TRACE_FORMAT_VERSION,
             processors,
             cutoff,
             capacity_per_worker: self.config.capacity_per_worker,
@@ -430,12 +416,10 @@ impl TraceState {
 /// A captured pal-thread execution DAG: the drained, sorted event stream
 /// of one capture window, plus the pool configuration it was captured
 /// under.  Produced by [`PalPool::take_trace`](super::PalPool::take_trace),
-/// consumed by the `lopram-sim` replayer; serialized with
-/// [`to_text`](DagTrace::to_text) / [`from_text`](DagTrace::from_text).
+/// consumed in memory by the `lopram-sim` replayer (a trace has no
+/// on-disk format).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DagTrace {
-    /// Format version ([`TRACE_FORMAT_VERSION`]).
-    pub version: u32,
     /// Processor count `p` of the capturing pool.
     pub processors: usize,
     /// The capturing pool's elision cutoff depth (`None`: throttle off).
@@ -531,167 +515,6 @@ impl DagTrace {
         }
         s
     }
-
-    /// Serialize to the stable line-oriented text format.
-    ///
-    /// ```text
-    /// lopram-dagtrace 1            # magic + format version
-    /// processors 4
-    /// cutoff 4                     # or: cutoff none
-    /// capacity 65536
-    /// dropped 0
-    /// events 123                   # exactly this many event lines follow
-    /// F <ts> <worker> <parent> <left> <right> <depth> <elided 0|1>
-    /// B <ts> <worker> <node>       # Enter ("begin")
-    /// E <ts> <worker> <node>       # Exit
-    /// P <ts> <worker> <len> <chunks>
-    /// ```
-    pub fn to_text(&self) -> String {
-        let mut out = String::with_capacity(32 * self.events.len() + 128);
-        out.push_str(&format!("lopram-dagtrace {}\n", self.version));
-        out.push_str(&format!("processors {}\n", self.processors));
-        match self.cutoff {
-            Some(c) => out.push_str(&format!("cutoff {c}\n")),
-            None => out.push_str("cutoff none\n"),
-        }
-        out.push_str(&format!("capacity {}\n", self.capacity_per_worker));
-        out.push_str(&format!("dropped {}\n", self.dropped));
-        out.push_str(&format!("events {}\n", self.events.len()));
-        for ev in &self.events {
-            match *ev {
-                TraceEvent::Fork {
-                    ts,
-                    worker,
-                    parent,
-                    left,
-                    right,
-                    depth,
-                    elided,
-                } => out.push_str(&format!(
-                    "F {ts} {worker} {parent} {left} {right} {depth} {}\n",
-                    elided as u8
-                )),
-                TraceEvent::Enter { ts, worker, node } => {
-                    out.push_str(&format!("B {ts} {worker} {node}\n"))
-                }
-                TraceEvent::Exit { ts, worker, node } => {
-                    out.push_str(&format!("E {ts} {worker} {node}\n"))
-                }
-                TraceEvent::Pass {
-                    ts,
-                    worker,
-                    len,
-                    chunks,
-                } => out.push_str(&format!("P {ts} {worker} {len} {chunks}\n")),
-            }
-        }
-        out
-    }
-
-    /// Parse a trace serialized by [`to_text`](DagTrace::to_text).
-    ///
-    /// Returns [`Error::InvalidInput`] on a bad magic line, an
-    /// unsupported version, a malformed header field or event line, or an
-    /// event count that does not match the header.
-    pub fn from_text(text: &str) -> Result<DagTrace> {
-        let bad =
-            |what: &str, line: &str| Error::InvalidInput(format!("dagtrace: {what}: {line:?}"));
-        let mut lines = text.lines();
-        let magic = lines.next().unwrap_or("");
-        let version: u32 = magic
-            .strip_prefix("lopram-dagtrace ")
-            .and_then(|v| v.trim().parse().ok())
-            .ok_or_else(|| bad("bad magic line", magic))?;
-        if version != TRACE_FORMAT_VERSION {
-            return Err(Error::InvalidInput(format!(
-                "dagtrace: unsupported format version {version} (supported: {TRACE_FORMAT_VERSION})"
-            )));
-        }
-        let mut header = |key: &str| -> Result<String> {
-            let line = lines.next().unwrap_or("");
-            line.strip_prefix(key)
-                .map(|v| v.trim().to_string())
-                .ok_or_else(|| bad("bad header line", line))
-        };
-        let processors: usize = header("processors ")?
-            .parse()
-            .map_err(|_| bad("bad processors", text))?;
-        let cutoff_raw = header("cutoff ")?;
-        let cutoff = if cutoff_raw == "none" {
-            None
-        } else {
-            Some(
-                cutoff_raw
-                    .parse()
-                    .map_err(|_| bad("bad cutoff", &cutoff_raw))?,
-            )
-        };
-        let capacity_per_worker: usize = header("capacity ")?
-            .parse()
-            .map_err(|_| bad("bad capacity", text))?;
-        let dropped: u64 = header("dropped ")?
-            .parse()
-            .map_err(|_| bad("bad dropped", text))?;
-        let count: usize = header("events ")?
-            .parse()
-            .map_err(|_| bad("bad event count", text))?;
-
-        // Every event takes a line, so the lines left bound the count: a
-        // header claiming more than the input holds reserves no more.
-        let mut events = Vec::with_capacity(count.min(lines.clone().count()));
-        for _ in 0..count {
-            let line = lines
-                .next()
-                .ok_or_else(|| bad("missing event line", "<eof>"))?;
-            let mut parts = line.split_ascii_whitespace();
-            let tag = parts.next().ok_or_else(|| bad("empty event line", line))?;
-            let mut f = EventFields { parts, line };
-            let ev = match tag {
-                "F" => TraceEvent::Fork {
-                    ts: f.next()?,
-                    worker: f.next()?,
-                    parent: f.next()?,
-                    left: f.next()?,
-                    right: f.next()?,
-                    depth: f.next()?,
-                    elided: match f.next::<u8>()? {
-                        0 => false,
-                        1 => true,
-                        _ => return Err(bad("bad elided flag", line)),
-                    },
-                },
-                "B" => TraceEvent::Enter {
-                    ts: f.next()?,
-                    worker: f.next()?,
-                    node: f.next()?,
-                },
-                "E" => TraceEvent::Exit {
-                    ts: f.next()?,
-                    worker: f.next()?,
-                    node: f.next()?,
-                },
-                "P" => TraceEvent::Pass {
-                    ts: f.next()?,
-                    worker: f.next()?,
-                    len: f.next()?,
-                    chunks: f.next()?,
-                },
-                _ => return Err(bad("unknown event tag", line)),
-            };
-            if f.parts.next().is_some() {
-                return Err(bad("trailing event fields", line));
-            }
-            events.push(ev);
-        }
-        Ok(DagTrace {
-            version,
-            processors,
-            cutoff,
-            capacity_per_worker,
-            events,
-            dropped,
-        })
-    }
 }
 
 /// Fork-accounting totals reconstructed from a [`DagTrace`] by
@@ -725,34 +548,12 @@ pub struct TraceSummary {
     pub pass_forks: u64,
 }
 
-/// The numeric fields of one [`DagTrace::from_text`] event line.
-struct EventFields<'a> {
-    parts: std::str::SplitAsciiWhitespace<'a>,
-    line: &'a str,
-}
-
-impl EventFields<'_> {
-    /// The next field, narrowed to the event's field type: a missing,
-    /// non-numeric or out-of-range field is an error, never a wrapped
-    /// value.
-    fn next<T: TryFrom<u64>>(&mut self) -> Result<T> {
-        self.parts
-            .next()
-            .and_then(|v| v.parse::<u64>().ok())
-            .and_then(|v| T::try_from(v).ok())
-            .ok_or_else(|| {
-                Error::InvalidInput(format!("dagtrace: bad event field: {:?}", self.line))
-            })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn sample_trace() -> DagTrace {
         DagTrace {
-            version: TRACE_FORMAT_VERSION,
             processors: 2,
             cutoff: Some(2),
             capacity_per_worker: 1 << 16,
@@ -803,49 +604,6 @@ mod tests {
                 },
             ],
             dropped: 0,
-        }
-    }
-
-    #[test]
-    fn text_roundtrip_is_lossless() {
-        let trace = sample_trace();
-        let text = trace.to_text();
-        let back = DagTrace::from_text(&text).unwrap();
-        assert_eq!(back, trace);
-    }
-
-    #[test]
-    fn from_text_rejects_garbage() {
-        assert!(DagTrace::from_text("").is_err());
-        assert!(DagTrace::from_text("lopram-dagtrace 999\n").is_err());
-        let mut text = sample_trace().to_text();
-        text.push_str("X 1 2 3\n");
-        // Trailing junk after the declared events is ignored by design
-        // (the header's event count is authoritative), but a corrupted
-        // event line inside the count is not.
-        let bad = text.replace("F 1 65535 0 1 2 0 0", "F 1 65535 0 1");
-        assert!(DagTrace::from_text(&bad).is_err());
-        // The retired one-way spawn line (`S <ts> <worker> <parent>
-        // <child> <depth> <elided>`) is no longer part of the vocabulary.
-        let spawn = text.replace("F 1 65535 0 1 2 0 0", "S 1 65535 0 1 0 0");
-        let err = DagTrace::from_text(&spawn).unwrap_err().to_string();
-        assert!(err.contains("unknown event tag"), "{err}");
-        // The external worker (`u16::MAX`) is in range; one past it, a
-        // node id past `u32::MAX` and an `elided` flag other than 0/1
-        // are errors, not wrapped values.  A header that claims more
-        // events than the input holds is an error, not a huge reservation.
-        assert!(DagTrace::from_text(&text).is_ok());
-        for (from, to) in [
-            ("B 2 0 1", "B 2 65536 1"),
-            ("F 3 0 1 3 4 1 1", "F 3 0 4294967297 3 4 1 1"),
-            ("F 3 0 1 3 4 1 1", "F 3 0 1 3 4 1 2"),
-            ("events 7", "events 18446744073709551615"),
-        ] {
-            assert!(text.contains(from), "{from}");
-            assert!(
-                DagTrace::from_text(&text.replace(from, to)).is_err(),
-                "{to}"
-            );
         }
     }
 

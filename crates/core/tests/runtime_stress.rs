@@ -161,12 +161,13 @@ fn concurrent_scans_share_one_pool() {
             let pool = &pool;
             let input = &input;
             s.spawn(move || {
+                let mut exclusive = Vec::new();
                 for i in 0..repeat(100).div_ceil(2) {
-                    let scan = pool.scan(input, 0u64, |a, b| a + b);
-                    assert_eq!(scan.total, expected_total, "thread {t}, iteration {i}");
-                    assert_eq!(scan.exclusive[1], 0, "thread {t}, iteration {i}");
+                    let total = pool.scan_copy_in(input, 0u64, |a, b| a + b, &mut exclusive);
+                    assert_eq!(total, expected_total, "thread {t}, iteration {i}");
+                    assert_eq!(exclusive[1], 0, "thread {t}, iteration {i}");
                     assert_eq!(
-                        scan.exclusive[2047],
+                        exclusive[2047],
                         expected_total - 2047,
                         "thread {t}, iteration {i}"
                     );
@@ -196,8 +197,9 @@ fn concurrent_mixed_primitives_share_one_pool() {
         let input = &input;
         let (sizes, expanded) = (&sizes, &expanded);
         s.spawn(move || {
+            let mut kept = Vec::new();
             for i in 0..repeat(100).div_ceil(4) {
-                let kept = pool.pack(input, |_, x| x % 3 == 0);
+                pool.pack_in(input, |_, x| x % 3 == 0, &mut kept);
                 assert_eq!(kept.len(), 342, "iteration {i}");
             }
         });
@@ -229,28 +231,31 @@ fn panic_in_primitive_map_leaves_pool_reusable() {
         let bad = (i * 97) % 512;
         let result = catch_unwind(AssertUnwindSafe(|| match i % 3 {
             0 => {
-                pool.scan(&input, 0u64, |a, b| {
-                    assert!(*b != bad as u64, "poisoned scan element");
+                let op = |a: u64, b: u64| {
+                    assert!(b != bad as u64, "poisoned scan element");
                     a + b
-                });
+                };
+                pool.scan_copy_in(&input, 0u64, op, &mut Vec::new());
             }
             1 => {
-                pool.pack(&input, |j, _| {
+                let keep = |j: usize, _: &u64| {
                     assert!(j != bad, "poisoned pack element");
                     true
-                });
+                };
+                pool.pack_in(&input, keep, &mut Vec::new());
             }
             _ => {
-                pool.map_collect(0..512, |j| {
+                let map = |j: usize| {
                     assert!(j != bad, "poisoned map element");
                     j
-                });
+                };
+                pool.map_collect_in(0..512, map, &mut Vec::new());
             }
         }));
         assert!(result.is_err(), "iteration {i}: panic must propagate");
         // The pool keeps answering exactly after every unwind.
-        let scan = pool.scan(&input, 0u64, |a, b| a + b);
-        assert_eq!(scan.total, expected_total, "iteration {i}");
+        let total = pool.scan_copy_in(&input, 0u64, |a, b| a + b, &mut Vec::new());
+        assert_eq!(total, expected_total, "iteration {i}");
         assert_eq!(fib(&pool, 8), 21, "iteration {i}");
     }
 }
@@ -341,8 +346,9 @@ fn repeated_trace_windows_do_not_grow_the_arena() {
     let after_build = pool.workspace().stats().grown_bytes;
     assert!(after_build > 0, "trace buffers are arena-accounted");
     let input: Vec<u64> = (0..4096).collect();
+    let mut exclusive = Vec::new();
     for i in 0..repeat(100).div_ceil(2) {
-        pool.scan(&input, 0u64, |a, b| a + b);
+        pool.scan_copy_in(&input, 0u64, |a, b| a + b, &mut exclusive);
         fib(&pool, 10);
         let trace = pool.take_trace().expect("tracing was on");
         assert!(trace.summary().forks > 0, "iteration {i}");
@@ -350,7 +356,7 @@ fn repeated_trace_windows_do_not_grow_the_arena() {
     // Warm up once for the scan's own workspace buffers, then the steady
     // state is allocation-free *including* the tracer.
     let steady = pool.workspace().stats().grown_bytes;
-    pool.scan(&input, 0u64, |a, b| a + b);
+    pool.scan_copy_in(&input, 0u64, |a, b| a + b, &mut exclusive);
     let _ = pool.take_trace();
     assert_eq!(
         pool.workspace().stats().grown_bytes,
@@ -472,9 +478,10 @@ fn cancelled_job_does_not_perturb_a_concurrent_job() {
         let input = &input;
         // Victim thread: plain, un-cancellable scans — every one exact.
         s.spawn(move || {
+            let mut exclusive = Vec::new();
             for i in 0..repeat(100).div_ceil(2) {
-                let scan = pool.scan_copy(input, 0u64, |a, b| a + b);
-                assert_eq!(scan.total, expected_total, "victim iteration {i}");
+                let total = pool.scan_copy_in(input, 0u64, |a, b| a + b, &mut exclusive);
+                assert_eq!(total, expected_total, "victim iteration {i}");
             }
         });
         // Hostile thread: cancellable scans whose token fires mid-pass.
@@ -482,13 +489,14 @@ fn cancelled_job_does_not_perturb_a_concurrent_job() {
             let token = CancelToken::new();
             let inner = token.clone();
             let fire_at = (i * 197) % 2048;
+            let op = |a: u64, b: u64| {
+                if b == fire_at as u64 {
+                    inner.cancel();
+                }
+                a + b
+            };
             let result = run_cancellable(&token, || {
-                pool.scan_copy(input, 0u64, |a, b| {
-                    if b == fire_at as u64 {
-                        inner.cancel();
-                    }
-                    a + b
-                })
+                pool.scan_copy_in(input, 0u64, op, &mut Vec::new())
             });
             assert_eq!(
                 result,
@@ -513,13 +521,14 @@ fn deadline_blown_job_stops_and_generous_deadline_completes() {
     for i in 0..repeat(100).div_ceil(4) {
         // Already-expired deadline: the entry poll alone must stop it.
         let expired = CancelToken::with_deadline(Duration::ZERO);
-        let result = run_cancellable(&expired, || pool.scan_copy(&input, 0u64, |a, b| a + b));
+        let scan = || pool.scan_copy_in(&input, 0u64, |a, b| a + b, &mut Vec::new());
+        let result = run_cancellable(&expired, scan);
         assert_eq!(result, Err(CancelReason::DeadlineExceeded), "iteration {i}");
 
         // A deadline the job cannot plausibly blow: completes exactly.
         let generous = CancelToken::with_deadline(Duration::from_secs(3600));
-        let result = run_cancellable(&generous, || pool.scan_copy(&input, 0u64, |a, b| a + b));
-        assert_eq!(result.map(|s| s.total), Ok(expected_total), "iteration {i}");
+        let result = run_cancellable(&generous, scan);
+        assert_eq!(result, Ok(expected_total), "iteration {i}");
     }
 }
 

@@ -13,9 +13,6 @@
 //! | [`mergesort`] | `2T(n/2)+n` | 2 | `O(T/p)` |
 //! | [`case3`] | `2T(n/2)+n²` | 3 | none (sequential merge), `Θ(f/p)` (parallel merge) |
 //!
-//! [`max_subarray`] (a second case-2 kernel) and the [`matrix`] type are not
-//! on any measured path; they are next in line for deletion.
-//!
 //! All parallel entry points are generic over
 //! [`Executor`](lopram_core::Executor), so the same code runs sequentially
 //! (`SeqExecutor`) or on the pal-thread pool (`PalPool`).
@@ -25,8 +22,6 @@
 
 pub mod case3;
 pub mod karatsuba;
-pub mod matrix;
-pub mod max_subarray;
 pub mod mergesort;
 
 /// Convenience prelude for the divide-and-conquer crate.

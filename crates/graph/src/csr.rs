@@ -3,7 +3,7 @@
 //! All kernels in this crate operate on an undirected [`CsrGraph`]: an
 //! offsets array and a flat, per-vertex-sorted target array — the layout
 //! GBBS-style frameworks use so that "the neighbours of `v`" is a slice and
-//! frontier expansion is a [`scan`](lopram_core::PalPool::scan) over
+//! frontier expansion is a [`scan`](lopram_core::PalPool::scan_copy_in) over
 //! degrees.
 
 /// An undirected graph in compressed-sparse-row form.

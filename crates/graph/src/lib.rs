@@ -9,8 +9,8 @@
 //! GBBS and Tithi et al.'s level-synchronous BFS demonstrate — reduce to
 //! exactly two data-parallel primitives, **scan** (prefix sum) and
 //! **pack** (filter/compaction).  Those primitives live in `lopram-core`
-//! ([`PalPool::scan`](lopram_core::PalPool::scan),
-//! [`PalPool::pack`](lopram_core::PalPool::pack)) and are built on
+//! ([`PalPool::scan_copy_in`](lopram_core::PalPool::scan_copy_in),
+//! [`PalPool::pack_in`](lopram_core::PalPool::pack_in)) and are built on
 //! `PalPool::join`, so every kernel here inherits the `⌈α·log₂ p⌉`
 //! sequential cutoff of §3.1/Figure 2 and full `RunMetrics` fork
 //! accounting.

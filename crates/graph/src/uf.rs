@@ -21,7 +21,7 @@
 //!    component's), costing zero forks.
 //! 3. **Finish** — one blocked pass links *all* edges of every vertex
 //!    whose root differs from the giant root, then one blocked
-//!    [`map_collect`](PalPool::map_collect) flattens each vertex to its
+//!    [`map_collect_in`](PalPool::map_collect_in) flattens each vertex to its
 //!    component minimum.  Skipping giant-rooted vertices is safe under
 //!    any interleaving: an edge `(v, u)` is only skipped from `v`'s side
 //!    when `v` is already in the giant component, so either `u` links it
@@ -212,7 +212,9 @@ fn finish_phase(
             link(parent, v, u);
         }
     });
-    pool.map_collect(0..n, |v| chase(parent, v))
+    let mut labels = Vec::new();
+    pool.map_collect_in(0..n, |v| chase(parent, v), &mut labels);
+    labels
 }
 
 /// Connected components by sampled concurrent union-find with the

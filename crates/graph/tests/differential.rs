@@ -198,9 +198,10 @@ proptest! {
             .collect();
         for p in P_SWEEP {
             let pool = PalPool::new(p).unwrap();
-            let scan = pool.scan(&input, 0i64, |a, b| a + b);
-            prop_assert_eq!(&scan.exclusive, &expected, "p = {}", p);
-            prop_assert_eq!(scan.total, acc, "p = {}", p);
+            let mut exclusive = Vec::new();
+            let total = pool.scan_copy_in(&input, 0i64, |a, b| a + b, &mut exclusive);
+            prop_assert_eq!(&exclusive, &expected, "p = {}", p);
+            prop_assert_eq!(total, acc, "p = {}", p);
             // Fork accounting is schedule-independent: two parallel
             // passes over chunk_count blocks.
             let forks = if input.is_empty() {
@@ -226,7 +227,8 @@ proptest! {
             .collect();
         for p in P_SWEEP {
             let pool = PalPool::new(p).unwrap();
-            let packed = pool.pack(&input, |_, x| x % modulus == residue);
+            let mut packed = Vec::new();
+            pool.pack_in(&input, |_, x| x % modulus == residue, &mut packed);
             prop_assert_eq!(&packed, &expected, "p = {}", p);
             // One counting pass always; the write pass only when
             // something survived.

@@ -104,11 +104,9 @@ proptest! {
         let twin: Vec<u64> = input.iter().copied().filter(|x| x % modulus == 0).collect();
         for (_, pool) in [1usize, 2, 4].into_iter().flat_map(pools) {
             let p = pool.processors();
-            prop_assert_eq!(
-                &pool.pack(&input, |_, x| x % modulus == 0),
-                &twin,
-                "pack, p = {}", p
-            );
+            let mut fresh = Vec::new();
+            pool.pack_in(&input, |_, x| x % modulus == 0, &mut fresh);
+            prop_assert_eq!(&fresh, &twin, "pack_in fresh, p = {}", p);
             let mut buf = vec![u64::MAX; 7]; // stale contents must not leak
             pool.pack_in(&input, |_, x| x % modulus == 0, &mut buf);
             prop_assert_eq!(&buf, &twin, "pack_in, p = {}", p);
@@ -120,8 +118,8 @@ proptest! {
         }
     }
 
-    // scan_in / scan_copy_in must agree with each other and with the
-    // sequential running sum.
+    // scan_copy_in must agree with the sequential running sum, into a
+    // fresh buffer and into one holding stale values.
     #[test]
     fn scan_variants_match_sequential_twin(
         input in proptest::collection::vec(0u64..10_000, 0..600),
@@ -137,14 +135,14 @@ proptest! {
             .collect();
         for (_, pool) in [1usize, 2, 4].into_iter().flat_map(pools) {
             let p = pool.processors();
-            let mut general = Vec::new();
-            let total = pool.scan_in(&input, 0u64, |a, b| a + b, &mut general);
-            prop_assert_eq!(&general, &twin, "scan_in, p = {}", p);
-            prop_assert_eq!(total, acc, "scan_in total, p = {}", p);
-            let mut copy = Vec::new();
-            let total = pool.scan_copy_in(&input, 0u64, |a, b| a + b, &mut copy);
-            prop_assert_eq!(&copy, &twin, "scan_copy_in, p = {}", p);
-            prop_assert_eq!(total, acc, "scan_copy_in total, p = {}", p);
+            let mut fresh = Vec::new();
+            let total = pool.scan_copy_in(&input, 0u64, |a, b| a + b, &mut fresh);
+            prop_assert_eq!(&fresh, &twin, "scan_copy_in fresh, p = {}", p);
+            prop_assert_eq!(total, acc, "scan_copy_in fresh total, p = {}", p);
+            let mut stale = vec![u64::MAX; 7];
+            let total = pool.scan_copy_in(&input, 0u64, |a, b| a + b, &mut stale);
+            prop_assert_eq!(&stale, &twin, "scan_copy_in stale, p = {}", p);
+            prop_assert_eq!(total, acc, "scan_copy_in stale total, p = {}", p);
         }
     }
 }

@@ -44,7 +44,7 @@
 //! let ticket = service
 //!     .submit(JobSpec::new(0, |cx| {
 //!         let data: Vec<u64> = (0..100_000).collect();
-//!         cx.pool().scan(&data, 0, |a, b| a + b).total
+//!         cx.pool().scan_copy_in(&data, 0, |a, b| a + b, &mut Vec::new())
 //!     }))
 //!     .expect("queue has room");
 //! let report = ticket.wait();

@@ -49,7 +49,9 @@ fn job_body(i: u64) -> impl FnMut(&JobContext<'_>) -> u64 + Send + 'static {
             acc = acc.rotate_left(7) ^ s;
         }
         let data: Vec<u64> = (0..scan_len(i)).map(|j| j.wrapping_add(i)).collect();
-        acc ^ cx.pool().scan(&data, 0u64, |a, b| a.wrapping_add(*b)).total
+        acc ^ cx
+            .pool()
+            .scan_copy_in(&data, 0u64, u64::wrapping_add, &mut Vec::new())
     }
 }
 
@@ -161,16 +163,16 @@ fn panic_inside_a_pool_operator_is_isolated_and_leaves_the_arena_warm() {
         let hostile = service
             .submit(JobSpec::new(0, move |cx| {
                 let data: Vec<u64> = (0..n).collect();
+                let poisoned = move |a: u64, b: u64| {
+                    // `b` walks every element during the fold, so a
+                    // poison < n is guaranteed to be hit.
+                    if b == poison && poison > 0 {
+                        panic!("poisoned operator at {poison}");
+                    }
+                    a + b
+                };
                 cx.pool()
-                    .scan(&data, 0u64, move |a, b| {
-                        // `b` walks every element during the fold, so a
-                        // poison < n is guaranteed to be hit.
-                        if *b == poison && poison > 0 {
-                            panic!("poisoned operator at {poison}");
-                        }
-                        a + b
-                    })
-                    .total
+                    .scan_copy_in(&data, 0u64, poisoned, &mut Vec::new())
             }))
             .unwrap();
         let report = hostile.wait();
@@ -205,7 +207,8 @@ fn panic_inside_a_pool_operator_is_isolated_and_leaves_the_arena_warm() {
 fn job_scan(n: u64) -> impl FnMut(&JobContext<'_>) -> u64 + Send + 'static {
     move |cx| {
         let data: Vec<u64> = (0..n).collect();
-        cx.pool().scan(&data, 0u64, |a, b| a + b).total
+        cx.pool()
+            .scan_copy_in(&data, 0u64, |a, b| a + b, &mut Vec::new())
     }
 }
 

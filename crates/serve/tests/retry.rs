@@ -46,7 +46,9 @@ fn job_body(i: u64) -> impl FnMut(&JobContext<'_>) -> u64 + Send + 'static {
         }
         let len = WAKE_GRAIN as u64 - 512 + (i % 5) * 256;
         let data: Vec<u64> = (0..len).map(|j| j.wrapping_add(i)).collect();
-        acc ^ cx.pool().scan(&data, 0u64, |a, b| a.wrapping_add(*b)).total
+        acc ^ cx
+            .pool()
+            .scan_copy_in(&data, 0u64, u64::wrapping_add, &mut Vec::new())
     }
 }
 

@@ -18,7 +18,8 @@ fn scan_digest(n: u64) -> u64 {
 fn scan_job(n: u64) -> impl FnMut(&lopram_serve::JobContext<'_>) -> u64 + Send + 'static {
     move |cx| {
         let data: Vec<u64> = (0..n).collect();
-        cx.pool().scan(&data, 0u64, |a, b| a + b).total
+        cx.pool()
+            .scan_copy_in(&data, 0u64, |a, b| a + b, &mut Vec::new())
     }
 }
 

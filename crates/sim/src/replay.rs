@@ -366,14 +366,13 @@ fn materialize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lopram_core::runtime::trace::{EXTERNAL_WORKER, TRACE_FORMAT_VERSION};
+    use lopram_core::runtime::trace::EXTERNAL_WORKER;
 
     /// A hand-written capture: one top-level fork (depth 0, scheduled) whose
     /// right child was stolen, with one elided fork (depth 2) under the left
     /// child, captured at p = 2 (cutoff 2).
     fn sample_trace() -> DagTrace {
         DagTrace {
-            version: TRACE_FORMAT_VERSION,
             processors: 2,
             cutoff: Some(2),
             capacity_per_worker: 1 << 16,
@@ -461,7 +460,6 @@ mod tests {
         // really forks and a coarser grain is a different configuration.
         const LEN: usize = 1 << 16;
         let trace = DagTrace {
-            version: TRACE_FORMAT_VERSION,
             processors: 2,
             cutoff: Some(2),
             capacity_per_worker: 1 << 16,
@@ -516,7 +514,6 @@ mod tests {
             frontier = new_frontier;
         }
         let trace = DagTrace {
-            version: TRACE_FORMAT_VERSION,
             processors: 4,
             cutoff: None,
             capacity_per_worker: 1 << 16,

@@ -50,7 +50,7 @@ fn both_runtimes_compute_identical_results() {
 #[test]
 fn pool_sized_by_policy_runs_divide_and_conquer_correctly() {
     let n = 1usize << 15;
-    let pool = PalPool::with_policy(n, ProcessorPolicy::LogN);
+    let pool = PalPool::new(processors_for(n, ProcessorPolicy::LogN)).unwrap();
     assert!(pool.processors() >= 1);
     let mut v: Vec<i64> = (0..n as i64).rev().collect();
     lopram::dnc::mergesort::merge_sort(&pool, &mut v);
