@@ -2,9 +2,8 @@
 //!
 //! The divide-and-conquer and dynamic-programming crates are written against
 //! the [`Executor`] trait so that the same algorithm text can run
-//! sequentially (the paper's `T(n) = T_1(n)` baseline), on a [`PalPool`]
-//! (real pal-threads on a bounded work-stealing pool, §3.1), or — through
-//! the `lopram-sim` crate — on the deterministic LoPRAM simulator.  This
+//! sequentially (the paper's `T(n) = T_1(n)` baseline) or on a [`PalPool`]
+//! (real pal-threads on a bounded work-stealing pool, §3.1).  This
 //! mirrors the paper's claim that work-optimal parallel algorithms are
 //! obtained from "simple modifications of sequential algorithms": the
 //! modification is just the choice of executor, so a test can run one

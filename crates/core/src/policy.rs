@@ -65,14 +65,12 @@ pub const WAKE_GRAIN: usize = 1 << 15;
 /// trigger stays on the calling thread — and otherwise
 /// [`grain_size`]`(len, p, `[`DEFAULT_GRAIN`]`, `[`DEFAULT_STEAL_GRAIN`]`)`.
 /// The rule is uniform over every `p` (including 1, where forks are elided
-/// anyway) and over every pass primitive, because a recorded
-/// `Pass {len, chunks}` trace event does not say which primitive made it.
+/// anyway) and over every pass primitive.
 ///
 /// Default [`PalPool`](crate::PalPool)s ([`PalPool::chunk_count`](crate::PalPool::chunk_count))
-/// and the `lopram-sim` replayer's adaptive grain both call this one
-/// function, so changing the floor is a one-line edit here.  A pure
-/// function of `(len, p)` — never of a clock, a counter or the schedule —
-/// so every fork closed form built on it stays exact.
+/// call this one function, so changing the floor is a one-line edit here.
+/// A pure function of `(len, p)` — never of a clock, a counter or the
+/// schedule — so every fork closed form built on it stays exact.
 pub fn pass_chunks(len: usize, p: usize) -> usize {
     if len < WAKE_GRAIN {
         1

@@ -662,13 +662,6 @@ impl PalPool {
         (ra, rb)
     }
 
-    /// `true` when this pool was built with
-    /// [`PalPoolBuilder::trace`] — every join and blocked pass is being
-    /// recorded.
-    pub fn is_tracing(&self) -> bool {
-        self.trace.is_some()
-    }
-
     /// Drain the tracer's event buffers into a [`DagTrace`] and reset
     /// them for the next capture window; `None` when the pool was built
     /// without [`PalPoolBuilder::trace`].
@@ -679,7 +672,7 @@ impl PalPool {
     /// guarantees of [`DagTrace::summary`].
     pub fn take_trace(&self) -> Option<DagTrace> {
         let trace = self.trace.as_ref()?;
-        Some(trace.drain(self.processors, self.cutoff_depth()))
+        Some(trace.drain())
     }
 
     /// This thread's per-worker trace-log slot (`None`: not a worker of
@@ -1105,7 +1098,6 @@ mod tests {
     #[test]
     fn untraced_pool_has_no_trace() {
         let pool = PalPool::new(2).unwrap();
-        assert!(!pool.is_tracing());
         assert!(pool.take_trace().is_none());
     }
 
@@ -1122,7 +1114,6 @@ mod tests {
             .trace(TraceConfig::default())
             .build()
             .unwrap();
-        assert!(pool.is_tracing());
         tree(&pool, 5);
         let m = pool.metrics().snapshot();
         let trace = pool.take_trace().unwrap();

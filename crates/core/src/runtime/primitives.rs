@@ -91,11 +91,10 @@
 //! ([`PalPoolBuilder::trace`](super::PalPoolBuilder::trace)), every
 //! parallel pass of the table above except `for_each_index` additionally
 //! records one [`Pass`](super::TraceEvent::Pass)
-//! event carrying its `(len, chunks)` — that is what lets the `lopram-sim`
-//! replayer recount a pass's `C − 1` forks under a different `(p, grain)`
-//! without re-running the workload.  (`for_each_index` is not
-//! pass-recorded: its chunking is cost-opaque, so the replayer treats its
-//! forks as-recorded.)
+//! event carrying its `(len, chunks)`, so a capture attributes each pass's
+//! `C − 1` forks to the pass that made them.  (`for_each_index` records no
+//! `Pass`: its blocks are indices, not elements, and its forks show up as
+//! plain `Fork` events.)
 
 use std::ops::Range;
 
@@ -253,7 +252,7 @@ impl PalPool {
             // One block has no boundaries to agree on: compact straight
             // into `out` in one sweep.  Same output and the same `Pass`
             // events as the count+scatter pipeline below (two, or one when
-            // nothing survives), so a replay recounts it alike.
+            // nothing survives), so a capture reads alike either way.
             self.trace_pass(n, 1);
             super::cancel::checkpoint();
             prepare_slots(out, n, || input[0]);
@@ -976,7 +975,7 @@ mod tests {
                 assert!(out.is_empty());
             }
         }
-        // One `Pass` event, so a replay can recount it under another grain.
+        // One `Pass` event carrying the pass's length and block count.
         let traced = PalPool::builder()
             .processors(2)
             .trace(crate::TraceConfig::default())

@@ -8,10 +8,14 @@
 //! a scheduled pal-thread on a concrete worker, and every blocked
 //! data-parallel pass, stamped with logical Lamport-style timestamps so
 //! the happens-before structure survives without a single `Instant` read
-//! on the hot path.  A drained [`DagTrace`] is the input to the
-//! deterministic replayer in `crates/sim`, which re-schedules the
-//! recorded DAG under arbitrary `(p, α, grain)` — a what-if scheduler lab
-//! that works even on a one-CPU host.
+//! on the hot path.  A drained [`DagTrace`] says where each fork, steal
+//! and pass happened; [`DagTrace::summary`] folds it back into the pool's
+//! totals.
+//!
+//! Tracing is an observer: a traced pool makes every scheduling and
+//! blocking decision exactly as an untraced one does (no decision reads
+//! whether the pool is traced), so outputs and fork counts agree between
+//! the two.
 //!
 //! # Recording model
 //!
@@ -136,9 +140,8 @@ pub enum TraceEvent {
         node: u32,
     },
     /// One blocked data-parallel pass (scan/pack/expand/map_collect/
-    /// map_blocks_in) over `len` elements in `chunks` blocks — the
-    /// replayer uses these to recount the pass's `chunks − 1` forks under
-    /// a different `(p, grain)`.
+    /// map_blocks_in) over `len` elements in `chunks` blocks — `chunks − 1`
+    /// of the window's forks belong to it.
     Pass {
         /// Logical timestamp at the pass entry.
         ts: u64,
@@ -341,7 +344,7 @@ impl EventLog {
 }
 
 /// Per-pool tracer state: one [`EventLog`] per worker plus an external
-/// slot, the node-id allocator, and the capture configuration.
+/// slot, and the node-id allocator.
 #[derive(Debug)]
 pub(super) struct TraceState {
     /// `processors + 1` logs; index `processors` is the shared external
@@ -351,8 +354,6 @@ pub(super) struct TraceState {
     external: Mutex<()>,
     /// Next pal-thread node id; [`ROOT_NODE`] (0) is never handed out.
     next_node: AtomicU32,
-    /// Capture configuration, echoed into drained traces.
-    config: TraceConfig,
 }
 
 impl TraceState {
@@ -364,7 +365,6 @@ impl TraceState {
             logs: logs.into_boxed_slice(),
             external: Mutex::new(()),
             next_node: AtomicU32::new(ROOT_NODE + 1),
-            config,
         }
     }
 
@@ -392,7 +392,7 @@ impl TraceState {
     /// restart at 1).  The pages stay checked out of the arena for the
     /// pool's whole lifetime — their one-time growth is what the
     /// steady-state arena tests see at build time, and nothing after.
-    pub(super) fn drain(&self, processors: usize, cutoff: Option<usize>) -> DagTrace {
+    pub(super) fn drain(&self) -> DagTrace {
         let _serialized = self.external.lock();
         let mut events = Vec::new();
         let mut dropped = 0;
@@ -403,33 +403,21 @@ impl TraceState {
         // Stable sort: causally-ordered events keep their clock order,
         // same-stamp events from one worker keep their log order.
         events.sort_by_key(|ev| ev.ts());
-        DagTrace {
-            processors,
-            cutoff,
-            capacity_per_worker: self.config.capacity_per_worker,
-            events,
-            dropped,
-        }
+        DagTrace { events, dropped }
     }
 }
 
 /// A captured pal-thread execution DAG: the drained, sorted event stream
-/// of one capture window, plus the pool configuration it was captured
-/// under.  Produced by [`PalPool::take_trace`](super::PalPool::take_trace),
-/// consumed in memory by the `lopram-sim` replayer (a trace has no
-/// on-disk format).
+/// of one capture window.  Produced by
+/// [`PalPool::take_trace`](super::PalPool::take_trace) and read in memory
+/// (a trace has no on-disk format); [`summary`](DagTrace::summary) turns
+/// it back into the pool's fork accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DagTrace {
-    /// Processor count `p` of the capturing pool.
-    pub processors: usize,
-    /// The capturing pool's elision cutoff depth (`None`: throttle off).
-    pub cutoff: Option<usize>,
-    /// Per-worker event-buffer capacity the capture ran with.
-    pub capacity_per_worker: usize,
     /// All recorded events, sorted by logical timestamp (stable).
     pub events: Vec<TraceEvent>,
     /// Events discarded because a per-worker buffer filled up.  A trace
-    /// with `dropped > 0` is still replayable but its totals undercount.
+    /// with `dropped > 0` still decodes, but its totals undercount.
     pub dropped: u64,
 }
 
@@ -446,7 +434,7 @@ impl DagTrace {
     /// On a complete trace of a quiesced pool this reproduces the
     /// [`RunMetrics`](crate::RunMetrics) deltas of the capture window
     /// *exactly* — same `forks`, `elided`, `spawned`, `inlined` and
-    /// `steals` — which is what the replay property suites assert.  On an
+    /// `steals` — which is what the capture property suites assert.  On an
     /// incomplete trace (or one with in-flight work) creation points
     /// whose `Enter` events are missing are tallied as
     /// [`unclassified`](TraceSummary::unclassified) instead of guessed.
@@ -542,9 +530,9 @@ pub struct TraceSummary {
     pub unclassified: u64,
     /// Number of blocked data-parallel passes recorded.
     pub passes: u64,
-    /// Sum over passes of `chunks − 1` — the forks attributable to
-    /// blocked-primitive blocking, the part of `forks` that the replayer
-    /// recounts under a different `(p, grain)`.
+    /// Sum over passes of `chunks − 1` — the part of `forks` attributable
+    /// to blocked-primitive blocking (all of it for a kernel, like BFS,
+    /// whose only parallelism is blocked passes).
     pub pass_forks: u64,
 }
 
@@ -554,9 +542,6 @@ mod tests {
 
     fn sample_trace() -> DagTrace {
         DagTrace {
-            processors: 2,
-            cutoff: Some(2),
-            capacity_per_worker: 1 << 16,
             events: vec![
                 TraceEvent::Fork {
                     ts: 1,

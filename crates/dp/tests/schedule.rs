@@ -13,7 +13,8 @@
 //!   per block);
 //! * **forks** — none on a default pool for the benchmark's table; on a
 //!   `.grain(64)` pool exactly what `chunk_count` and `index_chunk_count`
-//!   predict from the level sizes;
+//!   predict from the level sizes; on a traced `.grain(1)` pool as many as
+//!   on an untraced one, with a capture that reproduces every counter;
 //! * **hostile specifications** panic with the messages they always had.
 //!
 //! Every problem is also run *scrambled* — its cell ids relabelled by a
@@ -26,7 +27,7 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
-use lopram_core::{Executor, PalPool, SeqExecutor};
+use lopram_core::{Executor, PalPool, SeqExecutor, TraceConfig};
 use lopram_dp::prelude::*;
 use proptest::prelude::*;
 
@@ -506,5 +507,43 @@ proptest! {
         let pool = PalPool::builder().processors(3).grain(1).build().unwrap();
         prop_assert_eq!(&solve_wavefront(&table, &pool).values, &expected);
         prop_assert_eq!(&solve_counter(&table, &pool).values, &expected);
+    }
+
+    // Edit distance on `.grain(1)` pools, where every antidiagonal of two
+    // or more cells forks (a default pool runs levels this light as plain
+    // loops).  Every fork is in a `for_each_index` join tree, so its count
+    // is a pure function of the level widths and p: a traced pool forks
+    // exactly as often as a fresh untraced one, and its capture
+    // reproduces the pool's accounting counter for counter.
+    #[test]
+    fn traced_wavefront_forks_like_an_untraced_pool(
+        len in 2usize..24,
+        seed in 0usize..1000,
+    ) {
+        let text = |salt: usize| -> Vec<u8> {
+            (0..len).map(|i| b"acgt"[(i * salt + seed + i / 3) % 4]).collect()
+        };
+        let problem = EditDistance::new(text(3), text(7));
+        let expected = solve_sequential(&problem).goal;
+        for p in [1, 2, 4] {
+            let pinned = || PalPool::builder().processors(p).grain(1);
+            let traced = pinned().trace(TraceConfig::default()).build().unwrap();
+            prop_assert_eq!(solve_wavefront(&problem, &traced).goal, expected, "p = {}", p);
+            let m = traced.metrics().snapshot();
+            let trace = traced.take_trace().expect("tracing was on");
+            prop_assert!(trace.is_complete(), "p = {}: capture dropped events", p);
+            let s = trace.summary();
+            prop_assert!(s.forks > 0, "nothing forked at p = {}", p);
+            prop_assert_eq!(s.forks, m.forks(), "forks, p = {}", p);
+            prop_assert_eq!(s.elided, m.elided, "elided, p = {}", p);
+            prop_assert_eq!(s.spawned, m.spawned, "spawned, p = {}", p);
+            prop_assert_eq!(s.inlined, m.inlined, "inlined, p = {}", p);
+            prop_assert_eq!(s.steals, m.steals, "steals, p = {}", p);
+            prop_assert_eq!(s.unclassified, 0u64, "quiesced capture, p = {}", p);
+
+            let fresh = pinned().build().unwrap();
+            prop_assert_eq!(solve_wavefront(&problem, &fresh).goal, expected);
+            prop_assert_eq!(m.forks(), fresh.metrics().forks(), "fresh pool, p = {}", p);
+        }
     }
 }

@@ -177,9 +177,8 @@ pub fn bfs_seq(graph: &CsrGraph, src: usize) -> Vec<usize> {
 ///   level runs as [`bfs_seq`]'s sparse loop, with no degree buffer, no
 ///   candidate buffer, no compare-and-swap and no pack.  The level sits
 ///   between two barriers on one thread, so relaxed loads and stores are
-///   sound.  A *traced* pool ([`PalPool::is_tracing`]) never takes the
-///   loop: its levels keep recording the `Pass` events the replayer
-///   recounts under other grains.
+///   sound.  A traced pool takes the loop too: a thin level records no
+///   `Pass` event, as it forks nothing.
 ///
 /// A sparse level after a dense one first rebuilds its frontier list with
 /// one sequential O(n) filter.  The fork count is therefore the closed
@@ -317,8 +316,7 @@ fn arcs_of(graph: &CsrGraph, frontier: &[usize]) -> usize {
 /// the level's sizes and the pool's configuration.
 fn is_thin_level(pool: &PalPool, frontier_len: usize, frontier_arcs: usize) -> bool {
     // `chunk_count` wants a non-empty pass; a level without arcs is thin.
-    !pool.is_tracing()
-        && pool.chunk_count(frontier_len) == 1
+    pool.chunk_count(frontier_len) == 1
         && (frontier_arcs == 0 || pool.chunk_count(frontier_arcs) == 1)
 }
 

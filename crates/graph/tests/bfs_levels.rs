@@ -13,8 +13,9 @@
 //! * the fork count is the closed form — `C_n − 1` for a dense level, zero
 //!   for a thin one, `3·(C_f − 1) + (1 or 2)·(C_a − 1)` for a fat one —
 //!   exactly;
-//! * a traced pool (which never takes the loop, so its `Pass` events stay
-//!   replayable) produces the same output and the same fork count.
+//! * a traced pool runs the same code — thin levels included — so it
+//!   produces the same output and the same fork count, and its capture
+//!   reproduces the pool's accounting counter for counter.
 
 use lopram_core::policy::WAKE_GRAIN;
 use lopram_core::{PalPool, PalPoolBuilder, TraceConfig};
@@ -164,7 +165,17 @@ fn bfs_is_exact_across_thin_and_fat_levels() {
                     assert_eq!(bfs_par(g, &traced, src), expected, "{label}, traced");
                     let forks = expected_forks(g, &plain, &profile);
                     assert_eq!(plain.metrics().forks(), forks, "{label}: forks");
-                    assert_eq!(traced.metrics().forks(), forks, "{label}: traced forks");
+                    let m = traced.metrics().snapshot();
+                    assert_eq!(m.forks(), forks, "{label}: traced forks");
+                    let trace = traced.take_trace().expect("tracing was on");
+                    assert!(trace.is_complete(), "{label}: dropped events");
+                    let s = trace.summary();
+                    assert_eq!(s.forks, m.forks(), "{label}: summary forks");
+                    assert_eq!(s.elided, m.elided, "{label}: summary elided");
+                    assert_eq!(s.spawned, m.spawned, "{label}: summary spawned");
+                    assert_eq!(s.inlined, m.inlined, "{label}: summary inlined");
+                    assert_eq!(s.steals, m.steals, "{label}: summary steals");
+                    assert_eq!(s.unclassified, 0, "{label}: quiesced capture");
                     let crossed = if grain == "default" {
                         &mut crossed_default
                     } else {

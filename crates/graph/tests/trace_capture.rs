@@ -45,8 +45,8 @@ fn traced_bfs_reproduces_metrics_on_every_shape() {
             assert_eq!(s.steals, m.steals, "{name}, p = {p}: steals");
             assert_eq!(s.unclassified, 0, "{name}, p = {p}: quiesced capture");
             // BFS obtains all parallelism from blocked primitives, so its
-            // fork count is exactly the pass-fork count — the property
-            // that makes its replay predictions exact at any (p, grain).
+            // fork count is exactly the pass-fork count: the capture names
+            // the pass behind every fork.
             assert_eq!(s.forks, s.pass_forks, "{name}, p = {p}: all pass forks");
             assert!(s.passes > 0, "{name}, p = {p}: levels record passes");
             assert!(s.pass_forks > 0, "{name}, p = {p}: some level is fat");

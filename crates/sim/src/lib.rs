@@ -16,22 +16,17 @@
 //! * [`dagsim`] — a greedy `p`-processor schedule of a dependency DAG, the
 //!   machine model behind Algorithm 1 (§4.4);
 //! * [`trace`] — execution-trace records and the ASCII rendering used to
-//!   regenerate Figure 1;
-//! * [`replay`] — deterministic replay of [`DagTrace`](lopram_core::DagTrace)
-//!   captures recorded by the real `PalPool` tracer, predicting fork, steal
-//!   and makespan numbers under arbitrary `(p, α, grain)`.
+//!   regenerate Figure 1.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod dagsim;
-pub mod replay;
 pub mod schedule;
 pub mod trace;
 pub mod tree;
 
 pub use dagsim::{simulate_dag_schedule, DagSimResult};
-pub use replay::{ReplayGrain, ReplayPrediction, TraceReplay};
 pub use schedule::{NodeRecord, SimResult, TreeSimulator};
 pub use trace::{render_activation_tree, render_figure1_snapshot, NodeSnapshotState};
 pub use tree::{CostSpec, TaskTree, TreeNode};
@@ -39,7 +34,6 @@ pub use tree::{CostSpec, TaskTree, TreeNode};
 /// Convenience prelude for the simulator crate.
 pub mod prelude {
     pub use crate::dagsim::{simulate_dag_schedule, DagSimResult};
-    pub use crate::replay::{ReplayGrain, TraceReplay};
     pub use crate::schedule::{SimResult, TreeSimulator};
     pub use crate::trace::{render_activation_tree, render_figure1_snapshot};
     pub use crate::tree::{CostSpec, TaskTree};

@@ -170,49 +170,6 @@ impl TaskTree {
         id
     }
 
-    /// Build a tree from an explicit node list (ids are indices into
-    /// `nodes`) with `root` as the root id.  This is how the trace replayer
-    /// materialises a [`DagTrace`](lopram_core::DagTrace) capture as a
-    /// simulatable tree.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the node list is not a single well-formed tree: `root`
-    /// out of bounds or with a parent, a non-root node without a parent, a
-    /// child id out of bounds, a parent/child link recorded on one side
-    /// only, or a child whose depth is not its parent's plus one.
-    pub fn from_nodes(nodes: Vec<TreeNode>, root: usize) -> Self {
-        assert!(root < nodes.len(), "root id {root} out of bounds");
-        assert!(nodes[root].parent.is_none(), "root must have no parent");
-        for (id, node) in nodes.iter().enumerate() {
-            assert!(
-                id == root || node.parent.is_some(),
-                "non-root node {id} has no parent"
-            );
-            if let Some(p) = node.parent {
-                assert!(p < nodes.len(), "parent id {p} of node {id} out of bounds");
-                assert!(
-                    nodes[p].children.contains(&id),
-                    "parent {p} does not list {id} as a child"
-                );
-            }
-            for &c in &node.children {
-                assert!(c < nodes.len(), "child id {c} of node {id} out of bounds");
-                assert_eq!(
-                    nodes[c].parent,
-                    Some(id),
-                    "child {c} does not name {id} as its parent"
-                );
-                assert_eq!(
-                    nodes[c].depth,
-                    node.depth + 1,
-                    "child {c} depth must be parent {id} depth + 1"
-                );
-            }
-        }
-        TaskTree { nodes, root }
-    }
-
     /// The mergesort execution tree of Figure 1: `n` keys, binary splits,
     /// unit divide and base costs, free merges.
     pub fn mergesort_figure1(n: usize) -> Self {

@@ -10,7 +10,7 @@
 //! * [`core`] — the LoPRAM model, `p = O(log n)` processor
 //!   policy and the pal-thread runtime;
 //! * [`sim`] — a deterministic LoPRAM machine simulator
-//!   (pal-thread scheduler, execution-tree traces, trace replay);
+//!   (pal-thread scheduler, execution-tree traces);
 //! * [`analysis`] — the sequential and parallel Master
 //!   theorems, recurrence evaluators and DAG/antichain toolkit;
 //! * [`dnc`] — one divide-and-conquer kernel per Master-theorem case
