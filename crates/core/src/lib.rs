@@ -29,7 +29,7 @@
 //!   allocation-free;
 //! * [`Executor`] — an abstraction over sequential and pal-thread execution
 //!   used by the divide-and-conquer and dynamic-programming crates;
-//! * [`metrics`] — work / spawn accounting.
+//! * [`metrics`] — fork and arena accounting.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -44,7 +44,7 @@ mod macros;
 
 pub use error::{Error, Result};
 pub use executor::{Executor, SeqExecutor};
-pub use metrics::{assert_metrics_consistent, MetricsSnapshot, RunMetrics, SpeedupReport};
+pub use metrics::{assert_metrics_consistent, MetricsSnapshot, RunMetrics};
 pub use policy::{processors_for, ProcessorPolicy};
 pub use runtime::{
     run_cancellable, CancelReason, CancelToken, ChaosConfig, DagTrace, PalPool, PalPoolBuilder,

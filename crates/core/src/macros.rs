@@ -1,13 +1,13 @@
-//! The [`palthreads!`] and [`pal_join!`] macros.
+//! The [`palthreads!`] macro.
 
 /// Run a block of statements as pal-threads, mirroring the paper's
 /// `palthreads { … }` C extension (§3.1).
 ///
 /// Each block becomes a child pal-thread of the current thread, created in
 /// the order written.  `k` blocks expand to `k − 1` nested
-/// [`Executor::join`] calls — the same expansion as [`pal_join!`], so the
-/// macro works with any executor and inherits the α·log p sequential
-/// cutoff; on a one-processor pool the blocks run in the order written.
+/// [`Executor::join`] calls, so the macro works with any executor and
+/// inherits the α·log p sequential cutoff; on a one-processor pool the
+/// blocks run in the order written.
 /// The macro waits for all children before it returns (the paper's
 /// implicit wait).  There is no `nowait` form: every fork in the runtime
 /// is a `join`.
@@ -29,7 +29,6 @@
 /// ```
 ///
 /// [`Executor::join`]: crate::Executor::join
-/// [`pal_join!`]: crate::pal_join
 #[macro_export]
 macro_rules! palthreads {
     ($exec:expr => $body:block $(,)?) => {{
@@ -43,28 +42,6 @@ macro_rules! palthreads {
             || $first,
             || $crate::palthreads!(__pal_exec => $($rest),+),
         );
-    }};
-}
-
-/// Fork two expressions as pal-threads and return both results — the
-/// two-way special case of [`palthreads!`] that the paper's
-/// divide-and-conquer examples use, routed through [`Executor::join`] so it
-/// works with any executor (and inherits the α·log p sequential cutoff on a
-/// [`PalPool`](crate::PalPool)).
-///
-/// ```
-/// use lopram_core::{pal_join, PalPool};
-///
-/// let pool = PalPool::new(4).unwrap();
-/// let (a, b) = pal_join!(pool => 2 + 2, "hello".len());
-/// assert_eq!((a, b), (4, 5));
-/// ```
-///
-/// [`Executor::join`]: crate::Executor::join
-#[macro_export]
-macro_rules! pal_join {
-    ($exec:expr => $a:expr, $b:expr $(,)?) => {{
-        $crate::Executor::join(&$exec, || $a, || $b)
     }};
 }
 
@@ -115,31 +92,6 @@ mod tests {
         // Three blocks are two nested joins, both elided at cutoff 0.
         assert_eq!(pool.metrics().elided(), 2);
         assert_eq!(pool.metrics().spawned() + pool.metrics().inlined(), 0);
-    }
-
-    #[test]
-    fn pal_join_returns_both_results() {
-        let pool = PalPool::new(2).unwrap();
-        let x = 20;
-        let (a, b) = pal_join!(pool => x + 1, x + 2);
-        assert_eq!((a, b), (21, 22));
-    }
-
-    #[test]
-    fn pal_join_works_with_any_executor() {
-        let (a, b) = pal_join!(crate::SeqExecutor => 1, 2);
-        assert_eq!((a, b), (1, 2));
-    }
-
-    #[test]
-    fn pal_join_is_throttled_below_the_cutoff() {
-        // On a sequential pool (cutoff 0) the macro's fork is elided like a
-        // direct `join` call.
-        let pool = PalPool::sequential();
-        let (a, b) = pal_join!(pool => 1, 2);
-        assert_eq!((a, b), (1, 2));
-        assert_eq!(pool.metrics().elided(), 1);
-        assert_eq!(pool.metrics().spawned(), 0);
     }
 
     #[test]

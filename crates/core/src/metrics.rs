@@ -1,9 +1,9 @@
-//! Work and scheduling metrics.
+//! Scheduling metrics.
 //!
 //! The paper's analysis is in terms of wall-clock parallel time `T_p(n)`
-//! versus sequential time `T(n) = T_1(n)` (§3.2, §4.1).  The experiment
-//! harness measures both and reports speedups; the runtime additionally
-//! counts how many pal-threads were granted their own processor versus how
+//! versus sequential time `T(n) = T_1(n)` (§3.2, §4.1); the benchmark
+//! measures both.  The runtime counts how many pal-threads were granted
+//! their own processor versus how
 //! many were folded into their parent (the paper's "no free cores ⇒ run
 //! sequentially" rule), which makes the cutoff depth of Figure 2 observable.
 //!
@@ -22,7 +22,6 @@
 //! creation point exactly once.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Counters describing one run of a pal-thread computation.
 #[derive(Debug, Default)]
@@ -47,8 +46,6 @@ pub struct RunMetrics {
     /// once a steady-state workload has warmed the arena — the
     /// allocation-free property the reuse tests assert.
     pub arena_bytes: AtomicU64,
-    /// Total abstract work units reported by the algorithm (optional).
-    pub work: AtomicU64,
 }
 
 impl RunMetrics {
@@ -57,31 +54,10 @@ impl RunMetrics {
         Self::default()
     }
 
-    /// Record that a pal-thread was granted its own processor.
-    pub fn record_spawn(&self) {
-        self.spawned.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record that a pal-thread was executed inline by its parent.
-    pub fn record_inline(&self) {
-        self.inlined.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record that a pending pal-thread was stolen by (migrated to) a
-    /// processor other than its creator.
-    pub fn record_steal(&self) {
-        self.steals.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Record that a fork below the sequential cutoff depth was elided
     /// (executed as a plain call, no scheduler job created).
     pub fn record_elided(&self) {
         self.elided.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Add `units` of abstract work.
-    pub fn record_work(&self, units: u64) {
-        self.work.fetch_add(units, Ordering::Relaxed);
     }
 
     /// Number of pal-threads granted a processor so far.
@@ -114,22 +90,6 @@ impl RunMetrics {
         self.arena_bytes.load(Ordering::Relaxed)
     }
 
-    /// Total abstract work recorded so far.
-    pub fn work(&self) -> u64 {
-        self.work.load(Ordering::Relaxed)
-    }
-
-    /// Reset all counters to zero.
-    pub fn reset(&self) {
-        self.spawned.store(0, Ordering::Relaxed);
-        self.inlined.store(0, Ordering::Relaxed);
-        self.steals.store(0, Ordering::Relaxed);
-        self.elided.store(0, Ordering::Relaxed);
-        self.arena_hits.store(0, Ordering::Relaxed);
-        self.arena_bytes.store(0, Ordering::Relaxed);
-        self.work.store(0, Ordering::Relaxed);
-    }
-
     /// Total pal-thread creation points so far: every fork is either
     /// granted a processor (`spawned`), folded into its parent (`inlined`)
     /// or elided by the α·log p cutoff (`elided`) — never lost, never
@@ -147,7 +107,6 @@ impl RunMetrics {
             elided: self.elided(),
             arena_hits: self.arena_hits(),
             arena_bytes: self.arena_bytes(),
-            work: self.work(),
         }
     }
 }
@@ -167,8 +126,6 @@ pub struct MetricsSnapshot {
     pub arena_hits: u64,
     /// Cumulative workspace-arena buffer growth in bytes.
     pub arena_bytes: u64,
-    /// Abstract work units.
-    pub work: u64,
 }
 
 impl MetricsSnapshot {
@@ -195,7 +152,6 @@ impl MetricsSnapshot {
             elided: self.elided - earlier.elided,
             arena_hits: self.arena_hits - earlier.arena_hits,
             arena_bytes: self.arena_bytes.wrapping_sub(earlier.arena_bytes),
-            work: self.work - earlier.work,
         }
     }
 }
@@ -232,41 +188,6 @@ pub fn assert_metrics_consistent(metrics: &RunMetrics, expected_forks: u64) {
     );
 }
 
-/// Measured speedup of a parallel run against its sequential counterpart.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpeedupReport {
-    /// Input size of the run.
-    pub n: usize,
-    /// Number of processors used in the parallel run.
-    pub p: usize,
-    /// Wall-clock time of the sequential run.
-    pub sequential: Duration,
-    /// Wall-clock time of the parallel run.
-    pub parallel: Duration,
-}
-
-impl SpeedupReport {
-    /// Observed speedup `T_1 / T_p`.
-    pub fn speedup(&self) -> f64 {
-        let par = self.parallel.as_secs_f64();
-        if par == 0.0 {
-            return f64::INFINITY;
-        }
-        self.sequential.as_secs_f64() / par
-    }
-
-    /// Parallel efficiency `speedup / p` (1.0 is work-optimal, i.e. linear
-    /// speedup in the sense of Theorem 1 cases 1 and 2).
-    pub fn efficiency(&self) -> f64 {
-        self.speedup() / self.p as f64
-    }
-
-    /// `true` when the run achieved at least `fraction` of linear speedup.
-    pub fn is_work_optimal(&self, fraction: f64) -> bool {
-        self.efficiency() >= fraction
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,23 +195,20 @@ mod tests {
     #[test]
     fn metrics_accumulate() {
         let m = RunMetrics::new();
-        m.record_spawn();
-        m.record_spawn();
-        m.record_inline();
-        m.record_steal();
+        m.spawned.fetch_add(2, Ordering::Relaxed);
+        m.inlined.fetch_add(1, Ordering::Relaxed);
+        m.steals.fetch_add(1, Ordering::Relaxed);
         m.record_elided();
         m.record_elided();
         m.record_elided();
         m.arena_hits.fetch_add(4, Ordering::Relaxed);
         m.arena_bytes.fetch_add(512, Ordering::Relaxed);
-        m.record_work(100);
         assert_eq!(m.spawned(), 2);
         assert_eq!(m.inlined(), 1);
         assert_eq!(m.steals(), 1);
         assert_eq!(m.elided(), 3);
         assert_eq!(m.arena_hits(), 4);
         assert_eq!(m.arena_bytes(), 512);
-        assert_eq!(m.work(), 100);
         let snap = m.snapshot();
         assert_eq!(
             snap,
@@ -301,11 +219,9 @@ mod tests {
                 elided: 3,
                 arena_hits: 4,
                 arena_bytes: 512,
-                work: 100
             }
         );
-        m.reset();
-        assert_eq!(m.snapshot(), MetricsSnapshot::default());
+        assert_eq!(m.forks(), 6);
     }
 
     #[test]
@@ -317,7 +233,6 @@ mod tests {
             elided: 10,
             arena_hits: 3,
             arena_bytes: 1024,
-            work: 7,
         };
         let later = MetricsSnapshot {
             spawned: 4,
@@ -326,7 +241,6 @@ mod tests {
             elided: 30,
             arena_hits: 8,
             arena_bytes: 512, // two's-complement net can go down
-            work: 7,
         };
         let delta = later.delta_since(&earlier);
         assert_eq!(delta.spawned, 2);
@@ -336,45 +250,7 @@ mod tests {
         assert_eq!(delta.forks(), 26);
         assert_eq!(delta.arena_hits, 5);
         assert_eq!(delta.arena_bytes as i64, -512);
-        assert_eq!(delta.work, 0);
         // Identical snapshots delta to zero.
         assert_eq!(later.delta_since(&later), MetricsSnapshot::default());
-    }
-
-    #[test]
-    fn speedup_report_basic() {
-        let r = SpeedupReport {
-            n: 1024,
-            p: 4,
-            sequential: Duration::from_millis(400),
-            parallel: Duration::from_millis(100),
-        };
-        assert!((r.speedup() - 4.0).abs() < 1e-9);
-        assert!((r.efficiency() - 1.0).abs() < 1e-9);
-        assert!(r.is_work_optimal(0.9));
-    }
-
-    #[test]
-    fn speedup_report_sublinear() {
-        let r = SpeedupReport {
-            n: 1024,
-            p: 8,
-            sequential: Duration::from_millis(800),
-            parallel: Duration::from_millis(400),
-        };
-        assert!((r.speedup() - 2.0).abs() < 1e-9);
-        assert!((r.efficiency() - 0.25).abs() < 1e-9);
-        assert!(!r.is_work_optimal(0.5));
-    }
-
-    #[test]
-    fn zero_parallel_time_is_infinite_speedup() {
-        let r = SpeedupReport {
-            n: 1,
-            p: 1,
-            sequential: Duration::from_millis(1),
-            parallel: Duration::ZERO,
-        };
-        assert!(r.speedup().is_infinite());
     }
 }

@@ -131,9 +131,6 @@ pub enum ProcessorPolicy {
     /// capped by the number of cores the host actually exposes.
     #[default]
     LogN,
-    /// `p = max(1, ⌈log₂ n⌉)`, capped by the host core count.  Useful when a
-    /// power-of-two `n` should still use the "next" processor.
-    LogNCeil,
     /// A fixed processor count, still clamped to at least one: sweeps
     /// `p ∈ {1, 2, 4, 8, …}` independently of `n`.
     Fixed(usize),
@@ -152,20 +149,17 @@ impl ProcessorPolicy {
         let host = available_parallelism();
         match *self {
             ProcessorPolicy::LogN => floor_log2(n).max(1).min(host),
-            ProcessorPolicy::LogNCeil => ceil_log2(n).max(1).min(host),
             ProcessorPolicy::Fixed(p) => p.max(1),
             ProcessorPolicy::Available => host,
         }
     }
 
-    /// Evaluate the policy but without clamping to the host's core count.
-    ///
-    /// The simulator uses this variant: it can model a machine with more
-    /// cores than the host running the simulation.
+    /// Evaluate the policy but without clamping the logarithmic policies
+    /// to the host's core count: the `p` the paper's `O(log n)` rule asks
+    /// for, whether or not this machine has that many cores.
     pub fn processors_unclamped(&self, n: usize) -> usize {
         match *self {
             ProcessorPolicy::LogN => floor_log2(n).max(1),
-            ProcessorPolicy::LogNCeil => ceil_log2(n).max(1),
             ProcessorPolicy::Fixed(p) => p.max(1),
             ProcessorPolicy::Available => available_parallelism(),
         }
@@ -214,20 +208,6 @@ pub fn floor_log2(n: usize) -> usize {
     }
 }
 
-/// `⌈log₂ n⌉` with the convention that inputs of size 0 or 1 yield 0.
-pub fn ceil_log2(n: usize) -> usize {
-    if n <= 1 {
-        0
-    } else {
-        let f = floor_log2(n);
-        if n.is_power_of_two() {
-            f
-        } else {
-            f + 1
-        }
-    }
-}
-
 /// `⌊log_base n⌋` for an arbitrary integer base `base ≥ 2` (0 for `n ≤ 1`).
 pub fn floor_log(base: usize, n: usize) -> usize {
     assert!(base >= 2, "logarithm base must be at least 2");
@@ -260,16 +240,6 @@ mod tests {
         assert_eq!(floor_log2(4), 2);
         assert_eq!(floor_log2(1023), 9);
         assert_eq!(floor_log2(1024), 10);
-    }
-
-    #[test]
-    fn ceil_log2_small_values() {
-        assert_eq!(ceil_log2(0), 0);
-        assert_eq!(ceil_log2(1), 0);
-        assert_eq!(ceil_log2(2), 1);
-        assert_eq!(ceil_log2(3), 2);
-        assert_eq!(ceil_log2(4), 2);
-        assert_eq!(ceil_log2(5), 3);
     }
 
     #[test]
@@ -416,22 +386,16 @@ mod tests {
 
     proptest! {
         #[test]
-        fn floor_and_ceil_log2_bracket_n(n in 1usize..1_000_000) {
+        fn floor_log2_brackets_n(n in 1usize..1_000_000) {
             let f = floor_log2(n);
-            let c = ceil_log2(n);
             prop_assert!(1usize << f <= n);
-            prop_assert!(f == c || f + 1 == c);
-            if n > 1 {
-                // 2^c >= n, guarding against overflow for large c.
-                prop_assert!(n <= 1usize.checked_shl(c as u32).unwrap_or(usize::MAX));
-            }
+            prop_assert!(n < 1usize << (f + 1));
         }
 
         #[test]
         fn policy_always_positive(n in 0usize..1_000_000, fixed in 0usize..64) {
             for policy in [
                 ProcessorPolicy::LogN,
-                ProcessorPolicy::LogNCeil,
                 ProcessorPolicy::Fixed(fixed),
                 ProcessorPolicy::Available,
             ] {

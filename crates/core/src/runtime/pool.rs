@@ -101,40 +101,24 @@ impl Grain {
 static POOL_IDS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
 /// Thread-local pal-thread context: which pool's computation this thread
-/// is currently inside, at which recursion depth, and — when that pool is
-/// tracing — the running pal-thread's trace node id and the thread's
-/// logical (Lamport) clock.  On an untraced pool `node` and `clock` stay
-/// zero and only `(pool, depth)` carry meaning, exactly the old
-/// depth-counter behaviour.
+/// is currently inside, and at which recursion depth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PalCtx {
     /// Owning pool's identity (0: no pool).
     pool: u64,
     /// Pal-thread recursion depth.
     depth: usize,
-    /// Trace node id of the running pal-thread ([`trace::ROOT_NODE`]
-    /// outside any traced pal-thread).
-    node: u32,
-    /// Logical clock, ticked once per recorded trace event.
-    clock: u64,
 }
-
-const IDLE_CTX: PalCtx = PalCtx {
-    pool: 0,
-    depth: 0,
-    node: trace::ROOT_NODE,
-    clock: 0,
-};
 
 thread_local! {
     /// Context of the pal-thread computation currently running on this
     /// thread.  Stolen jobs carry their context with them (the closure
-    /// wrapper below restores it on the thief), so depth and node follow
-    /// the recursion *tree*, not the OS thread.  The pool identity keeps
+    /// wrapper below restores it on the thief), so depth follows the
+    /// recursion *tree*, not the OS thread.  The pool identity keeps
     /// different pools from charging their depth against each other's
     /// cutoff: a pool that finds another pool's entry here is at its own
     /// logical root (depth 0).
-    static PAL_CTX: Cell<PalCtx> = const { Cell::new(IDLE_CTX) };
+    static PAL_CTX: Cell<PalCtx> = const { Cell::new(PalCtx { pool: 0, depth: 0 }) };
 }
 
 /// Current pal-thread recursion depth of pool `pool_id` on this thread
@@ -150,66 +134,6 @@ fn current_depth(pool_id: u64) -> usize {
     }
 }
 
-/// Trace node id of the pal-thread of pool `pool_id` running on this
-/// thread ([`trace::ROOT_NODE`] outside one: the external session).
-fn current_node(pool_id: u64) -> u32 {
-    let ctx = PAL_CTX.with(Cell::get);
-    if ctx.pool == pool_id {
-        ctx.node
-    } else {
-        trace::ROOT_NODE
-    }
-}
-
-/// Advance this thread's logical clock for pool `pool_id` past `at_least`
-/// and return the new stamp.
-///
-/// The clock persists in the thread-local slot so consecutive top-level
-/// calls from one external thread stay ordered — but only when writing
-/// cannot clobber another pool's live context (the slot is this pool's or
-/// idle).  Inside a different pool's computation the stamp is still
-/// correct (causality flows through the fork edges), it just restarts.
-fn tick_clock(pool_id: u64, at_least: u64) -> u64 {
-    PAL_CTX.with(|c| {
-        let ctx = c.get();
-        let base = if ctx.pool == pool_id { ctx.clock } else { 0 };
-        let ts = base.max(at_least) + 1;
-        if ctx.pool == pool_id {
-            c.set(PalCtx { clock: ts, ..ctx });
-        } else if ctx.pool == 0 {
-            c.set(PalCtx {
-                pool: pool_id,
-                depth: 0,
-                node: trace::ROOT_NODE,
-                clock: ts,
-            });
-        }
-        ts
-    })
-}
-
-/// Fold a child's final clock back into the forking pal-thread after a
-/// join, so events the parent records next are stamped after everything
-/// its children did (same persistence rule as [`tick_clock`]).
-fn merge_clock(pool_id: u64, at_least: u64) {
-    PAL_CTX.with(|c| {
-        let ctx = c.get();
-        if ctx.pool == pool_id {
-            c.set(PalCtx {
-                clock: ctx.clock.max(at_least),
-                ..ctx
-            });
-        } else if ctx.pool == 0 {
-            c.set(PalCtx {
-                pool: pool_id,
-                depth: 0,
-                node: trace::ROOT_NODE,
-                clock: at_least,
-            });
-        }
-    });
-}
-
 /// RAII restore of the previous thread-local context (also on unwind).
 struct Restore(PalCtx);
 impl Drop for Restore {
@@ -220,49 +144,15 @@ impl Drop for Restore {
 
 /// Run `f` with the thread-local context set to depth `depth` in pool
 /// `pool_id`, restoring the previous entry afterwards (also on unwind).
-/// The untraced fast path: node and clock stay zero.
 fn with_depth<R>(pool_id: u64, depth: usize, f: impl FnOnce() -> R) -> R {
     let prev = PAL_CTX.with(|c| {
         c.replace(PalCtx {
             pool: pool_id,
             depth,
-            node: trace::ROOT_NODE,
-            clock: 0,
         })
     });
     let _restore = Restore(prev);
     f()
-}
-
-/// Run `f` as traced pal-thread `node` of pool `pool_id` at `depth`, with
-/// the thread's clock seeded just after the creation stamp `created_ts`.
-/// Returns `f`'s result and the pal-thread's final clock, which the
-/// forking side folds back with [`merge_clock`] (lost on unwind — a
-/// panicking child leaves no `Exit` stamp either).
-fn with_task<R>(
-    pool_id: u64,
-    depth: usize,
-    node: u32,
-    created_ts: u64,
-    f: impl FnOnce() -> R,
-) -> (R, u64) {
-    let prev = PAL_CTX.with(|c| {
-        c.replace(PalCtx {
-            pool: pool_id,
-            depth,
-            node,
-            clock: created_ts,
-        })
-    });
-    let _restore = Restore(prev);
-    let result = f();
-    let end = PAL_CTX.with(Cell::get).clock;
-    (result, end)
-}
-
-/// Trace worker id for a per-worker log slot (`None` ⇒ external).
-fn worker_id(slot: Option<usize>) -> u16 {
-    slot.map_or(trace::EXTERNAL_WORKER, |i| i as u16)
 }
 
 /// A LoPRAM processor pool with `p` processors.
@@ -507,6 +397,10 @@ impl PalPool {
     /// token, the fork unwinds instead of forking.  Scheduled children
     /// carry the region's token with them, so a stolen subtree keeps
     /// checkpointing against the right computation.
+    ///
+    /// On a traced pool ([`PalPoolBuilder::trace`]) the same code path
+    /// also records a [`Fork`](TraceEvent::Fork) at the call site and an
+    /// [`Enter`](TraceEvent::Enter) as each scheduled child starts.
     pub fn join<RA, RB>(
         &self,
         a: impl FnOnce() -> RA + Send,
@@ -519,9 +413,7 @@ impl PalPool {
         cancel::checkpoint();
         let depth = current_depth(self.id);
         let elide = depth >= self.cutoff;
-        if let Some(trace) = &self.trace {
-            return self.join_traced(trace, a, b, depth, elide);
-        }
+        let (left, right) = self.trace_fork(elide);
         if elide {
             self.metrics.record_elided();
             // Same contract as the scheduled path: b executes even when a
@@ -544,122 +436,59 @@ impl PalPool {
         let token = cancel::ambient();
         let token_b = token.clone();
         self.pool.join(
-            move || cancel::with_ambient(token, || with_depth(id, child, a)),
-            move || cancel::with_ambient(token_b, || with_depth(id, child, b)),
-        )
-    }
-
-    /// The recording twin of [`join`](PalPool::join): identical fork,
-    /// elision and panic semantics, plus one `Fork` event at the call site
-    /// and `Enter`/`Exit` stamps around each scheduled child.  Kept as a
-    /// separate path so untraced joins pay exactly one branch.
-    fn join_traced<RA, RB>(
-        &self,
-        trace: &TraceState,
-        a: impl FnOnce() -> RA + Send,
-        b: impl FnOnce() -> RB + Send,
-        depth: usize,
-        elide: bool,
-    ) -> (RA, RB)
-    where
-        RA: Send,
-        RB: Send,
-    {
-        let id = self.id;
-        let parent = current_node(id);
-        let ts = tick_clock(id, 0);
-        let (left, right) = trace.alloc_pair();
-        let slot = self.worker_slot();
-        trace.record(
-            slot,
-            TraceEvent::Fork {
-                ts,
-                worker: worker_id(slot),
-                parent,
-                left,
-                right,
-                depth: depth as u32,
-                elided: elide,
-            },
-        );
-        let child = depth + 1;
-        if elide {
-            self.metrics.record_elided();
-            // Children run inline but still get their own node context,
-            // so nested traced forks attach to the right parent.  Their
-            // depth is `depth + 1` (≥ cutoff, so elision decisions are
-            // unchanged).
-            let (ra, a_end) = with_task(id, child, left, ts, || {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(a))
-            });
-            let (rb, b_end) = with_task(id, child, right, ts, || {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(b))
-            });
-            merge_clock(id, a_end.max(b_end));
-            return match (ra, rb) {
-                (Ok(ra), Ok(rb)) => (ra, rb),
-                (Err(payload), _) => std::panic::resume_unwind(payload),
-                (_, Err(payload)) => std::panic::resume_unwind(payload),
-            };
-        }
-        let token = cancel::ambient();
-        let token_b = token.clone();
-        let ((ra, a_end), (rb, b_end)) = self.pool.join(
             move || {
                 cancel::with_ambient(token, || {
-                    with_task(id, child, left, ts, || {
-                        let slot = self.worker_slot();
-                        let w = worker_id(slot);
-                        trace.record(
-                            slot,
-                            TraceEvent::Enter {
-                                ts: tick_clock(id, 0),
-                                worker: w,
-                                node: left,
-                            },
-                        );
-                        let r = a();
-                        trace.record(
-                            slot,
-                            TraceEvent::Exit {
-                                ts: tick_clock(id, 0),
-                                worker: w,
-                                node: left,
-                            },
-                        );
-                        r
+                    with_depth(id, child, || {
+                        self.trace_enter(left);
+                        a()
                     })
                 })
             },
             move || {
                 cancel::with_ambient(token_b, || {
-                    with_task(id, child, right, ts, || {
-                        let slot = self.worker_slot();
-                        let w = worker_id(slot);
-                        trace.record(
-                            slot,
-                            TraceEvent::Enter {
-                                ts: tick_clock(id, 0),
-                                worker: w,
-                                node: right,
-                            },
-                        );
-                        let r = b();
-                        trace.record(
-                            slot,
-                            TraceEvent::Exit {
-                                ts: tick_clock(id, 0),
-                                worker: w,
-                                node: right,
-                            },
-                        );
-                        r
+                    with_depth(id, child, || {
+                        self.trace_enter(right);
+                        b()
                     })
                 })
             },
+        )
+    }
+
+    /// Record a `Fork` at a [`join`](PalPool::join) call site and return
+    /// the node ids of its two children; no-op (ids unused) unless
+    /// tracing.
+    #[inline]
+    fn trace_fork(&self, elided: bool) -> (u32, u32) {
+        let Some(trace) = &self.trace else {
+            return (0, 0);
+        };
+        let (left, right) = trace.alloc_pair();
+        trace.record(
+            self.worker_slot(),
+            TraceEvent::Fork {
+                left,
+                right,
+                elided,
+            },
         );
-        merge_clock(id, a_end.max(b_end));
-        (ra, rb)
+        (left, right)
+    }
+
+    /// Record the activation of scheduled child `node` on this worker;
+    /// no-op unless tracing.
+    #[inline]
+    fn trace_enter(&self, node: u32) {
+        if let Some(trace) = &self.trace {
+            let slot = self.worker_slot();
+            trace.record(
+                slot,
+                TraceEvent::Enter {
+                    worker: slot.map_or(trace::EXTERNAL_WORKER, |i| i as u16),
+                    node,
+                },
+            );
+        }
     }
 
     /// Drain the tracer's event buffers into a [`DagTrace`] and reset
@@ -681,18 +510,14 @@ impl PalPool {
         self.pool.current_thread_index()
     }
 
-    /// Record one blocked data-parallel pass (`len` elements in `chunks`
-    /// blocks); no-op unless tracing.  Called by the primitives layer.
+    /// Record one blocked data-parallel pass in `chunks` blocks; no-op
+    /// unless tracing.  Called by the primitives layer.
     #[inline]
-    pub(super) fn trace_pass(&self, len: usize, chunks: usize) {
+    pub(super) fn trace_pass(&self, chunks: usize) {
         if let Some(trace) = &self.trace {
-            let slot = self.worker_slot();
             trace.record(
-                slot,
+                self.worker_slot(),
                 TraceEvent::Pass {
-                    ts: tick_clock(self.id, 0),
-                    worker: worker_id(slot),
-                    len: len as u64,
                     chunks: chunks as u32,
                 },
             );

@@ -91,7 +91,7 @@
 //! ([`PalPoolBuilder::trace`](super::PalPoolBuilder::trace)), every
 //! parallel pass of the table above except `for_each_index` additionally
 //! records one [`Pass`](super::TraceEvent::Pass)
-//! event carrying its `(len, chunks)`, so a capture attributes each pass's
+//! event carrying its `chunks`, so a capture attributes each pass's
 //! `C − 1` forks to the pass that made them.  (`for_each_index` records no
 //! `Pass`: its blocks are indices, not elements, and its forks show up as
 //! plain `Fork` events.)
@@ -179,7 +179,7 @@ impl PalPool {
 
         let mut sums = self.workspace().checkout::<T>();
         sums.resize(chunks, identity);
-        self.trace_pass(n, chunks);
+        self.trace_pass(chunks);
         self.blocked_balanced_mut(&mut sums, chunks, |c, slot| {
             let mut acc = identity;
             for &x in &input[block_start(n, chunks, c)..block_start(n, chunks, c + 1)] {
@@ -198,7 +198,7 @@ impl PalPool {
 
         prepare_slots(exclusive, n, || identity);
         let sums = &sums;
-        self.trace_pass(n, chunks);
+        self.trace_pass(chunks);
         self.blocked_balanced_mut(exclusive, chunks, |c, out| {
             let mut acc = sums[c];
             for (slot, &x) in out.iter_mut().zip(&input[block_start(n, chunks, c)..]) {
@@ -253,13 +253,13 @@ impl PalPool {
             // into `out` in one sweep.  Same output and the same `Pass`
             // events as the count+scatter pipeline below (two, or one when
             // nothing survives), so a capture reads alike either way.
-            self.trace_pass(n, 1);
+            self.trace_pass(1);
             super::cancel::checkpoint();
             prepare_slots(out, n, || input[0]);
             let (written, _) = compact(input, 0, &keep, out);
             out.truncate(written);
             if written > 0 {
-                self.trace_pass(n, 1);
+                self.trace_pass(1);
             }
             return;
         }
@@ -267,7 +267,7 @@ impl PalPool {
         // Pass 1: count survivors per block, into the boundary buffer.
         let mut bounds = self.workspace().checkout::<usize>();
         bounds.resize(chunks + 1, 0);
-        self.trace_pass(n, chunks);
+        self.trace_pass(chunks);
         self.blocked_balanced_mut(&mut bounds[..chunks], chunks, |c, slot| {
             let lo = block_start(n, chunks, c);
             slot[0] = input[lo..block_start(n, chunks, c + 1)]
@@ -297,7 +297,7 @@ impl PalPool {
         // element here too, and a predicate that answers differently than
         // it did in pass 1 — more survivors or fewer — fails the assert.
         prepare_slots(out, total, || input[0]);
-        self.trace_pass(n, chunks);
+        self.trace_pass(chunks);
         self.blocked_uneven_mut(out, &bounds, |c, region| {
             let lo = block_start(n, chunks, c);
             let block = &input[lo..block_start(n, chunks, c + 1)];
@@ -357,7 +357,7 @@ impl PalPool {
         // offset in the output.
         let mut bounds = self.workspace().checkout::<usize>();
         bounds.resize(chunks + 1, 0);
-        self.trace_pass(n, chunks);
+        self.trace_pass(chunks);
         self.blocked_balanced_mut(&mut bounds[..chunks], chunks, |c, slot| {
             slot[0] = sizes[block_start(n, chunks, c)..block_start(n, chunks, c + 1)]
                 .iter()
@@ -375,7 +375,7 @@ impl PalPool {
         // output range (`write` runs exactly once per index, even for
         // size-0 regions).
         out.resize(acc, fill);
-        self.trace_pass(n, chunks);
+        self.trace_pass(chunks);
         self.blocked_uneven_mut(out, &bounds, |c, region| {
             let mut rest = region;
             let lo = block_start(n, chunks, c);
@@ -405,7 +405,7 @@ impl PalPool {
         }
         prepare_slots(out, len, T::default);
         let chunks = self.chunk_count(len);
-        self.trace_pass(len, chunks);
+        self.trace_pass(chunks);
         self.blocked_balanced_mut(out, chunks, |c, slots| {
             let lo = range.start + block_start(len, chunks, c);
             for (k, slot) in slots.iter_mut().enumerate() {
@@ -437,7 +437,7 @@ impl PalPool {
         }
         let chunks = self.chunk_count(len);
         prepare_slots(out, chunks, T::default);
-        self.trace_pass(len, chunks);
+        self.trace_pass(chunks);
         self.blocked_balanced_mut(out, chunks, |c, slot| {
             let at = |c| range.start + block_start(len, chunks, c);
             slot[0] = f(at(c)..at(c + 1));

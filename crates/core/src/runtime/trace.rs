@@ -6,11 +6,9 @@
 //! *where in the computation* those events happened.  This module records
 //! the events themselves: every fork creation point, every activation of
 //! a scheduled pal-thread on a concrete worker, and every blocked
-//! data-parallel pass, stamped with logical Lamport-style timestamps so
-//! the happens-before structure survives without a single `Instant` read
-//! on the hot path.  A drained [`DagTrace`] says where each fork, steal
-//! and pass happened; [`DagTrace::summary`] folds it back into the pool's
-//! totals.
+//! data-parallel pass.  A drained [`DagTrace`] holds them in log order;
+//! [`DagTrace::summary`] folds them back into the pool's totals, and an
+//! event carries exactly the fields that fold reads.
 //!
 //! Tracing is an observer: a traced pool makes every scheduling and
 //! blocking decision exactly as an untraced one does (no decision reads
@@ -41,11 +39,10 @@
 //! |-------|-----------|---------|
 //! | [`Fork`](TraceEvent::Fork)   | `join` call site | two children created (or elided) |
 //! | [`Enter`](TraceEvent::Enter) | scheduled child starts | which worker activated it |
-//! | [`Exit`](TraceEvent::Exit)   | scheduled child returns | completion stamp |
-//! | [`Pass`](TraceEvent::Pass)   | blocked primitive pass | `(len, chunks)` of one parallel pass |
+//! | [`Pass`](TraceEvent::Pass)   | blocked primitive pass | `chunks` of one parallel pass |
 //!
-//! Elided children run inline in their parent, so they get no
-//! `Enter`/`Exit` (their creation point carries the `elided` flag).
+//! Elided children run inline in their parent, so they get no `Enter`
+//! (their creation point carries the `elided` flag).
 //! Steals are not a separate event: a scheduled fork's second child was
 //! stolen iff its `Enter` names a different worker than its sibling's —
 //! the sibling always runs on the thread that pushed the pending child.
@@ -62,19 +59,15 @@ use super::workspace::Workspace;
 /// of the traced pool (the external caller driving the computation).
 pub const EXTERNAL_WORKER: u16 = u16::MAX;
 
-/// Node id of the implicit root: the external calling context that every
-/// top-level fork hangs off.  Never allocated to a pal-thread.
-pub const ROOT_NODE: u32 = 0;
-
-const WORDS_PER_EVENT: usize = 4;
+const WORDS_PER_EVENT: usize = 2;
 
 /// Configuration for [`PalPoolBuilder::trace`](super::PalPoolBuilder::trace).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Events each per-worker buffer can hold before further events from
     /// that worker are dropped (counted in [`DagTrace::dropped`], never
-    /// blocking the computation).  One event is four `u64` words, so the
-    /// default of `2^16` events costs 2 MiB per worker.
+    /// blocking the computation).  One event is two `u64` words, so the
+    /// default of `2^16` events costs 1 MiB per worker.
     pub capacity_per_worker: usize,
 }
 
@@ -88,178 +81,76 @@ impl Default for TraceConfig {
 
 /// One decoded trace event; see the [module docs](self) for the
 /// vocabulary and the steal-reconstruction rule.
-///
-/// All timestamps are logical (Lamport) clocks: each thread ticks its own
-/// counter per event, and a child's clock starts just after its creation
-/// stamp, so `ts` orders causally-related events while unrelated events
-/// may tie.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A two-way fork: a [`join`](super::PalPool::join) call site created
-    /// children `left` and `right` under `parent`.
+    /// children `left` and `right`.
     Fork {
-        /// Logical timestamp at the call site.
-        ts: u64,
-        /// Worker that executed the call site ([`EXTERNAL_WORKER`] for a
-        /// non-worker thread).  For steal classification use the
-        /// children's [`Enter`](TraceEvent::Enter) workers, not this —
-        /// an external caller's children still run on pool workers.
-        worker: u16,
-        /// Node id of the pal-thread that forked ([`ROOT_NODE`] at top
-        /// level).
-        parent: u32,
         /// Node id of the first child (`a`, runs on the forking thread
         /// when scheduled).
         left: u32,
         /// Node id of the second child (`b`, the pending pal-thread).
         right: u32,
-        /// Recursion depth of the call site (children are at `depth + 1`).
-        depth: u32,
         /// `true` when the fork was elided by the `⌈α·log₂ p⌉` throttle:
-        /// both children ran as plain sequential calls, no `Enter`/`Exit`.
+        /// both children ran as plain sequential calls, no `Enter`.
         elided: bool,
     },
     /// A scheduled pal-thread began executing on a worker.
     Enter {
-        /// Logical timestamp on the executing thread.
-        ts: u64,
         /// Worker that activated the pal-thread.
         worker: u16,
         /// The pal-thread's node id.
         node: u32,
     },
-    /// A scheduled pal-thread finished executing.  Absent when the
-    /// pal-thread panicked (the panic propagates; its `Exit` is the one
-    /// event a complete trace may legitimately lack).
-    Exit {
-        /// Logical timestamp on the executing thread.
-        ts: u64,
-        /// Worker that ran the pal-thread.
-        worker: u16,
-        /// The pal-thread's node id.
-        node: u32,
-    },
     /// One blocked data-parallel pass (scan/pack/expand/map_collect/
-    /// map_blocks_in) over `len` elements in `chunks` blocks — `chunks − 1`
-    /// of the window's forks belong to it.
+    /// map_blocks_in) in `chunks` blocks — `chunks − 1` of the window's
+    /// forks belong to it.
     Pass {
-        /// Logical timestamp at the pass entry.
-        ts: u64,
-        /// Worker that issued the pass ([`EXTERNAL_WORKER`] for an
-        /// external caller).
-        worker: u16,
-        /// Number of elements the pass covers.
-        len: u64,
         /// Number of blocks the pool's grain policy chose at capture time.
         chunks: u32,
     },
 }
 
 const KIND_FORK: u64 = 1;
-const KIND_ENTER: u64 = 3;
-const KIND_EXIT: u64 = 4;
-const KIND_PASS: u64 = 5;
-const FLAG_ELIDED: u64 = 1;
+const KIND_ENTER: u64 = 2;
+const KIND_PASS: u64 = 3;
+const FLAG_ELIDED: u64 = 1 << 8;
 
 impl TraceEvent {
-    /// The event's logical timestamp.
-    pub fn ts(&self) -> u64 {
-        match *self {
-            TraceEvent::Fork { ts, .. }
-            | TraceEvent::Enter { ts, .. }
-            | TraceEvent::Exit { ts, .. }
-            | TraceEvent::Pass { ts, .. } => ts,
-        }
-    }
-
-    /// The worker that emitted the event.
-    pub fn worker(&self) -> u16 {
-        match *self {
-            TraceEvent::Fork { worker, .. }
-            | TraceEvent::Enter { worker, .. }
-            | TraceEvent::Exit { worker, .. }
-            | TraceEvent::Pass { worker, .. } => worker,
-        }
-    }
-
-    /// Pack into the four-word in-memory log encoding: `w0 = ts`,
-    /// `w1 = two node ids`, `w2 = kind | worker | flags | depth-or-chunks`,
-    /// `w3 = parent-or-len`.
+    /// Pack into the two-word in-memory log encoding: `w0 = kind | flags
+    /// | worker << 16`, `w1 = both child ids` (fork), `node` (enter) or
+    /// `chunks` (pass).
     fn encode(&self) -> [u64; WORDS_PER_EVENT] {
-        let meta = |kind: u64, worker: u16, flags: u64, aux: u32| {
-            kind | ((worker as u64) << 8) | (flags << 24) | ((aux as u64) << 32)
-        };
         match *self {
             TraceEvent::Fork {
-                ts,
-                worker,
-                parent,
                 left,
                 right,
-                depth,
                 elided,
             } => [
-                ts,
+                KIND_FORK | if elided { FLAG_ELIDED } else { 0 },
                 ((left as u64) << 32) | right as u64,
-                meta(
-                    KIND_FORK,
-                    worker,
-                    if elided { FLAG_ELIDED } else { 0 },
-                    depth,
-                ),
-                parent as u64,
             ],
-            TraceEvent::Enter { ts, worker, node } => {
-                [ts, (node as u64) << 32, meta(KIND_ENTER, worker, 0, 0), 0]
+            TraceEvent::Enter { worker, node } => {
+                [KIND_ENTER | ((worker as u64) << 16), node as u64]
             }
-            TraceEvent::Exit { ts, worker, node } => {
-                [ts, (node as u64) << 32, meta(KIND_EXIT, worker, 0, 0), 0]
-            }
-            TraceEvent::Pass {
-                ts,
-                worker,
-                len,
-                chunks,
-            } => [ts, 0, meta(KIND_PASS, worker, 0, chunks), len],
+            TraceEvent::Pass { chunks } => [KIND_PASS, chunks as u64],
         }
     }
 
     /// Inverse of [`encode`](TraceEvent::encode); `None` on an
     /// uninitialized (all-zero kind) slot.
-    fn decode(w: [u64; WORDS_PER_EVENT]) -> Option<TraceEvent> {
-        let ts = w[0];
-        let kind = w[2] & 0xff;
-        let worker = ((w[2] >> 8) & 0xffff) as u16;
-        let flags = (w[2] >> 24) & 0xff;
-        let aux = (w[2] >> 32) as u32;
-        let id_a = (w[1] >> 32) as u32;
-        let id_b = w[1] as u32;
-        match kind {
+    fn decode([w0, w1]: [u64; WORDS_PER_EVENT]) -> Option<TraceEvent> {
+        match w0 & 0xff {
             KIND_FORK => Some(TraceEvent::Fork {
-                ts,
-                worker,
-                parent: w[3] as u32,
-                left: id_a,
-                right: id_b,
-                depth: aux,
-                elided: flags & FLAG_ELIDED != 0,
+                left: (w1 >> 32) as u32,
+                right: w1 as u32,
+                elided: w0 & FLAG_ELIDED != 0,
             }),
             KIND_ENTER => Some(TraceEvent::Enter {
-                ts,
-                worker,
-                node: id_a,
+                worker: (w0 >> 16) as u16,
+                node: w1 as u32,
             }),
-            KIND_EXIT => Some(TraceEvent::Exit {
-                ts,
-                worker,
-                node: id_a,
-            }),
-            KIND_PASS => Some(TraceEvent::Pass {
-                ts,
-                worker,
-                len: w[3],
-                chunks: aux,
-            }),
+            KIND_PASS => Some(TraceEvent::Pass { chunks: w1 as u32 }),
             _ => None,
         }
     }
@@ -352,7 +243,7 @@ pub(super) struct TraceState {
     logs: Box<[EventLog]>,
     /// Serializes appends by non-worker threads into the external log.
     external: Mutex<()>,
-    /// Next pal-thread node id; [`ROOT_NODE`] (0) is never handed out.
+    /// Next pal-thread node id.
     next_node: AtomicU32,
 }
 
@@ -364,7 +255,7 @@ impl TraceState {
         TraceState {
             logs: logs.into_boxed_slice(),
             external: Mutex::new(()),
-            next_node: AtomicU32::new(ROOT_NODE + 1),
+            next_node: AtomicU32::new(0),
         }
     }
 
@@ -389,7 +280,7 @@ impl TraceState {
 
     /// Drain every log into a [`DagTrace`] and reset the tracer for the
     /// next capture window (event pages are reused in place, node ids
-    /// restart at 1).  The pages stay checked out of the arena for the
+    /// restart at 0).  The pages stay checked out of the arena for the
     /// pool's whole lifetime — their one-time growth is what the
     /// steady-state arena tests see at build time, and nothing after.
     pub(super) fn drain(&self) -> DagTrace {
@@ -399,22 +290,20 @@ impl TraceState {
         for log in self.logs.iter() {
             dropped += log.drain_into(&mut events);
         }
-        self.next_node.store(ROOT_NODE + 1, Ordering::Relaxed);
-        // Stable sort: causally-ordered events keep their clock order,
-        // same-stamp events from one worker keep their log order.
-        events.sort_by_key(|ev| ev.ts());
+        self.next_node.store(0, Ordering::Relaxed);
         DagTrace { events, dropped }
     }
 }
 
-/// A captured pal-thread execution DAG: the drained, sorted event stream
-/// of one capture window.  Produced by
+/// A captured pal-thread execution DAG: the drained event stream of one
+/// capture window.  Produced by
 /// [`PalPool::take_trace`](super::PalPool::take_trace) and read in memory
 /// (a trace has no on-disk format); [`summary`](DagTrace::summary) turns
 /// it back into the pool's fork accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DagTrace {
-    /// All recorded events, sorted by logical timestamp (stable).
+    /// All recorded events in log order: each worker's log in append
+    /// order, workers one after another, the external log last.
     pub events: Vec<TraceEvent>,
     /// Events discarded because a per-worker buffer filled up.  A trace
     /// with `dropped > 0` still decodes, but its totals undercount.
@@ -446,7 +335,7 @@ impl DagTrace {
             .iter()
             .map(|ev| match *ev {
                 TraceEvent::Fork { right, .. } => right,
-                TraceEvent::Enter { node, .. } | TraceEvent::Exit { node, .. } => node,
+                TraceEvent::Enter { node, .. } => node,
                 TraceEvent::Pass { .. } => 0,
             })
             .max()
@@ -454,7 +343,7 @@ impl DagTrace {
         let mut entered: Vec<u16> = vec![EXTERNAL_WORKER; max_id as usize + 1];
         let mut seen: Vec<bool> = vec![false; max_id as usize + 1];
         for ev in &self.events {
-            if let TraceEvent::Enter { worker, node, .. } = *ev {
+            if let TraceEvent::Enter { worker, node } = *ev {
                 entered[node as usize] = worker;
                 seen[node as usize] = true;
             }
@@ -473,7 +362,6 @@ impl DagTrace {
                     left,
                     right,
                     elided,
-                    ..
                 } => {
                     s.forks += 1;
                     if elided {
@@ -494,11 +382,11 @@ impl DagTrace {
                         }
                     }
                 }
-                TraceEvent::Pass { chunks, .. } => {
+                TraceEvent::Pass { chunks } => {
                     s.passes += 1;
                     s.pass_forks += u64::from(chunks.saturating_sub(1));
                 }
-                TraceEvent::Enter { .. } | TraceEvent::Exit { .. } => {}
+                TraceEvent::Enter { .. } => {}
             }
         }
         s
@@ -544,49 +432,18 @@ mod tests {
         DagTrace {
             events: vec![
                 TraceEvent::Fork {
-                    ts: 1,
-                    worker: EXTERNAL_WORKER,
-                    parent: ROOT_NODE,
-                    left: 1,
-                    right: 2,
-                    depth: 0,
+                    left: 0,
+                    right: 1,
                     elided: false,
                 },
-                TraceEvent::Enter {
-                    ts: 2,
-                    worker: 0,
-                    node: 1,
-                },
-                TraceEvent::Enter {
-                    ts: 2,
-                    worker: 1,
-                    node: 2,
-                },
+                TraceEvent::Enter { worker: 0, node: 0 },
+                TraceEvent::Enter { worker: 1, node: 1 },
                 TraceEvent::Fork {
-                    ts: 3,
-                    worker: 0,
-                    parent: 1,
-                    left: 3,
-                    right: 4,
-                    depth: 1,
+                    left: 2,
+                    right: 3,
                     elided: true,
                 },
-                TraceEvent::Exit {
-                    ts: 4,
-                    worker: 0,
-                    node: 1,
-                },
-                TraceEvent::Exit {
-                    ts: 4,
-                    worker: 1,
-                    node: 2,
-                },
-                TraceEvent::Pass {
-                    ts: 5,
-                    worker: EXTERNAL_WORKER,
-                    len: 4096,
-                    chunks: 8,
-                },
+                TraceEvent::Pass { chunks: 8 },
             ],
             dropped: 0,
         }
@@ -609,10 +466,7 @@ mod tests {
         // Same trace, but the right child entered on the left's worker:
         // an inline, not a steal.
         for ev in &mut trace.events {
-            if let TraceEvent::Enter {
-                worker, node: 2, ..
-            } = ev
-            {
+            if let TraceEvent::Enter { worker, node: 1 } = ev {
                 *worker = 0;
             }
         }
@@ -625,30 +479,20 @@ mod tests {
     fn event_encoding_roundtrips() {
         let events = [
             TraceEvent::Fork {
-                ts: u64::MAX >> 1,
-                worker: EXTERNAL_WORKER,
-                parent: 7,
                 left: u32::MAX - 1,
                 right: u32::MAX,
-                depth: 31,
                 elided: true,
             },
+            TraceEvent::Fork {
+                left: 0,
+                right: 1,
+                elided: false,
+            },
             TraceEvent::Enter {
-                ts: 5,
-                worker: 2,
+                worker: EXTERNAL_WORKER,
                 node: 11,
             },
-            TraceEvent::Exit {
-                ts: 6,
-                worker: 2,
-                node: 11,
-            },
-            TraceEvent::Pass {
-                ts: 9,
-                worker: 1,
-                len: u64::MAX >> 8,
-                chunks: 32,
-            },
+            TraceEvent::Pass { chunks: u32::MAX },
         ];
         for ev in events {
             assert_eq!(TraceEvent::decode(ev.encode()), Some(ev));
@@ -660,37 +504,16 @@ mod tests {
         let ws = Workspace::new();
         let log = EventLog::preallocated(&ws, 2);
         for i in 0..4 {
-            log.append(
-                TraceEvent::Enter {
-                    ts: i,
-                    worker: 0,
-                    node: i as u32,
-                }
-                .encode(),
-            );
+            log.append(TraceEvent::Enter { worker: 0, node: i }.encode());
         }
         let mut out = Vec::new();
         assert_eq!(log.drain_into(&mut out), 2, "two events dropped");
         assert_eq!(out.len(), 2);
         out.clear();
         // Drained: capacity is available again, dropped counter reset.
-        log.append(
-            TraceEvent::Enter {
-                ts: 9,
-                worker: 0,
-                node: 9,
-            }
-            .encode(),
-        );
+        log.append(TraceEvent::Enter { worker: 0, node: 9 }.encode());
         assert_eq!(log.drain_into(&mut out), 0);
-        assert_eq!(
-            out,
-            vec![TraceEvent::Enter {
-                ts: 9,
-                worker: 0,
-                node: 9
-            }]
-        );
+        assert_eq!(out, vec![TraceEvent::Enter { worker: 0, node: 9 }]);
     }
 
     #[test]

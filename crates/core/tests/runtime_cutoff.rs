@@ -6,7 +6,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use lopram_core::{assert_metrics_consistent, PalPool};
+use lopram_core::{assert_metrics_consistent, PalPool, TraceConfig};
 
 /// Iteration count for the repeated tests, overridable via
 /// `LOPRAM_TEST_REPEAT` (the CI `runtime-stress` job raises it).
@@ -145,24 +145,41 @@ fn scope_spawns_below_cutoff_run_inline_in_creation_order() {
 /// Elided joins keep the scheduled path's panic contract: `b` executes
 /// even when `a` unwinds (a stolen `b` always runs), and `a`'s panic takes
 /// precedence — side effects must not depend on which side of the cutoff a
-/// fork landed.
+/// fork landed, nor on whether the pool is traced.
 #[test]
 fn elided_join_runs_b_even_when_a_panics() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    let pool = PalPool::new(1).unwrap(); // cutoff 0: every join elided
-    let b_ran = AtomicUsize::new(0);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        pool.join(
-            || panic!("child a failed"),
-            || {
-                b_ran.fetch_add(1, Ordering::SeqCst);
-            },
-        );
-    }));
-    assert!(result.is_err(), "a's panic propagates");
-    assert_eq!(b_ran.load(Ordering::SeqCst), 1, "b still ran");
-    // And the pool stays usable.
-    assert_eq!(pool.join(|| 1, || 2), (1, 2));
+    // p = 1, cutoff 0: every join elided, on the plain and the traced pool.
+    let traced_pool = PalPool::builder()
+        .processors(1)
+        .trace(TraceConfig::default())
+        .build()
+        .unwrap();
+    for (pool, traced) in [(PalPool::new(1).unwrap(), false), (traced_pool, true)] {
+        let b_ran = AtomicUsize::new(0);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.join(
+                || panic!("child a failed"),
+                || {
+                    b_ran.fetch_add(1, Ordering::SeqCst);
+                },
+            );
+        }));
+        assert!(result.is_err(), "a's panic propagates");
+        assert_eq!(b_ran.load(Ordering::SeqCst), 1, "b still ran");
+        let trace = pool.take_trace();
+        assert_eq!(trace.is_some(), traced);
+        if let Some(trace) = trace {
+            let s = trace.summary();
+            assert_eq!(
+                (s.forks, s.elided),
+                (1, 1),
+                "the panicking fork is recorded"
+            );
+        }
+        // And the pool stays usable.
+        assert_eq!(pool.join(|| 1, || 2), (1, 2));
+    }
 }
 
 /// Depth is tracked per pool: recursion accumulated on one pool must not

@@ -277,8 +277,8 @@ fn tracing_on_equals_tracing_off_under_stress() {
         assert_eq!(fib(&plain, 12), 144, "iteration {i} (untraced)");
         let (fib_12, m) = traced.scoped_metrics(|| fib(&traced, 12));
         assert_eq!(fib_12, 144, "iteration {i} (traced)");
-        // One window per iteration: 232 forks of at most five events each
-        // (a `Fork`, two `Enter`s, two `Exit`s) fit any buffer of the
+        // One window per iteration: 232 forks of at most three events each
+        // (a `Fork` and two `Enter`s) fit any buffer of the
         // default capacity, so the capture is complete at any repeat count
         // and agrees with the pool's own accounting on every counter,
         // including the racy ones — the trace records the actual schedule.
