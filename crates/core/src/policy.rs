@@ -208,24 +208,6 @@ pub fn floor_log2(n: usize) -> usize {
     }
 }
 
-/// `⌊log_base n⌋` for an arbitrary integer base `base ≥ 2` (0 for `n ≤ 1`).
-pub fn floor_log(base: usize, n: usize) -> usize {
-    assert!(base >= 2, "logarithm base must be at least 2");
-    if n <= 1 {
-        return 0;
-    }
-    let mut k = 0usize;
-    let mut acc = 1usize;
-    while let Some(next) = acc.checked_mul(base) {
-        if next > n {
-            break;
-        }
-        acc = next;
-        k += 1;
-    }
-    k
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,22 +222,6 @@ mod tests {
         assert_eq!(floor_log2(4), 2);
         assert_eq!(floor_log2(1023), 9);
         assert_eq!(floor_log2(1024), 10);
-    }
-
-    #[test]
-    fn floor_log_arbitrary_base() {
-        assert_eq!(floor_log(2, 8), 3);
-        assert_eq!(floor_log(3, 8), 1);
-        assert_eq!(floor_log(3, 9), 2);
-        assert_eq!(floor_log(7, 49), 2);
-        assert_eq!(floor_log(7, 48), 1);
-        assert_eq!(floor_log(10, 1), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 2")]
-    fn floor_log_rejects_base_one() {
-        let _ = floor_log(1, 10);
     }
 
     #[test]
@@ -402,11 +368,6 @@ mod tests {
                 prop_assert!(policy.processors(n) >= 1);
                 prop_assert!(policy.processors_unclamped(n) >= 1);
             }
-        }
-
-        #[test]
-        fn floor_log_agrees_with_log2(n in 1usize..1_000_000) {
-            prop_assert_eq!(floor_log(2, n), floor_log2(n));
         }
     }
 }

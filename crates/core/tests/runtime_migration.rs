@@ -152,7 +152,7 @@ fn mergesort_records_spawned_and_inlined() {
     // hence exactly 4095 joins — a schedule-independent count the
     // accounting must reproduce exactly, however the forks were resolved.
     let forks_per_sort = (n / 32 - 1) as u64;
-    // A few attempts absorb scheduling noise on the single-core CI host;
+    // A few tries absorb scheduling noise on the single-core CI host;
     // one run of 4095 forks against three hungry workers is normally enough.
     for attempt in 0..3u64 {
         let mut data: Vec<i64> = (0..n as i64)

@@ -106,11 +106,6 @@ impl FaultPlan {
         self.by_job.get(&job).copied()
     }
 
-    /// Number of faulted jobs in the plan.
-    pub fn len(&self) -> usize {
-        self.by_job.len()
-    }
-
     /// Whether the plan faults no job at all.
     pub fn is_empty(&self) -> bool {
         self.by_job.is_empty()
@@ -139,7 +134,10 @@ mod tests {
             assert_eq!(a.fault_for(job), b.fault_for(job));
         }
         assert!(!a.is_empty(), "rate 0.3 over 100 jobs must fault some");
-        assert!(a.len() < 100, "rate 0.3 must not fault every job");
+        assert!(
+            a.faulted_jobs().len() < 100,
+            "rate 0.3 must not fault every job"
+        );
     }
 
     #[test]
@@ -152,7 +150,7 @@ mod tests {
     #[test]
     fn rate_zero_and_one_are_edge_exact() {
         assert!(FaultPlan::seeded(7, 50, 0.0).is_empty());
-        assert_eq!(FaultPlan::seeded(7, 50, 1.0).len(), 50);
+        assert_eq!(FaultPlan::seeded(7, 50, 1.0).faulted_jobs().len(), 50);
     }
 
     #[test]

@@ -20,34 +20,29 @@ use crate::fault::Fault;
 
 /// The boxed job body: runs on a service executor with access to the
 /// shared pool through the [`JobContext`], returns a digest of its
-/// result.  `FnMut`, not `FnOnce`: a body that fails retryably (panic,
-/// fault-injected cancel) is re-invoked on the retry attempt, so it
-/// must be callable more than once.
-pub type JobFn = Box<dyn FnMut(&JobContext<'_>) -> u64 + Send>;
+/// result.  Called at most once: the service never re-runs a job.
+pub type JobFn = Box<dyn FnOnce(&JobContext<'_>) -> u64 + Send>;
 
 /// A job description handed to [`JobService::submit`](crate::JobService::submit).
 ///
-/// Built with [`JobSpec::new`] plus the builder-style [`cost`](Self::cost),
-/// [`deadline`](Self::deadline) and [`retries`](Self::retries) refinements.
+/// Built with [`JobSpec::new`] plus the builder-style [`cost`](Self::cost)
+/// and [`deadline`](Self::deadline) refinements.
 pub struct JobSpec {
     pub(crate) tenant: usize,
     pub(crate) run: JobFn,
     pub(crate) cost: usize,
     pub(crate) deadline: Option<Duration>,
-    pub(crate) retries: Option<u32>,
 }
 
 impl JobSpec {
     /// A job for `tenant` running `f`.  Defaults: cost 1 budget token,
-    /// the service's default deadline (none unless configured), the
-    /// service's default retry count.
-    pub fn new(tenant: usize, f: impl FnMut(&JobContext<'_>) -> u64 + Send + 'static) -> Self {
+    /// the service's default deadline (none unless configured).
+    pub fn new(tenant: usize, f: impl FnOnce(&JobContext<'_>) -> u64 + Send + 'static) -> Self {
         JobSpec {
             tenant,
             run: Box::new(f),
             cost: 1,
             deadline: None,
-            retries: None,
         }
     }
 
@@ -66,23 +61,6 @@ impl JobSpec {
         self.deadline = Some(deadline);
         self
     }
-
-    /// Re-target the job at a different tenant — used by load
-    /// generators that balance a fixed job mix across tenants.
-    pub fn for_tenant(mut self, tenant: usize) -> Self {
-        self.tenant = tenant;
-        self
-    }
-
-    /// Allow up to `n` retries after retryable failures (a caught panic,
-    /// or a cancellation the client did not request), overriding the
-    /// service's [`RetryPolicy`](crate::service::RetryPolicy) default.
-    /// Each retry waits out a deterministic exponential backoff before
-    /// re-dispatch; the job's deadline keeps ticking across attempts.
-    pub fn retries(mut self, n: u32) -> Self {
-        self.retries = Some(n);
-        self
-    }
 }
 
 impl fmt::Debug for JobSpec {
@@ -91,7 +69,6 @@ impl fmt::Debug for JobSpec {
             .field("tenant", &self.tenant)
             .field("cost", &self.cost)
             .field("deadline", &self.deadline)
-            .field("retries", &self.retries)
             .finish_non_exhaustive()
     }
 }
@@ -112,12 +89,6 @@ impl JobContext<'_> {
     /// work without any extra plumbing.
     pub fn pool(&self) -> &PalPool {
         self.pool
-    }
-
-    /// The job's cancel token — hand a clone to helper threads, or poll
-    /// [`CancelToken::fired`] for a non-unwinding check.
-    pub fn job_token(&self) -> &CancelToken {
-        self.token
     }
 
     /// Cooperative checkpoint for job-level loops (the pool's own fork
@@ -151,11 +122,6 @@ impl JobContext<'_> {
         if let Some(reason) = self.token.poll_now() {
             resume_unwind(Box::new(CancelUnwind { reason }));
         }
-    }
-
-    /// Number of [`step`](Self::step) calls so far.
-    pub fn steps(&self) -> u64 {
-        self.step.get()
     }
 }
 
@@ -259,23 +225,14 @@ pub struct JobReport {
     /// Whether `metrics` is *exactly* this job's work: true iff no
     /// other job overlapped its run.  Always true at `executors: 1`.
     pub metrics_exclusive: bool,
-    /// Number of attempts executed, counting the first (so always
-    /// ≥ 1).  Greater than 1 exactly when the job was retried after a
-    /// retryable failure.
-    pub attempts: u32,
 }
 
 pub(crate) struct TicketState {
     pub(crate) report: Mutex<Option<JobReport>>,
     pub(crate) done: Condvar,
-    /// The *current* attempt's cancel token.  A retry swaps in a fresh
-    /// token (the failed attempt's fired state must not leak into the
-    /// retry), so client-side access goes through this lock.
-    pub(crate) token: Mutex<CancelToken>,
-    /// Set by [`JobTicket::cancel`] before firing the current token:
-    /// distinguishes a client's cancel (terminal — never retried) from a
-    /// fault-injected one (retryable).
-    pub(crate) client_cancelled: std::sync::atomic::AtomicBool,
+    /// The job's cancel token: fired by [`JobTicket::cancel`], polled
+    /// by the executor that runs the job.
+    pub(crate) token: CancelToken,
 }
 
 /// A handle to an admitted job: await its [`JobReport`], or cancel it.
@@ -293,14 +250,9 @@ impl JobTicket {
 
     /// Fire the job's cancel token.  Idempotent; a job already past its
     /// last checkpoint may still complete normally (cancellation is
-    /// cooperative, never preemptive).  A client cancel is terminal:
-    /// the service never retries it, and a retry raced against this
-    /// call inherits an already-fired token.
+    /// cooperative, never preemptive).
     pub fn cancel(&self) {
-        self.state
-            .client_cancelled
-            .store(true, std::sync::atomic::Ordering::SeqCst);
-        self.state.token.lock().cancel();
+        self.state.token.cancel();
     }
 
     /// Non-blocking probe: the report if the job already finished.

@@ -28,6 +28,9 @@
 //! * **Panic isolation** — a panicking job is caught at the service
 //!   boundary as [`JobError::Panicked`]; the pool, its workspace arena
 //!   and every other tenant are untouched.
+//! * **One run per job** — an admitted job runs at most once and its
+//!   report carries the outcome of that run; a client that wants
+//!   another attempt resubmits.
 //! * **Deterministic fault injection** — a seeded [`FaultPlan`] fires
 //!   panics, cancels and deadline stalls at chosen steps of chosen
 //!   jobs, which is how the test suite *proves* the isolation claims
@@ -64,11 +67,11 @@ mod tokens;
 
 pub use fault::{Fault, FaultPlan};
 pub use job::{JobContext, JobError, JobReport, JobSpec, JobTicket, SubmitError};
-pub use service::{JobService, RetryPolicy, ServeConfig, ServiceStats};
+pub use service::{JobService, ServeConfig, ServiceStats};
 
 /// Convenience prelude re-exporting the items most users need.
 pub mod prelude {
     pub use crate::fault::{Fault, FaultPlan};
     pub use crate::job::{JobContext, JobError, JobReport, JobSpec, JobTicket, SubmitError};
-    pub use crate::service::{JobService, RetryPolicy, ServeConfig, ServiceStats};
+    pub use crate::service::{JobService, ServeConfig, ServiceStats};
 }

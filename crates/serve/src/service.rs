@@ -3,7 +3,9 @@
 //!
 //! Every failure mode is a job's own — a panic, a cancel, a deadline.
 //! The shared pool keeps all of its processors for its whole life, so
-//! admission never consults its health.
+//! admission never consults its health.  Each admitted job runs at most
+//! once: a failed job reports its error, and a client that wants another
+//! attempt resubmits.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -48,10 +50,6 @@ pub struct ServeConfig {
     pub default_deadline: Option<Duration>,
     /// Deterministic fault plan keyed on submission index.
     pub fault_plan: FaultPlan,
-    /// Retry policy for jobs that fail retryably (a caught panic, or a
-    /// cancellation the client did not request).  The default allows no
-    /// retries; [`JobSpec::retries`] overrides the count per job.
-    pub retry: RetryPolicy,
     /// Scheduler-level chaos injected into the shared pool (dropped and
     /// delayed wake-ups, forced steal retries) — deterministic in its
     /// seed, used by the robustness suites.
@@ -68,66 +66,8 @@ impl Default for ServeConfig {
             processors: 2,
             default_deadline: None,
             fault_plan: FaultPlan::none(),
-            retry: RetryPolicy::default(),
             chaos: ChaosConfig::none(),
         }
-    }
-}
-
-/// Retry discipline for retryably-failed jobs: up to `max_retries`
-/// re-dispatches, each delayed by a deterministic exponential backoff
-/// with seeded jitter.  The backoff is a pure function of
-/// `(jitter_seed, job id, attempt)`, so a retried run replays exactly.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries allowed after the first attempt (so a job runs at most
-    /// `max_retries + 1` times).  Per-job [`JobSpec::retries`] overrides
-    /// this default.
-    pub max_retries: u32,
-    /// Backoff before the first retry; attempt `k` waits
-    /// `base · 2^(k−1)` plus jitter in `[0, base)`.
-    pub base_backoff: Duration,
-    /// Cap on any single backoff delay.
-    pub max_backoff: Duration,
-    /// Seed for the deterministic jitter.
-    pub jitter_seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(50),
-            jitter_seed: 0,
-        }
-    }
-}
-
-/// One round of splitmix64 — the same mixer the chaos config uses, so
-/// backoff jitter needs no RNG state.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-impl RetryPolicy {
-    /// The delay before re-dispatching `job`'s retry number `attempt`
-    /// (1-based: the first retry is attempt 1 of the policy's clock).
-    /// Pure: equal `(seed, job, attempt)` give equal delays.
-    pub fn backoff(&self, job: u64, attempt: u32) -> Duration {
-        if self.base_backoff.is_zero() {
-            return Duration::ZERO;
-        }
-        let exp = attempt.saturating_sub(1).min(16);
-        let base = self.base_backoff.saturating_mul(1u32 << exp);
-        let jitter_range = self.base_backoff.as_nanos().max(1) as u64;
-        let jitter =
-            mix(self.jitter_seed ^ job.rotate_left(32) ^ u64::from(attempt)) % jitter_range;
-        base.saturating_add(Duration::from_nanos(jitter))
-            .min(self.max_backoff)
     }
 }
 
@@ -139,15 +79,6 @@ struct Queued {
     fault: Option<Fault>,
     enqueued: Instant,
     ticket: Arc<TicketState>,
-    /// Attempts already executed (0 for a job never dispatched).
-    attempts: u32,
-    /// Retries this job may still consume beyond the first attempt.
-    max_retries: u32,
-    /// Absolute deadline fixed at submission; retries inherit it — the
-    /// clock keeps ticking across attempts.
-    deadline_at: Option<Instant>,
-    /// Retry backoff gate: not dispatched before this instant.
-    not_before: Option<Instant>,
 }
 
 struct QueueState {
@@ -176,7 +107,6 @@ struct Counters {
     cancelled: AtomicU64,
     deadline_exceeded: AtomicU64,
     queue_peak: AtomicUsize,
-    retries: AtomicU64,
 }
 
 struct Shared {
@@ -196,7 +126,6 @@ struct Shared {
     queue_capacity: usize,
     /// Per-tenant admission quota: `ceil(queue_capacity / tenants)`.
     tenant_quota: usize,
-    retry: RetryPolicy,
 }
 
 /// Point-in-time service statistics.
@@ -216,8 +145,9 @@ pub struct ServiceStats {
     pub deadline_exceeded: u64,
     /// Highest queue depth ever observed (bounded by capacity).
     pub queue_peak: usize,
-    /// Retry re-dispatches issued (each counts one re-enqueue; a job
-    /// retried twice contributes 2).
+    /// Always 0: the service runs each job once and never retries.
+    /// Kept only because the benchmark still reports it as
+    /// `serve.retries`; the field and that metric go together.
     pub retries: u64,
     /// `Ok`-completions per tenant, indexed by tenant id.
     pub per_tenant_completed: Vec<u64>,
@@ -306,7 +236,6 @@ impl JobService {
             default_deadline: config.default_deadline,
             queue_capacity: config.queue_capacity,
             tenant_quota: config.queue_capacity.div_ceil(config.tenants),
-            retry: config.retry,
         });
         let workers = (0..config.executors)
             .map(|i| {
@@ -356,16 +285,14 @@ impl JobService {
         }
         let id = sh.counters.submitted.fetch_add(1, Ordering::Relaxed);
         let now = Instant::now();
-        let deadline_at = spec.deadline.or(sh.default_deadline).map(|d| now + d);
-        let token = match deadline_at {
-            Some(at) => CancelToken::with_deadline_at(at),
+        let token = match spec.deadline.or(sh.default_deadline) {
+            Some(d) => CancelToken::with_deadline_at(now + d),
             None => CancelToken::new(),
         };
         let ticket = Arc::new(TicketState {
             report: Mutex::new(None),
             done: Condvar::new(),
-            token: Mutex::new(token),
-            client_cancelled: std::sync::atomic::AtomicBool::new(false),
+            token,
         });
         st.queues[spec.tenant].push_back(Queued {
             id,
@@ -375,10 +302,6 @@ impl JobService {
             fault: sh.fault_plan.fault_for(id),
             enqueued: now,
             ticket: Arc::clone(&ticket),
-            attempts: 0,
-            max_retries: spec.retries.unwrap_or(sh.retry.max_retries),
-            deadline_at,
-            not_before: None,
         });
         st.queued += 1;
         sh.counters
@@ -405,7 +328,7 @@ impl JobService {
             cancelled: c.cancelled.load(Ordering::Relaxed),
             deadline_exceeded: c.deadline_exceeded.load(Ordering::Relaxed),
             queue_peak: c.queue_peak.load(Ordering::Relaxed),
-            retries: c.retries.load(Ordering::Relaxed),
+            retries: 0,
             per_tenant_completed: self
                 .shared
                 .tenants
@@ -418,12 +341,6 @@ impl JobService {
     /// Number of pal-thread processors in the shared pool.
     pub fn processors(&self) -> usize {
         self.shared.pool.processors()
-    }
-
-    /// Snapshot the shared pool's per-worker heartbeats; see
-    /// [`PoolHealth::stalled`](lopram_core::PoolHealth::stalled).
-    pub fn health(&self) -> lopram_core::PoolHealth {
-        self.shared.pool.health()
     }
 
     /// The shared pool, for out-of-band inspection (workspace arena
@@ -457,39 +374,20 @@ impl Drop for JobService {
     }
 }
 
-/// What a dispatch scan found.
-enum Dispatch {
-    /// A runnable job with its cost acquired in budget permits.
-    Found(Queued, Vec<Permit>),
-    /// Nothing runnable *yet*: the earliest retry-backoff gate among
-    /// blocked front jobs — the executor sleeps until it (or a signal).
-    NotReady(Instant),
-    /// Nothing queued, or everything blocked on budget.
-    Empty,
-}
-
 /// Find the next runnable job under the queue lock: round-robin over
 /// tenant subqueues starting at the cursor, skipping tenants whose
-/// front job cannot acquire its cost in budget tokens right now, or
-/// whose front job is a retry still inside its backoff window.  An
-/// over-budget (or backing-off) tenant therefore waits behind its own
-/// jobs while every other tenant keeps flowing.
-fn next_runnable(shared: &Shared, st: &mut QueueState) -> Dispatch {
+/// front job cannot acquire its cost in budget tokens right now.  An
+/// over-budget tenant therefore waits behind its own jobs while every
+/// other tenant keeps flowing.  `None` when nothing is queued or
+/// everything queued is blocked on budget.
+fn next_runnable(shared: &Shared, st: &mut QueueState) -> Option<(Queued, Vec<Permit>)> {
     let n = st.queues.len();
-    let now = Instant::now();
-    let mut earliest: Option<Instant> = None;
     for i in 0..n {
         let t = (st.cursor + i) % n;
-        let (cost, not_before) = match st.queues[t].front() {
-            Some(front) => (front.cost, front.not_before),
+        let cost = match st.queues[t].front() {
+            Some(front) => front.cost,
             None => continue,
         };
-        if let Some(gate) = not_before {
-            if gate > now {
-                earliest = Some(earliest.map_or(gate, |e| e.min(gate)));
-                continue;
-            }
-        }
         let tokens = &shared.tenants[t].tokens;
         let mut permits = Vec::with_capacity(cost);
         for _ in 0..cost {
@@ -506,12 +404,9 @@ fn next_runnable(shared: &Shared, st: &mut QueueState) -> Dispatch {
         let job = st.queues[t].pop_front().expect("front checked above");
         st.queued -= 1;
         st.cursor = (t + 1) % n;
-        return Dispatch::Found(job, permits);
+        return Some((job, permits));
     }
-    match earliest {
-        Some(at) => Dispatch::NotReady(at),
-        None => Dispatch::Empty,
-    }
+    None
 }
 
 fn executor_loop(shared: &Shared) {
@@ -519,39 +414,16 @@ fn executor_loop(shared: &Shared) {
         let (job, permits) = {
             let mut st = shared.state.lock();
             loop {
-                match next_runnable(shared, &mut st) {
-                    Dispatch::Found(job, permits) => break (job, permits),
-                    Dispatch::NotReady(until) => {
-                        // Work exists but is gated on a retry backoff;
-                        // shutdown must still drain it, so never return
-                        // here — sleep out the gate (or a signal) and
-                        // rescan.
-                        let now = Instant::now();
-                        if until > now {
-                            let _ = shared.work_ready.wait_for(&mut st, until - now);
-                        }
-                    }
-                    Dispatch::Empty => {
-                        if st.shutdown && st.queued == 0 {
-                            return;
-                        }
-                        shared.work_ready.wait(&mut st);
-                    }
+                if let Some(found) = next_runnable(shared, &mut st) {
+                    break found;
                 }
+                if st.shutdown && st.queued == 0 {
+                    return;
+                }
+                shared.work_ready.wait(&mut st);
             }
         };
-        if let Some(retry) = run_one(shared, job, permits) {
-            // Retryable failure with retries left: back in at the front
-            // of its tenant's subqueue (it keeps its age-order slot),
-            // gated by `not_before`.
-            let mut st = shared.state.lock();
-            st.queues[retry.tenant].push_front(retry);
-            st.queued += 1;
-            shared
-                .counters
-                .queue_peak
-                .fetch_max(st.queued, Ordering::Relaxed);
-        }
+        run_one(shared, job, permits);
         // Budget tokens released (permits dropped in run_one): a job
         // that was skipped for budget may be runnable now.
         shared.work_ready.notify_all();
@@ -569,21 +441,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Run one admitted job to a report — or to a retry.  This is the
-/// service boundary: `catch_unwind` around `run_cancellable` splits the
-/// three failure modes — a `CancelUnwind` surfaces as `Err(reason)`
-/// from `run_cancellable`, a genuine panic passes through it and is
-/// caught here.  The pool's workspace guards and the budget [`Permit`]s
-/// all release on unwind, so nothing leaks on any path.
-///
-/// Returns `Some(job)` when the attempt failed retryably (panic, or a
-/// cancellation the client did not request) with retries left: the
-/// caller re-enqueues it.  The retry carries a **fresh** token (its
-/// failed predecessor's fired state must not leak), no fault (a seeded
-/// fault fires once — the retry is the clean run, which is what makes
-/// retried digests bit-identical to unfaulted ones), and a backoff gate
-/// from the deterministic [`RetryPolicy`].
-fn run_one(shared: &Shared, mut job: Queued, permits: Vec<Permit>) -> Option<Queued> {
+/// Run one admitted job to its report.  This is the service boundary:
+/// `catch_unwind` around `run_cancellable` splits the three failure
+/// modes — a `CancelUnwind` surfaces as `Err(reason)` from
+/// `run_cancellable`, a genuine panic passes through it and is caught
+/// here.  The pool's workspace guards and the budget [`Permit`]s all
+/// release on unwind, so nothing leaks on any path.  The body runs at
+/// most once: a failed job reports its error.
+fn run_one(shared: &Shared, job: Queued, permits: Vec<Permit>) {
     // One clock read per dispatch: the queue-wait attribution, the
     // pre-run deadline verdict and the run-time origin all derive from
     // the same instant.  With separate reads a job could pass the
@@ -591,8 +456,8 @@ fn run_one(shared: &Shared, mut job: Queued, permits: Vec<Permit>) -> Option<Que
     // later `started` stamp — admitted and run while expired.
     let dispatched = Instant::now();
     let queue_wait = dispatched.duration_since(job.enqueued);
-    let token = job.ticket.token.lock().clone();
-    let attempt = job.attempts + 1;
+    // The ticket's own token: a client cancel fires this same token.
+    let token = &job.ticket.token;
 
     let (outcome, run_time, metrics, metrics_exclusive) =
         if let Some(reason) = token.poll_at(dispatched) {
@@ -611,16 +476,15 @@ fn run_one(shared: &Shared, mut job: Queued, permits: Vec<Permit>) -> Option<Que
             let active_before = shared.active.fetch_add(1, Ordering::SeqCst);
             let before = shared.pool.metrics().snapshot();
             let started = dispatched;
-            // Borrow (not consume) the body: a retryable failure needs
-            // it callable again on the next attempt.
-            let run = &mut job.run;
             let cx = crate::job::JobContext {
                 pool: &shared.pool,
-                token: &token,
+                token,
                 fault: job.fault,
                 step: std::cell::Cell::new(0),
             };
-            let result = catch_unwind(AssertUnwindSafe(|| run_cancellable(&token, || run(&cx))));
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                run_cancellable(token, || (job.run)(&cx))
+            }));
             let run_time = started.elapsed();
             let after = shared.pool.metrics().snapshot();
             let active_after = shared.active.fetch_sub(1, Ordering::SeqCst) - 1;
@@ -633,44 +497,6 @@ fn run_one(shared: &Shared, mut job: Queued, permits: Vec<Permit>) -> Option<Que
             };
             (outcome, run_time, after.delta_since(&before), exclusive)
         };
-
-    // Retry decision.  Panics are always retryable; a cancellation is
-    // retryable only when the client did not request it (a client
-    // cancel is a verdict, not a fault).  Deadline expiry is never
-    // retried — the deadline is absolute and already blown.
-    let client_cancelled = job
-        .ticket
-        .client_cancelled
-        .load(std::sync::atomic::Ordering::SeqCst);
-    let retryable = match &outcome {
-        Err(JobError::Panicked(_)) => true,
-        Err(JobError::Cancelled) => !client_cancelled,
-        Err(JobError::DeadlineExceeded) | Ok(_) => false,
-    };
-    if retryable && attempt <= job.max_retries {
-        shared.counters.retries.fetch_add(1, Ordering::Relaxed);
-        // Fresh token for the retry, inheriting the absolute deadline.
-        // If a client cancel raced in after the decision above, the
-        // fresh token starts fired and the retry reports Cancelled.
-        let fresh = match job.deadline_at {
-            Some(at) => CancelToken::with_deadline_at(at),
-            None => CancelToken::new(),
-        };
-        if job
-            .ticket
-            .client_cancelled
-            .load(std::sync::atomic::Ordering::SeqCst)
-        {
-            fresh.cancel();
-        }
-        *job.ticket.token.lock() = fresh;
-        let delay = shared.retry.backoff(job.id, attempt);
-        job.attempts = attempt;
-        job.fault = None;
-        job.not_before = Some(Instant::now() + delay);
-        drop(permits);
-        return Some(job);
-    }
 
     match &outcome {
         Ok(_) => {
@@ -706,9 +532,7 @@ fn run_one(shared: &Shared, mut job: Queued, permits: Vec<Permit>) -> Option<Que
         run_time,
         metrics,
         metrics_exclusive,
-        attempts: attempt,
     };
     *job.ticket.report.lock() = Some(report);
     job.ticket.done.notify_all();
-    None
 }

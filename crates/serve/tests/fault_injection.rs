@@ -19,7 +19,7 @@ use lopram_serve::{
     Fault, FaultPlan, JobContext, JobError, JobService, JobSpec, ServeConfig, SubmitError,
 };
 
-/// Stress multiplier: `LOPRAM_TEST_REPEAT=8` (CI serve-stress job)
+/// Stress multiplier: `LOPRAM_TEST_REPEAT=20` (CI serve-stress job)
 /// re-runs the seeded differential check under more seeds.
 fn repeat() -> u64 {
     std::env::var("LOPRAM_TEST_REPEAT")

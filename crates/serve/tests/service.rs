@@ -2,6 +2,7 @@
 //! round-robin fairness, deadlines-from-submission, cancellation and
 //! graceful drain.
 
+use std::error::Error;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -273,6 +274,31 @@ fn ticket_cancel_stops_a_queued_job_without_running_it() {
 }
 
 #[test]
+fn ticket_cancel_unwinds_a_running_job() {
+    let service = JobService::start(ServeConfig::default());
+    let running = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&running);
+    let victim = service
+        .submit(JobSpec::new(0, move |cx| loop {
+            flag.store(true, Ordering::SeqCst);
+            // Unwinds with the ticket's cancel reason once it fires.
+            cx.step();
+            std::thread::yield_now();
+        }))
+        .unwrap();
+    while !running.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
+    victim.cancel();
+    let report = victim.wait();
+    assert_eq!(report.outcome, Err(JobError::Cancelled));
+    assert!(report.run_time > Duration::ZERO, "the body was running");
+    let stats = service.shutdown();
+    assert_eq!(stats.cancelled, 1);
+    assert_eq!(stats.completed, 0);
+}
+
+#[test]
 fn queue_wait_counts_against_the_deadline() {
     let service = JobService::start(ServeConfig::default());
     let release = Arc::new(AtomicBool::new(false));
@@ -431,4 +457,53 @@ fn expired_while_queued_reports_without_running() {
         "an expired job's body must never start"
     );
     service.shutdown();
+}
+
+#[test]
+fn fairness_ratio_edge_cases() {
+    // The degenerate shapes of the fairness number.
+    let stats = |per_tenant: Vec<u64>| lopram_serve::ServiceStats {
+        submitted: 0,
+        rejected: 0,
+        completed: per_tenant.iter().sum(),
+        panicked: 0,
+        cancelled: 0,
+        deadline_exceeded: 0,
+        queue_peak: 0,
+        retries: 0,
+        per_tenant_completed: per_tenant,
+    };
+    // Nothing finished at all: perfectly fair by definition.
+    let zero = stats(vec![0, 0, 0]);
+    assert_eq!(zero.finished(), 0);
+    assert_eq!(zero.fairness_ratio(), 1.0);
+    // No tenants configured at all (empty vector).
+    assert_eq!(stats(vec![]).fairness_ratio(), 1.0);
+    // A single tenant can only be fair to itself.
+    assert_eq!(stats(vec![5]).fairness_ratio(), 1.0);
+    // A starved tenant while another completed: infinite unfairness.
+    assert_eq!(stats(vec![5, 0]).fairness_ratio(), f64::INFINITY);
+    // The plain ratio otherwise.
+    assert_eq!(stats(vec![4, 2]).fairness_ratio(), 2.0);
+}
+
+#[test]
+fn submit_and_job_errors_propagate_through_question_mark() -> Result<(), Box<dyn Error>> {
+    // Both error types thread through `?` as
+    // `Box<dyn Error>` — the std::error::Error impls are load-bearing.
+    fn misuse(service: &JobService) -> Result<(), Box<dyn Error>> {
+        service.submit(JobSpec::new(99, |_cx| 0))?;
+        Ok(())
+    }
+    let service = JobService::start(ServeConfig::default());
+    let err = misuse(&service).expect_err("tenant 99 does not exist");
+    assert_eq!(err.to_string(), "unknown tenant 99");
+
+    let report = service
+        .submit(JobSpec::new(0, |_cx| panic!("kaboom")))?
+        .wait();
+    let job_err: Box<dyn Error> = Box::new(report.outcome.expect_err("panicked"));
+    assert!(job_err.to_string().contains("kaboom"));
+    service.shutdown();
+    Ok(())
 }
