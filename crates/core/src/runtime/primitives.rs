@@ -45,6 +45,15 @@
 //! *start* offsets are needed).  `scan_copy_in` takes `Copy` elements and
 //! moves them by value: memcpy-style writes, no `&T -> T` round trips.
 //!
+//! A one-block pass (`C = 1`, every input below
+//! [`WAKE_GRAIN`](crate::policy::WAKE_GRAIN) on a default pool) of
+//! `scan_copy_in` or `pack_in` skips the pipeline: it is one sweep over
+//! the input on the calling thread, with no arena checkout, so it costs
+//! what the sequential loop costs.  Both sweeps have one shape — `Pass`
+//! event, cancellation checkpoint, sweep, checkpoint, `Pass` event — so a
+//! capture reads as the pipeline's would, and the trailing checkpoint
+//! observes a token fired from inside the sweep's operator or predicate.
+//!
 //! # Fork accounting
 //!
 //! Every primitive is built on [`PalPool::join`]: the block range is split
@@ -120,6 +129,22 @@ fn prepare_slots<T: Clone>(buf: &mut Vec<T>, len: usize, fill: impl FnOnce() -> 
     }
 }
 
+/// Write the exclusive prefixes of `block` under `op`, starting from
+/// `acc`, into `out` (zipped, so the shorter of the two bounds the loop)
+/// and return the reduction past the last element read.
+#[inline]
+fn write_prefixes<T, F>(mut acc: T, block: &[T], op: &F, out: &mut [T]) -> T
+where
+    T: Copy,
+    F: Fn(T, T) -> T,
+{
+    for (slot, &x) in out.iter_mut().zip(block) {
+        *slot = acc;
+        acc = op(acc, x);
+    }
+    acc
+}
+
 /// Branch-free compaction of `block` (whose first element is input index
 /// `lo`) into `region`: every element is written at the cursor and only a
 /// survivor advances it, so an unpredictable `keep` costs no mispredicted
@@ -154,7 +179,11 @@ impl PalPool {
     /// be associative (the usual scan contract); the result is then
     /// independent of the blocking.  Operator and accumulator move **by
     /// value**, so the inner loops are plain register accumulation and
-    /// memcpy-style slot writes.
+    /// memcpy-style slot writes.  A one-block scan (`C = 1` — every input
+    /// below [`WAKE_GRAIN`](crate::policy::WAKE_GRAIN) on a default pool)
+    /// has no block sums to compute and writes the prefixes in a single
+    /// sweep, reading the input once and checking nothing out of the
+    /// arena.
     ///
     /// All internal scratch is checked out of [`PalPool::workspace`], so
     /// after the first call on a given input size neither the scratch nor
@@ -176,6 +205,20 @@ impl PalPool {
             return identity;
         }
         let chunks = self.chunk_count(n);
+        if chunks == 1 {
+            // One block has no block sums to scan: write the prefixes in
+            // one sweep on the calling thread, with no arena checkout.  The
+            // same two `Pass` events as the pipeline below, so a capture
+            // reads alike either way; the trailing checkpoint observes a
+            // token fired during the sweep, as the write pass's would.
+            self.trace_pass(1);
+            super::cancel::checkpoint();
+            prepare_slots(exclusive, n, || identity);
+            let total = write_prefixes(identity, input, &op, exclusive);
+            super::cancel::checkpoint();
+            self.trace_pass(1);
+            return total;
+        }
 
         let mut sums = self.workspace().checkout::<T>();
         sums.resize(chunks, identity);
@@ -200,11 +243,7 @@ impl PalPool {
         let sums = &sums;
         self.trace_pass(chunks);
         self.blocked_balanced_mut(exclusive, chunks, |c, out| {
-            let mut acc = sums[c];
-            for (slot, &x) in out.iter_mut().zip(&input[block_start(n, chunks, c)..]) {
-                *slot = acc;
-                acc = op(acc, x);
-            }
+            write_prefixes(sums[c], &input[block_start(n, chunks, c)..], &op, out);
         });
         total
     }
@@ -252,12 +291,14 @@ impl PalPool {
             // One block has no boundaries to agree on: compact straight
             // into `out` in one sweep.  Same output and the same `Pass`
             // events as the count+scatter pipeline below (two, or one when
-            // nothing survives), so a capture reads alike either way.
+            // nothing survives), so a capture reads alike either way; the
+            // trailing checkpoint observes a token fired during the sweep.
             self.trace_pass(1);
             super::cancel::checkpoint();
             prepare_slots(out, n, || input[0]);
             let (written, _) = compact(input, 0, &keep, out);
             out.truncate(written);
+            super::cancel::checkpoint();
             if written > 0 {
                 self.trace_pass(1);
             }
@@ -683,6 +724,73 @@ mod tests {
             pool.scan_copy_in(&input, 0u64, |a, b| a + b, &mut Vec::new());
             assert_metrics_consistent(pool.metrics(), 2 * (chunks - 1));
         }
+    }
+
+    #[test]
+    fn scan_keeps_operand_order_on_both_paths() {
+        // Composition of affine maps x ↦ a·x + b is associative but not
+        // commutative, so a sweep or a block combine that swaps its
+        // operands gives a different prefix.  `(a, b)` then `(c, d)` is
+        // x ↦ c·(a·x + b) + d.
+        type Affine = (u64, u64);
+        let then =
+            |(a, b): Affine, (c, d): Affine| (a.wrapping_mul(c), b.wrapping_mul(c).wrapping_add(d));
+        let identity = (1, 0);
+        let words = splitmix(2 * (WAKE_GRAIN + 1), 11);
+        let maps: Vec<Affine> = words.chunks(2).map(|w| (w[0] | 1, w[1])).collect();
+        let w = WAKE_GRAIN;
+        for n in [0, 1, 2, 63, 64, 65, w - 1, w, w + 1] {
+            let input = &maps[..n];
+            let mut acc = identity;
+            let expected: Vec<Affine> = input
+                .iter()
+                .map(|&x| {
+                    let before = acc;
+                    acc = then(acc, x);
+                    before
+                })
+                .collect();
+            for p in [1, 2, 4] {
+                for pool in pools(p) {
+                    let mut exclusive = Vec::new();
+                    let total = pool.scan_copy_in(input, identity, then, &mut exclusive);
+                    assert!(exclusive == expected, "p = {p}, n = {n}");
+                    assert_eq!(total, acc, "p = {p}, n = {n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_block_scan_sweeps_without_the_arena() {
+        // C = 1 (every sub-floor scan on a default pool): no workspace
+        // checkout, no fork, and the same two one-block `Pass` events as
+        // the pipeline would record.
+        let input: Vec<u64> = (0..1024).collect();
+        let pool = PalPool::new(2).unwrap();
+        assert_eq!(pool.chunk_count(input.len()), 1);
+        let mut exclusive = Vec::new();
+        pool.scan_copy_in(&input, 0u64, |a, b| a + b, &mut exclusive);
+        let warm = pool.workspace().stats();
+        for _ in 0..100 {
+            let total = pool.scan_copy_in(&input, 0u64, |a, b| a + b, &mut exclusive);
+            assert_eq!(total, 1023 * 1024 / 2);
+        }
+        let now = pool.workspace().stats();
+        assert_eq!((now.hits, now.misses), (warm.hits, warm.misses));
+        assert_metrics_consistent(pool.metrics(), 0);
+
+        let traced = PalPool::builder()
+            .processors(2)
+            .trace(crate::TraceConfig::default())
+            .build()
+            .unwrap();
+        traced.scan_copy_in(&input, 0u64, |a, b| a + b, &mut exclusive);
+        let trace = traced.take_trace().unwrap();
+        let s = trace.summary();
+        assert_eq!((s.forks, s.passes, s.pass_forks), (0, 2, 0));
+        let one_block = crate::TraceEvent::Pass { chunks: 1 };
+        assert_eq!(trace.events.iter().filter(|&&e| e == one_block).count(), 2);
     }
 
     /// SplitMix64: a seeded stream of well-mixed words, so a parity

@@ -465,6 +465,48 @@ fn cancellation_unwind_leaves_pool_and_arena_warm() {
     }
 }
 
+/// The same for a one-block pack: a token fired by the predicate during
+/// the single sweep surfaces as `Err(Cancelled)` at the sweep's trailing
+/// checkpoint, and the next warm pack is exact and grows no arena.
+#[test]
+fn cancelled_one_block_pack_leaves_pool_and_arena_warm() {
+    let pool = PalPool::new(2).unwrap();
+    let input: Vec<u64> = (0..2048).collect();
+    assert_eq!(pool.chunk_count(input.len()), 1, "the one-sweep path");
+    let mut packed = Vec::new();
+    pool.pack_in(&input, |_, x| x % 3 == 0, &mut packed);
+    let warm = pool.workspace().stats().grown_bytes;
+    for i in 0..repeat(100).div_ceil(2) {
+        let token = CancelToken::new();
+        let fire_at = (i * 131) % 2048;
+        let inner = token.clone();
+        let result = run_cancellable(&token, || {
+            pool.pack_in(
+                &input,
+                |_, &x| {
+                    if x == fire_at as u64 {
+                        inner.cancel();
+                    }
+                    x % 3 == 0
+                },
+                &mut packed,
+            )
+        });
+        assert_eq!(
+            result,
+            Err(CancelReason::Cancelled),
+            "iteration {i}: cancel must surface as Err, not a panic"
+        );
+        pool.pack_in(&input, |_, x| x % 3 == 0, &mut packed);
+        assert_eq!(packed.len(), 683, "iteration {i}");
+        assert_eq!(
+            pool.workspace().stats().grown_bytes,
+            warm,
+            "iteration {i}: a cancelled job must not grow the arena"
+        );
+    }
+}
+
 /// A token that is cancelled while *another* computation shares the pool:
 /// the unrelated computation must never observe the foreign token (the
 /// ambient token travels with scheduled pal-threads, it is not a property
