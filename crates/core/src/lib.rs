@@ -48,7 +48,7 @@ pub use metrics::{assert_metrics_consistent, MetricsSnapshot, RunMetrics};
 pub use policy::{processors_for, ProcessorPolicy};
 pub use runtime::{
     run_cancellable, CancelReason, CancelToken, ChaosConfig, DagTrace, PalPool, PalPoolBuilder,
-    PoolHealth, TraceConfig, TraceEvent, TraceSummary, Workspace, WorkspaceGuard, WorkspaceStats,
+    TraceConfig, TraceEvent, TraceSummary, Workspace, WorkspaceGuard, WorkspaceStats,
 };
 
 /// Convenience prelude re-exporting the items almost every user needs.
@@ -58,6 +58,6 @@ pub mod prelude {
     pub use crate::policy::{processors_for, ProcessorPolicy};
     pub use crate::runtime::{
         run_cancellable, CancelReason, CancelToken, ChaosConfig, DagTrace, PalPool, PalPoolBuilder,
-        PoolHealth, TraceConfig, Workspace,
+        TraceConfig, Workspace,
     };
 }

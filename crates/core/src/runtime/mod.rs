@@ -40,9 +40,8 @@ mod workspace;
 
 pub use cancel::{run_cancellable, CancelReason, CancelToken};
 pub use pool::{PalPool, PalPoolBuilder};
-// Runtime health and chaos-injection types, defined by the work-stealing
-// runtime shim and surfaced through `PalPool::health` /
-// `PalPoolBuilder::chaos`.
-pub use rayon::{ChaosConfig, PoolHealth};
+// The chaos-injection type, defined by the work-stealing runtime shim and
+// surfaced through `PalPoolBuilder::chaos`.
+pub use rayon::ChaosConfig;
 pub use trace::{DagTrace, TraceConfig, TraceEvent, TraceSummary};
 pub use workspace::{Workspace, WorkspaceGuard, WorkspaceStats};

@@ -281,13 +281,6 @@ impl PalPool {
         (self.cutoff != CUTOFF_DISABLED).then_some(self.cutoff)
     }
 
-    /// Snapshot the runtime's per-worker heartbeats;
-    /// [`PoolHealth::stalled`](rayon::PoolHealth::stalled) names the
-    /// processors wedged inside one job.
-    pub fn health(&self) -> rayon::PoolHealth {
-        self.pool.health()
-    }
-
     /// The pool's scratch arena: reusable, grow-only typed buffers the
     /// blocked primitives (and kernels built on them, like the BFS in
     /// `lopram-graph`) check out instead of allocating.

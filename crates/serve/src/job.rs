@@ -35,7 +35,7 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A job for `tenant` running `f`.  Defaults: cost 1 budget token,
+    /// A job for `tenant` running `f`.  Defaults: cost 1 budget unit,
     /// the service's default deadline (none unless configured).
     pub fn new(tenant: usize, f: impl FnOnce(&JobContext<'_>) -> u64 + Send + 'static) -> Self {
         JobSpec {
@@ -46,10 +46,10 @@ impl JobSpec {
         }
     }
 
-    /// Set the job's cost in budget tokens (clamped to at least 1).  The
-    /// job runs only while it holds `cost` tokens of its tenant's
-    /// budget; a cost above the tenant's total budget is rejected at
-    /// submission with [`SubmitError::CostExceedsBudget`].
+    /// Set the job's cost in budget units (clamped to at least 1).  The
+    /// job holds `cost` units of its tenant's budget for its whole run;
+    /// a cost above the tenant's total budget is rejected at submission
+    /// with [`SubmitError::CostExceedsBudget`].
     pub fn cost(mut self, cost: usize) -> Self {
         self.cost = cost.max(1);
         self
@@ -144,9 +144,9 @@ pub enum SubmitError {
         tenant: usize,
     },
     /// The job's cost exceeds its tenant's *total* budget, so it could
-    /// never acquire enough tokens to run.
+    /// never run.
     CostExceedsBudget {
-        /// Requested cost in budget tokens.
+        /// Requested cost in budget units.
         cost: usize,
         /// The tenant's total budget.
         budget: usize,

@@ -16,10 +16,11 @@
 //!   configured capacity, so a saturating client cannot OOM the
 //!   service, and each tenant holds at most `ceil(capacity / tenants)`
 //!   of the slots, so a flooding tenant cannot crowd the others out.
-//! * **Per-tenant budgets** — each tenant holds a token budget derived
-//!   from the §3.1 throttle; an over-budget tenant queues behind its
-//!   own jobs and never starves the others (round-robin dispatch over
-//!   per-tenant FIFO subqueues).
+//! * **Per-tenant budgets** — each tenant may have jobs of summed cost
+//!   at most [`ServeConfig::tenant_budget`] (a plain count, default 1)
+//!   running at once; an over-budget tenant queues behind its own jobs
+//!   and never starves the others (round-robin dispatch over per-tenant
+//!   FIFO subqueues).
 //! * **Deadlines and cancellation** — every job carries a
 //!   [`CancelToken`](lopram_core::CancelToken) checked at fork
 //!   boundaries and blocked-pass chunk boundaries inside the pool, so a
@@ -63,7 +64,6 @@
 pub mod fault;
 pub mod job;
 pub mod service;
-mod tokens;
 
 pub use fault::{Fault, FaultPlan};
 pub use job::{JobContext, JobError, JobReport, JobSpec, JobTicket, SubmitError};

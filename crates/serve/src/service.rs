@@ -19,19 +19,18 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::fault::{Fault, FaultPlan};
 use crate::job::{JobError, JobFn, JobReport, JobSpec, JobTicket, SubmitError, TicketState};
-use crate::tokens::{Permit, ProcessorTokens};
 
 /// Service configuration.  All limits are hard: the queue never grows
-/// past `queue_capacity`, a tenant never holds more than `tenant_budget`
-/// tokens at once.
+/// past `queue_capacity`, and the jobs a tenant has running never cost
+/// more than `tenant_budget` together.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Number of tenants (jobs are submitted for `0..tenants`).
     pub tenants: usize,
-    /// Per-tenant budget in tokens; a running job holds its cost in
-    /// tokens for its whole run.  Derived from the §3.1 throttle: the
-    /// pool grants `p = O(log n)` processors, the budget caps how much
-    /// of that concurrency one tenant can occupy.
+    /// Per-tenant budget: a running job holds its [`cost`](JobSpec::cost)
+    /// of its tenant's budget for its whole run, and a job is dispatched
+    /// only while its cost still fits.  A plain count, independent of
+    /// `processors`; the default 1 runs one job per tenant at a time.
     pub tenant_budget: usize,
     /// Bound on the admission queue (all tenants together).  A full
     /// queue rejects with [`SubmitError::Rejected`] — backpressure, not
@@ -87,13 +86,15 @@ struct QueueState {
     queues: Vec<VecDeque<Queued>>,
     /// Total queued across all tenants (the bounded quantity).
     queued: usize,
+    /// Per-tenant summed cost of the jobs dispatched and not yet
+    /// reported; never above `Shared::tenant_budget`.
+    in_use: Vec<usize>,
     /// Round-robin scan start for the next dispatch.
     cursor: usize,
     shutdown: bool,
 }
 
 struct TenantState {
-    tokens: Arc<ProcessorTokens>,
     completed: AtomicU64,
     rejected: AtomicU64,
 }
@@ -112,8 +113,8 @@ struct Counters {
 struct Shared {
     pool: PalPool,
     state: Mutex<QueueState>,
-    /// Signalled on submit, on job completion (budget tokens freed) and
-    /// on shutdown.
+    /// Signalled on submit, on job completion (budget freed) and on
+    /// shutdown.
     work_ready: Condvar,
     tenants: Vec<TenantState>,
     counters: Counters,
@@ -126,6 +127,7 @@ struct Shared {
     queue_capacity: usize,
     /// Per-tenant admission quota: `ceil(queue_capacity / tenants)`.
     tenant_quota: usize,
+    tenant_budget: usize,
 }
 
 /// Point-in-time service statistics.
@@ -180,7 +182,7 @@ impl ServiceStats {
 /// [`PalPool`].
 ///
 /// Many clients submit [`JobSpec`]s concurrently; a bounded admission
-/// queue applies backpressure, per-tenant token budgets keep any one
+/// queue applies backpressure, per-tenant budgets keep any one
 /// tenant from monopolising the pool, deadlines and cancellation unwind
 /// cooperatively in O(grain) work, and panics are caught at the service
 /// boundary — a hostile job can fail itself but never the pool, the
@@ -214,7 +216,6 @@ impl JobService {
             .expect("pool construction");
         let tenants = (0..config.tenants)
             .map(|_| TenantState {
-                tokens: ProcessorTokens::new(config.tenant_budget),
                 completed: AtomicU64::new(0),
                 rejected: AtomicU64::new(0),
             })
@@ -224,6 +225,7 @@ impl JobService {
             state: Mutex::new(QueueState {
                 queues: (0..config.tenants).map(|_| VecDeque::new()).collect(),
                 queued: 0,
+                in_use: vec![0; config.tenants],
                 cursor: 0,
                 shutdown: false,
             }),
@@ -236,6 +238,7 @@ impl JobService {
             default_deadline: config.default_deadline,
             queue_capacity: config.queue_capacity,
             tenant_quota: config.queue_capacity.div_ceil(config.tenants),
+            tenant_budget: config.tenant_budget,
         });
         let workers = (0..config.executors)
             .map(|i| {
@@ -260,11 +263,10 @@ impl JobService {
                 tenant: spec.tenant,
             });
         }
-        let budget = sh.tenants[spec.tenant].tokens.total();
-        if spec.cost > budget {
+        if spec.cost > sh.tenant_budget {
             return Err(SubmitError::CostExceedsBudget {
                 cost: spec.cost,
-                budget,
+                budget: sh.tenant_budget,
             });
         }
         let mut st = sh.state.lock();
@@ -376,11 +378,13 @@ impl Drop for JobService {
 
 /// Find the next runnable job under the queue lock: round-robin over
 /// tenant subqueues starting at the cursor, skipping tenants whose
-/// front job cannot acquire its cost in budget tokens right now.  An
-/// over-budget tenant therefore waits behind its own jobs while every
-/// other tenant keeps flowing.  `None` when nothing is queued or
-/// everything queued is blocked on budget.
-fn next_runnable(shared: &Shared, st: &mut QueueState) -> Option<(Queued, Vec<Permit>)> {
+/// front job's cost does not fit in what is left of their budget.  The
+/// dispatched job's cost is charged to `in_use` here, under the same
+/// lock that `run_one` takes to give it back.  An over-budget tenant
+/// therefore waits behind its own jobs while every other tenant keeps
+/// flowing.  `None` when nothing is queued or everything queued is
+/// blocked on budget.
+fn next_runnable(shared: &Shared, st: &mut QueueState) -> Option<Queued> {
     let n = st.queues.len();
     for i in 0..n {
         let t = (st.cursor + i) % n;
@@ -388,30 +392,21 @@ fn next_runnable(shared: &Shared, st: &mut QueueState) -> Option<(Queued, Vec<Pe
             Some(front) => front.cost,
             None => continue,
         };
-        let tokens = &shared.tenants[t].tokens;
-        let mut permits = Vec::with_capacity(cost);
-        for _ in 0..cost {
-            match tokens.try_acquire() {
-                Some(permit) => permits.push(permit),
-                None => break,
-            }
-        }
-        if permits.len() < cost {
-            // Partial acquisition: hand the tokens straight back (drop)
-            // and let the next tenant try.
+        if st.in_use[t] + cost > shared.tenant_budget {
             continue;
         }
+        st.in_use[t] += cost;
         let job = st.queues[t].pop_front().expect("front checked above");
         st.queued -= 1;
         st.cursor = (t + 1) % n;
-        return Some((job, permits));
+        return Some(job);
     }
     None
 }
 
 fn executor_loop(shared: &Shared) {
     loop {
-        let (job, permits) = {
+        let job = {
             let mut st = shared.state.lock();
             loop {
                 if let Some(found) = next_runnable(shared, &mut st) {
@@ -423,9 +418,9 @@ fn executor_loop(shared: &Shared) {
                 shared.work_ready.wait(&mut st);
             }
         };
-        run_one(shared, job, permits);
-        // Budget tokens released (permits dropped in run_one): a job
-        // that was skipped for budget may be runnable now.
+        run_one(shared, job);
+        // Budget released (in run_one): a job that was skipped for
+        // budget may be runnable now.
         shared.work_ready.notify_all();
     }
 }
@@ -445,10 +440,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// `catch_unwind` around `run_cancellable` splits the three failure
 /// modes — a `CancelUnwind` surfaces as `Err(reason)` from
 /// `run_cancellable`, a genuine panic passes through it and is caught
-/// here.  The pool's workspace guards and the budget [`Permit`]s all
-/// release on unwind, so nothing leaks on any path.  The body runs at
-/// most once: a failed job reports its error.
-fn run_one(shared: &Shared, job: Queued, permits: Vec<Permit>) {
+/// here.  The pool's workspace guards release on unwind and the budget
+/// is given back on every path below, so nothing leaks.  The body runs
+/// at most once: a failed job reports its error.
+fn run_one(shared: &Shared, job: Queued) {
     // One clock read per dispatch: the queue-wait attribution, the
     // pre-run deadline verdict and the run-time origin all derive from
     // the same instant.  With separate reads a job could pass the
@@ -519,10 +514,10 @@ fn run_one(shared: &Shared, job: Queued, permits: Vec<Permit>) {
         }
     }
 
-    // Release the tenant's budget tokens *before* publishing the
-    // report: a client that saw the report and immediately resubmits
-    // must find the budget free.
-    drop(permits);
+    // Release the tenant's budget *before* publishing the report: a
+    // client that saw the report and immediately resubmits must find
+    // the budget free.
+    shared.state.lock().in_use[job.tenant] -= job.cost;
 
     let report = JobReport {
         job: job.id,

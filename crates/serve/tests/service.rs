@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lopram_serve::{JobError, JobService, JobSpec, ServeConfig, SubmitError};
+use lopram_serve::{JobError, JobReport, JobService, JobSpec, JobTicket, ServeConfig, SubmitError};
 use parking_lot::Mutex;
 
 /// Expected exclusive-prefix-sum digest (the `total` of a 0-identity
@@ -208,63 +208,146 @@ fn round_robin_interleaves_tenants() {
 
 #[test]
 fn budget_serializes_one_tenants_jobs_across_executors() {
+    for budget in [1, 2] {
+        budget_holds_across_executors(budget);
+    }
+}
+
+/// Nine jobs of one tenant, costs cycling 1, 1, 2 (capped at `budget`),
+/// on three executors: the jobs running at any job's start never cost
+/// more than the budget together, however hungry the executors are.
+fn budget_holds_across_executors(budget: usize) {
     let service = JobService::start(ServeConfig {
         tenants: 1,
-        tenant_budget: 1,
-        executors: 2,
+        tenant_budget: budget,
+        executors: 3,
         queue_capacity: 16,
         ..ServeConfig::default()
     });
-    let windows: Arc<Mutex<Vec<(Instant, Instant)>>> = Arc::new(Mutex::new(Vec::new()));
-    let tickets: Vec<_> = (0..6)
-        .map(|_| {
+    type Window = (Instant, Instant, usize);
+    let windows: Arc<Mutex<Vec<Window>>> = Arc::new(Mutex::new(Vec::new()));
+    let tickets: Vec<_> = (0..9)
+        .map(|i| {
+            let cost = [1, 1, 2][i % 3].min(budget);
             let windows = Arc::clone(&windows);
             service
-                .submit(JobSpec::new(0, move |_| {
-                    let start = Instant::now();
-                    std::thread::sleep(Duration::from_millis(5));
-                    windows.lock().push((start, Instant::now()));
-                    0
-                }))
+                .submit(
+                    JobSpec::new(0, move |_| {
+                        let start = Instant::now();
+                        std::thread::sleep(Duration::from_millis(5));
+                        windows.lock().push((start, Instant::now(), cost));
+                        0
+                    })
+                    .cost(cost),
+                )
                 .unwrap()
         })
         .collect();
     for ticket in tickets {
         assert_eq!(ticket.wait().outcome, Ok(0));
     }
-    // Budget 1 ⇒ no two run windows of this tenant may overlap, even
-    // with two executors hungry for work.
-    let mut windows = windows.lock().clone();
-    windows.sort();
-    for pair in windows.windows(2) {
+    let windows = windows.lock().clone();
+    for &(start, _, _) in &windows {
+        let running: usize = windows
+            .iter()
+            .filter(|&&(s, e, _)| s <= start && start < e)
+            .map(|&(_, _, cost)| cost)
+            .sum();
         assert!(
-            pair[0].1 <= pair[1].0,
-            "budget-1 tenant ran two jobs concurrently"
+            running <= budget,
+            "budget-{budget} tenant had jobs of cost {running} running at once"
         );
     }
     service.shutdown();
 }
 
-#[test]
-fn ticket_cancel_stops_a_queued_job_without_running_it() {
-    let service = JobService::start(ServeConfig::default());
+/// Poll `ticket` until it reports, failing after 10 s: a job whose
+/// budget leaked stays queued forever, and `wait()` would hang.
+fn report_within_10s(ticket: &JobTicket) -> JobReport {
+    let start = Instant::now();
+    loop {
+        if let Some(report) = ticket.try_report() {
+            return report;
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "job {} did not report within 10 s: a leaked budget leaves it queued",
+            ticket.id()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Queue `spec` behind a running plug job, let `while_queued` act on its
+/// ticket, release the plug, and return the queued job's report.
+fn behind_plug(
+    service: &JobService,
+    spec: JobSpec,
+    while_queued: impl FnOnce(&JobTicket),
+) -> JobReport {
     let release = Arc::new(AtomicBool::new(false));
     let plug = service.submit(plug_job(Arc::clone(&release))).unwrap();
     while service.queue_depth() > 0 {
         std::thread::yield_now();
     }
+    let ticket = service.submit(spec).unwrap();
+    while_queued(&ticket);
+    release.store(true, Ordering::SeqCst);
+    assert_eq!(report_within_10s(&plug).outcome, Ok(0));
+    report_within_10s(&ticket)
+}
+
+#[test]
+fn every_terminal_path_gives_the_budget_back() {
+    // Never dropped on failure: a leaked budget would leave a job queued
+    // forever, and the drop's drain would hang instead of failing.
+    let service = std::mem::ManuallyDrop::new(JobService::start(ServeConfig {
+        tenant_budget: 1,
+        executors: 2,
+        ..ServeConfig::default()
+    }));
+    let next_job_runs = || {
+        let ticket = service.submit(JobSpec::new(0, |_| 7)).unwrap();
+        assert_eq!(report_within_10s(&ticket).outcome, Ok(7));
+    };
+    let panics = service.submit(JobSpec::new(0, |_| panic!("budget test")));
+    assert!(matches!(
+        report_within_10s(&panics.unwrap()).outcome,
+        Err(JobError::Panicked(_))
+    ));
+    next_job_runs();
+    let cancelled = behind_plug(&service, JobSpec::new(0, |_| 0), JobTicket::cancel);
+    assert_eq!(cancelled.outcome, Err(JobError::Cancelled));
+    next_job_runs();
+    let expiring = JobSpec::new(0, |_| 0).deadline(Duration::from_millis(5));
+    let expired = behind_plug(&service, expiring, |_| {
+        std::thread::sleep(Duration::from_millis(30))
+    });
+    assert_eq!(expired.outcome, Err(JobError::DeadlineExceeded));
+    next_job_runs();
+    let stats = std::mem::ManuallyDrop::into_inner(service).shutdown();
+    assert_eq!(stats.completed, 5);
+}
+
+#[test]
+#[should_panic(expected = "need a budget of at least 1")]
+fn zero_budget_is_refused_at_start() {
+    JobService::start(ServeConfig {
+        tenant_budget: 0,
+        ..ServeConfig::default()
+    });
+}
+
+#[test]
+fn ticket_cancel_stops_a_queued_job_without_running_it() {
+    let service = JobService::start(ServeConfig::default());
     let ran = Arc::new(AtomicBool::new(false));
     let ran_probe = Arc::clone(&ran);
-    let doomed = service
-        .submit(JobSpec::new(0, move |_| {
-            ran_probe.store(true, Ordering::SeqCst);
-            0
-        }))
-        .unwrap();
-    doomed.cancel();
-    release.store(true, Ordering::SeqCst);
-    plug.wait();
-    let report = doomed.wait();
+    let doomed = JobSpec::new(0, move |_| {
+        ran_probe.store(true, Ordering::SeqCst);
+        0
+    });
+    let report = behind_plug(&service, doomed, JobTicket::cancel);
     assert_eq!(report.outcome, Err(JobError::Cancelled));
     assert_eq!(report.run_time, Duration::ZERO);
     assert!(!ran.load(Ordering::SeqCst), "cancelled job must never run");
@@ -429,26 +512,16 @@ fn expired_while_queued_reports_without_running() {
     // `run_time == 0` — the body never starts — and the queue wait it
     // reports covers the deadline budget it blew.
     let service = JobService::start(ServeConfig::default());
-    let release = Arc::new(AtomicBool::new(false));
-    let plug = service.submit(plug_job(Arc::clone(&release))).unwrap();
-    while service.queue_depth() > 0 {
-        std::thread::yield_now();
-    }
     let body_ran = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&body_ran);
-    let doomed = service
-        .submit(
-            JobSpec::new(0, move |_| {
-                flag.store(true, Ordering::SeqCst);
-                0
-            })
-            .deadline(Duration::from_millis(5)),
-        )
-        .unwrap();
-    std::thread::sleep(Duration::from_millis(30));
-    release.store(true, Ordering::SeqCst);
-    plug.wait();
-    let report = doomed.wait();
+    let doomed = JobSpec::new(0, move |_| {
+        flag.store(true, Ordering::SeqCst);
+        0
+    })
+    .deadline(Duration::from_millis(5));
+    let report = behind_plug(&service, doomed, |_| {
+        std::thread::sleep(Duration::from_millis(30))
+    });
     assert_eq!(report.outcome, Err(JobError::DeadlineExceeded));
     assert_eq!(report.run_time, Duration::ZERO);
     assert!(report.queue_wait >= Duration::from_millis(5));

@@ -53,17 +53,14 @@
 //! first) increments the `spurious_wakeups` counter in [`PoolStats`].
 //! Completion latches unpark their single owner thread directly.
 //!
-//! # Health and chaos
+//! # Fixed processors and chaos
 //!
 //! The pool has a fixed number of processors, as the LoPRAM does: a worker
 //! leaves its loop only when the pool is dropped.  Every job runs under
 //! `catch_unwind` and its panic travels to the joiner, so user code cannot
 //! take a worker down with it.
 //!
-//! Every worker bumps a per-worker **heartbeat** (milliseconds since pool
-//! start) at the top of its loop and around parks; [`ThreadPool::health`]
-//! snapshots them into a [`PoolHealth`], whose [`PoolHealth::stalled`]
-//! names the workers wedged in user code.  Deterministic scheduler-level
+//! Deterministic scheduler-level
 //! faults can be injected with a [`ChaosConfig`] on the builder: drop or
 //! delay a chosen wake-up notification, or force extra steal-retry rounds
 //! — the *rule* deciding where each fault fires is a pure function of the
@@ -185,7 +182,7 @@ impl SleepSet {
 }
 
 // ---------------------------------------------------------------------------
-// Chaos and health: deterministic scheduler faults and heartbeats.
+// Chaos: deterministic scheduler faults.
 // ---------------------------------------------------------------------------
 
 /// Deterministic scheduler-fault injection, set on
@@ -257,33 +254,6 @@ impl ChaosConfig {
     /// Whether any fault can fire under this configuration.
     pub fn is_active(&self) -> bool {
         *self != ChaosConfig::default()
-    }
-}
-
-/// A point-in-time heartbeat snapshot of a pool; see
-/// [`ThreadPool::health`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolHealth {
-    /// Workers the pool was built with (`num_threads`).
-    pub workers: usize,
-    /// Per-worker last heartbeat, in milliseconds since the pool started.
-    /// A worker beats at the top of its loop and around every park.
-    pub last_beat_ms: Vec<u64>,
-    /// Milliseconds since the pool started, taken with the snapshot — the
-    /// reference point for [`PoolHealth::stalled`].
-    pub now_ms: u64,
-}
-
-impl PoolHealth {
-    /// Indices of workers whose last heartbeat is older than `threshold` —
-    /// likely wedged in user code.  An idle worker beats at least once per
-    /// `IDLE_POLL`, so a threshold well above that names only workers stuck
-    /// inside one job (or descheduled by the host).
-    pub fn stalled(&self, threshold: Duration) -> Vec<usize> {
-        let threshold_ms = threshold.as_millis() as u64;
-        (0..self.workers)
-            .filter(|&i| self.now_ms.saturating_sub(self.last_beat_ms[i]) > threshold_ms)
-            .collect()
     }
 }
 
@@ -500,12 +470,6 @@ struct Registry {
     /// Deliberate wake-ups that found no task to run (another worker got
     /// there first).
     spurious: AtomicU64,
-    /// When the pool started; heartbeats are milliseconds since this.
-    epoch: Instant,
-    /// Per-worker heartbeat: milliseconds since `epoch` at the worker's
-    /// last loop top / park boundary.  Relaxed — a watchdog reading, not a
-    /// synchronization edge.
-    beats: Vec<AtomicU64>,
     chaos: ChaosConfig,
     /// Sequence number of deliberate wake-ups, driving the chaos
     /// drop/delay-nth rules.  Only advanced while chaos is active.
@@ -583,19 +547,6 @@ impl Registry {
         self.notify_one();
     }
 
-    /// Snapshot the per-worker heartbeats; see [`ThreadPool::health`].
-    fn health(&self) -> PoolHealth {
-        PoolHealth {
-            workers: self.threads,
-            last_beat_ms: self
-                .beats
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            now_ms: self.epoch.elapsed().as_millis() as u64,
-        }
-    }
-
     /// Execute a job, attributing it in the pool statistics.
     ///
     /// Never unwinds: a job catches its own panic and reports it through
@@ -623,12 +574,6 @@ impl Registry {
 }
 
 impl WorkerCtx {
-    /// Bump this worker's heartbeat (milliseconds since pool start).
-    fn beat(&self) {
-        let now = self.registry.epoch.elapsed().as_millis() as u64;
-        self.registry.beats[self.index].store(now, Ordering::Relaxed);
-    }
-
     /// Take one pending task.  Priority: own deque bottom (newest — the
     /// cache-warm fast path for popping one's own fork back), then the
     /// injector front, then the other workers' tops — i.e. thieves always
@@ -669,7 +614,6 @@ impl WorkerCtx {
     /// deliberate notification (our bit was claimed by someone else).
     fn park_idle(&self) -> bool {
         let registry = &self.registry;
-        self.beat();
         registry.sleep.announce(self.index);
         // Dekker re-check: a task pushed before our bit became visible was
         // notified to nobody; look once more before actually sleeping.
@@ -679,7 +623,6 @@ impl WorkerCtx {
             return false;
         }
         thread::park_timeout(IDLE_POLL);
-        self.beat();
         registry.sleep.retract(self.index)
     }
 
@@ -690,7 +633,6 @@ impl WorkerCtx {
             if latch.probe() {
                 return;
             }
-            self.beat();
             match self.find_job() {
                 Some((job, source)) => self.registry.execute(job, source),
                 // Nothing to help with: park briefly.  The latch owner is
@@ -718,7 +660,6 @@ fn worker_main(registry: Arc<Registry>, index: usize, worker: deque::Worker<JobR
     WORKER.with(|w| *w.borrow_mut() = Some(Rc::clone(&ctx)));
     let mut notified = false;
     loop {
-        ctx.beat();
         if ctx.registry.terminate.load(Ordering::Acquire) {
             break;
         }
@@ -763,8 +704,6 @@ fn build_registry(
         stolen: AtomicU64::new(0),
         inlined: AtomicU64::new(0),
         spurious: AtomicU64::new(0),
-        epoch: Instant::now(),
-        beats: (0..threads).map(|_| AtomicU64::new(0)).collect(),
         chaos,
         wakeup_seq: AtomicU64::new(0),
         dropped_wakeups: AtomicU64::new(0),
@@ -999,12 +938,6 @@ impl ThreadPool {
             delayed_wakeups: self.registry.delayed_wakeups.load(Ordering::Relaxed),
             forced_steal_retries: self.registry.forced_steal_retries.load(Ordering::Relaxed),
         }
-    }
-
-    /// Snapshot of this pool's worker heartbeats; see
-    /// [`PoolHealth::stalled`].
-    pub fn health(&self) -> PoolHealth {
-        self.registry.health()
     }
 
     /// Run two closures, potentially in parallel on this pool; see [`join`].
@@ -1341,7 +1274,7 @@ mod tests {
         assert_eq!((a, b), ((1, 2), 10));
     }
 
-    // -- sleep set, health, chaos ------------------------------------------
+    // -- sleep set, chaos --------------------------------------------------
 
     #[test]
     fn sleep_set_addresses_indices_beyond_64() {
@@ -1397,64 +1330,6 @@ mod tests {
         assert!(a.drop_wakeup_nth >= 1 && a.delay_wakeup_nth >= 1);
         assert!(a.steal_retries < 4);
         assert!(!ChaosConfig::none().is_active());
-    }
-
-    #[test]
-    fn health_snapshot_reports_live_heartbeats() {
-        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
-        pool.join(|| 1, || 2);
-        let health = pool.health();
-        assert_eq!(health.workers, 2);
-        assert_eq!(health.last_beat_ms.len(), 2);
-        // Workers beat at least every IDLE_POLL; nothing can be stalled by
-        // a generous threshold.
-        assert_eq!(health.stalled(Duration::from_secs(30)), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn stalled_reports_a_worker_wedged_in_a_job() {
-        // A job that never returns to the worker loop stops its worker's
-        // heartbeat; `stalled` must name that worker.  The idle worker may
-        // be named too (a 2-CPU host can deschedule it past the
-        // threshold), so only membership is asserted.
-        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
-        let wedged = AtomicUsize::new(usize::MAX);
-        let release = AtomicBool::new(false);
-        let reported = thread::scope(|s| {
-            s.spawn(|| {
-                pool.install(|| {
-                    wedged.store(pool.current_thread_index().unwrap(), Ordering::Release);
-                    while !release.load(Ordering::Acquire) {
-                        thread::sleep(Duration::from_millis(1));
-                    }
-                })
-            });
-            let start = Instant::now();
-            let reported = loop {
-                let index = wedged.load(Ordering::Acquire);
-                if index != usize::MAX
-                    && pool
-                        .health()
-                        .stalled(Duration::from_millis(50))
-                        .contains(&index)
-                {
-                    break Some(index);
-                }
-                if start.elapsed() > Duration::from_secs(10) {
-                    break None;
-                }
-                thread::sleep(Duration::from_millis(5));
-            };
-            release.store(true, Ordering::Release);
-            reported
-        });
-        let index = wedged.load(Ordering::Acquire);
-        assert!(index < 2, "the wedged job never started");
-        assert_eq!(
-            reported,
-            Some(index),
-            "worker {index} was never reported stalled"
-        );
     }
 
     #[test]
