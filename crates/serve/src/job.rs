@@ -227,12 +227,53 @@ pub struct JobReport {
     pub metrics_exclusive: bool,
 }
 
+/// What a ticket's lock guards: the report once the job finishes, and
+/// whether a client is parked on [`TicketState::done`] waiting for it.
+pub(crate) struct ReportSlot {
+    pub(crate) report: Option<JobReport>,
+    /// Set only by [`JobTicket::wait`], under the lock, before it parks;
+    /// [`TicketState::publish`] reads it under the same lock and signals
+    /// `done` only when it is set.  [`JobTicket::try_report`] never sets
+    /// it, so a polling client is never signalled.
+    pub(crate) waiting: bool,
+}
+
+/// What a ticket shares with the executor that runs its job.  The client
+/// blocked in [`JobTicket::wait`] is the only one that sets
+/// `slot.waiting`, and the executor's [`publish`](Self::publish) the only
+/// one that reads it.
 pub(crate) struct TicketState {
-    pub(crate) report: Mutex<Option<JobReport>>,
+    pub(crate) slot: Mutex<ReportSlot>,
     pub(crate) done: Condvar,
     /// The job's cancel token: fired by [`JobTicket::cancel`], polled
     /// by the executor that runs the job.
     pub(crate) token: CancelToken,
+}
+
+impl TicketState {
+    pub(crate) fn new(token: CancelToken) -> Self {
+        TicketState {
+            slot: Mutex::new(ReportSlot {
+                report: None,
+                waiting: false,
+            }),
+            done: Condvar::new(),
+            token,
+        }
+    }
+
+    /// Store the job's report, and wake the client only if it is parked
+    /// in [`JobTicket::wait`]: a `Condvar` notify is a syscall even when
+    /// nobody waits.
+    pub(crate) fn publish(&self, report: JobReport) {
+        let mut slot = self.slot.lock();
+        slot.report = Some(report);
+        let waiting = slot.waiting;
+        drop(slot);
+        if waiting {
+            self.done.notify_all();
+        }
+    }
 }
 
 /// A handle to an admitted job: await its [`JobReport`], or cancel it.
@@ -257,16 +298,20 @@ impl JobTicket {
 
     /// Non-blocking probe: the report if the job already finished.
     pub fn try_report(&self) -> Option<JobReport> {
-        self.state.report.lock().clone()
+        self.state.slot.lock().report.clone()
     }
 
     /// Block until the job finishes and take its report.
     pub fn wait(self) -> JobReport {
-        let mut report = self.state.report.lock();
-        while report.is_none() {
-            self.state.done.wait(&mut report);
+        let mut slot = self.state.slot.lock();
+        while slot.report.is_none() {
+            // Registered under the lock `publish` takes to store the
+            // report, so the report cannot land unseen between this
+            // check and the park.
+            slot.waiting = true;
+            self.state.done.wait(&mut slot);
         }
-        report.take().expect("woken with report present")
+        slot.report.take().expect("woken with report present")
     }
 }
 

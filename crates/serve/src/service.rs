@@ -91,12 +91,9 @@ struct QueueState {
     in_use: Vec<usize>,
     /// Round-robin scan start for the next dispatch.
     cursor: usize,
+    /// Executors parked in `work_ready.wait`.
+    idle: usize,
     shutdown: bool,
-}
-
-struct TenantState {
-    completed: AtomicU64,
-    rejected: AtomicU64,
 }
 
 #[derive(Default)]
@@ -113,10 +110,12 @@ struct Counters {
 struct Shared {
     pool: PalPool,
     state: Mutex<QueueState>,
-    /// Signalled on submit, on job completion (budget freed) and on
-    /// shutdown.
+    /// Signalled on submit and on job completion (budget freed) only
+    /// when `QueueState::idle` — read under the state lock — says an
+    /// executor is parked on it; always signalled on shutdown.
     work_ready: Condvar,
-    tenants: Vec<TenantState>,
+    /// `Ok`-completions per tenant; its length is the tenant count.
+    tenant_completed: Vec<AtomicU64>,
     counters: Counters,
     /// Jobs currently inside their run window (exclusivity tracking).
     active: AtomicUsize,
@@ -214,12 +213,6 @@ impl JobService {
             .chaos(config.chaos)
             .build()
             .expect("pool construction");
-        let tenants = (0..config.tenants)
-            .map(|_| TenantState {
-                completed: AtomicU64::new(0),
-                rejected: AtomicU64::new(0),
-            })
-            .collect();
         let shared = Arc::new(Shared {
             pool,
             state: Mutex::new(QueueState {
@@ -227,10 +220,11 @@ impl JobService {
                 queued: 0,
                 in_use: vec![0; config.tenants],
                 cursor: 0,
+                idle: 0,
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
-            tenants,
+            tenant_completed: (0..config.tenants).map(|_| AtomicU64::new(0)).collect(),
             counters: Counters::default(),
             active: AtomicUsize::new(0),
             starts: AtomicU64::new(0),
@@ -258,7 +252,7 @@ impl JobService {
     /// starts immediately — queue wait counts against it.
     pub fn submit(&self, spec: JobSpec) -> Result<JobTicket, SubmitError> {
         let sh = &*self.shared;
-        if spec.tenant >= sh.tenants.len() {
+        if spec.tenant >= sh.tenant_completed.len() {
             return Err(SubmitError::UnknownTenant {
                 tenant: spec.tenant,
             });
@@ -278,9 +272,6 @@ impl JobService {
         // queue — its excess bounces while their slots stay reachable.
         if st.queued >= sh.queue_capacity || st.queues[spec.tenant].len() >= sh.tenant_quota {
             sh.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            sh.tenants[spec.tenant]
-                .rejected
-                .fetch_add(1, Ordering::Relaxed);
             return Err(SubmitError::Rejected {
                 queue_depth: st.queued,
             });
@@ -291,11 +282,7 @@ impl JobService {
             Some(d) => CancelToken::with_deadline_at(now + d),
             None => CancelToken::new(),
         };
-        let ticket = Arc::new(TicketState {
-            report: Mutex::new(None),
-            done: Condvar::new(),
-            token,
-        });
+        let ticket = Arc::new(TicketState::new(token));
         st.queues[spec.tenant].push_back(Queued {
             id,
             tenant: spec.tenant,
@@ -309,8 +296,11 @@ impl JobService {
         sh.counters
             .queue_peak
             .fetch_max(st.queued, Ordering::Relaxed);
+        let wake = st.idle > 0;
         drop(st);
-        sh.work_ready.notify_one();
+        if wake {
+            sh.work_ready.notify_one();
+        }
         Ok(JobTicket { state: ticket, id })
     }
 
@@ -333,9 +323,9 @@ impl JobService {
             retries: 0,
             per_tenant_completed: self
                 .shared
-                .tenants
+                .tenant_completed
                 .iter()
-                .map(|t| t.completed.load(Ordering::Relaxed))
+                .map(|c| c.load(Ordering::Relaxed))
                 .collect(),
         }
     }
@@ -415,13 +405,16 @@ fn executor_loop(shared: &Shared) {
                 if st.shutdown && st.queued == 0 {
                     return;
                 }
+                st.idle += 1;
                 shared.work_ready.wait(&mut st);
+                st.idle -= 1;
             }
         };
-        run_one(shared, job);
         // Budget released (in run_one): a job that was skipped for
-        // budget may be runnable now.
-        shared.work_ready.notify_all();
+        // budget may be runnable now, so wake the executors parked on it.
+        if run_one(shared, job) {
+            shared.work_ready.notify_all();
+        }
     }
 }
 
@@ -443,7 +436,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// here.  The pool's workspace guards release on unwind and the budget
 /// is given back on every path below, so nothing leaks.  The body runs
 /// at most once: a failed job reports its error.
-fn run_one(shared: &Shared, job: Queued) {
+///
+/// Returns whether an executor was parked when the budget came back,
+/// read under the state lock that released it.
+fn run_one(shared: &Shared, job: Queued) -> bool {
     // One clock read per dispatch: the queue-wait attribution, the
     // pre-run deadline verdict and the run-time origin all derive from
     // the same instant.  With separate reads a job could pass the
@@ -496,9 +492,7 @@ fn run_one(shared: &Shared, job: Queued) {
     match &outcome {
         Ok(_) => {
             shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-            shared.tenants[job.tenant]
-                .completed
-                .fetch_add(1, Ordering::Relaxed);
+            shared.tenant_completed[job.tenant].fetch_add(1, Ordering::Relaxed);
         }
         Err(JobError::Panicked(_)) => {
             shared.counters.panicked.fetch_add(1, Ordering::Relaxed);
@@ -517,7 +511,11 @@ fn run_one(shared: &Shared, job: Queued) {
     // Release the tenant's budget *before* publishing the report: a
     // client that saw the report and immediately resubmits must find
     // the budget free.
-    shared.state.lock().in_use[job.tenant] -= job.cost;
+    let idle = {
+        let mut st = shared.state.lock();
+        st.in_use[job.tenant] -= job.cost;
+        st.idle > 0
+    };
 
     let report = JobReport {
         job: job.id,
@@ -528,6 +526,6 @@ fn run_one(shared: &Shared, job: Queued) {
         metrics,
         metrics_exclusive,
     };
-    *job.ticket.report.lock() = Some(report);
-    job.ticket.done.notify_all();
+    job.ticket.publish(report);
+    idle
 }

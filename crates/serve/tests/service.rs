@@ -1,10 +1,11 @@
 //! Functional contract of the job service: admission control, budgets,
 //! round-robin fairness, deadlines-from-submission, cancellation and
-//! graceful drain.
+//! graceful drain, and the hand-offs that wake a parked executor or a
+//! waiting client.
 
 use std::error::Error;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use lopram_serve::{JobError, JobReport, JobService, JobSpec, JobTicket, ServeConfig, SubmitError};
@@ -262,7 +263,8 @@ fn budget_holds_across_executors(budget: usize) {
 }
 
 /// Poll `ticket` until it reports, failing after 10 s: a job whose
-/// budget leaked stays queued forever, and `wait()` would hang.
+/// budget leaked, or whose executor slept through its wake, stays queued
+/// forever, and `wait()` would hang.
 fn report_within_10s(ticket: &JobTicket) -> JobReport {
     let start = Instant::now();
     loop {
@@ -271,7 +273,7 @@ fn report_within_10s(ticket: &JobTicket) -> JobReport {
         }
         assert!(
             start.elapsed() < Duration::from_secs(10),
-            "job {} did not report within 10 s: a leaked budget leaves it queued",
+            "job {} did not report within 10 s: it is still queued or running",
             ticket.id()
         );
         std::thread::sleep(Duration::from_millis(1));
@@ -579,4 +581,139 @@ fn submit_and_job_errors_propagate_through_question_mark() -> Result<(), Box<dyn
     assert!(job_err.to_string().contains("kaboom"));
     service.shutdown();
     Ok(())
+}
+
+/// Repeat count for the hand-off tests: `LOPRAM_TEST_REPEAT` if set (CI
+/// runs them at 200), else 1.
+fn repeat() -> u64 {
+    std::env::var("LOPRAM_TEST_REPEAT")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1)
+}
+
+/// Start `ticket.wait()` on a helper thread; the returned closure takes
+/// its report, failing after 10 s.  Serve's waits have no timeout, so a
+/// lost wake would otherwise hang the suite.  On failure the helper
+/// stays parked and is left behind: the test has already failed.
+fn wait_on_helper(ticket: JobTicket) -> impl FnOnce() -> JobReport {
+    let id = ticket.id();
+    let (tx, rx) = mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        let _ = tx.send(ticket.wait());
+    });
+    move || {
+        let report = rx
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("job {id}: wait() was not woken within 10 s"));
+        helper.join().expect("the waiting thread panicked");
+        report
+    }
+}
+
+#[test]
+fn hand_off_report_published_with_no_waiter() {
+    // Nobody is parked when the report lands, so no one is signalled;
+    // a later `wait()` must still find it.
+    let service = JobService::start(ServeConfig::default());
+    for i in 0..repeat() {
+        let ticket = service.submit(JobSpec::new(0, move |_| i)).unwrap();
+        let polled = report_within_10s(&ticket);
+        assert_eq!(polled.outcome, Ok(i));
+        let waited = wait_on_helper(ticket)();
+        assert_eq!(waited.job, polled.job);
+        assert_eq!(waited.outcome, polled.outcome);
+        assert_eq!(waited.queue_wait, polled.queue_wait);
+        assert_eq!(waited.run_time, polled.run_time);
+    }
+    service.shutdown();
+}
+
+#[test]
+fn hand_off_wakes_a_client_blocked_in_wait() {
+    let service = JobService::start(ServeConfig::default());
+    for i in 0..repeat() {
+        let (open, gate) = mpsc::channel::<()>();
+        let ticket = service
+            .submit(JobSpec::new(0, move |_| {
+                gate.recv_timeout(Duration::from_secs(10))
+                    .map_or(u64::MAX, |()| i)
+            }))
+            .unwrap();
+        let waited = wait_on_helper(ticket);
+        // Give the client time to park in `wait()` before the body may
+        // finish.  The sleep only makes the parked path likely; correct
+        // code passes on either path.
+        std::thread::sleep(Duration::from_millis(2));
+        open.send(()).unwrap();
+        assert_eq!(waited().outcome, Ok(i));
+    }
+    service.shutdown();
+}
+
+#[test]
+fn hand_off_wakes_an_executor_parked_on_an_empty_queue() {
+    let service = JobService::start(ServeConfig::default());
+    for i in 0..repeat() {
+        // Idle long enough for the executor to park on the empty queue
+        // (likely, not forced: correct code passes either way).
+        std::thread::sleep(Duration::from_millis(2));
+        let ticket = service.submit(JobSpec::new(0, move |_| i)).unwrap();
+        assert_eq!(report_within_10s(&ticket).outcome, Ok(i));
+    }
+    service.shutdown();
+}
+
+#[test]
+fn hand_off_budget_release_wakes_a_second_parked_executor() {
+    // Budget 2: a cost-2 plug holds all of it while two cost-1 jobs
+    // queue, so the second executor parks with work it may not start.
+    // Once the plug's budget comes back both jobs must run at once —
+    // each waits for the other's arrival — which needs the release to
+    // wake the parked executor: no later submit would.
+    let service = JobService::start(ServeConfig {
+        executors: 2,
+        tenant_budget: 2,
+        ..ServeConfig::default()
+    });
+    for _ in 0..repeat() {
+        let release = Arc::new(AtomicBool::new(false));
+        let plug = service
+            .submit(plug_job(Arc::clone(&release)).cost(2))
+            .unwrap();
+        while service.queue_depth() > 0 {
+            std::thread::yield_now();
+        }
+        let (a_arrived, a_seen) = mpsc::channel::<()>();
+        let (b_arrived, b_seen) = mpsc::channel::<()>();
+        let pair = [(a_arrived, b_seen), (b_arrived, a_seen)];
+        let tickets: Vec<_> = pair
+            .into_iter()
+            .map(|(arrived, other)| {
+                let spec = JobSpec::new(0, move |_| {
+                    // The other job may have given up and gone already.
+                    let _ = arrived.send(());
+                    // 1 iff the other job ran alongside this one.
+                    other
+                        .recv_timeout(Duration::from_secs(10))
+                        .map_or(0, |()| 1)
+                });
+                service.submit(spec).unwrap()
+            })
+            .collect();
+        // Let the second executor see the jobs, find no budget, and park
+        // (likely, not forced: correct code passes either way).
+        std::thread::sleep(Duration::from_millis(2));
+        release.store(true, Ordering::SeqCst);
+        assert_eq!(report_within_10s(&plug).outcome, Ok(0));
+        for ticket in &tickets {
+            assert_eq!(
+                report_within_10s(ticket).outcome,
+                Ok(1),
+                "job {} ran alone: the budget release left an executor asleep",
+                ticket.id()
+            );
+        }
+    }
+    service.shutdown();
 }
