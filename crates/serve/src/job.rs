@@ -6,17 +6,14 @@
 //! non-faulted job's digest between a faulted and a fault-free run of
 //! the same seeded traffic.
 
-use std::cell::Cell;
 use std::fmt;
 use std::panic::resume_unwind;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use lopram_core::runtime::cancel::CancelUnwind;
-use lopram_core::{CancelReason, CancelToken, MetricsSnapshot, PalPool};
+use lopram_core::{CancelReason, CancelToken, PalPool};
 use parking_lot::{Condvar, Mutex};
-
-use crate::fault::Fault;
 
 /// The boxed job body: runs on a service executor with access to the
 /// shared pool through the [`JobContext`], returns a digest of its
@@ -36,7 +33,7 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// A job for `tenant` running `f`.  Defaults: cost 1 budget unit,
-    /// the service's default deadline (none unless configured).
+    /// no deadline.
     pub fn new(tenant: usize, f: impl FnOnce(&JobContext<'_>) -> u64 + Send + 'static) -> Self {
         JobSpec {
             tenant,
@@ -56,7 +53,7 @@ impl JobSpec {
     }
 
     /// Set a deadline, measured from **submission** — time spent queued
-    /// counts against it.  Overrides the service default.
+    /// counts against it.
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
@@ -73,13 +70,12 @@ impl fmt::Debug for JobSpec {
     }
 }
 
-/// The execution context a job body receives: the shared pool, the
-/// job's cancel token, and the cooperative [`step`](Self::step) hook.
+/// The execution context a job body receives: the shared pool and the
+/// job's cancel token, polled by the cooperative [`step`](Self::step)
+/// hook.
 pub struct JobContext<'a> {
     pub(crate) pool: &'a PalPool,
     pub(crate) token: &'a CancelToken,
-    pub(crate) fault: Option<Fault>,
-    pub(crate) step: Cell<u64>,
 }
 
 impl JobContext<'_> {
@@ -92,33 +88,10 @@ impl JobContext<'_> {
     }
 
     /// Cooperative checkpoint for job-level loops (the pool's own fork
-    /// and chunk boundaries already poll).  Increments the step counter,
-    /// fires any injected [`Fault`] scheduled for the new step, then
-    /// polls the token — unwinding with the job's cancel reason if it
-    /// has fired.  Bounded hostile loops in the traffic generator call
-    /// this every iteration, which is what makes fault injection land
-    /// at deterministic points.
+    /// and chunk boundaries already poll): polls the job's token, reading
+    /// the clock if it carries a deadline, and unwinds with the cancel
+    /// reason if it has fired — a ticket cancel or a passed deadline.
     pub fn step(&self) {
-        let now = self.step.get() + 1;
-        self.step.set(now);
-        if let Some(fault) = self.fault {
-            if fault.at_step() == now {
-                match fault {
-                    Fault::Panic { .. } => panic!("injected fault: panic at step {now}"),
-                    Fault::Cancel { .. } => self.token.cancel(),
-                    Fault::Deadline { .. } => match self.token.deadline() {
-                        // Stall past the deadline so the poll below
-                        // observes a genuine clock-fired expiry.
-                        Some(deadline) => {
-                            while Instant::now() < deadline {
-                                std::hint::spin_loop();
-                            }
-                        }
-                        None => self.token.cancel(),
-                    },
-                }
-            }
-        }
         if let Some(reason) = self.token.poll_now() {
             resume_unwind(Box::new(CancelUnwind { reason }));
         }
@@ -219,12 +192,6 @@ pub struct JobReport {
     pub queue_wait: Duration,
     /// Time the job body ran (zero if it expired in the queue).
     pub run_time: Duration,
-    /// Pool metrics delta over the job's run: forks spawned/inlined/
-    /// elided, steals, arena hits and bytes, work items.
-    pub metrics: MetricsSnapshot,
-    /// Whether `metrics` is *exactly* this job's work: true iff no
-    /// other job overlapped its run.  Always true at `executors: 1`.
-    pub metrics_exclusive: bool,
 }
 
 /// What a ticket's lock guards: the report once the job finishes, and
@@ -283,8 +250,8 @@ pub struct JobTicket {
 }
 
 impl JobTicket {
-    /// The job's submission index — the key a [`FaultPlan`](crate::FaultPlan)
-    /// uses.
+    /// The job's submission index: global, counted from 0 in admission
+    /// order, and equal to its report's [`job`](JobReport::job).
     pub fn id(&self) -> u64 {
         self.id
     }

@@ -14,11 +14,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lopram_core::{run_cancellable, CancelToken, ChaosConfig, MetricsSnapshot, PalPool};
+use lopram_core::{run_cancellable, CancelToken, ChaosConfig, PalPool};
 use parking_lot::{Condvar, Mutex};
 
-use crate::fault::{Fault, FaultPlan};
-use crate::job::{JobError, JobFn, JobReport, JobSpec, JobTicket, SubmitError, TicketState};
+use crate::job::{
+    JobContext, JobError, JobFn, JobReport, JobSpec, JobTicket, SubmitError, TicketState,
+};
 
 /// Service configuration.  All limits are hard: the queue never grows
 /// past `queue_capacity`, and the jobs a tenant has running never cost
@@ -39,16 +40,12 @@ pub struct ServeConfig {
     /// quota*), so a flooding tenant is rejected at its quota and can
     /// never crowd the others out of the queue.
     pub queue_capacity: usize,
-    /// Executor threads draining the queue.  With 1 executor per-job
-    /// metrics are always exclusive.
+    /// Executor threads draining the queue.  With 1 executor the jobs
+    /// run one at a time, so a pool metrics delta taken around a job's
+    /// wait is exactly that job's work.
     pub executors: usize,
     /// Pal-thread processors for the shared pool.
     pub processors: usize,
-    /// Deadline applied to jobs that set none (measured from
-    /// submission).  `None` means no default deadline.
-    pub default_deadline: Option<Duration>,
-    /// Deterministic fault plan keyed on submission index.
-    pub fault_plan: FaultPlan,
     /// Scheduler-level chaos injected into the shared pool (dropped and
     /// delayed wake-ups, forced steal retries) — deterministic in its
     /// seed, used by the robustness suites.
@@ -63,8 +60,6 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             executors: 1,
             processors: 2,
-            default_deadline: None,
-            fault_plan: FaultPlan::none(),
             chaos: ChaosConfig::none(),
         }
     }
@@ -75,7 +70,6 @@ struct Queued {
     tenant: usize,
     run: JobFn,
     cost: usize,
-    fault: Option<Fault>,
     enqueued: Instant,
     ticket: Arc<TicketState>,
 }
@@ -117,12 +111,6 @@ struct Shared {
     /// `Ok`-completions per tenant; its length is the tenant count.
     tenant_completed: Vec<AtomicU64>,
     counters: Counters,
-    /// Jobs currently inside their run window (exclusivity tracking).
-    active: AtomicUsize,
-    /// Total run windows ever opened (exclusivity tracking).
-    starts: AtomicU64,
-    fault_plan: FaultPlan,
-    default_deadline: Option<Duration>,
     queue_capacity: usize,
     /// Per-tenant admission quota: `ceil(queue_capacity / tenants)`.
     tenant_quota: usize,
@@ -226,10 +214,6 @@ impl JobService {
             work_ready: Condvar::new(),
             tenant_completed: (0..config.tenants).map(|_| AtomicU64::new(0)).collect(),
             counters: Counters::default(),
-            active: AtomicUsize::new(0),
-            starts: AtomicU64::new(0),
-            fault_plan: config.fault_plan,
-            default_deadline: config.default_deadline,
             queue_capacity: config.queue_capacity,
             tenant_quota: config.queue_capacity.div_ceil(config.tenants),
             tenant_budget: config.tenant_budget,
@@ -278,7 +262,7 @@ impl JobService {
         }
         let id = sh.counters.submitted.fetch_add(1, Ordering::Relaxed);
         let now = Instant::now();
-        let token = match spec.deadline.or(sh.default_deadline) {
+        let token = match spec.deadline {
             Some(d) => CancelToken::with_deadline_at(now + d),
             None => CancelToken::new(),
         };
@@ -288,7 +272,6 @@ impl JobService {
             tenant: spec.tenant,
             run: spec.run,
             cost: spec.cost,
-            fault: sh.fault_plan.fault_for(id),
             enqueued: now,
             ticket: Arc::clone(&ticket),
         });
@@ -443,51 +426,33 @@ fn run_one(shared: &Shared, job: Queued) -> bool {
     // One clock read per dispatch: the queue-wait attribution, the
     // pre-run deadline verdict and the run-time origin all derive from
     // the same instant.  With separate reads a job could pass the
-    // dispatch-time deadline check yet already be past-deadline at the
-    // later `started` stamp — admitted and run while expired.
+    // dispatch-time deadline check yet already be past-deadline when its
+    // run time starts — admitted and run while expired.
     let dispatched = Instant::now();
     let queue_wait = dispatched.duration_since(job.enqueued);
     // The ticket's own token: a client cancel fires this same token.
     let token = &job.ticket.token;
 
-    let (outcome, run_time, metrics, metrics_exclusive) =
-        if let Some(reason) = token.poll_at(dispatched) {
-            // Expired or cancelled while still queued: report without
-            // running the body at all.
-            (
-                Err(JobError::from(reason)),
-                Duration::ZERO,
-                MetricsSnapshot::default(),
-                true,
-            )
-        } else {
-            // Exclusivity window: metrics are exactly this job's iff no
-            // other job's window overlapped ours.
-            let my_start = shared.starts.fetch_add(1, Ordering::SeqCst) + 1;
-            let active_before = shared.active.fetch_add(1, Ordering::SeqCst);
-            let before = shared.pool.metrics().snapshot();
-            let started = dispatched;
-            let cx = crate::job::JobContext {
-                pool: &shared.pool,
-                token,
-                fault: job.fault,
-                step: std::cell::Cell::new(0),
-            };
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                run_cancellable(token, || (job.run)(&cx))
-            }));
-            let run_time = started.elapsed();
-            let after = shared.pool.metrics().snapshot();
-            let active_after = shared.active.fetch_sub(1, Ordering::SeqCst) - 1;
-            let starts_after = shared.starts.load(Ordering::SeqCst);
-            let exclusive = active_before == 0 && active_after == 0 && starts_after == my_start;
-            let outcome = match result {
-                Ok(Ok(digest)) => Ok(digest),
-                Ok(Err(reason)) => Err(JobError::from(reason)),
-                Err(payload) => Err(JobError::Panicked(panic_message(payload.as_ref()))),
-            };
-            (outcome, run_time, after.delta_since(&before), exclusive)
+    let (outcome, run_time) = if let Some(reason) = token.poll_at(dispatched) {
+        // Expired or cancelled while still queued: report without
+        // running the body at all.
+        (Err(JobError::from(reason)), Duration::ZERO)
+    } else {
+        let cx = JobContext {
+            pool: &shared.pool,
+            token,
         };
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            run_cancellable(token, || (job.run)(&cx))
+        }));
+        let run_time = dispatched.elapsed();
+        let outcome = match result {
+            Ok(Ok(digest)) => Ok(digest),
+            Ok(Err(reason)) => Err(JobError::from(reason)),
+            Err(payload) => Err(JobError::Panicked(panic_message(payload.as_ref()))),
+        };
+        (outcome, run_time)
+    };
 
     match &outcome {
         Ok(_) => {
@@ -523,8 +488,6 @@ fn run_one(shared: &Shared, job: Queued) -> bool {
         outcome,
         queue_wait,
         run_time,
-        metrics,
-        metrics_exclusive,
     };
     job.ticket.publish(report);
     idle

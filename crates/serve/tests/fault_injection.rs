@@ -5,19 +5,20 @@
 //! (b) a panicking / cancelled / deadline-blown job never poisons the
 //!     pool or the workspace arena and never perturbs other jobs'
 //!     results — proved differentially against a fault-free run of the
-//!     same seeded traffic;
-//! (c) no tenant starves under a saturating mixed workload, and fork
-//!     accounting stays exact for every non-faulted job.
+//!     same seeded traffic, with each fault fired by the job's own body
+//!     (`common`);
+//! (c) no tenant starves under a saturating mixed workload, and the
+//!     pool's fork count stays exact across it.
 
-use std::collections::HashMap;
+mod common;
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::{Fault, Kind};
 use lopram_core::policy::WAKE_GRAIN;
-use lopram_serve::{
-    Fault, FaultPlan, JobContext, JobError, JobService, JobSpec, ServeConfig, SubmitError,
-};
+use lopram_serve::{JobContext, JobError, JobService, JobSpec, ServeConfig, SubmitError};
 
 /// Stress multiplier: `LOPRAM_TEST_REPEAT=20` (CI serve-stress job)
 /// re-runs the seeded differential check under more seeds.
@@ -37,15 +38,16 @@ fn scan_len(i: u64) -> u64 {
     WAKE_GRAIN as u64 - 2048 + (i % 7) * 1024
 }
 
-/// The deterministic job body for submission index `i`.  Digest depends
-/// only on `i`: a fixed cooperative-stepping prologue (so injected
-/// faults land at their planned step) followed by a pool scan (so the
-/// jobs exercise forks and the workspace arena).
-fn job_body(i: u64) -> impl FnMut(&JobContext<'_>) -> u64 + Send + 'static {
+/// The deterministic job body for submission index `i`, which fires
+/// `fault` at its step.  Digest depends only on `i`: a fixed
+/// cooperative-stepping prologue (so the fault lands at its planned
+/// step) followed by a pool scan (so the jobs exercise forks and the
+/// workspace arena).
+fn job_body(i: u64, fault: Option<Fault>) -> impl FnOnce(&JobContext<'_>) -> u64 + Send + 'static {
     move |cx| {
         let mut acc = i.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(1);
         for s in 0..STEPS {
-            cx.step();
+            common::step(cx, s + 1, fault);
             acc = acc.rotate_left(7) ^ s;
         }
         let data: Vec<u64> = (0..scan_len(i)).map(|j| j.wrapping_add(i)).collect();
@@ -59,33 +61,30 @@ fn tenant_of(i: u64) -> usize {
     (i % TENANTS as u64) as usize
 }
 
-/// Run `count` traffic jobs through a fresh service under `plan`,
-/// returning each job's outcome by submission index.
-fn run_traffic(count: u64, plan: FaultPlan) -> HashMap<u64, Result<u64, JobError>> {
+/// Run `count` traffic jobs through a fresh service, job `i` carrying
+/// `plan(i)`, returning each job's outcome by submission index.
+fn run_traffic(count: u64, plan: impl Fn(u64) -> Option<Fault>) -> Vec<Result<u64, JobError>> {
     let service = JobService::start(ServeConfig {
         tenants: TENANTS,
         tenant_budget: 2,
         queue_capacity: count as usize,
         executors: 2,
         processors: 2,
-        fault_plan: plan.clone(),
         ..ServeConfig::default()
     });
-    let mut tickets = Vec::new();
-    for i in 0..count {
-        let mut spec = JobSpec::new(tenant_of(i), job_body(i));
-        // A deadline fault stalls until the job's deadline passes, so
-        // deadline-faulted jobs need one short enough to test quickly.
-        if let Some(Fault::Deadline { .. }) = plan.fault_for(i) {
-            spec = spec.deadline(Duration::from_millis(100));
-        }
-        tickets.push(service.submit(spec).expect("capacity sized to count"));
-    }
-    let mut outcomes = HashMap::new();
-    for ticket in tickets {
-        let report = ticket.wait();
-        outcomes.insert(report.job, report.outcome);
-    }
+    let tickets: Vec<_> = (0..count)
+        .map(|i| {
+            let fault = plan(i);
+            let mut spec = JobSpec::new(tenant_of(i), job_body(i, fault));
+            // A deadline fault polls until the job's deadline passes, so
+            // deadline-faulted jobs need one short enough to test quickly.
+            if fault.is_some_and(|f| f.kind == Kind::Deadline) {
+                spec = spec.deadline(Duration::from_millis(100));
+            }
+            service.submit(spec).expect("capacity sized to count")
+        })
+        .collect();
+    let outcomes = tickets.into_iter().map(|t| t.wait().outcome).collect();
     service.shutdown();
     outcomes
 }
@@ -95,35 +94,37 @@ fn faulted_jobs_fail_their_own_way_and_perturb_nothing_else() {
     let count = 48;
     for round in 0..repeat() {
         let seed = 0xFA_017 + round;
-        let clean = run_traffic(count, FaultPlan::none());
-        assert!(clean.values().all(|o| o.is_ok()), "fault-free run is clean");
+        let clean = run_traffic(count, |_| None);
+        assert!(clean.iter().all(|o| o.is_ok()), "fault-free run is clean");
 
-        let plan = FaultPlan::seeded(seed, count, 0.4);
-        assert!(!plan.is_empty(), "seed {seed}: plan faults some jobs");
-        let faulted = run_traffic(count, plan.clone());
+        let plan = |i| common::seeded(seed, i, 0.4);
+        for kind in [Kind::Panic, Kind::Cancel, Kind::Deadline] {
+            assert!(
+                (0..count).any(|i| plan(i).is_some_and(|f| f.kind == kind)),
+                "seed {seed}: no job carries a {kind:?} fault"
+            );
+        }
+        let faulted = run_traffic(count, plan);
 
-        for i in 0..count {
-            match plan.fault_for(i) {
+        for (i, (faulted, clean)) in (0..count).zip(faulted.iter().zip(&clean)) {
+            match plan(i).map(|f| f.kind) {
                 // (b) differential: every non-faulted job's digest is
                 // bit-identical to the fault-free run's.
                 None => assert_eq!(
-                    faulted[&i], clean[&i],
+                    faulted, clean,
                     "job {i} (seed {seed}) was perturbed by its faulted neighbours"
                 ),
                 // Every faulted job fails with exactly its planned mode.
-                Some(Fault::Panic { .. }) => assert!(
-                    matches!(faulted[&i], Err(JobError::Panicked(_))),
-                    "job {i} (seed {seed}): expected panic, got {:?}",
-                    faulted[&i]
+                Some(Kind::Panic) => assert!(
+                    matches!(faulted, Err(JobError::Panicked(_))),
+                    "job {i} (seed {seed}): expected panic, got {faulted:?}"
                 ),
-                Some(Fault::Cancel { .. }) => assert_eq!(
-                    faulted[&i],
-                    Err(JobError::Cancelled),
-                    "job {i} (seed {seed})"
-                ),
-                Some(Fault::Deadline { .. }) => assert_eq!(
-                    faulted[&i],
-                    Err(JobError::DeadlineExceeded),
+                Some(Kind::Cancel) => {
+                    assert_eq!(faulted, &Err(JobError::Cancelled), "job {i} (seed {seed})")
+                }
+                Some(Kind::Deadline) => assert_eq!(
+                    faulted,
+                    &Err(JobError::DeadlineExceeded),
                     "job {i} (seed {seed})"
                 ),
             }
@@ -184,13 +185,15 @@ fn panic_inside_a_pool_operator_is_isolated_and_leaves_the_arena_warm() {
             );
         }
         // The next clean job answers exactly, with exact fork
-        // accounting, and the arena has not grown.
-        let clean = service.submit(JobSpec::new(0, job_scan(n))).unwrap();
-        let report = clean.wait();
+        // accounting, and the arena has not grown.  One client and one
+        // executor: the pool's delta around the job is the job's own.
+        let (report, delta) = service.pool().scoped_metrics(|| {
+            let clean = service.submit(JobSpec::new(0, job_scan(n))).unwrap();
+            clean.wait()
+        });
         assert_eq!(report.outcome, Ok(expected), "round {round}");
-        assert!(report.metrics_exclusive);
         assert_eq!(
-            report.metrics.forks(),
+            delta.forks(),
             2 * (chunks - 1),
             "round {round}: fork accounting must stay exact after a panic"
         );
@@ -204,7 +207,7 @@ fn panic_inside_a_pool_operator_is_isolated_and_leaves_the_arena_warm() {
     assert_eq!(stats.panicked, 9); // round 0 has poison == 0 and succeeds
 }
 
-fn job_scan(n: u64) -> impl FnMut(&JobContext<'_>) -> u64 + Send + 'static {
+fn job_scan(n: u64) -> impl FnOnce(&JobContext<'_>) -> u64 + Send + 'static {
     move |cx| {
         let data: Vec<u64> = (0..n).collect();
         cx.pool()
@@ -293,6 +296,7 @@ fn no_tenant_starves_under_a_saturating_mixed_workload() {
         processors: 2,
         ..ServeConfig::default()
     }));
+    let before = service.pool().metrics().snapshot();
     let reports: Vec<_> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..TENANTS)
             .map(|tenant| {
@@ -302,7 +306,7 @@ fn no_tenant_starves_under_a_saturating_mixed_workload() {
                         .map(|k| {
                             let i = tenant as u64 * per_tenant + k;
                             service
-                                .submit(JobSpec::new(tenant, job_body(i)))
+                                .submit(JobSpec::new(tenant, job_body(i, None)))
                                 .expect("queue sized to the full load")
                         })
                         .collect();
@@ -322,7 +326,8 @@ fn no_tenant_starves_under_a_saturating_mixed_workload() {
             .flat_map(|h| h.join().unwrap())
             .collect()
     });
-    let mut forked = 0;
+    let delta = service.pool().metrics().snapshot().delta_since(&before);
+    let (mut forks, mut forked) = (0, 0);
     for (i, report) in &reports {
         assert!(
             report.outcome.is_ok(),
@@ -330,18 +335,15 @@ fn no_tenant_starves_under_a_saturating_mixed_workload() {
             report.job,
             report.outcome
         );
-        // (c) executors: 1 ⇒ every job's metrics are exclusive, so fork
-        // accounting must be exact: the body's single scan costs
-        // 2·(C − 1) forks and the stepping prologue costs none.
-        assert!(report.metrics_exclusive);
+        // (c) each body's single scan costs 2·(C − 1) forks and its
+        // stepping prologue costs none.
         let chunks = service.pool().chunk_count(scan_len(*i) as usize) as u64;
-        assert_eq!(
-            report.metrics.forks(),
-            2 * (chunks - 1),
-            "job {i}: inexact fork accounting"
-        );
+        forks += 2 * (chunks - 1);
         forked += u64::from(chunks > 1);
     }
+    // Every job has reported, so the pool's delta over the run is the
+    // sum of their fork trees, exactly.
+    assert_eq!(delta.forks(), forks, "inexact fork accounting");
     // Five of every seven lengths clear the wake floor: the exactness
     // above was checked on real fork trees, not only on zeros.
     assert!(forked > reports.len() as u64 / 2);

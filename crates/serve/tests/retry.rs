@@ -5,11 +5,13 @@
 //! of the same seeded traffic.  (The service itself runs each job once:
 //! a faulted job reports its planned error and is not retried.)
 
+mod common;
+
+use common::{Fault, Kind};
 use lopram_core::policy::WAKE_GRAIN;
 use lopram_core::ChaosConfig;
 use lopram_serve::{
-    Fault, FaultPlan, JobContext, JobError, JobReport, JobService, JobSpec, ServeConfig,
-    ServiceStats,
+    JobContext, JobError, JobReport, JobService, JobSpec, ServeConfig, ServiceStats,
 };
 
 /// Stress multiplier: `LOPRAM_TEST_REPEAT=20` (CI serve-stress job)
@@ -23,16 +25,16 @@ fn repeat() -> u64 {
 
 const STEPS: u64 = 24; // > the largest at_step used below: every fault fires
 
-/// Deterministic job body: a cooperative-stepping prologue (so injected
-/// faults land at their planned step) followed by a pool scan whose
+/// Deterministic job body firing `fault`: a cooperative-stepping prologue
+/// (so the fault lands at its planned step) followed by a pool scan whose
 /// length straddles the pool's wake floor (`i % 5 < 2` stays one block on
 /// the executor thread, the rest fork on the pool).  The digest depends
 /// only on `i`.
-fn job_body(i: u64) -> impl FnOnce(&JobContext<'_>) -> u64 + Send + 'static {
+fn job_body(i: u64, fault: Option<Fault>) -> impl FnOnce(&JobContext<'_>) -> u64 + Send + 'static {
     move |cx| {
         let mut acc = i.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(1);
         for s in 0..STEPS {
-            cx.step();
+            common::step(cx, s + 1, fault);
             acc = acc.rotate_left(7) ^ s;
         }
         let len = WAKE_GRAIN as u64 - 512 + (i % 5) * 256;
@@ -43,41 +45,40 @@ fn job_body(i: u64) -> impl FnOnce(&JobContext<'_>) -> u64 + Send + 'static {
     }
 }
 
-/// Panic- and cancel-faults on every third job of a `count`-job round,
-/// at steps that vary with `round`.
-fn faulted_third(count: u64, round: u64) -> FaultPlan {
-    let mut plan = FaultPlan::none();
-    for i in (0..count).step_by(3) {
-        let at_step = 1 + (round + i) % 16;
-        let fault = if i % 2 == 0 {
-            Fault::Panic { at_step }
+/// Panic- and cancel-faults on every third job, at steps that vary with
+/// `round`: the fault job `i` carries in that round.
+fn faulted_third(round: u64, i: u64) -> Option<Fault> {
+    i.is_multiple_of(3).then(|| Fault {
+        kind: if i.is_multiple_of(2) {
+            Kind::Panic
         } else {
-            Fault::Cancel { at_step }
-        };
-        plan = plan.inject(i, fault);
-    }
-    plan
+            Kind::Cancel
+        },
+        at_step: 1 + (round + i) % 16,
+    })
 }
 
 /// One round of seeded traffic — `count` [`job_body`] jobs over three
-/// tenants, two executors and a two-processor pool — under a fault plan
-/// and a scheduler-chaos mix: every report in submission order, and the
-/// service totals.
-fn run_traffic(count: u64, plan: FaultPlan, chaos: ChaosConfig) -> (Vec<JobReport>, ServiceStats) {
+/// tenants, two executors and a two-processor pool — job `i` carrying
+/// `plan(i)`, under a scheduler-chaos mix: every report in submission
+/// order, and the service totals.
+fn run_traffic(
+    count: u64,
+    plan: impl Fn(u64) -> Option<Fault>,
+    chaos: ChaosConfig,
+) -> (Vec<JobReport>, ServiceStats) {
     let service = JobService::start(ServeConfig {
         tenants: 3,
         tenant_budget: 2,
         executors: 2,
         processors: 2,
         queue_capacity: count as usize,
-        fault_plan: plan,
         chaos,
-        ..ServeConfig::default()
     });
     let tickets: Vec<_> = (0..count)
         .map(|i| {
             service
-                .submit(JobSpec::new((i % 3) as usize, job_body(i)))
+                .submit(JobSpec::new((i % 3) as usize, job_body(i, plan(i))))
                 .expect("capacity sized to count")
         })
         .collect();
@@ -90,7 +91,7 @@ fn traffic_digests_survive_every_scheduler_chaos_mix() {
     // Every unfaulted job ends Ok with the clean run's digest under every
     // mix; every faulted job fails in exactly its planned mode.
     let count = 30u64;
-    let (clean, _) = run_traffic(count, FaultPlan::none(), ChaosConfig::none());
+    let (clean, _) = run_traffic(count, |_| None, ChaosConfig::none());
     assert!(clean.iter().all(|c| c.outcome.is_ok()));
 
     let wakeups = ChaosConfig::none().drop_wakeup(1).delay_wakeup(2);
@@ -98,26 +99,27 @@ fn traffic_digests_survive_every_scheduler_chaos_mix() {
     let both = wakeups.force_steal_retries(3);
     for round in 0..repeat() {
         let mixes = [
-            ("faulted-both", both, faulted_third(count, round)),
-            ("dropped-wakeups", wakeups, FaultPlan::none()),
-            ("steal-retries", steals, FaultPlan::none()),
+            ("faulted-both", both, true),
+            ("dropped-wakeups", wakeups, false),
+            ("steal-retries", steals, false),
         ];
-        for (mix, chaos, plan) in mixes {
-            let (reports, stats) = run_traffic(count, plan.clone(), chaos);
+        for (mix, chaos, faults) in mixes {
+            let plan = |i| faulted_third(round, i).filter(|_| faults);
+            let (reports, stats) = run_traffic(count, plan, chaos);
             let mut faulted = 0;
             for (c, r) in clean.iter().zip(&reports) {
                 let ctx = format!("{mix}: job {} round {round}", c.job);
-                match plan.fault_for(c.job) {
+                match plan(c.job).map(|f| f.kind) {
                     None => assert_eq!(r.outcome, c.outcome, "{ctx}"),
-                    Some(Fault::Panic { .. }) => {
+                    Some(Kind::Panic) => {
                         faulted += 1;
                         assert!(matches!(r.outcome, Err(JobError::Panicked(_))), "{ctx}");
                     }
-                    Some(Fault::Cancel { .. }) => {
+                    Some(Kind::Cancel) => {
                         faulted += 1;
                         assert_eq!(r.outcome, Err(JobError::Cancelled), "{ctx}");
                     }
-                    Some(Fault::Deadline { .. }) => unreachable!("{ctx}: no deadline faults"),
+                    Some(Kind::Deadline) => unreachable!("{ctx}: no deadline faults"),
                 }
             }
             assert_eq!(stats.completed, count - faulted, "{mix} round {round}");

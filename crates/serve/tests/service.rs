@@ -17,7 +17,7 @@ fn scan_digest(n: u64) -> u64 {
     n * (n - 1) / 2
 }
 
-fn scan_job(n: u64) -> impl FnMut(&lopram_serve::JobContext<'_>) -> u64 + Send + 'static {
+fn scan_job(n: u64) -> impl FnOnce(&lopram_serve::JobContext<'_>) -> u64 + Send + 'static {
     move |cx| {
         let data: Vec<u64> = (0..n).collect();
         cx.pool()
@@ -45,16 +45,20 @@ fn submit_await_report_roundtrip() {
         ..ServeConfig::default()
     });
     let n = 50_000u64;
-    let ticket = service.submit(JobSpec::new(0, scan_job(n))).unwrap();
-    assert_eq!(ticket.id(), 0);
-    let report = ticket.wait();
+    let (report, delta) = service.pool().scoped_metrics(|| {
+        let ticket = service.submit(JobSpec::new(0, scan_job(n))).unwrap();
+        assert_eq!(ticket.id(), 0);
+        ticket.wait()
+    });
     assert_eq!(report.outcome, Ok(scan_digest(n)));
+    assert_eq!(report.job, 0);
     assert_eq!(report.tenant, 0);
-    assert!(report.metrics_exclusive, "single client must be exclusive");
-    // Fork accounting is exact for an exclusive job: an add-scan costs
-    // 2·(C − 1) forks for C chunks.
+    // The only job ran between the two snapshots, so the pool's delta is
+    // its fork count, exactly: an add-scan costs 2·(C − 1) forks for C
+    // chunks.
     let chunks = service.pool().chunk_count(n as usize) as u64;
-    assert_eq!(report.metrics.forks(), 2 * (chunks - 1));
+    assert!(chunks > 1, "the scan must fork");
+    assert_eq!(delta.forks(), 2 * (chunks - 1));
     let stats = service.shutdown();
     assert_eq!(stats.completed, 1);
     assert_eq!(stats.per_tenant_completed, vec![1]);
@@ -332,12 +336,27 @@ fn every_terminal_path_gives_the_budget_back() {
 }
 
 #[test]
-#[should_panic(expected = "need a budget of at least 1")]
-fn zero_budget_is_refused_at_start() {
-    JobService::start(ServeConfig {
-        tenant_budget: 0,
-        ..ServeConfig::default()
-    });
+fn every_zero_limit_is_refused_at_start() {
+    // `start` checks every limit before it builds the pool, so no case
+    // starts a thread.
+    let zero = |set: fn(&mut ServeConfig)| {
+        let mut config = ServeConfig::default();
+        set(&mut config);
+        config
+    };
+    let cases = [
+        (zero(|c| c.tenants = 0), "need at least one tenant"),
+        (zero(|c| c.tenant_budget = 0), "need a budget of at least 1"),
+        (zero(|c| c.queue_capacity = 0), "need a queue of at least 1"),
+        (zero(|c| c.executors = 0), "need at least one executor"),
+        (zero(|c| c.processors = 0), "need at least one processor"),
+    ];
+    for (config, message) in cases {
+        let Err(payload) = std::panic::catch_unwind(|| JobService::start(config)) else {
+            panic!("started with a zero limit: {message}");
+        };
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&message));
+    }
 }
 
 #[test]
@@ -408,25 +427,6 @@ fn queue_wait_counts_against_the_deadline() {
         .submit(JobSpec::new(0, scan_job(10_000)).deadline(Duration::from_secs(3600)))
         .unwrap();
     assert_eq!(fine.wait().outcome, Ok(scan_digest(10_000)));
-    service.shutdown();
-}
-
-#[test]
-fn default_deadline_applies_when_spec_sets_none() {
-    let service = JobService::start(ServeConfig {
-        default_deadline: Some(Duration::from_millis(10)),
-        ..ServeConfig::default()
-    });
-    let ticket = service
-        .submit(JobSpec::new(0, |cx| {
-            // Outstay the default deadline cooperatively.
-            loop {
-                cx.step();
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }))
-        .unwrap();
-    assert_eq!(ticket.wait().outcome, Err(JobError::DeadlineExceeded));
     service.shutdown();
 }
 

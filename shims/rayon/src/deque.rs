@@ -246,13 +246,6 @@ impl<T: Send> Worker<T> {
         b <= t
     }
 
-    /// A new thief handle for this deque.
-    pub fn stealer(&self) -> Stealer<T> {
-        Stealer {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-
     /// Replace the full buffer with one of twice the capacity, copying the
     /// live range `t..b`.  Returns the new buffer pointer.
     ///

@@ -250,11 +250,6 @@ impl ChaosConfig {
         self.steal_retries = rounds;
         self
     }
-
-    /// Whether any fault can fire under this configuration.
-    pub fn is_active(&self) -> bool {
-        *self != ChaosConfig::default()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -915,11 +910,6 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    /// Number of worker threads this pool was built with.
-    pub fn current_num_threads(&self) -> usize {
-        self.registry.threads
-    }
-
     /// Index of the calling thread within this pool's workers, or `None`
     /// when the caller is not one of this pool's workers (external threads
     /// and workers of *other* pools both report `None`).  Mirrors
@@ -1326,10 +1316,9 @@ mod tests {
         let a = ChaosConfig::seeded(42);
         let b = ChaosConfig::seeded(42);
         assert_eq!(a, b);
-        assert!(a.is_active());
+        assert_ne!(a, ChaosConfig::none());
         assert!(a.drop_wakeup_nth >= 1 && a.delay_wakeup_nth >= 1);
         assert!(a.steal_retries < 4);
-        assert!(!ChaosConfig::none().is_active());
     }
 
     #[test]
