@@ -301,11 +301,10 @@ pub fn checkpoint() {
 
 #[cold]
 fn poll_ambient() {
-    let token = AMBIENT.with(|t| t.borrow().clone());
-    if let Some(token) = token {
-        if let Some(reason) = token.poll() {
-            std::panic::resume_unwind(Box::new(CancelUnwind { reason }));
-        }
+    // Poll through the borrow, and unwind only once it has ended.
+    let fired = AMBIENT.with(|t| t.borrow().as_ref().and_then(CancelToken::poll));
+    if let Some(reason) = fired {
+        std::panic::resume_unwind(Box::new(CancelUnwind { reason }));
     }
 }
 

@@ -8,11 +8,14 @@
 //! dependencies (Eq. 6 of the paper).  There are four ways to evaluate it:
 //!
 //! * [`solve_sequential`] — bottom-up in topological order, the `T_1`
-//!   baseline;
+//!   baseline; on a grid, one row-major loop;
 //! * [`solve_wavefront`] — partition the cells into antichains (the dual of
 //!   Dilworth's theorem) and evaluate them level by level; a level heavy
 //!   enough to repay waking a second processor is split across the
-//!   executor, a lighter one is a plain loop on the caller;
+//!   executor, a lighter one is a plain loop on the caller.  On a grid the
+//!   antichains are antidiagonals of 64 × 64 tiles, each tile writing its
+//!   own row band of the table in place, and a grid with no antidiagonal
+//!   worth a fork is the row-major loop;
 //! * [`solve_counter`] — the paper's **Algorithm 1**: every cell carries a
 //!   counter of outstanding dependencies, completed cells decrement their
 //!   neighbours' counters, and cells whose counter reaches zero are handed to
@@ -22,11 +25,13 @@
 //!   processor is already computing.
 //!
 //! The three bottom-up solvers do not materialise the dependency DAG of
-//! §4.3.  They enumerate the specification once into a flat schedule —
-//! dependency lists in one CSR array of `u32` ids (so a table must stay
-//! below 2³² cells), cells counting-sorted by level — that costs a dozen
-//! allocations whatever the table's size, and all three read order, levels
-//! and in-degrees from it.  [`dependency_dag`] builds the DAG itself, as a
+//! §4.3.  A table that declares itself a grid ([`DpProblem::grid`]: ids
+//! row-major, reads only up and to the left) needs no enumeration at all
+//! for the sequential and wavefront solvers.  Otherwise they enumerate the
+//! specification once into a flat schedule — dependency lists in one CSR
+//! array of `u32` ids (so a table must stay below 2³² cells), cells
+//! counting-sorted by level — that costs a dozen allocations whatever the
+//! table's size, and read order, levels and in-degrees from it.  [`dependency_dag`] builds the DAG itself, as a
 //! [`lopram_analysis::Dag`], for the questions that are about the graph:
 //! antichain widths, the longest chain, the ideal `p`-processor schedule.
 //!

@@ -91,6 +91,10 @@ impl DpProblem for EditDistance {
         self.cell(self.a.len(), self.b.len())
     }
 
+    fn grid(&self) -> Option<(usize, usize)> {
+        Some((self.a.len() + 1, self.cols()))
+    }
+
     fn name(&self) -> &'static str {
         "edit-distance"
     }

@@ -85,6 +85,10 @@ impl DpProblem for Lcs {
         self.cell(self.a.len(), self.b.len())
     }
 
+    fn grid(&self) -> Option<(usize, usize)> {
+        Some((self.a.len() + 1, self.cols()))
+    }
+
     fn name(&self) -> &'static str {
         "lcs"
     }

@@ -52,6 +52,24 @@ pub trait DpProblem: Sync {
     fn name(&self) -> &'static str {
         "dp-problem"
     }
+
+    /// `Some((rows, cols))` when the table is a grid that the bottom-up
+    /// solvers may fill in place: cell `(i, j)` has id `i · cols + j`,
+    /// `rows · cols` is [`num_cells`](Self::num_cells), and
+    /// [`compute`](Self::compute) of `(i, j)` reads only `(i − 1, j − 1)`,
+    /// `(i − 1, j)` and `(i, j − 1)` — LCS and edit distance.  Defaults to
+    /// `None`.
+    ///
+    /// On a grid, [`solve_sequential`](crate::solve_sequential) is one
+    /// row-major loop, and [`solve_wavefront`](crate::solve_wavefront)
+    /// either runs that loop or walks tile antidiagonals; neither lists a
+    /// dependency.  A `compute` that breaks the contract never sees a value
+    /// that is not yet computed: the row-major loop panics on a read of a
+    /// later cell (an earlier one it serves, correctly), and the tile
+    /// kernel on any read outside the three neighbours.
+    fn grid(&self) -> Option<(usize, usize)> {
+        None
+    }
 }
 
 #[cfg(test)]

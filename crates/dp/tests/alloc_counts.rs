@@ -1,16 +1,20 @@
 //! Heap-allocation counts of a bottom-up solve, under a counting global
 //! allocator.
 //!
-//! A solve allocates its schedule's flat arrays, its table and the vector
-//! it returns — a number that does not grow with the table.  Before the
-//! schedule existed it allocated a dependency vector and an adjacency
-//! vector per cell: about `3·10⁵` events for the table below.
+//! A grid ([`DpProblem::grid`]) solve allocates exactly once: the table it
+//! returns, which the row-major loop fills in place.  Any other table goes
+//! through the solvers' schedule: its flat arrays, its table and the
+//! returned vector, a number that does not grow with the table's size
+//! (only, through doubling, with its reads per cell).  The pin runs the
+//! same grid with `grid()` hidden to hold that path at ≤ 32.  Before the
+//! schedule existed a solve allocated a dependency vector and an adjacency
+//! vector per cell: about `3·10⁵` events for the benchmark's grid.
 //!
 //! One `#[test]` on purpose: the counter is process-global, and a second
 //! test running beside this one would be counted into its windows.  The
-//! pools are default ones, on which no level of this table is heavy enough
-//! to fork (see `schedule.rs`), so the count is the solver's alone at any
-//! `p`.
+//! pools are default ones, on which the table is not heavy enough to fork
+//! either way (see `schedule.rs`), so the count is the solver's alone at
+//! any `p`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -54,29 +58,71 @@ fn allocs(f: impl FnOnce()) -> u64 {
     EVENTS.load(Ordering::Relaxed) - before
 }
 
-#[test]
-fn a_solve_allocates_a_constant_number_of_times() {
-    // The benchmark's `batch-large-*` table: 385 × 385 cells.
-    let text =
-        |salt: usize| -> Vec<u8> { (0..384).map(|i| b"acgt"[(i * salt + i / 7) % 4]).collect() };
-    let problem = EditDistance::new(text(3), text(5));
-    let expected = problem.reference();
+/// `inner` with its `grid()` hidden: the solvers take the schedule path.
+struct Levels<'a, P>(&'a P);
 
-    let sequential = allocs(|| assert_eq!(black_box(solve_sequential(&problem)).goal, expected));
-    assert!(
-        sequential <= 32,
-        "solve_sequential: {sequential} allocations"
-    );
+impl<P: DpProblem> DpProblem for Levels<'_, P> {
+    type Value = P::Value;
 
+    fn num_cells(&self) -> usize {
+        self.0.num_cells()
+    }
+
+    fn dependencies(&self, cell: usize, out: &mut Vec<usize>) {
+        self.0.dependencies(cell, out)
+    }
+
+    fn compute(&self, cell: usize, get: &dyn Fn(usize) -> P::Value) -> P::Value {
+        self.0.compute(cell, get)
+    }
+
+    fn goal_cell(&self) -> usize {
+        self.0.goal_cell()
+    }
+}
+
+/// Let a freshly built pool's workers start (they allocate thread-local
+/// state) before a window opens.
+fn settle() {
+    std::thread::sleep(std::time::Duration::from_millis(20));
+}
+
+/// Allocation events of `solve_sequential` and of `solve_wavefront` on
+/// default pools with p ∈ {1, 2}, each checked against `expected`.
+fn solve_allocs<P>(problem: &P, expected: P::Value) -> Vec<(String, u64)>
+where
+    P: DpProblem,
+    P::Value: PartialEq + std::fmt::Debug,
+{
+    let sequential = allocs(|| assert_eq!(black_box(solve_sequential(problem)).goal, expected));
+    let mut counts = vec![("solve_sequential".to_string(), sequential)];
     for p in [1, 2] {
         let pool = PalPool::new(p).unwrap();
+        settle();
         let wavefront = allocs(|| {
-            assert_eq!(black_box(solve_wavefront(&problem, &pool)).goal, expected);
+            assert_eq!(black_box(solve_wavefront(problem, &pool)).goal, expected);
         });
-        assert!(
-            wavefront <= 32,
-            "solve_wavefront at p = {p}: {wavefront} allocations"
-        );
         assert_eq!(pool.metrics().forks(), 0, "p = {p}");
+        counts.push((format!("solve_wavefront at p = {p}"), wavefront));
+    }
+    counts
+}
+
+#[test]
+fn a_solve_allocates_a_constant_number_of_times() {
+    // The benchmark's `batch-large-*` table: a 385 × 385 grid.
+    let text =
+        |salt: usize| -> Vec<u8> { (0..384).map(|i| b"acgt"[(i * salt + i / 7) % 4]).collect() };
+    let grid = EditDistance::new(text(3), text(5));
+    for (solver, count) in solve_allocs(&grid, grid.reference()) {
+        assert_eq!(count, 1, "{solver} on a grid: {count} allocations");
+    }
+
+    // The same table with its `grid()` hidden, evaluated level by level.
+    for (solver, count) in solve_allocs(&Levels(&grid), grid.reference()) {
+        assert!(
+            count <= 32,
+            "{solver} through the schedule: {count} allocations"
+        );
     }
 }

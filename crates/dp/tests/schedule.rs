@@ -21,6 +21,14 @@
 //! random permutation — which takes the schedule off its fast path (levels
 //! in the enumeration pass, valid while dependencies have smaller ids than
 //! their cells) onto Kahn's algorithm.
+//!
+//! LCS and edit distance are grids ([`DpProblem::grid`]), which the
+//! sequential and wavefront solvers fill in place without a schedule.  The
+//! wrappers here — [`Scrambled`], [`Recorded`] and [`Levels`] — do not
+//! forward `grid()`, so through them those two tables still test the
+//! schedule.  The grid paths have tests of their own at the end: tables
+//! bit-identical to the schedule's on every executor, the tile kernel's
+//! fork closed form, and a panic for a `compute` that reads too far.
 
 use std::fmt::Debug;
 use std::ops::Range;
@@ -90,6 +98,30 @@ impl<P: DpProblem> DpProblem for Scrambled<'_, P> {
 
     fn goal_cell(&self) -> usize {
         self.to[self.inner.goal_cell()]
+    }
+}
+
+/// `inner` with its `grid()` hidden: the same table, evaluated through the
+/// schedule by every solver.
+struct Levels<'a, P>(&'a P);
+
+impl<P: DpProblem> DpProblem for Levels<'_, P> {
+    type Value = P::Value;
+
+    fn num_cells(&self) -> usize {
+        self.0.num_cells()
+    }
+
+    fn dependencies(&self, cell: usize, out: &mut Vec<usize>) {
+        self.0.dependencies(cell, out)
+    }
+
+    fn compute(&self, cell: usize, get: &dyn Fn(usize) -> P::Value) -> P::Value {
+        self.0.compute(cell, get)
+    }
+
+    fn goal_cell(&self) -> usize {
+        self.0.goal_cell()
     }
 }
 
@@ -445,10 +477,11 @@ fn index_forks(pool: &PalPool, len: usize) -> u64 {
 fn a_level_forks_only_when_the_pool_says_its_weight_repays_it() {
     // The benchmark's `batch-large-*` table: 385 × 385 cells — the 769 base
     // cells of row and column 0, then 767 antidiagonals of at most 384
-    // cells and three reads a cell.
+    // cells and three reads a cell — evaluated level by level.
     let text =
         |salt: usize| -> Vec<u8> { (0..384).map(|i| b"acgt"[(i * salt + i / 7) % 4]).collect() };
-    let problem = EditDistance::new(text(3), text(5));
+    let grid = EditDistance::new(text(3), text(5));
+    let problem = Levels(&grid);
     let expected = solve_sequential(&problem).values;
     let dag = dependency_dag(&problem);
     let levels = dag.levels().antichains;
@@ -509,12 +542,12 @@ proptest! {
         prop_assert_eq!(&solve_counter(&table, &pool).values, &expected);
     }
 
-    // Edit distance on `.grain(1)` pools, where every antidiagonal of two
-    // or more cells forks (a default pool runs levels this light as plain
-    // loops).  Every fork is in a `for_each_index` join tree, so its count
-    // is a pure function of the level widths and p: a traced pool forks
-    // exactly as often as a fresh untraced one, and its capture
-    // reproduces the pool's accounting counter for counter.
+    // Edit distance, level by level, on `.grain(1)` pools, where every
+    // antidiagonal of two or more cells forks (a default pool runs levels
+    // this light as plain loops).  Every fork is in a `for_each_index`
+    // join tree, so its count is a pure function of the level widths and
+    // p: a traced pool forks exactly as often as a fresh untraced one, and
+    // its capture reproduces the pool's accounting counter for counter.
     #[test]
     fn traced_wavefront_forks_like_an_untraced_pool(
         len in 2usize..24,
@@ -523,7 +556,8 @@ proptest! {
         let text = |salt: usize| -> Vec<u8> {
             (0..len).map(|i| b"acgt"[(i * salt + seed + i / 3) % 4]).collect()
         };
-        let problem = EditDistance::new(text(3), text(7));
+        let grid = EditDistance::new(text(3), text(7));
+        let problem = Levels(&grid);
         let expected = solve_sequential(&problem).goal;
         for p in [1, 2, 4] {
             let pinned = || PalPool::builder().processors(p).grain(1);
@@ -545,5 +579,199 @@ proptest! {
             prop_assert_eq!(solve_wavefront(&problem, &fresh).goal, expected);
             prop_assert_eq!(m.forks(), fresh.metrics().forks(), "fresh pool, p = {}", p);
         }
+    }
+}
+
+/// `rows × cols` edit-distance and LCS grids over seeded `acgt` strings of
+/// `rows − 1` and `cols − 1` letters.
+fn grid_problems(rows: usize, cols: usize, seed: u64) -> (EditDistance, Lcs) {
+    let mut state = seed;
+    let mut text = |len: usize| -> Vec<u8> {
+        (0..len)
+            .map(|_| b"acgt"[(next(&mut state) % 4) as usize])
+            .collect()
+    };
+    let (a, b) = (text(rows - 1), text(cols - 1));
+    (EditDistance::new(a.clone(), b.clone()), Lcs::new(a, b))
+}
+
+/// One grid through every solver path against the schedule's table: the
+/// row-major twin, `solve_wavefront` on `SeqExecutor` and on every pool,
+/// and `solve_wavefront` with `grid()` hidden on every pool — up to 2¹⁸
+/// cells, past which the level path on `.grain(1)` pools costs seconds in
+/// a debug build.
+fn check_grid<P>(name: &str, problem: &P, reference: u32, pools: &[(String, PalPool)])
+where
+    P: DpProblem<Value = u32>,
+{
+    let expected = solve_sequential(&Levels(problem)).values;
+    let twin = solve_sequential(problem);
+    assert!(twin.values == expected, "{name}: row-major twin");
+    assert_eq!(twin.goal, reference, "{name}: twin against reference()");
+    let sequential = solve_wavefront(problem, &SeqExecutor);
+    assert!(
+        sequential.values == expected,
+        "{name}: wavefront, SeqExecutor"
+    );
+    for (pool_name, pool) in pools {
+        let tiled = solve_wavefront(problem, pool);
+        assert!(tiled.values == expected, "{name}: wavefront, {pool_name}");
+        assert_eq!(tiled.goal, reference, "{name}: wavefront, {pool_name}");
+        if problem.num_cells() <= 1 << 18 {
+            let levels = solve_wavefront(&Levels(problem), pool);
+            assert!(levels.values == expected, "{name}: levels, {pool_name}");
+        }
+    }
+}
+
+#[test]
+fn grid_solves_are_bit_identical_to_the_schedule_on_every_executor() {
+    let mut pools = Vec::new();
+    for p in [1, 2, 3, 4, 8] {
+        pools.push((format!("default p = {p}"), PalPool::new(p).unwrap()));
+    }
+    for p in [1, 2, 4] {
+        for grain in [1, 64] {
+            let pinned = PalPool::builder()
+                .processors(p)
+                .grain(grain)
+                .build()
+                .unwrap();
+            pools.push((format!("grain({grain}) p = {p}"), pinned));
+        }
+    }
+    let shapes = [
+        (1, 1),
+        (1, 300),
+        (300, 1),
+        (63, 65),
+        (200, 300),
+        (385, 385),
+        (1025, 1025),
+    ];
+    for (seed, (rows, cols)) in shapes.into_iter().enumerate() {
+        let (ed, lcs) = grid_problems(rows, cols, seed as u64);
+        let name = format!("{rows} × {cols}");
+        check_grid(
+            &format!("edit distance {name}"),
+            &ed,
+            ed.reference(),
+            &pools,
+        );
+        check_grid(&format!("lcs {name}"), &lcs, lcs.reference(), &pools);
+    }
+}
+
+/// The forks `solve_wavefront` makes on a `rows × cols` grid, in closed
+/// form: its 64 × 64 tile antidiagonals, each priced by its cell count,
+/// and one `for_each_index` over the tiles of every antidiagonal that
+/// prices above one block — unless no antidiagonal does, when the solve is
+/// the row-major loop and forks nothing.
+fn tile_forks(pool: &PalPool, rows: usize, cols: usize) -> u64 {
+    const TILE: usize = 64;
+    let (bands, tile_cols) = (rows.div_ceil(TILE), cols.div_ceil(TILE));
+    let side = |t: usize, len: usize| TILE.min(len - t * TILE);
+    (0..bands + tile_cols - 1)
+        .map(|d| {
+            let tiles = d.saturating_sub(tile_cols - 1)..(d + 1).min(bands);
+            let cells = tiles
+                .clone()
+                .map(|r| side(r, rows) * side(d - r, cols))
+                .sum();
+            if pool.chunk_count(cells) > 1 {
+                index_forks(pool, tiles.len())
+            } else {
+                0
+            }
+        })
+        .sum()
+}
+
+#[test]
+fn the_tile_kernel_forks_as_its_closed_form_says() {
+    // On default pools the floor decides: the benchmark's 385² grid
+    // (widest antidiagonal 6 · 64² = 24,576 cells) never forks, and from
+    // 1025² on the middle antidiagonals do.
+    let cases = [
+        (385, 385, 0),
+        (1025, 1025, 64),
+        (300, 200, 64),
+        (130, 1025, 64),
+        (2049, 2049, 0),
+    ];
+    for (rows, cols, grain) in cases {
+        let (problem, _) = grid_problems(rows, cols, 7);
+        let expected = solve_sequential(&problem);
+        assert_eq!(expected.goal, problem.reference(), "{rows} × {cols}");
+        for p in [1, 2, 4] {
+            let builder = PalPool::builder().processors(p);
+            let pool = if grain == 0 {
+                builder.build().unwrap()
+            } else {
+                builder.grain(grain).build().unwrap()
+            };
+            let predicted = tile_forks(&pool, rows, cols);
+            assert_eq!(
+                predicted > 0,
+                (rows, cols) != (385, 385),
+                "{rows} × {cols}, p = {p}"
+            );
+            for run in 1..=2 {
+                let tiled = solve_wavefront(&problem, &pool);
+                assert!(tiled.values == expected.values, "{rows} × {cols}, p = {p}");
+                assert_eq!(
+                    pool.metrics().forks(),
+                    run * predicted,
+                    "{rows} × {cols}, grain {grain}, p = {p}, run {run}"
+                );
+            }
+        }
+    }
+}
+
+/// A grid whose `compute` reads two rows up: a value the tile kernel may
+/// not have computed yet when the row above it is another tile's band.
+struct ReadsTooFar(EditDistance);
+
+impl DpProblem for ReadsTooFar {
+    type Value = u32;
+
+    fn num_cells(&self) -> usize {
+        self.0.num_cells()
+    }
+
+    fn dependencies(&self, cell: usize, out: &mut Vec<usize>) {
+        self.0.dependencies(cell, out)
+    }
+
+    fn compute(&self, cell: usize, get: &dyn Fn(usize) -> u32) -> u32 {
+        let (_, cols) = self.grid().unwrap();
+        let own = self.0.compute(cell, get);
+        if cell >= 2 * cols {
+            own.max(get(cell - 2 * cols))
+        } else {
+            own
+        }
+    }
+
+    fn grid(&self) -> Option<(usize, usize)> {
+        self.0.grid()
+    }
+}
+
+#[test]
+fn the_tile_kernel_refuses_a_read_outside_the_neighbourhood() {
+    let (problem, _) = grid_problems(200, 200, 3);
+    let hostile = ReadsTooFar(problem);
+    for p in [1, 2, 4] {
+        let pool = PalPool::builder().processors(p).grain(64).build().unwrap();
+        assert!(tile_forks(&pool, 200, 200) > 0);
+        let payload = catch_unwind(AssertUnwindSafe(|| solve_wavefront(&hostile, &pool)))
+            .expect_err("the tile kernel returned a table");
+        let message = payload.downcast::<String>().map(|m| *m).unwrap_or_default();
+        assert!(
+            message.contains("outside its left, upper and upper-left neighbours"),
+            "p = {p}: panicked with {message:?}"
+        );
     }
 }

@@ -9,7 +9,6 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -88,17 +87,18 @@ struct QueueState {
     /// Executors parked in `work_ready.wait`.
     idle: usize,
     shutdown: bool,
-}
-
-#[derive(Default)]
-struct Counters {
-    submitted: AtomicU64,
-    rejected: AtomicU64,
-    completed: AtomicU64,
-    panicked: AtomicU64,
-    cancelled: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    queue_peak: AtomicUsize,
+    // The counters `stats()` reports.  Each is written under this lock
+    // by a path that holds it anyway: `submit` admits or rejects under
+    // it, and `run_one` counts the outcome where it gives the budget back.
+    submitted: u64,
+    rejected: u64,
+    completed: u64,
+    panicked: u64,
+    cancelled: u64,
+    deadline_exceeded: u64,
+    queue_peak: usize,
+    /// `Ok`-completions per tenant.
+    tenant_completed: Vec<u64>,
 }
 
 struct Shared {
@@ -108,9 +108,8 @@ struct Shared {
     /// when `QueueState::idle` — read under the state lock — says an
     /// executor is parked on it; always signalled on shutdown.
     work_ready: Condvar,
-    /// `Ok`-completions per tenant; its length is the tenant count.
-    tenant_completed: Vec<AtomicU64>,
-    counters: Counters,
+    /// Tenant count: jobs are submitted for `0..tenants`.
+    tenants: usize,
     queue_capacity: usize,
     /// Per-tenant admission quota: `ceil(queue_capacity / tenants)`.
     tenant_quota: usize,
@@ -210,10 +209,17 @@ impl JobService {
                 cursor: 0,
                 idle: 0,
                 shutdown: false,
+                submitted: 0,
+                rejected: 0,
+                completed: 0,
+                panicked: 0,
+                cancelled: 0,
+                deadline_exceeded: 0,
+                queue_peak: 0,
+                tenant_completed: vec![0; config.tenants],
             }),
             work_ready: Condvar::new(),
-            tenant_completed: (0..config.tenants).map(|_| AtomicU64::new(0)).collect(),
-            counters: Counters::default(),
+            tenants: config.tenants,
             queue_capacity: config.queue_capacity,
             tenant_quota: config.queue_capacity.div_ceil(config.tenants),
             tenant_budget: config.tenant_budget,
@@ -236,7 +242,7 @@ impl JobService {
     /// starts immediately — queue wait counts against it.
     pub fn submit(&self, spec: JobSpec) -> Result<JobTicket, SubmitError> {
         let sh = &*self.shared;
-        if spec.tenant >= sh.tenant_completed.len() {
+        if spec.tenant >= sh.tenants {
             return Err(SubmitError::UnknownTenant {
                 tenant: spec.tenant,
             });
@@ -255,12 +261,13 @@ impl JobService {
         // keeps one flooding tenant from crowding the others out of the
         // queue — its excess bounces while their slots stay reachable.
         if st.queued >= sh.queue_capacity || st.queues[spec.tenant].len() >= sh.tenant_quota {
-            sh.counters.rejected.fetch_add(1, Ordering::Relaxed);
+            st.rejected += 1;
             return Err(SubmitError::Rejected {
                 queue_depth: st.queued,
             });
         }
-        let id = sh.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        let id = st.submitted;
+        st.submitted += 1;
         let now = Instant::now();
         let token = match spec.deadline {
             Some(d) => CancelToken::with_deadline_at(now + d),
@@ -276,9 +283,7 @@ impl JobService {
             ticket: Arc::clone(&ticket),
         });
         st.queued += 1;
-        sh.counters
-            .queue_peak
-            .fetch_max(st.queued, Ordering::Relaxed);
+        st.queue_peak = st.queue_peak.max(st.queued);
         let wake = st.idle > 0;
         drop(st);
         if wake {
@@ -294,22 +299,17 @@ impl JobService {
 
     /// Snapshot the service counters.
     pub fn stats(&self) -> ServiceStats {
-        let c = &self.shared.counters;
+        let st = self.shared.state.lock();
         ServiceStats {
-            submitted: c.submitted.load(Ordering::Relaxed),
-            rejected: c.rejected.load(Ordering::Relaxed),
-            completed: c.completed.load(Ordering::Relaxed),
-            panicked: c.panicked.load(Ordering::Relaxed),
-            cancelled: c.cancelled.load(Ordering::Relaxed),
-            deadline_exceeded: c.deadline_exceeded.load(Ordering::Relaxed),
-            queue_peak: c.queue_peak.load(Ordering::Relaxed),
+            submitted: st.submitted,
+            rejected: st.rejected,
+            completed: st.completed,
+            panicked: st.panicked,
+            cancelled: st.cancelled,
+            deadline_exceeded: st.deadline_exceeded,
+            queue_peak: st.queue_peak,
             retries: 0,
-            per_tenant_completed: self
-                .shared
-                .tenant_completed
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
+            per_tenant_completed: st.tenant_completed.clone(),
         }
     }
 
@@ -454,30 +454,21 @@ fn run_one(shared: &Shared, job: Queued) -> bool {
         (outcome, run_time)
     };
 
-    match &outcome {
-        Ok(_) => {
-            shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-            shared.tenant_completed[job.tenant].fetch_add(1, Ordering::Relaxed);
-        }
-        Err(JobError::Panicked(_)) => {
-            shared.counters.panicked.fetch_add(1, Ordering::Relaxed);
-        }
-        Err(JobError::Cancelled) => {
-            shared.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-        }
-        Err(JobError::DeadlineExceeded) => {
-            shared
-                .counters
-                .deadline_exceeded
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    // Release the tenant's budget *before* publishing the report: a
-    // client that saw the report and immediately resubmits must find
-    // the budget free.
+    // Count the outcome and release the tenant's budget *before*
+    // publishing the report: a client that saw the report and
+    // immediately resubmits must find the budget free, and `stats()`
+    // must already count the job.
     let idle = {
         let mut st = shared.state.lock();
+        match &outcome {
+            Ok(_) => {
+                st.completed += 1;
+                st.tenant_completed[job.tenant] += 1;
+            }
+            Err(JobError::Panicked(_)) => st.panicked += 1,
+            Err(JobError::Cancelled) => st.cancelled += 1,
+            Err(JobError::DeadlineExceeded) => st.deadline_exceeded += 1,
+        }
         st.in_use[job.tenant] -= job.cost;
         st.idle > 0
     };
