@@ -12,10 +12,8 @@
 //! * [`solve_wavefront`] — partition the cells into antichains (the dual of
 //!   Dilworth's theorem) and evaluate them level by level; a level heavy
 //!   enough to repay waking a second processor is split across the
-//!   executor, a lighter one is a plain loop on the caller.  On a grid the
-//!   antichains are antidiagonals of 64 × 64 tiles, each tile writing its
-//!   own row band of the table in place, and a grid with no antidiagonal
-//!   worth a fork is the row-major loop;
+//!   executor, a lighter one is a plain loop on the caller.  A grid is the
+//!   row-major loop, on the caller;
 //! * [`solve_counter`] — the paper's **Algorithm 1**: every cell carries a
 //!   counter of outstanding dependencies, completed cells decrement their
 //!   neighbours' counters, and cells whose counter reaches zero are handed to
@@ -31,9 +29,10 @@
 //! specification once into a flat schedule — dependency lists in one CSR
 //! array of `u32` ids (so a table must stay below 2³² cells), cells
 //! counting-sorted by level — that costs a dozen allocations whatever the
-//! table's size, and read order, levels and in-degrees from it.  [`dependency_dag`] builds the DAG itself, as a
-//! [`lopram_analysis::Dag`], for the questions that are about the graph:
-//! antichain widths, the longest chain, the ideal `p`-processor schedule.
+//! table's size, and read order, levels and in-degrees from it.
+//! [`dependency_dag`] builds the DAG itself, as a [`lopram_analysis::Dag`],
+//! for the questions that are about the graph: antichain widths, the
+//! longest chain, the ideal `p`-processor schedule.
 //!
 //! The [`problems`] module provides classic dynamic programs covering the
 //! spectrum of DAG shapes §4.6 discusses: two-dimensional tables with

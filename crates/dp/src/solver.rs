@@ -3,11 +3,8 @@
 //!
 //! On a table that declares itself a grid ([`DpProblem::grid`]: row-major
 //! ids, reads only up and to the left) the sequential and wavefront solvers
-//! list no dependency at all.  [`solve_sequential`] is one row-major loop
-//! into the table it returns.  [`solve_wavefront`] is that same loop when
-//! no antidiagonal of the grid is worth a fork, and otherwise walks
-//! `TILE × TILE` tile antidiagonals over the same row-major table, each
-//! tile writing its own row band in place.
+//! list no dependency at all: both are one row-major loop into the table
+//! they return, on the calling thread.
 //!
 //! Every other table, and [`solve_counter`] on any table, evaluates one
 //! private `Schedule`: the table's dependency lists flattened into a CSR
@@ -17,7 +14,6 @@
 //! [`dependency_dag`] is the *analysis* view of the same enumeration —
 //! width tables and the ideal-schedule simulator read it; no solver does.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -216,8 +212,8 @@ fn kahn_levels(preds: &Csr) -> Vec<u32> {
 /// A grid ([`DpProblem::grid`]) is filled in row-major order instead, one
 /// loop straight into the returned table.
 pub fn solve_sequential<P: DpProblem>(problem: &P) -> DpSolution<P::Value> {
-    if let Some((rows, cols)) = grid_of(problem) {
-        return finish(problem, row_major(problem, rows * cols));
+    if let Some(cells) = grid_cells(problem) {
+        return finish(problem, row_major(problem, cells));
     }
     let schedule = Schedule::build(problem);
     let mut values: Vec<Option<P::Value>> = vec![None; schedule.cells()];
@@ -254,16 +250,14 @@ pub fn solve_sequential<P: DpProblem>(problem: &P) -> DpSolution<P::Value> {
 /// that many contiguous blocks, one [`for_each_index`](Executor::for_each_index)
 /// index each, every block writing its own output buffer.
 ///
-/// A grid ([`DpProblem::grid`]) is cut into `TILE × TILE` tiles (64 × 64)
-/// instead, whose antidiagonals are its antichains, each priced by its cell
-/// count.  When no antidiagonal is more than one block, the solve is
-/// [`solve_sequential`]'s row-major loop — the grid's one-block path, which
-/// forks nothing.  Otherwise the antidiagonals run in order: one worth a
-/// fork is a `for_each_index` with one index per tile, a lighter one runs
-/// its tiles on the caller.  See `tiled` for the layout.
+/// A grid ([`DpProblem::grid`]) is [`solve_sequential`]'s row-major loop
+/// on the calling thread, which forks nothing.  Its antichains are its
+/// antidiagonals; a kernel that split them across `exec` as row-band tiles
+/// cost 1.6–1.7× the loop per cell on one processor and at best tied it
+/// on two (1025² and 2049² edit distance), so none is here.
 pub fn solve_wavefront<P: DpProblem, E: Executor>(problem: &P, exec: &E) -> DpSolution<P::Value> {
-    if let Some((rows, cols)) = grid_of(problem) {
-        return finish(problem, tiled(problem, exec, rows, cols));
+    if let Some(cells) = grid_cells(problem) {
+        return finish(problem, row_major(problem, cells));
     }
     let schedule = Schedule::build(problem);
     let n = schedule.cells();
@@ -302,11 +296,9 @@ pub fn solve_wavefront<P: DpProblem, E: Executor>(problem: &P, exec: &E) -> DpSo
     finish(problem, values)
 }
 
-/// Side of the square tiles `solve_wavefront` cuts a grid into.
-const TILE: usize = 64;
-
-/// `problem.grid()`, checked against the cell count.
-fn grid_of<P: DpProblem>(problem: &P) -> Option<(usize, usize)> {
+/// The cell count of a grid ([`DpProblem::grid`]), checked against
+/// `num_cells`; `None` for any other table.
+fn grid_cells<P: DpProblem>(problem: &P) -> Option<usize> {
     let (rows, cols) = problem.grid()?;
     assert!(
         rows.checked_mul(cols) == Some(problem.num_cells()),
@@ -314,149 +306,31 @@ fn grid_of<P: DpProblem>(problem: &P) -> Option<(usize, usize)> {
         problem.num_cells()
     );
     assert!(rows * cols > 0, "a dynamic program needs at least one cell");
-    Some((rows, cols))
+    Some(rows * cols)
 }
 
-/// The first `cells` cells of a grid, in id order, into one vector.
+/// The first `cells` cells of a grid, in id order, into one vector.  A read
+/// of a cell not yet computed panics; any earlier cell is served, so a
+/// `compute` that reads outside its three neighbours gets the same table on
+/// every executor and at every size.
 fn row_major<P: DpProblem>(problem: &P, cells: usize) -> Vec<P::Value> {
     let mut values: Vec<P::Value> = Vec::with_capacity(cells);
     for cell in 0..cells {
         let value = problem.compute(cell, &|y| match values.get(y) {
             Some(v) => v.clone(),
-            None => refuse(cell, y, "before it was computed"),
+            None => refuse(cell, y),
         });
         values.push(value);
     }
     values
 }
 
-/// `solve_wavefront` on a `rows × cols` grid.
-///
-/// The table is row-major from the start and cut into row bands of `TILE`
-/// rows (`chunks_mut`).  Tile `(r, c)` is band `r`'s columns
-/// `c·TILE..(c + 1)·TILE`, and antidiagonal `d` holds the tiles with
-/// `r + c = d` — at most one per band, so each running tile locks its own
-/// band, uncontended, and writes it in place.  The row above a band belongs
-/// to the band above, which another tile of the same antidiagonal may be
-/// writing; a tile reads it from `halo` instead, where the caller copies the
-/// bottom row of every finished tile between antidiagonals.
-fn tiled<P: DpProblem, E: Executor>(
-    problem: &P,
-    exec: &E,
-    rows: usize,
-    cols: usize,
-) -> Vec<P::Value> {
-    let (bands, tile_cols) = (rows.div_ceil(TILE), cols.div_ceil(TILE));
-    let span = |t: usize, len: usize| t * TILE..((t + 1) * TILE).min(len);
-    // The bands that have a tile on antidiagonal `d`.
-    let diagonal = |d: usize| d.saturating_sub(tile_cols - 1)..(d + 1).min(bands);
-    let splits = |d: usize| {
-        let cells = diagonal(d)
-            .map(|r| span(r, rows).len() * span(d - r, cols).len())
-            .sum();
-        exec.chunk_count(cells) > 1
-    };
-    let diagonals = bands + tile_cols - 1;
-    if !(0..diagonals).any(splits) {
-        return row_major(problem, rows * cols);
-    }
-
-    // Cell (0, 0) has no neighbour to read; its value fills the table and
-    // the halo until the tiles overwrite them.
-    let first = problem.compute(0, &|y| {
-        refuse(0, y, "outside its left, upper and upper-left neighbours")
-    });
-    let mut table = vec![first.clone(); rows * cols];
-    // `halo[r·cols..][..cols]`: the bottom row of band `r`, as far as its
-    // finished tiles reach.
-    let mut halo = vec![first; (bands - 1) * cols];
-    let mut band_locks: Vec<Mutex<&mut [P::Value]>> =
-        table.chunks_mut(TILE * cols).map(Mutex::new).collect();
-    for d in 0..diagonals {
-        let run = |r: usize| {
-            let above = r
-                .checked_sub(1)
-                .map_or(&[][..], |b| &halo[b * cols..][..cols]);
-            fill_tile(
-                problem,
-                cols,
-                r,
-                span(d - r, cols),
-                &mut band_locks[r].lock(),
-                above,
-            );
-        };
-        if diagonal(d).len() > 1 && splits(d) {
-            exec.for_each_index(diagonal(d), run);
-        } else {
-            diagonal(d).for_each(run);
-        }
-        for r in diagonal(d).filter(|&r| r + 1 < bands) {
-            let bottom = &band_locks[r].get_mut()[(TILE - 1) * cols..];
-            let js = span(d - r, cols);
-            halo[r * cols..][js.clone()].clone_from_slice(&bottom[js]);
-        }
-    }
-    drop(band_locks);
-    table
-}
-
-/// Fill columns `js` of band `r` — the rows `r·TILE..` held in `band` — in
-/// row-major order.  `above` is the row just above the band (empty for
-/// band 0).  A read of anything but a cell's left, upper or upper-left
-/// neighbour panics: elsewhere the table may hold a value not yet computed.
-///
-/// Kept out of line: inlined into the antidiagonal loop, `get` stayed a
-/// call at two of edit distance's three reads, and a tile cell cost about
-/// 1.7× as much (1025² and 2049² edit distance at p = 1).
-#[inline(never)]
-fn fill_tile<P: DpProblem>(
-    problem: &P,
-    cols: usize,
-    r: usize,
-    js: Range<usize>,
-    band: &mut [P::Value],
-    above: &[P::Value],
-) {
-    for row in 0..band.len() / cols {
-        let (done, rest) = band.split_at_mut(row * cols);
-        let up = match row.checked_sub(1) {
-            Some(prev) => &done[prev * cols..],
-            None => above,
-        };
-        let here = &mut rest[..cols];
-        let start = (r * TILE + row) * cols;
-        for j in js.clone() {
-            let cell = start + j;
-            if cell == 0 {
-                continue; // computed to fill the table
-            }
-            // The three neighbours, `None` off the grid's edge.
-            let (before, at) = here.split_at_mut(j);
-            let (upper_left, upper, left) = (up.get(j.wrapping_sub(1)), up.get(j), before.last());
-            at[0] = problem.compute(cell, &|y| {
-                let read = match cell.wrapping_sub(y) {
-                    back if back == cols => upper,
-                    back if back == cols + 1 => upper_left,
-                    1 => left,
-                    _ => None,
-                };
-                match read {
-                    Some(v) => v.clone(),
-                    None => refuse(cell, y, "outside its left, upper and upper-left neighbours"),
-                }
-            });
-        }
-    }
-}
-
-/// The panic of a grid `compute` that breaks the [`DpProblem::grid`]
-/// contract: out of line, so that the reads around it stay small enough
-/// to inline.
+/// The panic of a grid `compute` that reads ahead of the row-major order:
+/// out of line, so that the reads around it stay small enough to inline.
 #[cold]
 #[inline(never)]
-fn refuse(cell: usize, y: usize, why: &str) -> ! {
-    panic!("grid cell {cell} read cell {y} {why}")
+fn refuse(cell: usize, y: usize) -> ! {
+    panic!("grid cell {cell} read cell {y} before it was computed")
 }
 
 /// The value of cell `i` in the level-major `table` filled so far.  Every

@@ -60,13 +60,12 @@ pub trait DpProblem: Sync {
     /// `(i − 1, j)` and `(i, j − 1)` — LCS and edit distance.  Defaults to
     /// `None`.
     ///
-    /// On a grid, [`solve_sequential`](crate::solve_sequential) is one
-    /// row-major loop, and [`solve_wavefront`](crate::solve_wavefront)
-    /// either runs that loop or walks tile antidiagonals; neither lists a
-    /// dependency.  A `compute` that breaks the contract never sees a value
-    /// that is not yet computed: the row-major loop panics on a read of a
-    /// later cell (an earlier one it serves, correctly), and the tile
-    /// kernel on any read outside the three neighbours.
+    /// On a grid, [`solve_sequential`](crate::solve_sequential) and
+    /// [`solve_wavefront`](crate::solve_wavefront) are one row-major loop
+    /// that lists no dependency.  A `compute` that breaks the contract
+    /// never sees a value that is not yet computed: a read ahead of the
+    /// row-major order panics, and any earlier cell is served, the same way
+    /// at every size and on every executor.
     fn grid(&self) -> Option<(usize, usize)> {
         None
     }

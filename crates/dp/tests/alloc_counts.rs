@@ -10,21 +10,33 @@
 //! schedule existed a solve allocated a dependency vector and an adjacency
 //! vector per cell: about `3·10⁵` events for the benchmark's grid.
 //!
-//! One `#[test]` on purpose: the counter is process-global, and a second
-//! test running beside this one would be counted into its windows.  The
-//! pools are default ones, on which the table is not heavy enough to fork
-//! either way (see `schedule.rs`), so the count is the solver's alone at
-//! any `p`.
+//! Events are counted per thread, and a window sees only the thread that
+//! opened it: a pool's workers, which set up their own state on their own
+//! schedule once the pool is built, never land in it.  The pools are
+//! default ones, on which the table is not heavy enough to fork either way
+//! (see `schedule.rs`), and every window asserts that nothing forked, so
+//! the calling thread's count is the whole solve's at any `p`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use lopram_core::PalPool;
 use lopram_dp::prelude::*;
 
-/// Allocation events (alloc + realloc, all threads) since process start.
-static EVENTS: AtomicU64 = AtomicU64::new(0);
+mod common;
+use common::Levels;
+
+thread_local! {
+    /// Allocation events (alloc + realloc) on this thread since it started.
+    static EVENTS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// One more event on the calling thread.
+fn count() {
+    // `try_with`: a thread may still allocate while its locals are torn down.
+    let _ = EVENTS.try_with(|events| events.set(events.get() + 1));
+}
 
 /// Delegates to [`System`] and counts; `realloc` is an event too — a vector
 /// grown by doubling is exactly what a flat build avoids.
@@ -34,7 +46,7 @@ struct CountingAlloc;
 // with no influence on the returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        EVENTS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -43,7 +55,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        EVENTS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -51,40 +63,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Allocation events during `f`.
+/// Allocation events of the calling thread during `f`.
 fn allocs(f: impl FnOnce()) -> u64 {
-    let before = EVENTS.load(Ordering::Relaxed);
+    let before = EVENTS.with(Cell::get);
     f();
-    EVENTS.load(Ordering::Relaxed) - before
-}
-
-/// `inner` with its `grid()` hidden: the solvers take the schedule path.
-struct Levels<'a, P>(&'a P);
-
-impl<P: DpProblem> DpProblem for Levels<'_, P> {
-    type Value = P::Value;
-
-    fn num_cells(&self) -> usize {
-        self.0.num_cells()
-    }
-
-    fn dependencies(&self, cell: usize, out: &mut Vec<usize>) {
-        self.0.dependencies(cell, out)
-    }
-
-    fn compute(&self, cell: usize, get: &dyn Fn(usize) -> P::Value) -> P::Value {
-        self.0.compute(cell, get)
-    }
-
-    fn goal_cell(&self) -> usize {
-        self.0.goal_cell()
-    }
-}
-
-/// Let a freshly built pool's workers start (they allocate thread-local
-/// state) before a window opens.
-fn settle() {
-    std::thread::sleep(std::time::Duration::from_millis(20));
+    EVENTS.with(Cell::get) - before
 }
 
 /// Allocation events of `solve_sequential` and of `solve_wavefront` on
@@ -98,7 +81,6 @@ where
     let mut counts = vec![("solve_sequential".to_string(), sequential)];
     for p in [1, 2] {
         let pool = PalPool::new(p).unwrap();
-        settle();
         let wavefront = allocs(|| {
             assert_eq!(black_box(solve_wavefront(problem, &pool)).goal, expected);
         });

@@ -26,9 +26,9 @@
 //! sequential and wavefront solvers fill in place without a schedule.  The
 //! wrappers here — [`Scrambled`], [`Recorded`] and [`Levels`] — do not
 //! forward `grid()`, so through them those two tables still test the
-//! schedule.  The grid paths have tests of their own at the end: tables
-//! bit-identical to the schedule's on every executor, the tile kernel's
-//! fork closed form, and a panic for a `compute` that reads too far.
+//! schedule.  The grid path has tests of its own at the end: tables
+//! bit-identical to the schedule's on every executor with no fork, and one
+//! behaviour everywhere for a `compute` that reads outside its neighbours.
 
 use std::fmt::Debug;
 use std::ops::Range;
@@ -38,6 +38,9 @@ use std::sync::Mutex;
 use lopram_core::{Executor, PalPool, SeqExecutor, TraceConfig};
 use lopram_dp::prelude::*;
 use proptest::prelude::*;
+
+mod common;
+use common::Levels;
 
 /// splitmix64, for permutations and inputs that are a pure function of a seed.
 fn next(state: &mut u64) -> u64 {
@@ -98,30 +101,6 @@ impl<P: DpProblem> DpProblem for Scrambled<'_, P> {
 
     fn goal_cell(&self) -> usize {
         self.to[self.inner.goal_cell()]
-    }
-}
-
-/// `inner` with its `grid()` hidden: the same table, evaluated through the
-/// schedule by every solver.
-struct Levels<'a, P>(&'a P);
-
-impl<P: DpProblem> DpProblem for Levels<'_, P> {
-    type Value = P::Value;
-
-    fn num_cells(&self) -> usize {
-        self.0.num_cells()
-    }
-
-    fn dependencies(&self, cell: usize, out: &mut Vec<usize>) {
-        self.0.dependencies(cell, out)
-    }
-
-    fn compute(&self, cell: usize, get: &dyn Fn(usize) -> P::Value) -> P::Value {
-        self.0.compute(cell, get)
-    }
-
-    fn goal_cell(&self) -> usize {
-        self.0.goal_cell()
     }
 }
 
@@ -597,9 +576,9 @@ fn grid_problems(rows: usize, cols: usize, seed: u64) -> (EditDistance, Lcs) {
 
 /// One grid through every solver path against the schedule's table: the
 /// row-major twin, `solve_wavefront` on `SeqExecutor` and on every pool,
-/// and `solve_wavefront` with `grid()` hidden on every pool — up to 2¹⁸
-/// cells, past which the level path on `.grain(1)` pools costs seconds in
-/// a debug build.
+/// where it forks nothing, and `solve_wavefront` with `grid()` hidden on
+/// every pool — up to 2¹⁸ cells, past which the level path on `.grain(1)`
+/// pools costs seconds in a debug build.
 fn check_grid<P>(name: &str, problem: &P, reference: u32, pools: &[(String, PalPool)])
 where
     P: DpProblem<Value = u32>,
@@ -614,9 +593,11 @@ where
         "{name}: wavefront, SeqExecutor"
     );
     for (pool_name, pool) in pools {
-        let tiled = solve_wavefront(problem, pool);
-        assert!(tiled.values == expected, "{name}: wavefront, {pool_name}");
-        assert_eq!(tiled.goal, reference, "{name}: wavefront, {pool_name}");
+        let forks = pool.metrics().forks();
+        let grid = solve_wavefront(problem, pool);
+        assert!(grid.values == expected, "{name}: wavefront, {pool_name}");
+        assert_eq!(grid.goal, reference, "{name}: wavefront, {pool_name}");
+        assert_eq!(pool.metrics().forks(), forks, "{name}: {pool_name} forked");
         if problem.num_cells() <= 1 << 18 {
             let levels = solve_wavefront(&Levels(problem), pool);
             assert!(levels.values == expected, "{name}: levels, {pool_name}");
@@ -662,116 +643,119 @@ fn grid_solves_are_bit_identical_to_the_schedule_on_every_executor() {
     }
 }
 
-/// The forks `solve_wavefront` makes on a `rows × cols` grid, in closed
-/// form: its 64 × 64 tile antidiagonals, each priced by its cell count,
-/// and one `for_each_index` over the tiles of every antidiagonal that
-/// prices above one block — unless no antidiagonal does, when the solve is
-/// the row-major loop and forks nothing.
-fn tile_forks(pool: &PalPool, rows: usize, cols: usize) -> u64 {
-    const TILE: usize = 64;
-    let (bands, tile_cols) = (rows.div_ceil(TILE), cols.div_ceil(TILE));
-    let side = |t: usize, len: usize| TILE.min(len - t * TILE);
-    (0..bands + tile_cols - 1)
-        .map(|d| {
-            let tiles = d.saturating_sub(tile_cols - 1)..(d + 1).min(bands);
-            let cells = tiles
-                .clone()
-                .map(|r| side(r, rows) * side(d - r, cols))
-                .sum();
-            if pool.chunk_count(cells) > 1 {
-                index_forks(pool, tiles.len())
-            } else {
-                0
-            }
-        })
-        .sum()
+/// A grid whose `compute` also reads the cell `far(cell, cols)` names, when
+/// it names one: a read outside the three neighbours `grid()` promises.
+struct ReadsTooFar {
+    inner: EditDistance,
+    far: Far,
 }
-
-#[test]
-fn the_tile_kernel_forks_as_its_closed_form_says() {
-    // On default pools the floor decides: the benchmark's 385² grid
-    // (widest antidiagonal 6 · 64² = 24,576 cells) never forks, and from
-    // 1025² on the middle antidiagonals do.
-    let cases = [
-        (385, 385, 0),
-        (1025, 1025, 64),
-        (300, 200, 64),
-        (130, 1025, 64),
-        (2049, 2049, 0),
-    ];
-    for (rows, cols, grain) in cases {
-        let (problem, _) = grid_problems(rows, cols, 7);
-        let expected = solve_sequential(&problem);
-        assert_eq!(expected.goal, problem.reference(), "{rows} × {cols}");
-        for p in [1, 2, 4] {
-            let builder = PalPool::builder().processors(p);
-            let pool = if grain == 0 {
-                builder.build().unwrap()
-            } else {
-                builder.grain(grain).build().unwrap()
-            };
-            let predicted = tile_forks(&pool, rows, cols);
-            assert_eq!(
-                predicted > 0,
-                (rows, cols) != (385, 385),
-                "{rows} × {cols}, p = {p}"
-            );
-            for run in 1..=2 {
-                let tiled = solve_wavefront(&problem, &pool);
-                assert!(tiled.values == expected.values, "{rows} × {cols}, p = {p}");
-                assert_eq!(
-                    pool.metrics().forks(),
-                    run * predicted,
-                    "{rows} × {cols}, grain {grain}, p = {p}, run {run}"
-                );
-            }
-        }
-    }
-}
-
-/// A grid whose `compute` reads two rows up: a value the tile kernel may
-/// not have computed yet when the row above it is another tile's band.
-struct ReadsTooFar(EditDistance);
 
 impl DpProblem for ReadsTooFar {
     type Value = u32;
 
     fn num_cells(&self) -> usize {
-        self.0.num_cells()
+        self.inner.num_cells()
     }
 
     fn dependencies(&self, cell: usize, out: &mut Vec<usize>) {
-        self.0.dependencies(cell, out)
+        self.inner.dependencies(cell, out)
     }
 
     fn compute(&self, cell: usize, get: &dyn Fn(usize) -> u32) -> u32 {
         let (_, cols) = self.grid().unwrap();
-        let own = self.0.compute(cell, get);
-        if cell >= 2 * cols {
-            own.max(get(cell - 2 * cols))
-        } else {
-            own
+        let own = self.inner.compute(cell, get);
+        match (self.far)(cell, cols) {
+            Some(y) => own.max(get(y)),
+            None => own,
         }
     }
 
     fn grid(&self) -> Option<(usize, usize)> {
-        self.0.grid()
+        self.inner.grid()
     }
 }
 
+type Far = fn(usize, usize) -> Option<usize>;
+
+/// The table `solve` returned, or the message it panicked with.
+fn outcome(solve: impl FnOnce() -> Vec<u32>) -> Result<Vec<u32>, String> {
+    catch_unwind(AssertUnwindSafe(solve))
+        .map_err(|payload| payload.downcast::<String>().map(|m| *m).unwrap_or_default())
+}
+
 #[test]
-fn the_tile_kernel_refuses_a_read_outside_the_neighbourhood() {
-    let (problem, _) = grid_problems(200, 200, 3);
-    let hostile = ReadsTooFar(problem);
+fn a_grid_read_outside_the_neighbourhood_behaves_alike_everywhere() {
+    // A read ahead of the row-major order panics; a read behind it is
+    // served.  Either way the outcome is one for every solver, executor and
+    // size — no pool or size turns a panic into a table or back.
+    // Reads ahead start at row 1, where a solver that served a stale or
+    // filler value would have one to give.
+    let ahead: [(&str, Far); 2] = [
+        ("the right neighbour", |cell, cols| {
+            (cell >= cols && cell % cols + 1 < cols).then_some(cell + 1)
+        }),
+        ("the cell below", |cell, cols| {
+            (cell >= cols).then_some(cell + cols)
+        }),
+    ];
+    let behind: [(&str, Far); 2] = [
+        ("two rows up", |cell, cols| cell.checked_sub(2 * cols)),
+        ("left of column 0", |cell, cols| {
+            (cell > 0 && cell % cols == 0).then(|| cell - 1)
+        }),
+    ];
+    let mut pools: Vec<(String, PalPool)> = Vec::new();
     for p in [1, 2, 4] {
-        let pool = PalPool::builder().processors(p).grain(64).build().unwrap();
-        assert!(tile_forks(&pool, 200, 200) > 0);
-        let payload = catch_unwind(AssertUnwindSafe(|| solve_wavefront(&hostile, &pool)))
-            .expect_err("the tile kernel returned a table");
-        let message = payload.downcast::<String>().map(|m| *m).unwrap_or_default();
-        assert!(
-            message.contains("outside its left, upper and upper-left neighbours"),
-            "p = {p}: panicked with {message:?}"
-        );
+        pools.push((format!("default p = {p}"), PalPool::new(p).unwrap()));
+        let pinned = PalPool::builder().processors(p).grain(64).build().unwrap();
+        pools.push((format!("grain(64) p = {p}"), pinned));
+    }
+    for (shape, (rows, cols)) in [(200, 200), (385, 385), (3, 1)].into_iter().enumerate() {
+        let (inner, _) = grid_problems(rows, cols, shape as u64);
+        for (what, far) in ahead.into_iter().chain(behind) {
+            if (0..rows * cols).all(|cell| far(cell, cols).is_none()) {
+                continue; // a one-column grid has no right neighbour
+            }
+            let reads_ahead = ahead.iter().any(|&(name, _)| name == what);
+            let hostile = ReadsTooFar {
+                inner: inner.clone(),
+                far,
+            };
+            let mut outcomes = vec![
+                (
+                    "solve_sequential".to_string(),
+                    outcome(|| solve_sequential(&hostile).values),
+                ),
+                (
+                    "solve_wavefront on SeqExecutor".to_string(),
+                    outcome(|| solve_wavefront(&hostile, &SeqExecutor).values),
+                ),
+            ];
+            for (name, pool) in &pools {
+                let solved = outcome(|| solve_wavefront(&hostile, pool).values);
+                outcomes.push((format!("solve_wavefront on {name}"), solved));
+            }
+            let mut tables = Vec::new();
+            for (solver, solved) in outcomes {
+                let case = format!("{rows} × {cols}, {what}, {solver}");
+                match solved {
+                    Ok(table) => {
+                        assert!(!reads_ahead, "{case}: returned a table");
+                        tables.push(table);
+                    }
+                    Err(message) => {
+                        assert!(reads_ahead, "{case}: panicked with {message:?}");
+                        assert!(
+                            message.contains("before it was computed"),
+                            "{case}: panicked with {message:?}"
+                        );
+                    }
+                }
+            }
+            assert!(
+                tables.windows(2).all(|pair| pair[0] == pair[1]),
+                "{rows} × {cols}, {what}: the tables differ"
+            );
+        }
     }
 }
